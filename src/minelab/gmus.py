@@ -8,8 +8,9 @@ Extraction is deletion-based over the fixed ascending group order (groups
 are numbered by row-major inner-frontier position, so this is the row-major
 order), with two accelerations that preserve minimality:
 
- * clause-set refinement: every unsatisfiable solver call returns the subset
-   of activated groups actually used, and the candidate resets to it;
+ * core trimming: every unsatisfiable solver call returns the subset of
+   activated groups actually used (Solver.core_groups), and the candidate
+   resets to it;
  * a singleton pre-scan over the groups that mention the pivot variable,
    which are the only possible size-1 cores. When any single group already
    contradicts the pivot the scan returns it, so inferences available to
@@ -18,10 +19,10 @@ order), with two accelerations that preserve minimality:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional
+from typing import FrozenSet, Iterable, Optional
 
 from .cnf import GroupedCnf
-from .sat import Solver, SolveResult
+from .sat import Solver
 
 
 class NotUnsat(Exception):
@@ -36,16 +37,9 @@ class GmusResult:
     size: int
 
 
-def _core_groups(solver: Solver, core_lits: FrozenSet[int]) -> List[int]:
-    """Map failed selector literals back to group ids."""
-    back = {sel: g for g, sel in solver.selector_of.items()}
-    return sorted(back[l] for l in core_lits if l in back)
-
-
 def extract_gmus(formula: GroupedCnf, pivot: int, *,
                  solver: Optional[Solver] = None,
-                 initial_core: Optional[Iterable[int]] = None,
-                 refine: bool = True) -> GmusResult:
+                 initial_core: Optional[Iterable[int]] = None) -> GmusResult:
     """Extract a minimal (not minimum) core for formula ∧ pivot.
 
     Args:
@@ -56,8 +50,6 @@ def extract_gmus(formula: GroupedCnf, pivot: int, *,
       initial_core: group ids already known to be unsatisfiable with the
         pivot (for example from the inference query that triggered the
         extraction); skips the initial full solve.
-      refine: shrink the candidate to the solver-reported core after each
-        unsatisfiable call. Off means one plain deletion pass.
 
     Raises:
       NotUnsat: the full formula is satisfiable with the pivot.
@@ -68,9 +60,9 @@ def extract_gmus(formula: GroupedCnf, pivot: int, *,
         res = solver.solve(None, [pivot])
         if res.sat:
             raise NotUnsat(f"formula is satisfiable with pivot {pivot}")
-        start = _core_groups(solver, res.core) if refine else list(solver.group_ids)
+        start = solver.core_groups(res.core)
     else:
-        start = sorted(set(initial_core)) if refine else list(solver.group_ids)
+        start = sorted(set(initial_core))
     pv = abs(pivot)
     for g in solver.group_ids:
         if any(abs(l) == pv for clause in formula.groups[g] for l in clause):
@@ -87,7 +79,7 @@ def extract_gmus(formula: GroupedCnf, pivot: int, *,
         res = solver.solve(trial, [pivot])
         if res.sat:
             continue
-        candidate = set(_core_groups(solver, res.core)) if refine else candidate - {g}
+        candidate = set(solver.core_groups(res.core))
     return GmusResult(core=frozenset(candidate), pivot=pivot,
                       size=len(candidate))
 

@@ -132,9 +132,6 @@ def _play_one(task) -> GameRecord:
 
 def _record_to_row(rec: GameRecord, record_timing: bool) -> Dict[str, object]:
     exhausted = rec.outcome is Outcome.GENERATION_EXHAUSTED
-    outcome = rec.outcome.value
-    if rec.outcome is Outcome.STUCK and rec.timed_out:
-        outcome = "stuck_timeout"
     return {
         "n": rec.n,
         "rho": rec.rho,
@@ -143,7 +140,7 @@ def _record_to_row(rec: GameRecord, record_timing: bool) -> Dict[str, object]:
         "alpha": None if exhausted else rec.alpha,
         "max_core": rec.max_core,
         "turns": rec.turns,
-        "outcome": outcome,
+        "outcome": rec.outcome.value,
         "wall_ms": rec.wall_ms if record_timing else 0.0,
     }
 
@@ -222,6 +219,10 @@ def _store_point(path: Path, token: str, rows: List[Dict[str, object]]) -> None:
     os.replace(tmp, path)
 
 
+_STUCK_OUTCOMES = frozenset(o.value for o in (
+    Outcome.STUCK, Outcome.STUCK_TIMEOUT, Outcome.STUCK_BUDGET))
+
+
 def _mean_se(values: Sequence[float]) -> Tuple[float, float]:
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
@@ -246,7 +247,7 @@ def _aggregate(n: int, rho: float, policy: str,
         maxcore_mean, maxcore_se = _mean_se([float(c) for c in cores])
     else:
         maxcore_mean = maxcore_se = None
-    stuck = sum(1 for r in done if r["outcome"] in ("stuck", "stuck_timeout"))
+    stuck = sum(1 for r in done if r["outcome"] in _STUCK_OUTCOMES)
     wall_mean = float(np.mean([r["wall_ms"] for r in done]))
     return SweepRecord(n=n, rho=rho, policy=policy, games=len(done),
                        alpha_mean=alpha_mean, alpha_se=alpha_se,
@@ -292,9 +293,7 @@ def run_sweep(config: SweepConfig) -> List[SweepRecord]:
               for n in config.ns for rho in config.rhos
               for p in config.policies]
 
-    pool = None
-    if workers > 1:
-        pool = multiprocessing.get_context("fork").Pool(workers)
+    pool = None     # forked on the first point that has to be played
     try:
         all_rows: List[Dict[str, object]] = []
         records: List[SweepRecord] = []
@@ -309,7 +308,9 @@ def run_sweep(config: SweepConfig) -> List[SweepRecord]:
                           config.boundary.value, config.track_cores,
                           config.time_budget_s, config.conflict_budget)
                          for idx in range(config.games)]
-                if pool is not None:
+                if workers > 1:
+                    if pool is None:
+                        pool = multiprocessing.get_context("fork").Pool(workers)
                     recs = pool.map(_play_one, tasks, chunksize=1)
                 else:
                     recs = [_play_one(t) for t in tasks]

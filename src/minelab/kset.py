@@ -14,17 +14,16 @@ Enumeration skips combinations that provably add nothing:
    signs rescale one constraint beyond the ±1 regime);
  * the first sign is fixed positive, since negating every sign swaps the
    min and max cases and forces the same values;
- * by default only connected row sets are visited (rows adjacent when their
-   supports share a column). A disconnected combination splits into
-   independent blocks, is tight only when every block is tight on its own,
-   and then forces exactly what the blocks force, so on consistent systems
-   the connected union equals the full union. The full enumeration stays
-   available for differential testing via prune_disconnected=False.
+ * only connected row sets are visited (rows adjacent when their supports
+   share a column). A disconnected combination splits into independent
+   blocks, is tight only when every block is tight on its own, and then
+   forces exactly what the blocks force, so on consistent systems the
+   connected union equals the union over every row set.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -144,10 +143,11 @@ def _esu(adj: List[set], sub: List[int], ext: List[int], root: int,
 
 
 def kset_infer(cs: ConstraintSystem, k: int, *,
-               prune_disconnected: bool = True,
                stats: Optional[dict] = None) -> List[ForcedAssignment]:
     """Union of combine_and_infer over all size-<=k combinations and signs.
 
+    Only connected row sets are enumerated; on consistent systems that
+    union equals the one over every row set (see the module docstring).
     Deduplicated and sorted by (col, value). The stats dict, when given,
     receives the number of (row set, sign vector) pairs enumerated under
     the key "evaluated".
@@ -161,14 +161,7 @@ def kset_infer(cs: ConstraintSystem, k: int, *,
     labels = [int(x) for x in cs.e]
     evaluated = 0
     forced: set = set()
-    if prune_disconnected:
-        subsets: Iterable[Tuple[int, ...]] = _connected_subsets(
-            _row_adjacency(supports, cs.n_cols), m, k)
-    else:
-        import itertools
-        subsets = (c for s in range(1, k + 1)
-                   for c in itertools.combinations(range(m), s))
-    for sub in subsets:
+    for sub in _connected_subsets(_row_adjacency(supports, cs.n_cols), m, k):
         s = len(sub)
         for bits in range(1 << (s - 1)):      # first sign fixed positive
             evaluated += 1

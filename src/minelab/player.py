@@ -33,7 +33,9 @@ class Verdict(enum.Enum):
 
 class Outcome(enum.Enum):
     ALL_MINES_FLAGGED = "all_mines_flagged"
-    STUCK = "stuck"
+    STUCK = "stuck"                     # a full pass forced nothing
+    STUCK_TIMEOUT = "stuck_timeout"     # the time budget ran out
+    STUCK_BUDGET = "stuck_budget"       # a query exceeded the conflict budget
     GENERATION_EXHAUSTED = "generation_exhausted"
 
 
@@ -85,7 +87,6 @@ class GameRecord:
     turns: int
     outcome: Outcome
     wall_ms: float
-    timed_out: bool = False
 
 
 def infer_step(state: GameState, *, extract_cores: bool = True,
@@ -128,7 +129,7 @@ def infer_step(state: GameState, *, extract_cores: bool = True,
                 if extract_cores:
                     core = extract_gmus(
                         formula, v, solver=solver,
-                        initial_core=_groups_of(solver, res.core))
+                        initial_core=solver.core_groups(res.core))
                 inferences.append(Inference(site, Verdict.SAFE, core))
                 continue
         if not seen_false[v]:
@@ -140,14 +141,9 @@ def infer_step(state: GameState, *, extract_cores: bool = True,
                 if extract_cores:
                     core = extract_gmus(
                         formula, -v, solver=solver,
-                        initial_core=_groups_of(solver, res.core))
+                        initial_core=solver.core_groups(res.core))
                 inferences.append(Inference(site, Verdict.MINE, core))
     return inferences
-
-
-def _groups_of(solver: Solver, core_lits) -> List[int]:
-    back = {sel: g for g, sel in solver.selector_of.items()}
-    return sorted(back[l] for l in core_lits if l in back)
 
 
 def consistency_check(state: GameState) -> bool:
@@ -175,8 +171,8 @@ def play_game(board: Board, policy: Union[str, Policy] = "sat", *,
     Loops inference passes, flagging inferred mines and revealing inferred
     safe sites, until all mines are flagged or a pass finds nothing (Stuck).
     A pass that starts after the time budget has elapsed is not run and the
-    game records Stuck with timed_out set. The conflict budget, if ever
-    exceeded, also ends the game as Stuck.
+    game records STUCK_TIMEOUT; a solver query that exceeds the conflict
+    budget ends the game as STUCK_BUDGET.
 
     rho and seed are metadata echoed into the record; rho defaults to the
     board's realized mine fraction. trace_fn, when given, is called after
@@ -196,14 +192,13 @@ def play_game(board: Board, policy: Union[str, Policy] = "sat", *,
     flags = 0
     turns = 0
     cores: List[GmusResult] = []
-    timed_out = False
     outcome = Outcome.STUCK
     while True:
         if flags == n_mines:
             outcome = Outcome.ALL_MINES_FLAGGED
             break
         if time_budget_s is not None and time.perf_counter() - t0 > time_budget_s:
-            timed_out = True
+            outcome = Outcome.STUCK_TIMEOUT
             break
         try:
             if policy.kind == "sat":
@@ -216,6 +211,7 @@ def play_game(board: Board, policy: Union[str, Policy] = "sat", *,
                               Verdict.MINE if fa.value else Verdict.SAFE)
                     for fa in kset_infer(cs, policy.k)]
         except ResourceLimit:
+            outcome = Outcome.STUCK_BUDGET
             break
         if trace_fn is not None:
             trace_fn(turns + 1, inferences)
@@ -246,4 +242,4 @@ def play_game(board: Board, policy: Union[str, Policy] = "sat", *,
         max_core = max_core_size(cores)
     return GameRecord(n=board.n, rho=rho_val, seed=seed, policy=str(policy),
                       alpha=alpha, max_core=max_core, turns=turns,
-                      outcome=outcome, wall_ms=wall_ms, timed_out=timed_out)
+                      outcome=outcome, wall_ms=wall_ms)

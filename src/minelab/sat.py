@@ -3,15 +3,15 @@
 The solver is conflict-driven clause learning (CDCL) over two-watched
 literals, with MiniSat-style assumption handling: assumptions occupy the
 first decision levels, and an unsatisfiable query yields the subset of
-assumptions responsible (analyze-final). A plain DPLL mode (unit propagation
-plus chronological backtracking, no learning) stays available behind the
-``mode`` switch for differential testing.
+assumptions responsible (analyze-final).
 
 Group activation never rebuilds the formula: every clause of group g is
 stored with a guard literal, and activating g means assuming its selector
 variable. The selector-relaxed formula is always satisfiable, so learned
 clauses (implied by it alone) remain valid across queries with any active
 set, and a solver instance can serve thousands of queries on one formula.
+Selectors are numbered num_vars+1, num_vars+2, ... in ascending group id
+order, so a core maps back to group ids by position (core_groups).
 
 Branching picks the unassigned problem variable with the highest occurrence
 count in the original formula, ties broken by lowest variable id, and always
@@ -53,11 +53,8 @@ class Solver:
     """
 
     def __init__(self, formula: GroupedCnf, *, conflict_budget: int = 1_000_000,
-                 mode: str = "cdcl", self_check: bool = False):
-        if mode not in ("cdcl", "dpll"):
-            raise ValueError(f"unknown mode {mode!r}")
+                 self_check: bool = False):
         self.formula = formula
-        self.mode = mode
         self.conflict_budget = conflict_budget
         self.self_check = self_check
         self.num_vars = formula.num_vars
@@ -74,8 +71,6 @@ class Solver:
         self.trail: List[int] = []
         self.trail_lim: List[int] = []
         self.head_stack: List[int] = []
-        self.flip_lit: List[int] = [0]     # per level, dpll mode
-        self.flip_done: List[bool] = [True]
         self.qhead = 0
         self.order_head = 0
         self.learnts: List[list] = []
@@ -120,8 +115,6 @@ class Solver:
     def _new_level(self) -> None:
         self.trail_lim.append(len(self.trail))
         self.head_stack.append(self.order_head)
-        self.flip_lit.append(0)
-        self.flip_done.append(True)
 
     def _cancel_until(self, lvl: int) -> None:
         if len(self.trail_lim) <= lvl:
@@ -137,8 +130,6 @@ class Solver:
         del self.trail_lim[lvl:]
         self.order_head = self.head_stack[lvl]
         del self.head_stack[lvl:]
-        del self.flip_lit[lvl + 1:]
-        del self.flip_done[lvl + 1:]
         self.qhead = bound
 
     # -- propagation -------------------------------------------------------
@@ -354,7 +345,6 @@ class Solver:
     def _search(self, assumptions: List[int]) -> SolveResult:
         conflicts = 0
         budget = self.conflict_budget
-        dpll = self.mode == "dpll"
         order = self.order
         assigns = self.assigns
         nassump = len(assumptions)
@@ -365,23 +355,8 @@ class Solver:
                 if conflicts > budget:
                     raise ResourceLimit(
                         f"conflict budget {budget} exceeded")
-                lvl = len(self.trail_lim)
-                if lvl == 0:
+                if not self.trail_lim:
                     return SolveResult(sat=False, core=frozenset())
-                if dpll:
-                    while lvl > nassump and self.flip_done[lvl]:
-                        lvl -= 1
-                    if lvl <= nassump:
-                        # No learning, so no precise core; blame them all.
-                        return SolveResult(sat=False,
-                                           core=frozenset(assumptions))
-                    p = self.flip_lit[lvl]
-                    self._cancel_until(lvl - 1)
-                    self._new_level()
-                    self.flip_lit[-1] = -p
-                    self.flip_done[-1] = True
-                    self._enqueue(-p, None)
-                    continue
                 learnt, bt, lbd = self._analyze(confl)
                 self._cancel_until(bt)
                 self._record_learnt(learnt, lbd)
@@ -410,9 +385,12 @@ class Solver:
                 return SolveResult(sat=True, model=model)
             var = order[head]
             self._new_level()
-            self.flip_lit[-1] = -var
-            self.flip_done[-1] = False
             self._enqueue(-var, None)
+
+    def core_groups(self, core_lits: Iterable[int]) -> List[int]:
+        """Group ids, ascending, of the selector literals in an Unsat core."""
+        base = self.num_vars + 1
+        return sorted(self.group_ids[l - base] for l in core_lits if l >= base)
 
     def _check_model(self, model: Dict[int, bool], assumptions: Sequence[int]) -> bool:
         for l in assumptions:
@@ -428,11 +406,11 @@ class Solver:
 
 
 def solve(formula: GroupedCnf, active_groups: Optional[Iterable[int]] = None,
-          assumptions: Sequence[int] = (), *, conflict_budget: int = 1_000_000,
-          mode: str = "cdcl") -> SolveResult:
+          assumptions: Sequence[int] = (), *,
+          conflict_budget: int = 1_000_000) -> SolveResult:
     """One-shot convenience wrapper around a fresh Solver instance."""
-    return Solver(formula, conflict_budget=conflict_budget,
-                  mode=mode).solve(active_groups, assumptions)
+    return Solver(formula, conflict_budget=conflict_budget).solve(
+        active_groups, assumptions)
 
 
 def verify_model(formula: GroupedCnf, active_groups: Optional[Iterable[int]],

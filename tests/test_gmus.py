@@ -90,12 +90,6 @@ class TestKnownCases:
 
 
 class TestOptions:
-    def test_refine_off_still_minimal(self):
-        formula = GroupedCnf(num_vars=2,
-                             groups={1: [(2,)], 2: [(-2, -1)], 3: [(1, 2)]})
-        result = extract_gmus(formula, 1, refine=False)
-        assert_core_invariants(formula, result)
-
     def test_initial_core_seeds_the_deletion(self):
         # Two disjoint two-group cores exist and no single group conflicts,
         # so the result comes from deleting inside the seed.

@@ -3,7 +3,9 @@ canonical CSV bytes, aggregation cross-checks, and config parsing."""
 from __future__ import annotations
 
 import math
+import multiprocessing
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -197,6 +199,19 @@ class TestRunSweep:
         assert ((tmp_path / "serial" / "games.csv").read_bytes()
                 == (tmp_path / "pooled" / "games.csv").read_bytes())
 
+    def test_resume_of_complete_outdir_never_forks(self, tmp_path,
+                                                  monkeypatch):
+        config = small_config(tmp_path, rhos=(0.1,), games=3)
+        run_sweep(config)
+        games = (tmp_path / "out" / "games.csv").read_bytes()
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a fully cached sweep forked a pool")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        run_sweep(replace(config, workers=2))
+        assert (tmp_path / "out" / "games.csv").read_bytes() == games
+
     def test_summary_matches_independent_aggregation(self, tmp_path):
         config = small_config(tmp_path, time_budget_s=10.0)
         records = run_sweep(config)
@@ -212,7 +227,8 @@ class TestRunSweep:
                 se = statistics.stdev(alphas) / math.sqrt(len(alphas))
                 assert abs(rec.alpha_se - se) < 1e-12
             stuck = sum(1 for r in mine
-                        if r["outcome"] in ("stuck", "stuck_timeout"))
+                        if r["outcome"] in ("stuck", "stuck_timeout",
+                                            "stuck_budget"))
             assert abs(rec.stuck_fraction - stuck / len(mine)) < 1e-12
             cores = [r["max_core"] for r in mine
                      if r["max_core"] is not None]
@@ -228,6 +244,17 @@ class TestRunSweep:
         rows = read_games_csv(tmp_path / "out" / "games.csv")
         assert all(r["outcome"] == "stuck_timeout" for r in rows)
         assert all(r["alpha"] == 0.0 for r in rows)
+
+    def test_exhausted_conflict_budget_rows_marked(self, tmp_path):
+        config = small_config(tmp_path, rhos=(0.2,), policies=("sat",),
+                              conflict_budget=0)
+        (record,) = run_sweep(config)
+        rows = read_games_csv(tmp_path / "out" / "games.csv")
+        outcomes = [r["outcome"] for r in rows]
+        assert "stuck_budget" in outcomes
+        assert set(outcomes) <= {"stuck", "stuck_budget", "all_mines_flagged"}
+        stuck = sum(1 for o in outcomes if o != "all_mines_flagged")
+        assert record.stuck_fraction == stuck / len(rows)
 
     def test_impossible_generation_reported(self, tmp_path):
         # 9 mines on a 4x4 torus leave no mine-free 3x3 block, so board

@@ -51,6 +51,18 @@ def forced_by_enumeration(cs: ConstraintSystem) -> List[ForcedAssignment]:
     return out
 
 
+def all_combinations_forced(cs: ConstraintSystem,
+                            k: int) -> List[ForcedAssignment]:
+    """Union of combine_and_infer over every row set of size <= k and every
+    sign vector: the enumeration kset_infer prunes."""
+    forced = set()
+    for s in range(1, k + 1):
+        for rows in itertools.combinations(range(cs.n_rows), s):
+            for signs in itertools.product((0, 1), repeat=s):
+                forced.update(combine_and_infer(cs, rows, signs))
+    return sorted(forced)
+
+
 class TestBuildConstraints:
     def test_single_inner_two_covered(self):
         # One revealed site, one flagged neighbor: a single [1 1] row with
@@ -199,14 +211,13 @@ class TestKsetInfer:
             cs = planted_system(rng, int(rng.integers(2, 9)),
                                 int(rng.integers(3, 9)), density=0.3)
             for k in (2, 3):
-                assert (kset_infer(cs, k, prune_disconnected=True)
-                        == kset_infer(cs, k, prune_disconnected=False))
+                assert kset_infer(cs, k) == all_combinations_forced(cs, k)
 
     def test_evaluation_counter_full_enumeration(self):
         cs = make_system(np.ones((5, 4)), [2] * 5)
         for k in (1, 2, 3):
             stats: dict = {}
-            kset_infer(cs, k, prune_disconnected=False, stats=stats)
+            kset_infer(cs, k, stats=stats)
             expect = sum(math.comb(5, s) * (1 << (s - 1))
                          for s in range(1, k + 1))
             assert stats["evaluated"] == expect

@@ -112,7 +112,6 @@ class TestPlayGame:
         assert record.alpha == 1.0
         assert record.turns == 0
         assert record.max_core == 0
-        assert not record.timed_out
 
     def test_alpha_one_iff_all_flagged(self, rng):
         for _ in range(25):
@@ -142,8 +141,7 @@ class TestPlayGame:
     def test_expired_time_budget_marks_timeout(self):
         board = generate_board(8, 0.15, 1)
         record = play_game(board, time_budget_s=0.0)
-        assert record.outcome is Outcome.STUCK
-        assert record.timed_out
+        assert record.outcome is Outcome.STUCK_TIMEOUT
         assert record.turns == 0
         assert record.alpha == 0.0
 
@@ -151,16 +149,14 @@ class TestPlayGame:
         board = generate_board(5, 0.1, 2)
         record = play_game(board, time_budget_s=None)
         assert record.outcome in (Outcome.ALL_MINES_FLAGGED, Outcome.STUCK)
-        assert not record.timed_out
 
     def test_exhausted_conflict_budget_ends_stuck(self):
         board = generate_board(7, 0.18, 5)
         full = play_game(board)
         assert full.alpha > 0.0
         tiny = play_game(board, conflict_budget=0)
-        assert tiny.outcome is Outcome.STUCK
+        assert tiny.outcome is Outcome.STUCK_BUDGET
         assert tiny.alpha <= full.alpha
-        assert not tiny.timed_out
 
     def test_kset_policy_never_beats_sat(self):
         for seed in range(6):
@@ -193,7 +189,7 @@ class TestPlayGame:
         assert [t for t, _ in traces] == list(range(1, len(traces) + 1))
         nonempty = sum(1 for _, k in traces if k > 0)
         assert record.turns == nonempty
-        if record.outcome is Outcome.STUCK and not record.timed_out:
+        if record.outcome is Outcome.STUCK:
             assert traces[-1][1] == 0
 
 

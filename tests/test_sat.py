@@ -1,5 +1,5 @@
 """Solver tests: differential checks against truth tables, assumption and
-core semantics, group activation, and the dpll fallback."""
+core semantics, group activation, and core-to-group mapping."""
 from __future__ import annotations
 
 import itertools
@@ -113,6 +113,19 @@ class TestAssumptionSemantics:
         assert res.core <= {-1, -2} | selectors
         assert res.core & {-1, -2}
 
+    def test_core_groups_maps_selectors_to_sparse_group_ids(self):
+        # Only group 3 clashes with the assumption; the problem literal in
+        # the core is not a group.
+        formula = GroupedCnf(num_vars=2,
+                             groups={3: [(2,)], 8: [(1, 2)], 11: [(-1,)]})
+        solver = Solver(formula)
+        res = solver.solve(assumptions=[-2])
+        assert not res.sat
+        assert -2 in res.core
+        assert solver.core_groups(res.core) == [3]
+        full = solver.solve([3, 8, 11], [1])
+        assert solver.core_groups(full.core) == [11]
+
     def test_unknown_assumption_variable_rejected(self):
         formula = GroupedCnf(num_vars=1, groups={1: [(1,)]})
         with pytest.raises(ValueError):
@@ -175,32 +188,6 @@ class TestGroupActivation:
                 assert res.sat == fresh.sat, f"trial {trial}"
 
 
-class TestModes:
-    def test_dpll_agrees_with_cdcl(self):
-        rng = random.Random(2718)
-        for trial in range(150):
-            formula = random_grouped_cnf(rng, max_vars=7)
-            a = solve(formula, mode="cdcl")
-            b = solve(formula, mode="dpll")
-            assert a.sat == b.sat, f"trial {trial}"
-            if b.sat:
-                assert eval_formula(formula, b.model)
-
-    def test_dpll_with_assumptions(self):
-        formula = GroupedCnf(num_vars=2, groups={1: [(1, 2), (-1, -2)]})
-        res = solve(formula, assumptions=[1], mode="dpll")
-        assert res.sat
-        assert res.model == {1: True, 2: False}
-        res = solve(formula, assumptions=[1, 2], mode="dpll")
-        assert not res.sat
-        assert res.core  # dpll blames the whole assumption set
-
-    def test_unknown_mode_rejected(self):
-        formula = GroupedCnf(num_vars=1, groups={1: [(1,)]})
-        with pytest.raises(ValueError):
-            Solver(formula, mode="brute")
-
-
 class TestDeterminism:
     def test_repeated_solves_identical(self):
         rng = random.Random(4)
@@ -223,7 +210,7 @@ class TestDeterminism:
         }
         formula = GroupedCnf(num_vars=12, groups=groups)
         with pytest.raises(ResourceLimit):
-            solve(formula, conflict_budget=1, mode="dpll")
+            solve(formula, conflict_budget=1)
         res = solve(formula)   # default budget decides it: no overlap
         assert not res.sat
 
