@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from .board import (Board, Boundary, Frontiers, GameState, GenerationExhausted,
                     IllegalMove, IllegalQuery, ParseError, RevealOutcome, Site,
-                    Status, effective_label, flag, frontiers, generate_board,
-                    neighbors, parse_board, parse_overlay, reveal,
-                    serialize_board, serialize_overlay)
+                    Status, flag, frontiers, generate_board, neighbors,
+                    parse_board, parse_overlay, reveal, serialize_board,
+                    serialize_overlay)
 from .cnf import (GroupedCnf, InfeasibleLabel, build_formula,
                   encode_exact_count, export_dimacs, export_gcnf,
                   parse_dimacs, parse_gcnf)
@@ -22,8 +22,7 @@ from .harness import (SweepConfig, SweepRecord, desk_rhos, float_range,
                       game_seed, kset_compare, model_alpha,
                       parse_sweep_config, read_games_csv, read_summary_csv,
                       run_sweep, write_games_csv, write_summary_csv)
-from .kset import (ConstraintSystem, ForcedAssignment, build_constraints,
-                   combine_and_infer, kset_infer)
+from .kset import ForcedAssignment, build_constraints, kset_infer
 from .percolation import (ClusterStats, Connectivity, NoClusters,
                           OccupancyGrid, PercolationConfig, PercRecord,
                           avg_cluster_size, cluster_sizes,
@@ -39,8 +38,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Board", "Boundary", "Frontiers", "GameState", "GenerationExhausted",
     "IllegalMove", "IllegalQuery", "ParseError", "RevealOutcome", "Site",
-    "Status", "effective_label", "flag", "frontiers", "generate_board",
-    "neighbors", "parse_board", "parse_overlay", "reveal", "serialize_board",
+    "Status", "flag", "frontiers", "generate_board", "neighbors",
+    "parse_board", "parse_overlay", "reveal", "serialize_board",
     "serialize_overlay",
     "GroupedCnf", "InfeasibleLabel", "build_formula", "encode_exact_count",
     "export_dimacs", "export_gcnf", "parse_dimacs", "parse_gcnf",
@@ -48,8 +47,7 @@ __all__ = [
     "SweepConfig", "SweepRecord", "desk_rhos", "float_range", "game_seed",
     "kset_compare", "model_alpha", "parse_sweep_config", "read_games_csv",
     "read_summary_csv", "run_sweep", "write_games_csv", "write_summary_csv",
-    "ConstraintSystem", "ForcedAssignment", "build_constraints",
-    "combine_and_infer", "kset_infer",
+    "ForcedAssignment", "build_constraints", "kset_infer",
     "ClusterStats", "Connectivity", "NoClusters", "OccupancyGrid",
     "PercolationConfig", "PercRecord", "avg_cluster_size", "cluster_sizes",
     "independent_occupancy", "minesweeper_occupancy", "percolation_sweep",

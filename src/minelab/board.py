@@ -23,6 +23,9 @@ FLAGGED = 2
 _OFFSETS = tuple(
     (dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if (dr, dc) != (0, 0)
 )
+# The offsets as steps from (r, c) in a grid with a one-cell border.
+_ROW_STEPS = np.array([1 + dr for dr, _ in _OFFSETS])
+_COL_STEPS = np.array([1 + dc for _, dc in _OFFSETS])
 
 
 class Boundary(enum.Enum):
@@ -91,18 +94,27 @@ def neighbors(site: Site, n: int, boundary: Boundary) -> List[Site]:
     return out
 
 
+def _padded(grid: np.ndarray, boundary: Boundary, fill: int = 0) -> np.ndarray:
+    """The grid inside a one-cell border: wrapped around on a torus, fill
+    past an open edge. Cell (r, c) of the grid is (r + 1, c + 1) here."""
+    n = grid.shape[0]
+    out = np.full((n + 2, n + 2), fill, dtype=grid.dtype)
+    out[1:-1, 1:-1] = grid
+    if boundary is Boundary.TORUS:
+        out[0, 1:-1] = grid[-1]
+        out[-1, 1:-1] = grid[0]
+        out[:, 0] = out[:, -2]
+        out[:, -1] = out[:, 1]
+    return out
+
+
 def _neighbor_sum(grid: np.ndarray, boundary: Boundary) -> np.ndarray:
     """Sum of the 8 neighboring cells for every cell of an integer grid."""
     n = grid.shape[0]
+    padded = _padded(grid, boundary)
     acc = np.zeros_like(grid)
-    if boundary is Boundary.TORUS:
-        for dr, dc in _OFFSETS:
-            acc += np.roll(np.roll(grid, dr, axis=0), dc, axis=1)
-    else:
-        padded = np.zeros((n + 2, n + 2), dtype=grid.dtype)
-        padded[1:-1, 1:-1] = grid
-        for dr, dc in _OFFSETS:
-            acc += padded[1 + dr:1 + dr + n, 1 + dc:1 + dc + n]
+    for dr, dc in _OFFSETS:
+        acc += padded[1 + dr:1 + dr + n, 1 + dc:1 + dc + n]
     return acc
 
 
@@ -213,10 +225,18 @@ class RevealOutcome:
 
 @dataclass(frozen=True)
 class Frontiers:
-    """Row-major frontier lists: inner is revealed sites with a covered
-    neighbor, outer is covered unflagged sites with a revealed neighbor."""
+    """The frontier constraint system sum_j a_ij x_j = e_i, row-major.
+
+    inner lists the revealed sites with a covered neighbor (one row each),
+    outer the covered unflagged sites with a revealed neighbor (one column
+    each). supports[i] holds the ascending outer indices j with a_ij = 1,
+    the covered unflagged neighbors of inner[i]; labels[i] is its effective
+    label e_i, the revealed label minus the flagged neighbors.
+    """
     inner: Tuple[Site, ...]
     outer: Tuple[Site, ...]
+    supports: Tuple[Tuple[int, ...], ...]
+    labels: Tuple[int, ...]
 
 
 class GameState:
@@ -325,24 +345,32 @@ def flag(state: GameState, site: Site) -> None:
     state.status[site] = FLAGGED
 
 
-def effective_label(state: GameState, site: Site) -> int:
-    """Revealed label minus the number of flagged neighbors."""
-    if int(state.status[site]) != REVEALED:
-        raise IllegalQuery(f"site {site} is not revealed")
-    flags = sum(1 for t in neighbors(site, state.n, state.boundary)
-                if int(state.status[t]) == FLAGGED)
-    return int(state.view_labels[site]) - flags
-
-
 def frontiers(state: GameState) -> Frontiers:
-    """Inner and outer frontier lists in row-major order."""
+    """The frontier system of the state: sites, supports and labels.
+
+    On a torus the lattice side must be at least 3, as for neighbors().
+    """
+    n, boundary = state.n, state.boundary
+    if boundary is Boundary.TORUS and n < 3:
+        raise ValueError("torus boundary requires n >= 3")
     revealed = state.status == REVEALED
     covered = state.status == COVERED
-    inner_mask = revealed & _neighbor_any(covered, state.boundary)
-    outer_mask = covered & _neighbor_any(revealed, state.boundary)
-    inner = tuple((int(r), int(c)) for r, c in np.argwhere(inner_mask))
-    outer = tuple((int(r), int(c)) for r, c in np.argwhere(outer_mask))
-    return Frontiers(inner=inner, outer=outer)
+    inner_mask = revealed & _neighbor_any(covered, boundary)
+    outer_mask = covered & _neighbor_any(revealed, boundary)
+    rows, cols = np.nonzero(inner_mask)
+    inner = tuple(zip(rows.tolist(), cols.tolist()))
+    outer = tuple(zip(*(idx.tolist() for idx in np.nonzero(outer_mask))))
+    # Every covered neighbor of an inner site borders it, so it is outer.
+    col = np.full((n, n), -1, dtype=np.int32)
+    col[outer_mask] = np.arange(len(outer), dtype=np.int32)
+    nb = _padded(col, boundary, fill=-1)[rows[:, None] + _ROW_STEPS,
+                                         cols[:, None] + _COL_STEPS]
+    nb.sort(axis=1)
+    supports = tuple(tuple(j for j in row if j >= 0) for row in nb.tolist())
+    flagged = (state.status == FLAGGED).astype(np.int16)
+    labels = state.view_labels - _neighbor_sum(flagged, boundary)
+    return Frontiers(inner=inner, outer=outer, supports=supports,
+                     labels=tuple(labels[rows, cols].tolist()))
 
 
 _BOUNDARY_WORDS = {"torus": Boundary.TORUS, "open": Boundary.OPEN}

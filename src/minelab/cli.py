@@ -16,15 +16,16 @@ import io
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .board import Boundary, GenerationExhausted, generate_board
 from .cnf import parse_dimacs, parse_gcnf
 from .gmus import NotUnsat, extract_gmus
-from .harness import (SweepConfig, _record_to_row, _row_to_cells, float_range,
-                      game_seed, parse_sweep_config, run_sweep, GAMES_COLUMNS)
+from .harness import (_exhausted_record, _record_to_row, _row_to_cells,
+                      game_seed, parse_grid, parse_sweep_config, run_sweep,
+                      GAMES_COLUMNS)
 from .percolation import Connectivity, PercolationConfig, percolation_sweep
-from .player import GameRecord, Outcome, Policy, Verdict, play_game
+from .player import GameRecord, Policy, Verdict, play_game
 from .plots import EmptyInput, render_plots
 from .sat import Solver
 
@@ -53,12 +54,6 @@ def _row_line(record: GameRecord, *, include_timing: bool = True) -> str:
     csv.writer(buf).writerow(
         _row_to_cells(_record_to_row(record, include_timing)))
     return buf.getvalue().rstrip("\r\n")
-
-
-def _exhausted_record(n: int, rho: float, policy: str, seed: int) -> GameRecord:
-    return GameRecord(n=n, rho=rho, seed=seed, policy=policy,
-                      alpha=float("nan"), max_core=None, turns=0,
-                      outcome=Outcome.GENERATION_EXHAUSTED, wall_ms=0.0)
 
 
 def cmd_play(args: argparse.Namespace) -> int:
@@ -140,16 +135,9 @@ def cmd_core(args: argparse.Namespace) -> int:
 
 
 def cmd_percolation(args: argparse.Namespace) -> int:
-    params: List[float] = []
-    for part in args.param_grid.split(","):
-        if ":" in part:
-            a, b, s = (float(x) for x in part.split(":"))
-            params.extend(float_range(a, b, s))
-        else:
-            params.append(float(part))
     config = PercolationConfig(
-        mode=args.mode, params=params, n=args.n, samples=args.samples,
-        seed=args.seed,
+        mode=args.mode, params=parse_grid(args.param_grid), n=args.n,
+        samples=args.samples, seed=args.seed,
         boundary=Boundary(args.boundary) if args.boundary else None,
         connectivity=Connectivity(args.connectivity))
     records = percolation_sweep(config)

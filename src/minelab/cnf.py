@@ -9,10 +9,10 @@ groups; group identity is what minimal-core extraction works over.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .board import COVERED, Boundary, GameState, Site, effective_label, frontiers, neighbors
+from .board import GameState, Site, frontiers
 
 Clause = Tuple[int, ...]
 
@@ -23,17 +23,15 @@ class InfeasibleLabel(Exception):
 
 @dataclass
 class GroupedCnf:
-    """A CNF split into clause groups, one group per inner-frontier site.
+    """A CNF split into clause groups.
 
-    var_sites maps VarId v to its outer site var_sites[v - 1]; group_sites
-    maps GroupId g to its inner site. group_vars[g] lists the VarIds used by
-    group g in ascending order.
+    A frontier formula has one group per inner-frontier site, GroupId g
+    for frontiers().inner[g], and var_sites maps VarId v to its outer site
+    var_sites[v - 1].
     """
     num_vars: int
     groups: Dict[int, List[Clause]]
     var_sites: Tuple[Site, ...] = ()
-    group_sites: Tuple[Site, ...] = ()
-    group_vars: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
 
     def num_clauses(self) -> int:
         return sum(len(cs) for cs in self.groups.values())
@@ -63,29 +61,22 @@ def encode_exact_count(e: int, vars: Sequence[int]) -> List[Clause]:
 def build_formula(state: GameState) -> GroupedCnf:
     """Group-tagged CNF for the current frontiers.
 
-    One group per inner site, over the variables of its covered unflagged
-    neighbors; variables are shared across groups wherever neighborhoods
-    overlap.
+    One group per inner site, over the variables of its support (VarId =
+    outer index + 1); variables are shared across groups wherever
+    neighborhoods overlap.
     """
     fr = frontiers(state)
     if not fr.inner:
         raise ValueError("state has empty frontiers, nothing to encode")
-    var_of = {site: v for v, site in enumerate(fr.outer, start=1)}
     groups: Dict[int, List[Clause]] = {}
-    group_vars: Dict[int, Tuple[int, ...]] = {}
-    for gid, isite in enumerate(fr.inner):
-        vars_ = sorted(var_of[t]
-                       for t in neighbors(isite, state.n, state.boundary)
-                       if int(state.status[t]) == COVERED)
-        e = effective_label(state, isite)
+    for gid, (isite, support, e) in enumerate(
+            zip(fr.inner, fr.supports, fr.labels)):
         try:
-            groups[gid] = encode_exact_count(e, vars_)
+            groups[gid] = encode_exact_count(e, [j + 1 for j in support])
         except InfeasibleLabel as exc:
             raise InfeasibleLabel(f"inner site {isite}: {exc}") from None
-        group_vars[gid] = tuple(vars_)
     return GroupedCnf(num_vars=len(fr.outer), groups=groups,
-                      var_sites=fr.outer, group_sites=fr.inner,
-                      group_vars=group_vars)
+                      var_sites=fr.outer)
 
 
 def export_dimacs(cnf: GroupedCnf) -> str:

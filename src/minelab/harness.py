@@ -60,6 +60,18 @@ def float_range(start: float, stop: float, step: float) -> Tuple[float, ...]:
     return tuple(k / 1_000_000 for k in range(si, ei + 1, di))
 
 
+def parse_grid(text: str) -> Tuple[float, ...]:
+    """Comma list of floats whose entries may be start:stop:step ranges."""
+    values: List[float] = []
+    for part in text.split(","):
+        if ":" in part:
+            a, b, s = (float(x) for x in part.split(":"))
+            values.extend(float_range(a, b, s))
+        else:
+            values.append(float(part))
+    return tuple(values)
+
+
 @dataclass
 class SweepConfig:
     ns: Sequence[int] = DESK_NS
@@ -112,6 +124,13 @@ def game_seed(master: int, rho: float, index: int) -> np.random.SeedSequence:
                                   spawn_key=(_rho_key(rho), index))
 
 
+def _exhausted_record(n: int, rho: float, policy: str, seed: int) -> GameRecord:
+    """The record of a game whose board generation was exhausted."""
+    return GameRecord(n=n, rho=rho, seed=seed, policy=policy,
+                      alpha=float("nan"), max_core=None, turns=0,
+                      outcome=Outcome.GENERATION_EXHAUSTED, wall_ms=0.0)
+
+
 def _play_one(task) -> GameRecord:
     (n, rho, policy, master, idx, boundary_value, track_cores,
      time_budget_s, conflict_budget) = task
@@ -120,9 +139,7 @@ def _play_one(task) -> GameRecord:
     try:
         board = generate_board(n, rho, ss, boundary)
     except GenerationExhausted:
-        return GameRecord(n=n, rho=rho, seed=idx, policy=policy,
-                          alpha=float("nan"), max_core=None, turns=0,
-                          outcome=Outcome.GENERATION_EXHAUSTED, wall_ms=0.0)
+        return _exhausted_record(n, rho, policy, idx)
     return play_game(board, policy, track_cores=track_cores,
                      time_budget_s=time_budget_s,
                      conflict_budget=conflict_budget, rho=rho, seed=idx)
@@ -430,14 +447,7 @@ def parse_sweep_config(text: str,
         if key == "n":
             config.ns = tuple(int(v) for v in value.split(","))
         elif key == "rho":
-            rhos: List[float] = []
-            for part in value.split(","):
-                if ":" in part:
-                    a, b, s = (float(x) for x in part.split(":"))
-                    rhos.extend(float_range(a, b, s))
-                else:
-                    rhos.append(float(part))
-            config.rhos = tuple(rhos)
+            config.rhos = parse_grid(value)
         elif key == "policies":
             config.policies = tuple(v.strip() for v in value.split(","))
         elif key == "games":

@@ -1,8 +1,9 @@
 """Polynomial-time k-set search over frontier counting constraints.
 
-Each inner-frontier site i yields the linear constraint sum_j a_ij x_j = e_i
-with a_ij = 1 exactly when i borders outer site j. A k-set combination picks
-up to k rows and signs (-1)^{b_l}, forms c_j = sum of signed rows and
+Each inner-frontier site i yields the linear constraint sum_j a_ij x_j = e_i,
+read from frontiers(): a_ij = 1 exactly for the outer indices j in
+Frontiers.supports[i], and e_i = Frontiers.labels[i]. A k-set combination
+picks up to k rows and signs (-1)^{b_l}, forms c_j = sum of signed rows and
 r = sum of signed labels, and compares r against the extreme values the left
 side can take over x in {0,1}^n: when r equals the maximum, every positive
 c_j forces x_j = 1 and every negative c_j forces x_j = 0; when r equals the
@@ -25,26 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .board import COVERED, GameState, Site, effective_label, frontiers, neighbors
-
-
-@dataclass(frozen=True)
-class ConstraintSystem:
-    """0/1 incidence rows, effective labels, and the site maps."""
-    a: np.ndarray                  # (n_inner, n_outer) of 0/1
-    e: np.ndarray                  # (n_inner,)
-    row_sites: Tuple[Site, ...]
-    col_sites: Tuple[Site, ...]
-
-    @property
-    def n_rows(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.a.shape[1]
+from .board import Frontiers, GameState, frontiers
 
 
 @dataclass(frozen=True, order=True)
@@ -53,59 +35,13 @@ class ForcedAssignment:
     value: int
 
 
-def build_constraints(state: GameState) -> ConstraintSystem:
-    """Incidence matrix and effective labels for the current frontiers."""
-    fr = frontiers(state)
-    col_of = {site: j for j, site in enumerate(fr.outer)}
-    a = np.zeros((len(fr.inner), len(fr.outer)), dtype=np.int8)
-    e = np.zeros(len(fr.inner), dtype=np.int64)
-    for i, isite in enumerate(fr.inner):
-        for t in neighbors(isite, state.n, state.boundary):
-            if int(state.status[t]) == COVERED:
-                a[i, col_of[t]] = 1
-        e[i] = effective_label(state, isite)
-    return ConstraintSystem(a=a, e=e, row_sites=fr.inner, col_sites=fr.outer)
+def build_constraints(state: GameState) -> Frontiers:
+    """The frontier system the k-set search reads: frontiers(state)."""
+    return frontiers(state)
 
 
-def combine_and_infer(cs: ConstraintSystem, rows: Sequence[int],
-                      signs: Sequence[int]) -> List[ForcedAssignment]:
-    """Evaluate one signed combination of rows (signs are the b_l bits).
-
-    Returns the assignments forced when the combined label meets the
-    combination's attainable maximum or minimum. Repeated rows are allowed
-    here (the general multiset form); only the enumerator skips them.
-    """
-    if len(rows) != len(signs):
-        raise ValueError("rows and signs must have equal length")
-    c: Dict[int, int] = {}
-    r = 0
-    for i, b in zip(rows, signs):
-        s = -1 if b else 1
-        r += s * int(cs.e[i])
-        for j in np.flatnonzero(cs.a[i]):
-            j = int(j)
-            c[j] = c.get(j, 0) + s
-    hi = sum(v for v in c.values() if v > 0)
-    lo = sum(v for v in c.values() if v < 0)
-    if hi == lo:               # all coefficients cancelled, nothing to force
-        return []
-    out: List[ForcedAssignment] = []
-    if r == hi:
-        for j in sorted(c):
-            if c[j] > 0:
-                out.append(ForcedAssignment(j, 1))
-            elif c[j] < 0:
-                out.append(ForcedAssignment(j, 0))
-    elif r == lo:
-        for j in sorted(c):
-            if c[j] > 0:
-                out.append(ForcedAssignment(j, 0))
-            elif c[j] < 0:
-                out.append(ForcedAssignment(j, 1))
-    return out
-
-
-def _row_adjacency(supports: List[Tuple[int, ...]], n_cols: int) -> List[set]:
+def _row_adjacency(supports: Sequence[Tuple[int, ...]],
+                   n_cols: int) -> List[set]:
     """Rows are adjacent when their supports share a column."""
     by_col: List[List[int]] = [[] for _ in range(n_cols)]
     for i, sup in enumerate(supports):
@@ -142,26 +78,26 @@ def _esu(adj: List[set], sub: List[int], ext: List[int], root: int,
         sub.pop()
 
 
-def kset_infer(cs: ConstraintSystem, k: int, *,
+def kset_infer(fr: Frontiers, k: int, *,
                stats: Optional[dict] = None) -> List[ForcedAssignment]:
-    """Union of combine_and_infer over all size-<=k combinations and signs.
+    """Every assignment forced by a signed combination of <= k rows.
 
-    Only connected row sets are enumerated; on consistent systems that
-    union equals the one over every row set (see the module docstring).
-    Deduplicated and sorted by (col, value). The stats dict, when given,
-    receives the number of (row set, sign vector) pairs enumerated under
-    the key "evaluated".
+    Only connected row sets are enumerated; on consistent systems they
+    force exactly what every row set forces (see the module docstring).
+    ForcedAssignment.col indexes fr.outer. Deduplicated and sorted by
+    (col, value). The stats dict, when given, receives the number of
+    (row set, sign vector) pairs enumerated under the key "evaluated".
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    m = cs.n_rows
-    supports: List[Tuple[int, ...]] = [
-        tuple(int(j) for j in np.flatnonzero(cs.a[i])) for i in range(m)]
+    m = len(fr.inner)
+    supports = fr.supports
     sizes = [len(s) for s in supports]
-    labels = [int(x) for x in cs.e]
+    labels = fr.labels
     evaluated = 0
     forced: set = set()
-    for sub in _connected_subsets(_row_adjacency(supports, cs.n_cols), m, k):
+    for sub in _connected_subsets(_row_adjacency(supports, len(fr.outer)),
+                                  m, k):
         s = len(sub)
         for bits in range(1 << (s - 1)):      # first sign fixed positive
             evaluated += 1

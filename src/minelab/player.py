@@ -205,11 +205,11 @@ def play_game(board: Board, policy: Union[str, Policy] = "sat", *,
                 inferences = infer_step(state, extract_cores=track_cores,
                                         conflict_budget=conflict_budget)
             else:
-                cs = build_constraints(state)
+                fr = build_constraints(state)
                 inferences = [
-                    Inference(cs.col_sites[fa.col],
+                    Inference(fr.outer[fa.col],
                               Verdict.MINE if fa.value else Verdict.SAFE)
-                    for fa in kset_infer(cs, policy.k)]
+                    for fa in kset_infer(fr, policy.k)]
         except ResourceLimit:
             outcome = Outcome.STUCK_BUDGET
             break

@@ -52,11 +52,8 @@ class Solver:
     clauses. Instances are single-threaded; build one per formula.
     """
 
-    def __init__(self, formula: GroupedCnf, *, conflict_budget: int = 1_000_000,
-                 self_check: bool = False):
-        self.formula = formula
+    def __init__(self, formula: GroupedCnf, *, conflict_budget: int = 1_000_000):
         self.conflict_budget = conflict_budget
-        self.self_check = self_check
         self.num_vars = formula.num_vars
         self.group_ids = sorted(formula.groups)
         self.selector_of = {g: self.num_vars + 1 + i
@@ -380,8 +377,6 @@ class Solver:
             self.order_head = head
             if head == n_order:
                 model = {v: assigns[v] == 1 for v in range(1, self.num_vars + 1)}
-                if self.self_check:
-                    assert self._check_model(model, assumptions)
                 return SolveResult(sat=True, model=model)
             var = order[head]
             self._new_level()
@@ -391,18 +386,6 @@ class Solver:
         """Group ids, ascending, of the selector literals in an Unsat core."""
         base = self.num_vars + 1
         return sorted(self.group_ids[l - base] for l in core_lits if l >= base)
-
-    def _check_model(self, model: Dict[int, bool], assumptions: Sequence[int]) -> bool:
-        for l in assumptions:
-            if l > self.num_vars:      # selector: group must be satisfied
-                continue
-            if l > 0 and not model[l]:
-                return False
-            if l < 0 and model[-l]:
-                return False
-        active = [g for g in self.group_ids
-                  if self._value(self.selector_of[g]) == 1]
-        return verify_model(self.formula, active, model)
 
 
 def solve(formula: GroupedCnf, active_groups: Optional[Iterable[int]] = None,

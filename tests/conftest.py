@@ -1,10 +1,10 @@
 """Shared fixtures and independent oracles.
 
 The oracles here deliberately avoid the library's own code paths: labels
-are recounted with explicit loops, satisfiability is decided by truth
-table, frontier placements are enumerated exhaustively, and clusters are
-labeled by recursive flood fill. Tests compare library output against
-these independent computations.
+and the frontier system are recounted site by site with explicit loops,
+satisfiability is decided by truth table, frontier placements are
+enumerated exhaustively, and clusters are labeled by recursive flood fill.
+Tests compare library output against these independent computations.
 """
 from __future__ import annotations
 
@@ -15,8 +15,8 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 import numpy as np
 import pytest
 
-from minelab.board import (Board, Boundary, COVERED, GameState, Site,
-                           effective_label, flag, frontiers, generate_board,
+from minelab.board import (Boundary, COVERED, FLAGGED, REVEALED, Frontiers,
+                           GameState, Site, flag, frontiers, generate_board,
                            neighbors, parse_board, parse_overlay, reveal)
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -55,6 +55,37 @@ def naive_labels(n: int, mines, boundary: Boundary) -> List[List[int]]:
     return lab
 
 
+def naive_effective_label(state: GameState, site: Site) -> int:
+    """Revealed label minus the flagged neighbors, counted one by one."""
+    flags = sum(1 for t in neighbors(site, state.n, state.boundary)
+                if int(state.status[t]) == FLAGGED)
+    return int(state.view_labels[site]) - flags
+
+
+def naive_frontiers(state: GameState) -> Frontiers:
+    """The frontier system recounted site by site from neighbors, status
+    and view_labels."""
+    n = state.n
+
+    def has_neighbor(site, status):
+        return any(int(state.status[t]) == status
+                   for t in neighbors(site, n, state.boundary))
+
+    sites = [(r, c) for r in range(n) for c in range(n)]
+    inner = tuple(s for s in sites if int(state.status[s]) == REVEALED
+                  and has_neighbor(s, COVERED))
+    outer = tuple(s for s in sites if int(state.status[s]) == COVERED
+                  and has_neighbor(s, REVEALED))
+    col = {s: j for j, s in enumerate(outer)}
+    supports = tuple(
+        tuple(sorted(col[t] for t in neighbors(s, n, state.boundary)
+                     if int(state.status[t]) == COVERED))
+        for s in inner)
+    labels = tuple(naive_effective_label(state, s) for s in inner)
+    return Frontiers(inner=inner, outer=outer, supports=supports,
+                     labels=labels)
+
+
 def eval_clause(clause, assign: Dict[int, bool]) -> bool:
     return any(assign[abs(l)] == (l > 0) for l in clause)
 
@@ -84,7 +115,7 @@ def consistent_placements(state: GameState) -> List[FrozenSet[Site]]:
         mines = {s for s, b in zip(fr.outer, bits) if b}
         ok = True
         for inner in fr.inner:
-            need = effective_label(state, inner)
+            need = naive_effective_label(state, inner)
             have = sum(1 for nb in neighbors(inner, state.n, state.boundary)
                        if nb in mines)
             if need != have:
@@ -111,7 +142,9 @@ def forced_verdicts(state: GameState) -> Dict[Site, bool]:
 
 def random_reachable_state(rng: np.random.Generator, *,
                            max_outer: int = 20,
-                           attempts: int = 200) -> Optional[GameState]:
+                           attempts: int = 200,
+                           boundary: Boundary = Boundary.TORUS
+                           ) -> Optional[GameState]:
     """A mid-game state reached by sound moves (reveal empties, flag mines).
 
     Returns None if no attempt produced a state with a nonempty inner
@@ -121,7 +154,7 @@ def random_reachable_state(rng: np.random.Generator, *,
         n = int(rng.integers(5, 10))
         rho = float(rng.uniform(0.08, 0.32))
         try:
-            board = generate_board(n, rho, rng, max_attempts=50)
+            board = generate_board(n, rho, rng, boundary, max_attempts=50)
         except Exception:
             continue
         state = GameState(board)

@@ -111,15 +111,15 @@ def reachable_states():
 
 def popcount_forced(state) -> Dict[Site, bool]:
     """Forced verdicts by vectorized enumeration of all 2^|outer| masks."""
-    cs = build_constraints(state)
-    o = cs.n_cols
+    fr = build_constraints(state)
+    o = len(fr.outer)
     xs = np.arange(1 << o, dtype=np.uint32)
     ok = np.ones(xs.shape, dtype=bool)
-    for i in range(cs.n_rows):
+    for support, e in zip(fr.supports, fr.labels):
         mask = 0
-        for j in np.flatnonzero(cs.a[i]):
-            mask |= 1 << int(j)
-        ok &= np.bitwise_count(xs & np.uint32(mask)) == int(cs.e[i])
+        for j in support:
+            mask |= 1 << j
+        ok &= np.bitwise_count(xs & np.uint32(mask)) == e
     sols = xs[ok]
     assert sols.size > 0, "state must admit a placement"
     forced: Dict[Site, bool] = {}
@@ -127,7 +127,7 @@ def popcount_forced(state) -> Dict[Site, bool]:
         bits = (sols >> np.uint32(j)) & np.uint32(1)
         first = int(bits[0])
         if np.all(bits == first):
-            forced[cs.col_sites[j]] = bool(first)
+            forced[fr.outer[j]] = bool(first)
     return forced
 
 
@@ -278,11 +278,11 @@ def test_07_oracle_equivalence(reachable_states):
             mismatches += 1
             continue
         inferences += len(got)
-        cs = build_constraints(state)
+        fr = build_constraints(state)
         sat_pairs = set(got.items())
         for k in (1, 2, 3):
-            pairs = {(cs.col_sites[fa.col], bool(fa.value))
-                     for fa in kset_infer(cs, k)}
+            pairs = {(fr.outer[fa.col], bool(fa.value))
+                     for fa in kset_infer(fr, k)}
             if not pairs <= sat_pairs:
                 unsound_kset += 1
     ok = mismatches == 0 and unsound_kset == 0

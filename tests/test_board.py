@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from minelab.board import (Board, Boundary, COVERED, FLAGGED, REVEALED,
                            GameState, GenerationExhausted, IllegalMove,
-                           IllegalQuery, ParseError, Status, effective_label,
-                           flag, frontiers, generate_board, neighbors,
-                           parse_board, parse_overlay, reveal,
+                           ParseError, Status, flag, frontiers, generate_board,
+                           neighbors, parse_board, parse_overlay, reveal,
                            serialize_board, serialize_overlay)
+from minelab.cnf import build_formula
 
-from conftest import naive_labels
+from conftest import naive_frontiers, naive_labels, random_reachable_state
 
 
 class TestNeighbors:
@@ -180,22 +180,31 @@ class TestMoves:
         state = GameState(board)
         reveal(state, (2, 2))
         assert int(state.view_labels[2, 2]) == 3
-        assert effective_label(state, (2, 2)) == 3
+        fr = frontiers(state)
+        assert fr.inner == ((2, 2),) and fr.labels == (3,)
+        assert fr.supports == (tuple(range(8)),)
         flag(state, (1, 1))
         flag(state, (1, 3))
-        assert effective_label(state, (2, 2)) == 1
+        fr = frontiers(state)
+        assert fr.labels == (1,)
+        assert [fr.outer[j] for j in fr.supports[0]] == [
+            (1, 2), (2, 1), (2, 3), (3, 1), (3, 2), (3, 3)]
 
     def test_effective_label_zero(self):
+        # A zero floods the whole board: no site keeps a covered neighbor,
+        # so no row is left to carry a label.
         board = Board(3, Boundary.OPEN, [])
         state = GameState(board)
         reveal(state, (1, 1))
-        assert effective_label(state, (1, 1)) == 0
+        assert int(state.view_labels[1, 1]) == 0
+        fr = frontiers(state)
+        assert fr.inner == () and fr.supports == () and fr.labels == ()
 
     def test_effective_label_requires_revealed(self):
         board = Board(3, Boundary.OPEN, [])
         state = GameState(board)
-        with pytest.raises(IllegalQuery):
-            effective_label(state, (0, 0))
+        fr = frontiers(state)
+        assert (0, 0) not in fr.inner and fr.labels == ()
 
     def test_turn_counter(self):
         board = Board(4, Boundary.OPEN, [(0, 0), (3, 3)])
@@ -236,6 +245,31 @@ class TestFrontiers:
         fr = frontiers(state)
         assert list(fr.inner) == sorted(fr.inner)
         assert list(fr.outer) == sorted(fr.outer)
+
+    @pytest.mark.parametrize("boundary", [Boundary.TORUS, Boundary.OPEN])
+    def test_matches_site_by_site_recount(self, rng, boundary):
+        checked = flag_lowered = 0
+        while checked < 40:
+            state = random_reachable_state(rng, boundary=boundary)
+            if state is None or not np.any(state.status == FLAGGED):
+                continue
+            fr = frontiers(state)
+            assert fr == naive_frontiers(state)
+            flag_lowered += any(e != int(state.view_labels[s])
+                                for s, e in zip(fr.inner, fr.labels))
+            checked += 1
+        assert flag_lowered >= 10
+
+    def test_torus_too_small(self):
+        # On a 2x2 torus the wrapped border would list each neighbor twice.
+        state = GameState(n=2, boundary=Boundary.TORUS,
+                          status=np.array([[REVEALED, COVERED],
+                                           [COVERED, COVERED]]),
+                          view_labels=np.array([[1, -1], [-1, -1]]))
+        with pytest.raises(ValueError, match="n >= 3"):
+            frontiers(state)
+        with pytest.raises(ValueError, match="n >= 3"):
+            build_formula(state)
 
     def test_flagged_excluded_from_outer(self):
         board = Board(5, Boundary.OPEN, [(1, 1)])

@@ -10,7 +10,7 @@ import pytest
 from minelab.board import Boundary, generate_board
 from minelab.cli import main
 from minelab.cnf import build_formula, export_gcnf
-from minelab.harness import GAMES_COLUMNS, game_seed
+from minelab.harness import GAMES_COLUMNS, game_seed, parse_sweep_config
 from minelab.player import play_game
 
 from conftest import load_state
@@ -164,6 +164,18 @@ class TestPercolation:
         assert [r[1] for r in rows[1:]] == ["0.4", "0.5", "0.6"]
         assert svg.exists()
         assert "<svg" in svg.read_text()
+
+    def test_grid_parses_like_sweep_rho(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr("minelab.cli.percolation_sweep",
+                            lambda config: seen.append(config.params) or [])
+        grid = "0.05,0.1:0.3:0.05,0.4"
+        code, _, _ = run_cli(capsys, "percolation", "--mode", "independent",
+                             "--param-grid", grid)
+        assert code == 0
+        expect = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4)
+        assert tuple(seen[0]) == expect
+        assert parse_sweep_config(f"rho = {grid}\n").rhos == expect
 
 
 class TestSweep:

@@ -91,7 +91,6 @@ class TestBuildFormula:
         fr = frontiers(state)
         formula = build_formula(state)
         assert set(formula.groups) == set(range(len(fr.inner)))
-        assert list(formula.group_sites) == list(fr.inner)
         assert list(formula.var_sites) == list(fr.outer)
 
     def test_models_equal_bruteforce_placements(self, rng):
@@ -134,24 +133,20 @@ class TestBuildFormula:
 class TestFormats:
     def test_dimacs_transcription(self):
         formula = GroupedCnf(num_vars=2, groups={0: [(1, 2), (-1, -2)]},
-                             var_sites=[(0, 0), (0, 1)], group_sites=[(1, 1)],
-                             group_vars={0: [1, 2]})
+                             var_sites=[(0, 0), (0, 1)])
         text = export_dimacs(formula)
         lines = text.strip().splitlines()
         assert lines[0] == "p cnf 2 2"
         assert lines[1:] == ["1 2 0", "-1 -2 0"]
 
     def test_empty_formula(self):
-        formula = GroupedCnf(num_vars=0, groups={}, var_sites=[],
-                             group_sites=[], group_vars={})
+        formula = GroupedCnf(num_vars=0, groups={}, var_sites=[])
         assert export_dimacs(formula).strip().splitlines()[0] == "p cnf 0 0"
 
     def test_gcnf_header_and_tags(self):
         formula = GroupedCnf(num_vars=2,
                              groups={0: [(1,)], 1: [(-1, 2), (-2,)]},
-                             var_sites=[(0, 0), (0, 1)],
-                             group_sites=[(1, 1), (1, 2)],
-                             group_vars={0: [1], 1: [1, 2]})
+                             var_sites=[(0, 0), (0, 1)])
         text = export_gcnf(formula)
         lines = text.strip().splitlines()
         assert lines[0] == "p gcnf 2 3 2"
@@ -194,9 +189,7 @@ class TestFormats:
 
     def test_dimacs_round_trip(self):
         formula = GroupedCnf(num_vars=3, groups={0: [(1, -2), (2, 3), (-3,)]},
-                             var_sites=[(0, 0), (0, 1), (0, 2)],
-                             group_sites=[(1, 1)],
-                             group_vars={0: [1, 2, 3]})
+                             var_sites=[(0, 0), (0, 1), (0, 2)])
         back = parse_dimacs(export_dimacs(formula))
         assert back.num_vars == 3
         assert back.all_clauses() == formula.all_clauses()

@@ -214,12 +214,16 @@ class TestDeterminism:
         res = solve(formula)   # default budget decides it: no overlap
         assert not res.sat
 
-    def test_self_check_mode(self):
+    def test_sat_models_verify(self):
         rng = random.Random(99)
+        sat = 0
         for _ in range(30):
             formula = random_grouped_cnf(rng)
-            solver = Solver(formula, self_check=True)
-            solver.solve()   # asserts internally on sat answers
+            res = Solver(formula).solve()
+            if res.sat:
+                assert verify_model(formula, None, res.model)
+                sat += 1
+        assert sat >= 10
 
 
 class TestVerifyModel:
