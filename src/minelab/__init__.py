@@ -19,9 +19,9 @@ from .cnf import (GroupedCnf, InfeasibleLabel, build_formula,
                   parse_dimacs, parse_gcnf)
 from .gmus import GmusResult, NotUnsat, extract_gmus, max_core_size
 from .harness import (SweepConfig, SweepRecord, desk_rhos, float_range,
-                      game_seed, kset_compare, model_alpha,
-                      parse_sweep_config, read_games_csv, read_summary_csv,
-                      run_sweep, write_games_csv, write_summary_csv)
+                      game_seed, model_alpha, parse_sweep_config,
+                      read_games_csv, read_summary_csv, run_sweep,
+                      write_games_csv, write_summary_csv)
 from .kset import ForcedAssignment, build_constraints, kset_infer
 from .percolation import (ClusterStats, Connectivity, NoClusters,
                           OccupancyGrid, PercolationConfig, PercRecord,
@@ -45,7 +45,7 @@ __all__ = [
     "export_dimacs", "export_gcnf", "parse_dimacs", "parse_gcnf",
     "GmusResult", "NotUnsat", "extract_gmus", "max_core_size",
     "SweepConfig", "SweepRecord", "desk_rhos", "float_range", "game_seed",
-    "kset_compare", "model_alpha", "parse_sweep_config", "read_games_csv",
+    "model_alpha", "parse_sweep_config", "read_games_csv",
     "read_summary_csv", "run_sweep", "write_games_csv", "write_summary_csv",
     "ForcedAssignment", "build_constraints", "kset_infer",
     "ClusterStats", "Connectivity", "NoClusters", "OccupancyGrid",

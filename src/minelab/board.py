@@ -274,26 +274,11 @@ class GameState:
     def revealed_count(self) -> int:
         return int(np.count_nonzero(self.status == REVEALED))
 
-    def flagged_sites(self) -> List[Site]:
-        return [tuple(s) for s in np.argwhere(self.status == FLAGGED)]
-
-    def covered_unflagged_count(self) -> int:
-        return int(np.count_nonzero(self.status == COVERED))
-
     def is_won(self) -> bool:
         if self.board is None:
             raise IllegalQuery("no ground-truth board attached")
         return (not self.exploded and
                 self.revealed_count() == self.n * self.n - len(self.board.mines))
-
-    def copy(self) -> "GameState":
-        dup = GameState(self.board, n=self.n, boundary=self.boundary,
-                        status=self.status.copy(),
-                        view_labels=self.view_labels.copy())
-        dup.turn_counter = self.turn_counter
-        dup.exploded = self.exploded
-        dup.boom_site = self.boom_site
-        return dup
 
 
 def reveal(state: GameState, site: Site) -> RevealOutcome:

@@ -11,10 +11,15 @@ order), with two accelerations that preserve minimality:
  * core trimming: every unsatisfiable solver call returns the subset of
    activated groups actually used (Solver.core_groups), and the candidate
    resets to it;
- * a singleton pre-scan over the groups that mention the pivot variable,
-   which are the only possible size-1 cores. When any single group already
-   contradicts the pivot the scan returns it, so inferences available to
-   single-constraint reasoning always report C = 1.
+ * a singleton pre-scan over the groups that mention the pivot variable
+   (Solver.var_groups), which are the only possible size-1 cores. When any
+   single group already contradicts the pivot the scan returns it, so
+   inferences available to single-constraint reasoning always report C = 1.
+
+Every query here names its active groups, so the solver branches only on
+those groups' variables: a pre-scan query decides at most the eight
+variables of one group. Consecutive deletion trials share the selector
+levels before the deleted group (see minelab.sat).
 """
 from __future__ import annotations
 
@@ -63,11 +68,9 @@ def extract_gmus(formula: GroupedCnf, pivot: int, *,
         start = solver.core_groups(res.core)
     else:
         start = sorted(set(initial_core))
-    pv = abs(pivot)
-    for g in solver.group_ids:
-        if any(abs(l) == pv for clause in formula.groups[g] for l in clause):
-            if not solver.solve([g], [pivot]).sat:
-                return GmusResult(core=frozenset([g]), pivot=pivot, size=1)
+    for g in solver.var_groups[abs(pivot)]:
+        if not solver.solve([g], [pivot]).sat:
+            return GmusResult(core=frozenset([g]), pivot=pivot, size=1)
     candidate = set(start)
     for g in start:
         if g not in candidate:

@@ -350,23 +350,6 @@ def run_sweep(config: SweepConfig) -> List[SweepRecord]:
     return records
 
 
-DEFAULT_COMPARE_POLICIES = ("sat", "kset:1", "kset:2", "kset:3")
-
-
-def kset_compare(config: SweepConfig) -> List[SweepRecord]:
-    """Sweep the SAT policy against bounded k-set policies, seed-paired.
-
-    Board seeds depend only on (master, rho, index), so every policy sees
-    the same boards and per-seed alpha differences are paired samples.
-    """
-    policies = [str(Policy.parse(p)) for p in config.policies] or []
-    if not policies or policies == ["sat"]:
-        policies = list(DEFAULT_COMPARE_POLICIES)
-    if "sat" not in policies:
-        policies.insert(0, "sat")
-    return run_sweep(replace(config, policies=tuple(policies)))
-
-
 def model_alpha(P: float, T: float) -> float:
     """Expected fraction of unforced sites after T independent passes at
     forcing probability P: (1 - P) ** T."""

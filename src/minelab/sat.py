@@ -13,12 +13,24 @@ set, and a solver instance can serve thousands of queries on one formula.
 Selectors are numbered num_vars+1, num_vars+2, ... in ascending group id
 order, so a core maps back to group ids by position (core_groups).
 
+Consecutive queries share their assumption trail (Hickey & Bacchus,
+"Speeding Up Assumption-Based SAT", SAT 2019): a query keeps the decision
+levels of the longest common prefix of its assumption list and the previous
+one, and only backtracks and re-assumes past it. The selectors come first,
+in ascending group order, so queries over the same active groups share
+every selector level.
+
 Branching picks the unassigned problem variable with the highest occurrence
 count in the original formula, ties broken by lowest variable id, and always
-tries value false first. Selector variables are never branched on: when all
-problem variables are assigned and propagation is quiet, unassigned
-selectors can be completed to false, satisfying every guarded and learned
-clause, so the assignment extends to a full model.
+tries value false first. A query with all groups active branches on every
+problem variable; a query with an explicit active set branches only on the
+variables of its active groups (assumptions assign their own variables).
+Selector variables are never branched on. Once the branching variables are
+assigned and propagation is quiet, every clause of an active group has all
+its literals assigned and none falsified, so it is satisfied; setting the
+unassigned selectors false satisfies every other guarded clause and every
+learned clause that mentions an inactive group, so the remaining problem
+variables can take any value, and the model sets them false.
 """
 from __future__ import annotations
 
@@ -34,8 +46,14 @@ class ResourceLimit(Exception):
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Sat with a total model over problem variables, or Unsat with the
-    subset of assumption literals (selectors included) that clash."""
+    """Sat with a model over every problem variable, or Unsat with the
+    subset of assumption literals (selectors included) that clash.
+
+    A query with an explicit active set assigns only the variables of its
+    active groups and its assumptions; the model reports every other
+    problem variable False. It satisfies every active group and the
+    assumptions, not necessarily the inactive groups.
+    """
     sat: bool
     model: Optional[Dict[int, bool]] = None
     core: Optional[FrozenSet[int]] = None
@@ -49,7 +67,10 @@ class Solver:
     """CDCL solver bound to one GroupedCnf for its whole life.
 
     Queries with different active groups and assumptions share learned
-    clauses. Instances are single-threaded; build one per formula.
+    clauses, and consecutive queries share the decision levels of their
+    common assumption prefix: solve leaves the trail of the last query in
+    place and backtracks only as far as the next one needs. Instances are
+    single-threaded; build one per formula.
     """
 
     def __init__(self, formula: GroupedCnf, *, conflict_budget: int = 1_000_000):
@@ -74,10 +95,16 @@ class Solver:
         self.learnt_meta: List[Tuple[int, int]] = []   # (lbd, seq)
         self.learnt_seq = 0
         self.max_learnts = 4000
+        self.last_assumptions: List[int] = []
         occ = [0] * (self.num_vars + 1)
+        # var -> ascending ids of the groups that mention it, and
+        # group id -> the variables its clauses mention.
+        self.var_groups: List[List[int]] = [[] for _ in range(self.num_vars + 1)]
+        self.group_vars: Dict[int, List[int]] = {}
         self._orig: List[list] = []
         for g in self.group_ids:
             guard = -self.selector_of[g]
+            gvars = set()
             for clause in formula.groups[g]:
                 cl = [guard]
                 cl.extend(clause)
@@ -88,9 +115,17 @@ class Solver:
                     # Empty problem clause: its guard is a permanent fact.
                     self._enqueue(guard, cl)
                 for l in clause:
-                    occ[abs(l)] += 1
+                    v = abs(l)
+                    occ[v] += 1
+                    gvars.add(v)
+            self.group_vars[g] = sorted(gvars)
+            for v in self.group_vars[g]:
+                self.var_groups[v].append(g)
         self.order = sorted(range(1, self.num_vars + 1),
                             key=lambda v: (-occ[v], v))
+        self.rank = [0] * (self.num_vars + 1)
+        for i, v in enumerate(self.order):
+            self.rank[v] = i
 
     # -- clause plumbing ---------------------------------------------------
 
@@ -278,9 +313,11 @@ class Solver:
     def _reduce_db(self) -> None:
         """Drop the weaker half of the learned clauses.
 
-        Only called between queries, at decision level 0 with propagation
-        complete; rebuilding the watch lists is safe there as long as watches
-        land on non-false literals and rediscovered units are enqueued.
+        Only called between queries, after solve has backtracked to decision
+        level 0 (queries otherwise keep their assumption levels), with
+        propagation complete; rebuilding the watch lists is safe there as
+        long as watches land on non-false literals and rediscovered units are
+        enqueued.
         """
         keep_order = sorted(
             range(len(self.learnts)),
@@ -320,12 +357,19 @@ class Solver:
         """Decide the conjunction of the active groups plus assumptions.
 
         active_groups of None means every group. Assumption literals must
-        reference problem variables.
+        reference problem variables. The trail stays in place afterwards;
+        the next query keeps the levels of the assumption prefix it shares
+        with this one.
         """
         if active_groups is None:
             actives = self.group_ids
+            order = self.order
         else:
             actives = sorted(set(active_groups))
+            branch = set()
+            for g in actives:
+                branch.update(self.group_vars[g])
+            order = sorted(branch, key=self.rank.__getitem__)
         assump: List[int] = [self.selector_of[g] for g in actives]
         for l in assumptions:
             v = abs(l)
@@ -333,16 +377,28 @@ class Solver:
                 raise ValueError(f"assumption {l} references an unknown variable")
             assump.append(l)
         if len(self.learnts) > self.max_learnts:
-            self._reduce_db()
-        try:
-            return self._search(assump)
-        finally:
             self._cancel_until(0)
+            self._reduce_db()
+        else:
+            last = self.last_assumptions
+            keep = 0
+            limit = min(len(last), len(assump), len(self.trail_lim))
+            while keep < limit and last[keep] == assump[keep]:
+                keep += 1
+            self._cancel_until(keep)
+        self.last_assumptions = assump
+        # Kept levels are assumption levels, opened before any branching, so
+        # the branching scan restarts at the head of this query's order.
+        self.order_head = 0
+        try:
+            return self._search(assump, order)
+        except ResourceLimit:
+            self._cancel_until(0)
+            raise
 
-    def _search(self, assumptions: List[int]) -> SolveResult:
+    def _search(self, assumptions: List[int], order: List[int]) -> SolveResult:
         conflicts = 0
         budget = self.conflict_budget
-        order = self.order
         assigns = self.assigns
         nassump = len(assumptions)
         while True:

@@ -5,7 +5,8 @@ numbers before asserting, so a full run reads as a checklist. The heavy
 sweeps cache their per-point results under tests/_acceptance_cache via the
 harness resume markers: the first run plays every game (tens of minutes
 single-threaded), later runs reload and finish in seconds. Delete the
-cache directory to force a replay.
+cache directory to force a replay, or run tests/replay_acceptance.py to
+replay the three cached sweeps elsewhere and diff them against the cache.
 """
 from __future__ import annotations
 
@@ -61,37 +62,53 @@ def max_slope(curve: Dict[float, float]) -> float:
                for a, b in zip(rhos, rhos[1:]))
 
 
+# -- sweep configurations (shared with tests/replay_acceptance.py) ----------
+
+def sat_sweep_config(outdir: Path = CACHE / "sat_sweep") -> SweepConfig:
+    return SweepConfig(ns=(20, 40), rhos=desk_rhos(), policies=("sat",),
+                       games=50, seed=0, outdir=outdir, track_cores=True)
+
+
+def kset_sweep_config(outdir: Path = CACHE / "kset_sweep") -> SweepConfig:
+    return SweepConfig(ns=(40,), rhos=desk_rhos(),
+                       policies=("kset:1", "kset:2", "kset:3"),
+                       games=50, seed=0, outdir=outdir, track_cores=False)
+
+
+def stratification_rho(sat_records: List[SweepRecord],
+                       kset_records: List[SweepRecord]) -> float:
+    """The rho maximizing the n=40 sat-vs-1-set alpha gap."""
+    sat40 = alpha_by_rho(sat_records, 40, "sat")
+    k1 = alpha_by_rho(kset_records, 40, "kset:1")
+    return max(sorted(sat40), key=lambda r: sat40[r] - k1[r])
+
+
+def stratification_config(rho_star: float,
+                          outdir: Path = CACHE / "stratification"
+                          ) -> SweepConfig:
+    """A 200-game point at rho_star for every policy."""
+    return SweepConfig(ns=(40,), rhos=(rho_star,),
+                       policies=("sat", "kset:1", "kset:2", "kset:3"),
+                       games=200, seed=0, outdir=outdir, track_cores=False)
+
+
 # -- session fixtures (cached sweeps and shared state pools) ----------------
 
 @pytest.fixture(scope="session")
 def sat_sweep() -> List[SweepRecord]:
-    config = SweepConfig(ns=(20, 40), rhos=desk_rhos(), policies=("sat",),
-                         games=50, seed=0, outdir=CACHE / "sat_sweep",
-                         track_cores=True)
-    return run_sweep(config)
+    return run_sweep(sat_sweep_config())
 
 
 @pytest.fixture(scope="session")
 def kset_sweep() -> List[SweepRecord]:
-    config = SweepConfig(ns=(40,), rhos=desk_rhos(),
-                         policies=("kset:1", "kset:2", "kset:3"),
-                         games=50, seed=0, outdir=CACHE / "kset_sweep",
-                         track_cores=False)
-    return run_sweep(config)
+    return run_sweep(kset_sweep_config())
 
 
 @pytest.fixture(scope="session")
 def stratification_point(sat_sweep, kset_sweep):
     """A 200-game point at the rho maximizing the sat-vs-1-set gap."""
-    sat40 = alpha_by_rho(sat_sweep, 40, "sat")
-    k1 = alpha_by_rho(kset_sweep, 40, "kset:1")
-    rho_star = max(sorted(sat40), key=lambda r: sat40[r] - k1[r])
-    config = SweepConfig(ns=(40,), rhos=(rho_star,),
-                         policies=("sat", "kset:1", "kset:2", "kset:3"),
-                         games=200, seed=0,
-                         outdir=CACHE / "stratification",
-                         track_cores=False)
-    records = run_sweep(config)
+    rho_star = stratification_rho(sat_sweep, kset_sweep)
+    records = run_sweep(stratification_config(rho_star))
     rows = read_games_csv(CACHE / "stratification" / "games.csv")
     return rho_star, records, rows
 

@@ -7,9 +7,12 @@ import itertools
 
 import pytest
 
-from minelab.board import Boundary, parse_overlay
+from minelab.board import (Boundary, COVERED, GameState, flag,
+                           generate_board, parse_overlay, reveal)
 from minelab.cnf import GroupedCnf, build_formula
 from minelab.gmus import GmusResult, NotUnsat, extract_gmus, max_core_size
+from minelab.harness import game_seed
+from minelab.player import Verdict, infer_step
 from minelab.sat import Solver, solve
 
 from conftest import load_state, random_reachable_state
@@ -147,3 +150,48 @@ class TestRandomExtraction:
                 assert_core_invariants(formula, result)
                 extracted += 1
         assert extracted >= 60
+
+
+def first_singleton_core(formula: GroupedCnf, pivot: int):
+    """The first group, ascending, that mentions the pivot variable and
+    contradicts the pivot on its own, by a clause scan and fresh solves."""
+    for g in sorted(formula.groups):
+        if any(abs(l) == abs(pivot) for clause in formula.groups[g]
+               for l in clause):
+            if not solve(formula, [g], [pivot]).sat:
+                return g
+    return None
+
+
+class TestGameCores:
+    def test_cores_from_played_games(self):
+        # Every pass of a few n=16 games: each core is minimal, and a
+        # size-1 core is exactly what the scan over all groups finds first.
+        cores = multi = 0
+        for rho in (0.15, 0.2, 0.225):
+            for i in range(2):
+                board = generate_board(16, rho, game_seed(7, rho, i),
+                                       Boundary.TORUS)
+                state = GameState(board)
+                reveal(state, board.start)
+                while True:
+                    inferences = infer_step(state)
+                    if not inferences:
+                        break
+                    formula = build_formula(state)
+                    for inf in inferences:
+                        assert_core_invariants(formula, inf.core)
+                        single = first_singleton_core(formula, inf.core.pivot)
+                        if single is None:
+                            multi += 1
+                        else:
+                            assert inf.core.core == frozenset({single})
+                        cores += 1
+                    for inf in inferences:
+                        if inf.verdict is Verdict.MINE:
+                            flag(state, inf.site)
+                    for inf in inferences:
+                        if (inf.verdict is Verdict.SAFE
+                                and int(state.status[inf.site]) == COVERED):
+                            reveal(state, inf.site)
+        assert cores >= 500 and multi >= 100

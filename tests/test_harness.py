@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from minelab.board import Boundary, generate_board
-from minelab.harness import (DEFAULT_COMPARE_POLICIES, DESK_GAMES, DESK_NS,
-                             GAMES_COLUMNS, SUMMARY_COLUMNS, SweepConfig,
-                             SweepRecord, desk_rhos, float_range, game_seed,
-                             kset_compare, model_alpha, parse_sweep_config,
-                             read_games_csv, read_summary_csv, run_sweep,
-                             write_games_csv, write_summary_csv)
+from minelab.harness import (DESK_GAMES, DESK_NS, GAMES_COLUMNS,
+                             SUMMARY_COLUMNS, SweepConfig, SweepRecord,
+                             desk_rhos, float_range, game_seed, model_alpha,
+                             parse_sweep_config, read_games_csv,
+                             read_summary_csv, run_sweep, write_games_csv,
+                             write_summary_csv)
 
 
 def small_config(tmp_path, **overrides) -> SweepConfig:
@@ -278,20 +278,6 @@ class TestRunSweep:
             run_sweep(small_config(tmp_path, games=0))
         with pytest.raises(ValueError):
             run_sweep(small_config(tmp_path, policies=("magic",)))
-
-
-class TestKsetCompare:
-    def test_default_policy_set(self, tmp_path):
-        config = small_config(tmp_path, ns=(5,), rhos=(0.1,), games=2,
-                              policies=("sat",), outdir=None)
-        records = kset_compare(config)
-        assert {r.policy for r in records} == set(DEFAULT_COMPARE_POLICIES)
-
-    def test_sat_inserted_when_missing(self, tmp_path):
-        config = small_config(tmp_path, ns=(5,), rhos=(0.1,), games=2,
-                              policies=("kset:2",), outdir=None)
-        records = kset_compare(config)
-        assert {r.policy for r in records} == {"sat", "kset:2"}
 
 
 class TestParseSweepConfig:

@@ -1,18 +1,21 @@
 """Solver tests: differential checks against truth tables, assumption and
-core semantics, group activation, and core-to-group mapping."""
+core semantics, group activation, core-to-group mapping, and query
+sequences on one instance (kept assumption prefixes, clause-database
+reduction and budget exhaustion between queries)."""
 from __future__ import annotations
 
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minelab.cnf import GroupedCnf, encode_exact_count
+from minelab.cnf import GroupedCnf, build_formula, encode_exact_count
 from minelab.sat import ResourceLimit, Solver, solve, verify_model
 
-from conftest import eval_formula, truth_table_models
+from conftest import eval_formula, random_reachable_state, truth_table_models
 
 
 def random_grouped_cnf(rng: random.Random, *, max_vars: int = 8,
@@ -244,3 +247,188 @@ class TestVerifyModel:
             active = rng.sample(gids, rng.randint(0, len(gids)))
             assert (verify_model(formula, active, assign)
                     == eval_formula(formula, assign, active=active))
+
+
+def frontier_formulas(seed: int, count: int, max_outer: int = 16):
+    """Frontier formulas of random mid-game states."""
+    rng = np.random.default_rng(seed)
+    formulas = []
+    while len(formulas) < count:
+        state = random_reachable_state(rng, max_outer=max_outer)
+        if state is not None:
+            formulas.append(build_formula(state))
+    return formulas
+
+
+def check_answer(solver, formula, active, assumptions, res) -> None:
+    """res must agree with a fresh solver, and its model or core must hold
+    up on its own."""
+    assert res.sat == Solver(formula).solve(active, assumptions).sat
+    nv = formula.num_vars
+    if res.sat:
+        assert set(res.model) == set(range(1, nv + 1))
+        assert verify_model(formula, active, res.model)
+        assert all(res.model[abs(l)] == (l > 0) for l in assumptions)
+        return
+    groups = solver.group_ids if active is None else active
+    allowed = {solver.selector_of[g] for g in groups} | set(assumptions)
+    assert res.core <= allowed
+    lits = [l for l in res.core if abs(l) <= nv]
+    assert not Solver(formula).solve(solver.core_groups(res.core), lits).sat
+
+
+def query_sequence(rng: random.Random, formula: GroupedCnf, count: int):
+    """(active, assumptions) pairs interleaved as inference passes and core
+    extraction interleave them: all-groups queries on one literal, singleton
+    pre-scans, deletion trials that drop one group at a time, and queries
+    that repeat, extend or change the previous assumption list."""
+    gids = sorted(formula.groups)
+    nv = formula.num_vars
+
+    def lit():
+        v = rng.randint(1, nv)
+        return v if rng.random() < 0.5 else -v
+
+    active, assumptions = None, [lit()]
+    for _ in range(count):
+        r = rng.random()
+        if r < 0.3:
+            active, assumptions = None, [lit()]
+        elif r < 0.45:
+            active, assumptions = [rng.choice(gids)], [lit()]
+        elif r < 0.7:
+            base = gids if active is None else active
+            if len(base) > 1:
+                drop = rng.choice(base)
+                base = [g for g in base if g != drop]
+            active = base
+        elif r < 0.85:
+            assumptions = assumptions + [lit()]
+        else:
+            active = sorted(rng.sample(gids, rng.randint(0, len(gids))))
+            assumptions = [lit() for _ in range(rng.randint(0, 3))]
+        yield active, list(assumptions)
+
+
+class TestQuerySequences:
+    def formulas(self):
+        rng = random.Random(7411)
+        return ([random_grouped_cnf(rng, max_vars=10, max_groups=7,
+                                    max_clauses=6) for _ in range(40)]
+                + frontier_formulas(5521, 30))
+
+    def test_one_solver_agrees_with_fresh_solvers(self):
+        rng = random.Random(1203)
+        kept = 0
+        for formula in self.formulas():
+            solver = Solver(formula)
+            for active, assumptions in query_sequence(rng, formula, 25):
+                levels = len(solver.trail_lim)
+                res = solver.solve(active, assumptions)
+                check_answer(solver, formula, active, assumptions, res)
+                kept += levels > 0
+        assert kept > 500   # most queries start from a kept trail
+
+    def test_repeated_query_reassumes_nothing(self):
+        formula = frontier_formulas(88, 1, max_outer=20)[0]
+        solver = Solver(formula)
+        opened = []     # the decision level below each new level
+        new_level = solver._new_level
+        solver._new_level = lambda: (opened.append(len(solver.trail_lim)),
+                                     new_level())
+        first = solver.solve(None, [1])
+        n_first = len(opened)
+        second = solver.solve(None, [1])
+        assert second.sat == first.sat
+        assert min(opened[:n_first]) == 0
+        assert min(opened[n_first:], default=len(solver.group_ids)) >= len(
+            solver.group_ids)   # no selector level opened again
+
+    def test_reduce_db_between_queries(self):
+        rng = random.Random(6008)
+        reduced = 0
+        for formula in frontier_formulas(3209, 20, max_outer=20):
+            solver = Solver(formula)
+            solver.max_learnts = 1
+            reduce_db = solver._reduce_db
+
+            def counted():
+                nonlocal reduced
+                assert not solver.trail_lim     # only ever at level 0
+                reduced += 1
+                reduce_db()
+
+            solver._reduce_db = counted
+            for active, assumptions in query_sequence(rng, formula, 40):
+                res = solver.solve(active, assumptions)
+                check_answer(solver, formula, active, assumptions, res)
+        assert reduced >= 10
+
+    def test_resource_limit_mid_sequence(self):
+        rng = random.Random(4242)
+        limits = 0
+        for formula in self.formulas():
+            solver = Solver(formula)
+            for active, assumptions in query_sequence(rng, formula, 25):
+                if rng.random() < 0.2:
+                    solver.conflict_budget = 0
+                    try:
+                        solver.solve(active, assumptions)
+                    except ResourceLimit:
+                        limits += 1
+                        assert not solver.trail_lim
+                    finally:
+                        solver.conflict_budget = 1_000_000
+                # The same query again, now within budget.
+                res = solver.solve(active, assumptions)
+                check_answer(solver, formula, active, assumptions, res)
+        assert limits >= 10
+
+
+class TestActiveSets:
+    def test_matches_fresh_solve_of_the_subformula(self):
+        rng = random.Random(3030)
+        checked = 0
+        for formula in frontier_formulas(7070, 40, max_outer=20):
+            solver = Solver(formula)
+            gids = sorted(formula.groups)
+            for _ in range(8):
+                active = sorted(rng.sample(gids, rng.randint(1, len(gids))))
+                v = rng.randint(1, formula.num_vars)
+                pivot = v if rng.random() < 0.5 else -v
+                res = solver.solve(active, [pivot])
+                sub = GroupedCnf(num_vars=formula.num_vars,
+                                 groups={g: formula.groups[g] for g in active})
+                assert res.sat == solve(sub, None, [pivot]).sat
+                if res.sat:
+                    assert verify_model(formula, active, res.model)
+                    assert res.model[v] == (pivot > 0)
+                checked += not res.sat
+        assert checked >= 20
+
+    def test_branches_only_on_active_variables(self):
+        formula = frontier_formulas(1999, 1, max_outer=20)[0]
+        solver = Solver(formula)
+        g = solver.group_ids[0]
+        pivot = solver.group_vars[g][0]
+        res = solver.solve([g], [pivot])
+        assigned = {abs(l) for l in solver.trail if abs(l) <= formula.num_vars}
+        assert assigned <= set(solver.group_vars[g])
+        if res.sat:
+            assert all(not res.model[v] for v in range(1, formula.num_vars + 1)
+                       if v not in assigned)
+
+    def test_var_groups_match_a_clause_scan(self):
+        rng = random.Random(515)
+        formulas = (frontier_formulas(2424, 30, max_outer=20)
+                    + [random_grouped_cnf(rng, max_groups=6) for _ in range(30)])
+        for formula in formulas:
+            solver = Solver(formula)
+            for v in range(1, formula.num_vars + 1):
+                scan = [g for g in solver.group_ids
+                        if any(abs(l) == v for clause in formula.groups[g]
+                               for l in clause)]
+                assert solver.var_groups[v] == scan
+            for g in solver.group_ids:
+                assert solver.group_vars[g] == sorted(
+                    {abs(l) for clause in formula.groups[g] for l in clause})
