@@ -128,6 +128,9 @@ def cmd_core(args: argparse.Namespace) -> int:
     except NotUnsat:
         print("not unsat under the pivot", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        print(f"minelab core: {exc}", file=sys.stderr)
+        return 2
     groups = " ".join(str(g + 1) for g in sorted(result.core))
     print(f"groups: {groups}")
     print(f"C = {result.size}")

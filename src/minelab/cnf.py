@@ -5,6 +5,8 @@ Each outer-frontier site gets one Boolean variable (true iff mined), numbered
 contributes one clause group F_i encoding "exactly e_i of my covered
 unflagged neighbors are mines". The whole formula is the conjunction of the
 groups; group identity is what minimal-core extraction works over.
+Groups that share no variable, directly or through other groups, are
+independent: split_components cuts a formula into its connected parts.
 """
 from __future__ import annotations
 
@@ -27,11 +29,13 @@ class GroupedCnf:
 
     A frontier formula has one group per inner-frontier site, GroupId g
     for frontiers().inner[g], and var_sites maps VarId v to its outer site
-    var_sites[v - 1].
+    var_sites[v - 1]. A part made by split_components also records, in
+    global_vars[v - 1], the VarId its variable v has in the whole formula.
     """
     num_vars: int
     groups: Dict[int, List[Clause]]
     var_sites: Tuple[Site, ...] = ()
+    global_vars: Tuple[int, ...] = ()
 
     def num_clauses(self) -> int:
         return sum(len(cs) for cs in self.groups.values())
@@ -77,6 +81,67 @@ def build_formula(state: GameState) -> GroupedCnf:
             raise InfeasibleLabel(f"inner site {isite}: {exc}") from None
     return GroupedCnf(num_vars=len(fr.outer), groups=groups,
                       var_sites=fr.outer)
+
+
+def split_components(formula: GroupedCnf) -> List[GroupedCnf]:
+    """The connected parts of a formula; groups connect when they share a
+    variable.
+
+    Every group and every variable lands in exactly one part: a variable
+    that no group mentions is a part without groups, and a group without
+    variables a part without variables. A part keeps its groups' ids,
+    numbers its variables 1..num_vars in ascending global order (so their
+    relative order, and the solver's branching tie-break, stay), restricts
+    var_sites to them and records their global ids in global_vars. Parts
+    come in the order of their lowest variable, variable-free groups last.
+    """
+    parent = list(range(formula.num_vars + 1))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    group_vars: Dict[int, List[int]] = {}
+    for g in sorted(formula.groups):
+        vs = sorted(set(map(abs, itertools.chain.from_iterable(
+            formula.groups[g]))))
+        group_vars[g] = vs
+        if not vs:
+            continue
+        root = find(vs[0])
+        for v in vs[1:]:
+            other = find(v)
+            if other < root:
+                parent[root] = other
+                root = other
+            elif other > root:
+                parent[other] = root
+    members: Dict[int, Tuple[List[int], List[int]]] = {}
+    for v in range(1, formula.num_vars + 1):
+        members.setdefault(find(v), ([], []))[0].append(v)
+    loose: List[Tuple[List[int], List[int]]] = []
+    for g, vs in group_vars.items():
+        if vs:
+            members[find(vs[0])][1].append(g)
+        else:
+            loose.append(([], [g]))
+    parts = []
+    for vs, gs in list(members.values()) + loose:
+        local = {}
+        for u, v in enumerate(vs, start=1):
+            local[v] = u
+            local[-v] = -u
+        renumber = local.__getitem__
+        parts.append(GroupedCnf(
+            num_vars=len(vs),
+            groups={g: [tuple(map(renumber, c)) for c in formula.groups[g]]
+                    for g in gs},
+            var_sites=(tuple(formula.var_sites[v - 1] for v in vs)
+                       if formula.var_sites else ()),
+            global_vars=tuple(vs)))
+    return parts
 
 
 def export_dimacs(cnf: GroupedCnf) -> str:

@@ -57,8 +57,12 @@ def extract_gmus(formula: GroupedCnf, pivot: int, *,
         extraction); skips the initial full solve.
 
     Raises:
+      ValueError: the pivot names no variable of the formula.
       NotUnsat: the full formula is satisfiable with the pivot.
     """
+    if not 1 <= abs(pivot) <= formula.num_vars:
+        raise ValueError(f"pivot {pivot} names no variable of the formula "
+                         f"(variables 1..{formula.num_vars})")
     if solver is None:
         solver = Solver(formula)
     if initial_core is None:

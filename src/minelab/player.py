@@ -6,21 +6,30 @@ means it is a mine. All inferences from a pass are applied together (flags
 first, then reveals) before the frontiers are recomputed. The game ends when
 every mine is flagged or a pass yields nothing.
 
-Witness reuse keeps passes cheap: every model seen with all groups active
-fixes a value for each variable it assigns, and a variable already witnessed
-with value b skips the "forced to not-b" query, since that query is
-satisfiable. Models found inside core extraction activate only a subset of
-groups and are never used as witnesses.
+A pass runs in two phases on the formula's connected parts
+(cnf.split_components), one solver each: a literal is forced by the whole
+formula exactly when it is forced by the part holding its variable, since
+the other parts share no variable with it. Phase 1 decides every verdict;
+phase 2 then extracts the minimal cores, in the same order. Keeping the
+extractions out of phase 1 lets consecutive verdict queries on a part share
+all its selector levels, and a query on a part decides only that part's
+variables.
+
+Witness reuse keeps phase 1 cheap: every model of a part seen with all its
+groups active fixes a value for each of its variables, and a variable
+already witnessed with value b skips the "forced to not-b" query, since that
+query is satisfiable. Models found inside core extraction activate only a
+subset of groups and are never used as witnesses.
 """
 from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Union
 
 from .board import (Board, COVERED, GameState, Site, flag, frontiers, reveal)
-from .cnf import InfeasibleLabel, build_formula
+from .cnf import InfeasibleLabel, build_formula, split_components
 from .gmus import GmusResult, extract_gmus, max_core_size
 from .kset import build_constraints, kset_infer
 from .sat import ResourceLimit, Solver
@@ -93,56 +102,67 @@ def infer_step(state: GameState, *, extract_cores: bool = True,
                conflict_budget: int = 1_000_000) -> List[Inference]:
     """All forced verdicts for the current frontiers, row-major order.
 
-    Builds the formula once, reuses one solver (and its learned clauses)
-    for every query, and attaches a minimal core to each inference when
-    extract_cores is set.
+    Builds the formula once and splits it into its connected parts, with
+    one solver (and its learned clauses) per part. Phase 1 tests the
+    variables in row-major order, each on its own part's solver, reusing
+    every all-groups model of a part as a witness. Phase 2, when
+    extract_cores is set, attaches a minimal core to each inference, found
+    on its part's solver from the core of its verdict query. Core group ids
+    and pivots are those of the whole formula.
     """
     fr = frontiers(state)
     if not fr.inner:
         return []
     formula = build_formula(state)
-    solver = Solver(formula, conflict_budget=conflict_budget)
-    base = solver.solve()
-    if not base.sat:
-        raise ValueError("state is inconsistent, no inference is meaningful")
+    parts = split_components(formula)
+    solvers = [Solver(part, conflict_budget=conflict_budget)
+               for part in parts]
     nv = formula.num_vars
     seen_true = bytearray(nv + 1)
     seen_false = bytearray(nv + 1)
+    home = [(0, 0)] * (nv + 1)     # global var -> (part index, local var)
 
-    def witness(model):
-        for v in range(1, nv + 1):
-            if model[v]:
+    def witness(part, model):
+        for u, v in enumerate(part.global_vars, start=1):
+            if model[u]:
                 seen_true[v] = 1
             else:
                 seen_false[v] = 1
 
-    witness(base.model)
-    inferences: List[Inference] = []
+    for k, (part, solver) in enumerate(zip(parts, solvers)):
+        base = solver.solve()
+        if not base.sat:
+            raise ValueError("state is inconsistent, no inference is meaningful")
+        witness(part, base.model)
+        for u, v in enumerate(part.global_vars, start=1):
+            home[v] = (k, u)
+    # Phase 1: (global var, verdict, core literals of the verdict query).
+    found = []
     for v in range(1, nv + 1):
-        site = formula.var_sites[v - 1]
-        if not seen_true[v]:
-            res = solver.solve(None, [v])
-            if res.sat:
-                witness(res.model)
-            else:
-                core = None
-                if extract_cores:
-                    core = extract_gmus(
-                        formula, v, solver=solver,
-                        initial_core=solver.core_groups(res.core))
-                inferences.append(Inference(site, Verdict.SAFE, core))
+        k, u = home[v]
+        solver = solvers[k]
+        for lit, seen, verdict in ((u, seen_true, Verdict.SAFE),
+                                   (-u, seen_false, Verdict.MINE)):
+            if seen[v]:
                 continue
-        if not seen_false[v]:
-            res = solver.solve(None, [-v])
+            res = solver.solve(None, [lit])
             if res.sat:
-                witness(res.model)
-            else:
-                core = None
-                if extract_cores:
-                    core = extract_gmus(
-                        formula, -v, solver=solver,
-                        initial_core=solver.core_groups(res.core))
-                inferences.append(Inference(site, Verdict.MINE, core))
+                witness(parts[k], res.model)
+                continue
+            found.append((v, verdict, res.core))
+            break
+    # Phase 2: the cores, in the same order.
+    inferences: List[Inference] = []
+    for v, verdict, core_lits in found:
+        core = None
+        if extract_cores:
+            k, u = home[v]
+            sign = 1 if verdict is Verdict.SAFE else -1
+            core = replace(
+                extract_gmus(parts[k], sign * u, solver=solvers[k],
+                             initial_core=solvers[k].core_groups(core_lits)),
+                pivot=sign * v)
+        inferences.append(Inference(formula.var_sites[v - 1], verdict, core))
     return inferences
 
 

@@ -35,6 +35,7 @@ variables can take any value, and the model sets them false.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .cnf import GroupedCnf
@@ -97,14 +98,10 @@ class Solver:
         self.max_learnts = 4000
         self.last_assumptions: List[int] = []
         occ = [0] * (self.num_vars + 1)
-        # var -> ascending ids of the groups that mention it, and
-        # group id -> the variables its clauses mention.
-        self.var_groups: List[List[int]] = [[] for _ in range(self.num_vars + 1)]
-        self.group_vars: Dict[int, List[int]] = {}
+        self._groups = formula.groups
         self._orig: List[list] = []
         for g in self.group_ids:
             guard = -self.selector_of[g]
-            gvars = set()
             for clause in formula.groups[g]:
                 cl = [guard]
                 cl.extend(clause)
@@ -115,17 +112,35 @@ class Solver:
                     # Empty problem clause: its guard is a permanent fact.
                     self._enqueue(guard, cl)
                 for l in clause:
-                    v = abs(l)
-                    occ[v] += 1
-                    gvars.add(v)
-            self.group_vars[g] = sorted(gvars)
-            for v in self.group_vars[g]:
-                self.var_groups[v].append(g)
+                    occ[abs(l)] += 1
         self.order = sorted(range(1, self.num_vars + 1),
                             key=lambda v: (-occ[v], v))
-        self.rank = [0] * (self.num_vars + 1)
+
+    # -- indices for explicit active sets, built on first use ---------------
+
+    @cached_property
+    def group_vars(self) -> Dict[int, List[int]]:
+        """Group id -> the ascending variables its clauses mention."""
+        return {g: sorted({abs(l) for clause in self._groups[g]
+                           for l in clause})
+                for g in self.group_ids}
+
+    @cached_property
+    def var_groups(self) -> List[List[int]]:
+        """Variable -> the ascending ids of the groups that mention it."""
+        out: List[List[int]] = [[] for _ in range(self.num_vars + 1)]
+        for g in self.group_ids:
+            for v in self.group_vars[g]:
+                out[v].append(g)
+        return out
+
+    @cached_property
+    def rank(self) -> List[int]:
+        """Variable -> its position in the branching order."""
+        rank = [0] * (self.num_vars + 1)
         for i, v in enumerate(self.order):
-            self.rank[v] = i
+            rank[v] = i
+        return rank
 
     # -- clause plumbing ---------------------------------------------------
 

@@ -126,6 +126,16 @@ class TestCore:
         assert lines[0] == "groups: 1"
         assert lines[1] == "C = 1"
 
+    @pytest.mark.parametrize("pivot", ["0", "3", "-3"])
+    def test_out_of_range_pivot_fails(self, capsys, tmp_path, pivot):
+        path = tmp_path / "f.gcnf"
+        path.write_text("p gcnf 2 1 1\n{1} 1 2 0\n")
+        code, out, err = run_cli(capsys, "core", str(path), "--", pivot)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert f"pivot {pivot} " in err
+
     def test_satisfiable_pivot_fails(self, capsys, tmp_path):
         path = tmp_path / "f.gcnf"
         path.write_text("p gcnf 2 1 1\n{1} 1 2 0\n")

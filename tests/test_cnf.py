@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from minelab.board import Board, Boundary, GameState, flag, frontiers, reveal
 from minelab.cnf import (GroupedCnf, InfeasibleLabel, build_formula,
                          encode_exact_count, export_dimacs, export_gcnf,
-                         parse_dimacs, parse_gcnf)
+                         parse_dimacs, parse_gcnf, split_components)
+from minelab.sat import solve, verify_model
 
-from conftest import consistent_placements, eval_clause, truth_table_models
+from conftest import (consistent_placements, eval_clause,
+                      random_reachable_state, truth_table_models)
 
 
 class TestEncodeExactCount:
@@ -128,6 +130,74 @@ class TestBuildFormula:
         state = parse_overlay("8#\n##\n", Boundary.OPEN)
         with pytest.raises(InfeasibleLabel):
             build_formula(state)
+
+
+def _group_vars(formula: GroupedCnf, g: int) -> set:
+    return {abs(l) for clause in formula.groups[g] for l in clause}
+
+
+class TestSplitComponents:
+    def test_loose_variable_and_empty_group(self):
+        formula = GroupedCnf(num_vars=5,
+                             groups={0: [(3, -5)], 1: [(-1,)], 2: [],
+                                     3: [(5, 1)]},
+                             var_sites=[(0, c) for c in range(5)])
+        parts = split_components(formula)
+        assert [p.global_vars for p in parts] == [(1, 3, 5), (2,), (4,), ()]
+        assert [sorted(p.groups) for p in parts] == [[0, 1, 3], [], [], [2]]
+        assert parts[0].groups == {0: [(2, -3)], 1: [(-1,)], 3: [(3, 1)]}
+        assert parts[0].var_sites == ((0, 0), (0, 2), (0, 4))
+        assert parts[3].num_vars == 0 and parts[3].var_sites == ()
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_parts_partition_reachable_formulas(self, rng, boundary):
+        states = multi = 0
+        for _ in range(200):
+            if states >= 60 and multi >= 5:
+                break
+            state = random_reachable_state(rng, boundary=boundary)
+            if state is None:
+                continue
+            formula = build_formula(state)
+            parts = split_components(formula)
+            assert sorted(g for p in parts for g in p.groups) == \
+                sorted(formula.groups)
+            assert sorted(v for p in parts for v in p.global_vars) == \
+                list(range(1, formula.num_vars + 1))
+            joined = {}
+            for part in parts:
+                gvars = part.global_vars
+                assert list(gvars) == sorted(gvars)
+                assert part.num_vars == len(gvars)
+                assert part.var_sites == tuple(formula.var_sites[v - 1]
+                                               for v in gvars)
+                for g, clauses in part.groups.items():
+                    assert [tuple(gvars[l - 1] if l > 0 else -gvars[-l - 1]
+                                  for l in c) for c in clauses] == \
+                        [tuple(c) for c in formula.groups[g]]
+                # The part's groups are connected through shared variables.
+                reached, todo = set(), [min(part.groups)]
+                while todo:
+                    g = todo.pop()
+                    if g not in reached:
+                        reached.add(g)
+                        todo.extend(h for h in part.groups
+                                    if _group_vars(formula, g)
+                                    & _group_vars(formula, h))
+                assert reached == set(part.groups)
+                res = solve(part)
+                assert res.sat
+                joined.update((gvars[u - 1], val)
+                              for u, val in res.model.items())
+            # No variable is mentioned by groups of two parts.
+            owner = {v: k for k, p in enumerate(parts) for v in p.global_vars}
+            for k, part in enumerate(parts):
+                for g in part.groups:
+                    assert {owner[v] for v in _group_vars(formula, g)} == {k}
+            assert verify_model(formula, None, joined)
+            states += 1
+            multi += len(parts) >= 2
+        assert states >= 60 and multi >= 5
 
 
 class TestFormats:

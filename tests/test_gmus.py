@@ -106,6 +106,14 @@ class TestOptions:
         assert seeded.core == frozenset({4, 5})
         assert_core_invariants(formula, seeded)
 
+    def test_out_of_range_pivot_rejected(self):
+        formula = GroupedCnf(num_vars=2,
+                             groups={1: [(2,)], 2: [(-2, -1)], 3: [(1, 2)]})
+        for pivot in (0, 3, -3, 99):
+            for seed in (None, [1, 2]):
+                with pytest.raises(ValueError, match=f"pivot {pivot} "):
+                    extract_gmus(formula, pivot, initial_core=seed)
+
     def test_shared_solver_reuse(self):
         formula = GroupedCnf(num_vars=2,
                              groups={1: [(2,)], 2: [(-2, -1)], 3: [(1, 2)]})

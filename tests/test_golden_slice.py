@@ -4,7 +4,8 @@ their committed rows in the acceptance cache.
 Gates 1-4 reload cached per-point rows, so they cannot notice a change in
 the inference code. This slice plays the same boards from scratch, with the
 time budget off, and asserts every column of the committed games.csv row,
-max_core included: sat with cores at n=20 around the hardness peak, and
+max_core included: sat with cores at n=20 around the hardness peak, sat
+with cores at n=40 (whose passes split into the most components), and
 kset:1/2/3 at n=40 on shared boards.
 """
 from __future__ import annotations
@@ -21,6 +22,7 @@ CACHE = Path(__file__).parent / "_acceptance_cache"
 SEEDS = (0, 1, 2)
 SLICE = ([("sat_sweep", 20, rho, "sat", True)
           for rho in (0.15, 0.2, 0.225, 0.25)]
+         + [("sat_sweep", 40, 0.2, "sat", True)]
          + [("kset_sweep", 40, 0.225, f"kset:{k}", False) for k in (1, 2, 3)])
 
 

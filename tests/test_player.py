@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from minelab.board import Board, Boundary, GameState, generate_board, parse_overlay
-from minelab.cnf import build_formula
+from minelab.cnf import build_formula, split_components
 from minelab.player import (GameRecord, Inference, Outcome, Policy, Verdict,
                             consistency_check, infer_step, play_game)
 from minelab.sat import solve
@@ -36,24 +36,34 @@ class TestInferStep:
             assert sites == sorted(sites)
 
     def test_cores_attached_and_unsat_with_pivot(self, rng):
-        checked = 0
-        for _ in range(60):
+        # Cores come from per-part solvers but name global groups and
+        # pivots: each lies inside its pivot's part and is minimal on the
+        # whole formula.
+        checked = multi_part = 0
+        for _ in range(120):
             state = random_reachable_state(rng, max_outer=12)
             if state is None or not consistency_check(state):
                 continue
             formula = build_formula(state)
+            parts = split_components(formula)
+            multi_part += len(parts) >= 2
+            part_of = {v: p for p in parts for v in p.global_vars}
             for inf in infer_step(state):
                 assert inf.core is not None
                 assert inf.core.size == len(inf.core.core) >= 1
                 var = formula.var_sites.index(inf.site) + 1
                 expected_pivot = var if inf.verdict is Verdict.SAFE else -var
                 assert inf.core.pivot == expected_pivot
-                assert not solve(formula, sorted(inf.core.core),
+                core = sorted(inf.core.core)
+                assert set(core) <= set(part_of[var].groups)
+                assert not solve(formula, core, [inf.core.pivot]).sat
+                for g in core:
+                    assert solve(formula, [h for h in core if h != g],
                                  [inf.core.pivot]).sat
                 checked += 1
-            if checked >= 25:
+            if checked >= 25 and multi_part >= 10:
                 break
-        assert checked >= 25
+        assert checked >= 25 and multi_part >= 10
 
     def test_core_extraction_off_keeps_verdicts(self, rng):
         for _ in range(30):
