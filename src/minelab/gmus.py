@@ -4,29 +4,45 @@ A core is a subset S of clause groups whose conjunction with the pivot
 assumption is unsatisfiable while every proper deletion of one group from S
 is satisfiable. |S| is the hardness metric C recorded per inference.
 
-Extraction is deletion-based over the fixed ascending group order (groups
-are numbered by row-major inner-frontier position, so this is the row-major
-order), with two accelerations that preserve minimality:
+Extraction is deletion-based over the fixed ascending group order of the
+start core (groups are numbered by row-major inner-frontier position, so
+this is the row-major order), then a singleton scan. Three accelerations
+preserve minimality and replace most SAT trials by checks of models the
+solver has already returned:
 
- * core trimming: every unsatisfiable solver call returns the subset of
-   activated groups actually used (Solver.core_groups), and the candidate
-   resets to it;
- * a singleton pre-scan over the groups that mention the pivot variable
-   (Solver.var_groups), which are the only possible size-1 cores. When any
-   single group already contradicts the pivot the scan returns it, so
-   inferences available to single-constraint reasoning always report C = 1.
+ * core trimming: every unsatisfiable trial returns the subset of activated
+   groups actually used (Solver.core_groups), and the candidate resets to it;
+ * recursive model rotation (Marques-Silva & Lynce, SAT 2011; Belov &
+   Marques-Silva, FMCAD 2011): a satisfiable trial without g has a model
+   that violates g alone among the candidate groups, so g is necessary.
+   Flipping one non-pivot variable of g that leaves exactly one candidate
+   group h violated proves h necessary as well, and rotation continues from
+   the flipped model. Necessary groups are never offered for deletion; a
+   group necessary for a candidate stays necessary for every subset of it
+   that still contains it, so trimming never drops one. Violation is read
+   from the groups' clauses, so any grouped CNF works;
+ * a witness-filtered singleton scan: only groups that mention the pivot
+   variable (Solver.var_groups) can contradict the pivot alone, and one that
+   any model seen in this extraction satisfies (every such model satisfies
+   the pivot) cannot. The others are queried in ascending order after the
+   deletion loop; when the candidate is a single group c, c itself is known
+   to contradict the pivot and the scan stops there.
+
+Singleton rule: when some group that mentions the pivot variable
+contradicts the pivot on its own, the core is the lowest-id such group, so
+inferences available to single-constraint reasoning always report C = 1.
 
 Every query here names its active groups, so the solver branches only on
-those groups' variables: a pre-scan query decides at most the eight
-variables of one group. Consecutive deletion trials share the selector
-levels before the deleted group (see minelab.sat).
+those groups' variables: a scan query decides at most the eight variables
+of one group. Consecutive deletion trials share the selector levels before
+the deleted group (see minelab.sat).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 
-from .cnf import GroupedCnf
+from .cnf import Clause, GroupedCnf
 from .sat import Solver
 
 
@@ -42,10 +58,36 @@ class GmusResult:
     size: int
 
 
+def _violated(clauses: Sequence[Clause], lits: Set[int]) -> bool:
+    """Does the assignment with true literals lits falsify some clause."""
+    return any(map(lits.isdisjoint, clauses))
+
+
+def _true_lits(model: Dict[int, bool]) -> Set[int]:
+    """The true literals of a solver model."""
+    return {v if value else -v for v, value in model.items()}
+
+
+def _flip(lits: Set[int], v: int) -> None:
+    """Flip variable v in the assignment with true literals lits."""
+    l = v if v in lits else -v
+    lits.remove(l)
+    lits.add(-l)
+
+
 def extract_gmus(formula: GroupedCnf, pivot: int, *,
                  solver: Optional[Solver] = None,
                  initial_core: Optional[Iterable[int]] = None) -> GmusResult:
     """Extract a minimal (not minimum) core for formula ∧ pivot.
+
+    The deletion loop offers each group of the start core, ascending, that
+    is still in the candidate and not yet known necessary; each satisfiable
+    trial's model is rotated to mark further necessary groups. The singleton
+    scan then queries the groups that mention the pivot variable and that no
+    model seen so far satisfies, ascending, and returns the first one that
+    contradicts the pivot alone; reaching the candidate's only group ends it
+    without a query. Otherwise the candidate left by the deletion loop is
+    the core.
 
     Args:
       formula: the grouped CNF.
@@ -72,21 +114,83 @@ def extract_gmus(formula: GroupedCnf, pivot: int, *,
         start = solver.core_groups(res.core)
     else:
         start = sorted(set(initial_core))
-    for g in solver.var_groups[abs(pivot)]:
-        if not solver.solve([g], [pivot]).sat:
-            return GmusResult(core=frozenset([g]), pivot=pivot, size=1)
+    groups = formula.groups
+    group_vars = solver.group_vars
+    var_groups = solver.var_groups
+    pv = abs(pivot)
+    # Groups that mention the pivot variable and that no model seen so far
+    # satisfies: the only possible size-1 cores.
+    unseen: Set[int] = set(var_groups[pv])
+
     candidate = set(start)
+    necessary: Set[int] = set()
+
+    def witness(lits: Set[int], bad: Optional[int] = None) -> None:
+        """Drop the unseen groups that the model lits satisfies. With bad
+        given, lits is known to satisfy every candidate group except bad."""
+        for h in list(unseen):
+            if ((bad is not None and h in candidate and h != bad)
+                    or not _violated(groups[h], lits)):
+                unseen.discard(h)
+
+    def rotate(g: int, lits: Set[int]) -> None:
+        """Mark the groups that rotation from the model lits, which violates
+        g alone among the candidate groups, proves necessary."""
+        # Depth-first over the rotated models; a frame is the variable
+        # iterator of a newly marked group and the flip that reached it.
+        # A flip can change the status only of the groups that mention the
+        # flipped variable, and the necessary ones (all in the candidate)
+        # are checked only when exactly one other group is violated.
+        # Rotation stops once every candidate group is known necessary.
+        frames: List[tuple] = [(iter(group_vars[g]), 0)]
+        while frames and len(necessary) < len(candidate):
+            it, entry = frames[-1]
+            for v in it:
+                if v == pv:
+                    continue
+                _flip(lits, v)
+                hit = [h for h in var_groups[v]
+                       if h in candidate and h not in necessary
+                       and _violated(groups[h], lits)]
+                if len(hit) == 1 and not any(
+                        _violated(groups[h], lits)
+                        for h in var_groups[v] if h in necessary):
+                    necessary.add(hit[0])
+                    witness(lits, hit[0])
+                    frames.append((iter(group_vars[hit[0]]), v))
+                    break
+                _flip(lits, v)
+            else:
+                frames.pop()
+                if entry:
+                    _flip(lits, entry)
+
     for g in start:
-        if g not in candidate:
-            continue
         if len(candidate) == 1:
             break
+        if g not in candidate or g in necessary:
+            continue
         trial = sorted(candidate)
         trial.remove(g)
         res = solver.solve(trial, [pivot])
-        if res.sat:
+        if not res.sat:
+            candidate = set(solver.core_groups(res.core))
             continue
-        candidate = set(solver.core_groups(res.core))
+        necessary.add(g)
+        lits = _true_lits(res.model)
+        witness(lits, g)
+        rotate(g, lits)
+
+    only = next(iter(candidate)) if len(candidate) == 1 else None
+    for h in var_groups[pv]:
+        if h == only:
+            break
+        if h not in unseen:
+            continue
+        res = solver.solve([h], [pivot])
+        if not res.sat:
+            return GmusResult(core=frozenset([h]), pivot=pivot, size=1)
+        witness(_true_lits(res.model))
     return GmusResult(core=frozenset(candidate), pivot=pivot,
                       size=len(candidate))
 

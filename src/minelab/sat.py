@@ -294,23 +294,32 @@ class Solver:
     def _analyze_final(self, failed: int) -> FrozenSet[int]:
         """Subset of assumption literals that together force the conflict."""
         core = {failed}
-        if not self.trail_lim:
+        level = self.level
+        if level[abs(failed)] == 0:
             return frozenset(core)
         seen = self.seen
+        reason = self.reason
+        trail = self.trail
         seen[abs(failed)] = 1
-        for i in range(len(self.trail) - 1, self.trail_lim[0] - 1, -1):
-            lit = self.trail[i]
+        pending = 1      # marked variables not yet reached by the walk
+        i = len(trail) - 1
+        while pending:
+            lit = trail[i]
+            i -= 1
             v = abs(lit)
-            if seen[v]:
-                r = self.reason[v]
-                if r is None:
-                    core.add(lit)
-                else:
-                    for q in r[1:]:
-                        if self.level[abs(q)] > 0:
-                            seen[abs(q)] = 1
-                seen[v] = 0
-        seen[abs(failed)] = 0
+            if not seen[v]:
+                continue
+            seen[v] = 0
+            pending -= 1
+            r = reason[v]
+            if r is None:
+                core.add(lit)
+                continue
+            for q in r[1:]:
+                u = abs(q)
+                if not seen[u] and level[u] > 0:
+                    seen[u] = 1
+                    pending += 1
         return frozenset(core)
 
     # -- learned clause bookkeeping ------------------------------------------

@@ -124,6 +124,108 @@ class TestOptions:
         assert_core_invariants(formula, a)
 
 
+class CountingSolver(Solver):
+    """A Solver that records the active groups of every query."""
+
+    def __init__(self, formula: GroupedCnf) -> None:
+        super().__init__(formula)
+        self.queries = []
+
+    def solve(self, active_groups=None, assumptions=()):
+        self.queries.append(None if active_groups is None
+                            else sorted(active_groups))
+        return super().solve(active_groups, assumptions)
+
+
+class TestModelRotation:
+    def test_chain_needs_one_trial(self):
+        # x1 -> x2 -> ... -> x9, then not x9: with the pivot x1 every group
+        # is in the core. Plain deletion proves each group necessary with
+        # its own satisfiable trial; rotating the first trial's model along
+        # the chain proves all of them, and that model's rotations satisfy
+        # group 0, the only group that mentions the pivot variable.
+        k = 9
+        groups = {i: [(-(i + 1), i + 2)] for i in range(k - 1)}
+        groups[k - 1] = [(-k,)]
+        formula = GroupedCnf(num_vars=k, groups=groups)
+        solver = CountingSolver(formula)
+        result = extract_gmus(formula, 1, solver=solver,
+                              initial_core=range(k))
+        assert result.core == frozenset(range(k))
+        assert solver.queries == [list(range(1, k))]
+        assert_core_invariants(formula, result)
+
+    def test_size_one_initial_core_scans_only_below_it(self):
+        # Groups 1, 2 and 3 each contradict the pivot x1 alone; group 0
+        # mentions x1 but does not. Seeded with {2}, the scan queries only
+        # groups below 2 and still returns the lowest singleton, 1.
+        formula = GroupedCnf(num_vars=2,
+                             groups={0: [(1, 2)], 1: [(-1, 2), (-1, -2)],
+                                     2: [(-1,)], 3: [(-1,)], 4: [(1, -2)]})
+        solver = CountingSolver(formula)
+        result = extract_gmus(formula, 1, solver=solver, initial_core=[2])
+        assert result.core == frozenset({1})
+        assert all(max(q) < 2 for q in solver.queries), solver.queries
+        # Seeded with the lowest singleton itself, only group 0 is queried.
+        solver = CountingSolver(formula)
+        result = extract_gmus(formula, 1, solver=solver, initial_core=[1])
+        assert result.core == frozenset({1})
+        assert solver.queries == [[0]]
+
+
+def random_grouped_formula(rng, num_vars: int) -> GroupedCnf:
+    """A grouped CNF that is not a frontier formula: clauses of width 1 to
+    4, groups of one to four clauses over overlapping variable windows
+    (so groups share variables), and about a fifth of the groups a single
+    unit clause."""
+    groups = {}
+    for g in range(int(rng.integers(3, 9))):
+        lo = int(rng.integers(1, num_vars))
+        window = list(range(lo, min(num_vars, lo + 3) + 1))
+        if rng.random() < 0.2:
+            width, count = 1, 1
+        else:
+            width, count = None, int(rng.integers(1, 5))
+        clauses = []
+        for _ in range(count):
+            w = width or int(rng.integers(1, 5))
+            pool = sorted(set(window) | {int(rng.integers(1, num_vars + 1))})
+            vs = rng.choice(pool, size=min(w, len(pool)), replace=False)
+            clauses.append(tuple(int(v) if rng.random() < 0.5 else -int(v)
+                                 for v in vs))
+        groups[g] = clauses
+    return GroupedCnf(num_vars=num_vars, groups=groups)
+
+
+class TestRandomGroupedFormulas:
+    def test_invariants_and_singleton_rule(self, rng):
+        # No exact-count structure to lean on: each core is minimal, and
+        # when some group that mentions the pivot variable contradicts it
+        # alone, the core is the lowest such group.
+        extracted = singles = multi = 0
+        for _ in range(300):
+            formula = random_grouped_formula(rng, int(rng.integers(3, 8)))
+            solver = Solver(formula)
+            for v in range(1, formula.num_vars + 1):
+                for pivot in (v, -v):
+                    res = solver.solve(None, [pivot])
+                    if res.sat:
+                        continue
+                    seed = solver.core_groups(res.core)
+                    for result in (extract_gmus(formula, pivot),
+                                   extract_gmus(formula, pivot, solver=solver,
+                                                initial_core=seed)):
+                        assert_core_invariants(formula, result)
+                        single = first_singleton_core(formula, pivot)
+                        if single is not None:
+                            assert result.core == frozenset({single})
+                            singles += 1
+                        elif result.size > 1:
+                            multi += 1
+                        extracted += 1
+        assert extracted >= 1000 and singles >= 300 and multi >= 300
+
+
 class TestMaxCoreSize:
     def test_empty(self):
         assert max_core_size([]) == 0
