@@ -19,9 +19,9 @@ from .cnf import (GroupedCnf, InfeasibleLabel, build_formula,
                   parse_dimacs, parse_gcnf)
 from .gmus import GmusResult, NotUnsat, extract_gmus, max_core_size
 from .harness import (SweepConfig, SweepRecord, desk_rhos, float_range,
-                      game_seed, model_alpha, parse_sweep_config,
-                      read_games_csv, read_summary_csv, run_sweep,
-                      write_games_csv, write_summary_csv)
+                      game_seed, parse_sweep_config, read_games_csv,
+                      read_summary_csv, run_sweep, write_games_csv,
+                      write_summary_csv)
 from .kset import ForcedAssignment, build_constraints, kset_infer
 from .percolation import (ClusterStats, Connectivity, NoClusters,
                           OccupancyGrid, PercolationConfig, PercRecord,
@@ -31,7 +31,7 @@ from .percolation import (ClusterStats, Connectivity, NoClusters,
 from .player import (GameRecord, Inference, Outcome, Policy, Verdict,
                      consistency_check, infer_step, play_game)
 from .plots import EmptyInput, render_plots
-from .sat import ResourceLimit, SolveResult, Solver, solve, verify_model
+from .sat import ResourceLimit, SolveResult, Solver, solve
 
 __version__ = "0.1.0"
 
@@ -45,8 +45,8 @@ __all__ = [
     "export_dimacs", "export_gcnf", "parse_dimacs", "parse_gcnf",
     "GmusResult", "NotUnsat", "extract_gmus", "max_core_size",
     "SweepConfig", "SweepRecord", "desk_rhos", "float_range", "game_seed",
-    "model_alpha", "parse_sweep_config", "read_games_csv",
-    "read_summary_csv", "run_sweep", "write_games_csv", "write_summary_csv",
+    "parse_sweep_config", "read_games_csv", "read_summary_csv", "run_sweep",
+    "write_games_csv", "write_summary_csv",
     "ForcedAssignment", "build_constraints", "kset_infer",
     "ClusterStats", "Connectivity", "NoClusters", "OccupancyGrid",
     "PercolationConfig", "PercRecord", "avg_cluster_size", "cluster_sizes",
@@ -54,6 +54,6 @@ __all__ = [
     "GameRecord", "Inference", "Outcome", "Policy", "Verdict",
     "consistency_check", "infer_step", "play_game",
     "EmptyInput", "render_plots",
-    "ResourceLimit", "SolveResult", "Solver", "solve", "verify_model",
+    "ResourceLimit", "SolveResult", "Solver", "solve",
     "__version__",
 ]

@@ -34,8 +34,11 @@ inferences available to single-constraint reasoning always report C = 1.
 
 Every query here names its active groups, so the solver branches only on
 those groups' variables: a scan query decides at most the eight variables
-of one group. Consecutive deletion trials share the selector levels before
-the deleted group (see minelab.sat).
+of one group. Its model holds only the variables it decided; rotation and
+the witness filter read the variables of the start core's groups and of the
+pivot variable's groups, and a variable the model leaves out reads False.
+Consecutive deletion trials share the selector levels before the deleted
+group (see minelab.sat).
 """
 from __future__ import annotations
 
@@ -63,9 +66,11 @@ def _violated(clauses: Sequence[Clause], lits: Set[int]) -> bool:
     return any(map(lits.isdisjoint, clauses))
 
 
-def _true_lits(model: Dict[int, bool]) -> Set[int]:
-    """The true literals of a solver model."""
-    return {v if value else -v for v, value in model.items()}
+def _true_lits(model: Dict[int, bool], vars: Iterable[int]) -> Set[int]:
+    """The true literals of a solver model over vars; a variable the model
+    leaves out reads False."""
+    get = model.get
+    return {v if get(v) else -v for v in vars}
 
 
 def _flip(lits: Set[int], v: int) -> None:
@@ -121,6 +126,8 @@ def extract_gmus(formula: GroupedCnf, pivot: int, *,
     # Groups that mention the pivot variable and that no model seen so far
     # satisfies: the only possible size-1 cores.
     unseen: Set[int] = set(var_groups[pv])
+    # Rotation and the witness filter read only these variables.
+    read_vars = {v for g in unseen.union(start) for v in group_vars[g]}
 
     candidate = set(start)
     necessary: Set[int] = set()
@@ -177,7 +184,7 @@ def extract_gmus(formula: GroupedCnf, pivot: int, *,
             candidate = set(solver.core_groups(res.core))
             continue
         necessary.add(g)
-        lits = _true_lits(res.model)
+        lits = _true_lits(res.model, read_vars)
         witness(lits, g)
         rotate(g, lits)
 
@@ -190,7 +197,7 @@ def extract_gmus(formula: GroupedCnf, pivot: int, *,
         res = solver.solve([h], [pivot])
         if not res.sat:
             return GmusResult(core=frozenset([h]), pivot=pivot, size=1)
-        witness(_true_lits(res.model))
+        witness(_true_lits(res.model, read_vars))
     return GmusResult(core=frozenset(candidate), pivot=pivot,
                       size=len(candidate))
 

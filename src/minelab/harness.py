@@ -350,16 +350,6 @@ def run_sweep(config: SweepConfig) -> List[SweepRecord]:
     return records
 
 
-def model_alpha(P: float, T: float) -> float:
-    """Expected fraction of unforced sites after T independent passes at
-    forcing probability P: (1 - P) ** T."""
-    if not 0.0 <= P <= 1.0:
-        raise ValueError("P must lie in [0, 1]")
-    if T < 0:
-        raise ValueError("T must be nonnegative")
-    return (1.0 - P) ** T
-
-
 def write_games_csv(path: Union[str, Path], rows: List[Dict[str, object]]) -> Path:
     path = Path(path)
     with open(path, "w", newline="") as fh:

@@ -6,14 +6,15 @@ means it is a mine. All inferences from a pass are applied together (flags
 first, then reveals) before the frontiers are recomputed. The game ends when
 every mine is flagged or a pass yields nothing.
 
-A pass runs in two phases on the formula's connected parts
-(cnf.split_components), one solver each: a literal is forced by the whole
-formula exactly when it is forced by the part holding its variable, since
-the other parts share no variable with it. Phase 1 decides every verdict;
-phase 2 then extracts the minimal cores, in the same order. Keeping the
-extractions out of phase 1 lets consecutive verdict queries on a part share
-all its selector levels, and a query on a part decides only that part's
-variables.
+A pass builds one solver on the whole formula and works through its
+connected parts (Solver.parts) one at a time, naming a part's groups as the
+active set of every query: a literal is forced by the whole formula exactly
+when it is forced by the part holding its variable, since the other parts
+share no variable with it, and such a query decides only the part's
+variables. On each part, phase 1 decides every verdict; phase 2 then
+extracts the minimal cores, in the same order. Keeping the extractions out
+of phase 1 lets consecutive verdict queries on a part share all its
+selector levels.
 
 Witness reuse keeps phase 1 cheap: every model of a part seen with all its
 groups active fixes a value for each of its variables, and a variable
@@ -25,11 +26,11 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Union
 
 from .board import (Board, COVERED, GameState, Site, flag, frontiers, reveal)
-from .cnf import InfeasibleLabel, build_formula, split_components
+from .cnf import InfeasibleLabel, build_formula
 from .gmus import GmusResult, extract_gmus, max_core_size
 from .kset import build_constraints, kset_infer
 from .sat import ResourceLimit, Solver
@@ -102,67 +103,57 @@ def infer_step(state: GameState, *, extract_cores: bool = True,
                conflict_budget: int = 1_000_000) -> List[Inference]:
     """All forced verdicts for the current frontiers, row-major order.
 
-    Builds the formula once and splits it into its connected parts, with
-    one solver (and its learned clauses) per part. Phase 1 tests the
-    variables in row-major order, each on its own part's solver, reusing
-    every all-groups model of a part as a witness. Phase 2, when
-    extract_cores is set, attaches a minimal core to each inference, found
-    on its part's solver from the core of its verdict query. Core group ids
-    and pivots are those of the whole formula.
+    Builds the formula and one solver once, then takes its connected parts
+    in turn, each query naming the part's groups as its active set. Phase 1
+    tests the part's variables in ascending order, reusing every model of
+    the part's groups as a witness. Phase 2, when extract_cores is set,
+    attaches a minimal core to each of the part's inferences, found from
+    the core of its verdict query.
     """
     fr = frontiers(state)
     if not fr.inner:
         return []
     formula = build_formula(state)
-    parts = split_components(formula)
-    solvers = [Solver(part, conflict_budget=conflict_budget)
-               for part in parts]
-    nv = formula.num_vars
-    seen_true = bytearray(nv + 1)
-    seen_false = bytearray(nv + 1)
-    home = [(0, 0)] * (nv + 1)     # global var -> (part index, local var)
+    solver = Solver(formula, conflict_budget=conflict_budget)
+    seen_true = bytearray(formula.num_vars + 1)
+    seen_false = bytearray(formula.num_vars + 1)
 
-    def witness(part, model):
-        for u, v in enumerate(part.global_vars, start=1):
-            if model[u]:
+    def witness(model):
+        for v, value in model.items():
+            if value:
                 seen_true[v] = 1
             else:
                 seen_false[v] = 1
 
-    for k, (part, solver) in enumerate(zip(parts, solvers)):
-        base = solver.solve()
+    inferences: List[Inference] = []
+    for groups, part_vars in solver.parts:
+        base = solver.solve(groups)
         if not base.sat:
             raise ValueError("state is inconsistent, no inference is meaningful")
-        witness(part, base.model)
-        for u, v in enumerate(part.global_vars, start=1):
-            home[v] = (k, u)
-    # Phase 1: (global var, verdict, core literals of the verdict query).
-    found = []
-    for v in range(1, nv + 1):
-        k, u = home[v]
-        solver = solvers[k]
-        for lit, seen, verdict in ((u, seen_true, Verdict.SAFE),
-                                   (-u, seen_false, Verdict.MINE)):
-            if seen[v]:
-                continue
-            res = solver.solve(None, [lit])
-            if res.sat:
-                witness(parts[k], res.model)
-                continue
-            found.append((v, verdict, res.core))
-            break
-    # Phase 2: the cores, in the same order.
-    inferences: List[Inference] = []
-    for v, verdict, core_lits in found:
-        core = None
-        if extract_cores:
-            k, u = home[v]
-            sign = 1 if verdict is Verdict.SAFE else -1
-            core = replace(
-                extract_gmus(parts[k], sign * u, solver=solvers[k],
-                             initial_core=solvers[k].core_groups(core_lits)),
-                pivot=sign * v)
-        inferences.append(Inference(formula.var_sites[v - 1], verdict, core))
+        witness(base.model)
+        # Phase 1: (var, verdict, core literals of the verdict query).
+        found = []
+        for v in part_vars:
+            for lit, seen, verdict in ((v, seen_true, Verdict.SAFE),
+                                       (-v, seen_false, Verdict.MINE)):
+                if seen[v]:
+                    continue
+                res = solver.solve(groups, [lit])
+                if res.sat:
+                    witness(res.model)
+                    continue
+                found.append((v, verdict, res.core))
+                break
+        # Phase 2: the cores, in the same order.
+        for v, verdict, core_lits in found:
+            core = None
+            if extract_cores:
+                pivot = v if verdict is Verdict.SAFE else -v
+                core = extract_gmus(formula, pivot, solver=solver,
+                                    initial_core=solver.core_groups(core_lits))
+            inferences.append(
+                Inference(formula.var_sites[v - 1], verdict, core))
+    inferences.sort(key=lambda inf: inf.site)
     return inferences
 
 

@@ -30,12 +30,17 @@ assigned and propagation is quiet, every clause of an active group has all
 its literals assigned and none falsified, so it is satisfied; setting the
 unassigned selectors false satisfies every other guarded clause and every
 learned clause that mentions an inactive group, so the remaining problem
-variables can take any value, and the model sets them false.
+variables can take any value, and the model leaves them out.
+
+Groups that share no variable, directly or through other groups, are
+independent. Solver.parts lists the connected parts as group sets, so a
+caller decides a part by naming its groups as the active set: the query
+then branches only on the part's variables, and its model holds only them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .cnf import GroupedCnf
@@ -47,13 +52,15 @@ class ResourceLimit(Exception):
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Sat with a model over every problem variable, or Unsat with the
-    subset of assumption literals (selectors included) that clash.
+    """Sat with a model over the variables the query decided, or Unsat with
+    the subset of assumption literals (selectors included) that clash.
 
-    A query with an explicit active set assigns only the variables of its
-    active groups and its assumptions; the model reports every other
-    problem variable False. It satisfies every active group and the
-    assumptions, not necessarily the inactive groups.
+    An all-groups query decides, and its model holds, every problem
+    variable. A query with an explicit active set decides only the
+    variables of its active groups and its assumptions, and its model holds
+    exactly those. Whatever values the absent variables take, it satisfies
+    every active group and the assumptions; the inactive groups may be
+    violated.
     """
     sat: bool
     model: Optional[Dict[int, bool]] = None
@@ -97,6 +104,8 @@ class Solver:
         self.learnt_seq = 0
         self.max_learnts = 4000
         self.last_assumptions: List[int] = []
+        # The last explicit active set: (argument, sorted groups, order).
+        self._last_active: Tuple[tuple, List[int], List[int]] = ((), [], [])
         occ = [0] * (self.num_vars + 1)
         self._groups = formula.groups
         self._orig: List[list] = []
@@ -115,32 +124,92 @@ class Solver:
                     occ[abs(l)] += 1
         self.order = sorted(range(1, self.num_vars + 1),
                             key=lambda v: (-occ[v], v))
+        self._group_vars: Optional[Dict[int, List[int]]] = None
+        self._var_groups: Optional[List[List[int]]] = None
+        self._parts: Optional[List[Tuple[List[int], List[int]]]] = None
+        self._rank: Optional[List[int]] = None
 
     # -- indices for explicit active sets, built on first use ---------------
+    # Each is kept in an attribute that __init__ declares. functools'
+    # cached_property would store it through the instance __dict__, and on
+    # CPython 3.11 that made every later attribute load of the search loops
+    # slower: verdict queries ran about 20 % slower once an index was built.
 
-    @cached_property
+    @property
     def group_vars(self) -> Dict[int, List[int]]:
         """Group id -> the ascending variables its clauses mention."""
-        return {g: sorted({abs(l) for clause in self._groups[g]
-                           for l in clause})
+        if self._group_vars is None:
+            groups = self._groups
+            self._group_vars = {
+                g: sorted(set(map(abs, chain.from_iterable(groups[g]))))
                 for g in self.group_ids}
+        return self._group_vars
 
-    @cached_property
+    @property
     def var_groups(self) -> List[List[int]]:
         """Variable -> the ascending ids of the groups that mention it."""
-        out: List[List[int]] = [[] for _ in range(self.num_vars + 1)]
-        for g in self.group_ids:
-            for v in self.group_vars[g]:
-                out[v].append(g)
-        return out
+        if self._var_groups is None:
+            out: List[List[int]] = [[] for _ in range(self.num_vars + 1)]
+            for g, vs in self.group_vars.items():
+                for v in vs:
+                    out[v].append(g)
+            self._var_groups = out
+        return self._var_groups
 
-    @cached_property
+    @property
+    def parts(self) -> List[Tuple[List[int], List[int]]]:
+        """The connected parts: (ascending group ids, ascending variables).
+
+        Groups connect when they share a variable. Parts come in the order
+        of their lowest variable; a group without variables is a part of
+        its own, after all others, and a variable that no group mentions
+        belongs to no part.
+        """
+        if self._parts is not None:
+            return self._parts
+        group_vars = self.group_vars
+        parent = list(range(self.num_vars + 1))
+
+        def find(v: int) -> int:
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        loose: List[Tuple[List[int], List[int]]] = []
+        for g, vs in group_vars.items():
+            if not vs:
+                loose.append(([g], []))
+                continue
+            root = find(vs[0])
+            for v in vs[1:]:
+                other = find(v)
+                if other < root:
+                    parent[root] = other
+                    root = other
+                elif other > root:
+                    parent[other] = root
+        # Every root is its component's lowest variable.
+        parts: Dict[int, Tuple[List[int], List[int]]] = {}
+        for g, vs in group_vars.items():
+            if vs:
+                parts.setdefault(find(vs[0]), ([], []))[0].append(g)
+        for v in range(1, self.num_vars + 1):
+            part = parts.get(find(v))
+            if part is not None:
+                part[1].append(v)
+        self._parts = [parts[r] for r in sorted(parts)] + loose
+        return self._parts
+
+    @property
     def rank(self) -> List[int]:
         """Variable -> its position in the branching order."""
-        rank = [0] * (self.num_vars + 1)
-        for i, v in enumerate(self.order):
-            rank[v] = i
-        return rank
+        if self._rank is None:
+            rank = [0] * (self.num_vars + 1)
+            for i, v in enumerate(self.order):
+                rank[v] = i
+            self._rank = rank
+        return self._rank
 
     # -- clause plumbing ---------------------------------------------------
 
@@ -383,17 +452,23 @@ class Solver:
         active_groups of None means every group. Assumption literals must
         reference problem variables. The trail stays in place afterwards;
         the next query keeps the levels of the assumption prefix it shares
-        with this one.
+        with this one. An explicit active set equal to the last one reuses
+        its sorted groups and branching order.
         """
         if active_groups is None:
             actives = self.group_ids
             order = self.order
         else:
-            actives = sorted(set(active_groups))
-            branch = set()
-            for g in actives:
-                branch.update(self.group_vars[g])
-            order = sorted(branch, key=self.rank.__getitem__)
+            key = tuple(active_groups)
+            last_key, actives, order = self._last_active
+            if key != last_key:
+                actives = sorted(set(key))
+                group_vars = self.group_vars
+                branch = set()
+                for g in actives:
+                    branch.update(group_vars[g])
+                order = sorted(branch, key=self.rank.__getitem__)
+                self._last_active = (key, actives, order)
         assump: List[int] = [self.selector_of[g] for g in actives]
         for l in assumptions:
             v = abs(l)
@@ -415,10 +490,15 @@ class Solver:
         # the branching scan restarts at the head of this query's order.
         self.order_head = 0
         try:
-            return self._search(assump, order)
+            res = self._search(assump, order)
         except ResourceLimit:
             self._cancel_until(0)
             raise
+        if res.sat:
+            # The assumptions decide their variables too.
+            for l in assump[len(actives):]:
+                res.model[abs(l)] = l > 0
+        return res
 
     def _search(self, assumptions: List[int], order: List[int]) -> SolveResult:
         conflicts = 0
@@ -456,7 +536,7 @@ class Solver:
                 head += 1
             self.order_head = head
             if head == n_order:
-                model = {v: assigns[v] == 1 for v in range(1, self.num_vars + 1)}
+                model = {v: assigns[v] == 1 for v in order}
                 return SolveResult(sat=True, model=model)
             var = order[head]
             self._new_level()
@@ -475,15 +555,3 @@ def solve(formula: GroupedCnf, active_groups: Optional[Iterable[int]] = None,
     return Solver(formula, conflict_budget=conflict_budget).solve(
         active_groups, assumptions)
 
-
-def verify_model(formula: GroupedCnf, active_groups: Optional[Iterable[int]],
-                 assignment: Dict[int, bool]) -> bool:
-    """True iff every clause of every active group has a true literal."""
-    if active_groups is None:
-        active_groups = sorted(formula.groups)
-    for g in active_groups:
-        for clause in formula.groups[g]:
-            if not any(assignment[l] if l > 0 else not assignment[-l]
-                       for l in clause):
-                return False
-    return True

@@ -13,7 +13,7 @@ import pytest
 from minelab.board import Boundary, generate_board
 from minelab.harness import (DESK_GAMES, DESK_NS, GAMES_COLUMNS,
                              SUMMARY_COLUMNS, SweepConfig, SweepRecord,
-                             desk_rhos, float_range, game_seed, model_alpha,
+                             desk_rhos, float_range, game_seed,
                              parse_sweep_config, read_games_csv,
                              read_summary_csv, run_sweep, write_games_csv,
                              write_summary_csv)
@@ -66,21 +66,6 @@ class TestGameSeed:
         boards = {generate_board(10, 0.2, game_seed(0, 0.2, i)).mines
                   for i in range(8)}
         assert len(boards) > 1
-
-
-class TestModelAlpha:
-    def test_values(self):
-        assert model_alpha(0.1, 10) == (1.0 - 0.1) ** 10
-        assert abs(model_alpha(0.1, 10) - 0.348678) < 1e-6
-        assert model_alpha(0.0, 5) == 1.0
-        assert model_alpha(1.0, 3) == 0.0
-        assert model_alpha(0.5, 0) == 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            model_alpha(1.5, 1)
-        with pytest.raises(ValueError):
-            model_alpha(0.5, -1)
 
 
 class TestCsvRoundTrip:

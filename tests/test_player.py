@@ -5,10 +5,11 @@ from __future__ import annotations
 import pytest
 
 from minelab.board import Board, Boundary, GameState, generate_board, parse_overlay
-from minelab.cnf import build_formula, split_components
+import minelab.player
+from minelab.cnf import build_formula
 from minelab.player import (GameRecord, Inference, Outcome, Policy, Verdict,
                             consistency_check, infer_step, play_game)
-from minelab.sat import solve
+from minelab.sat import Solver, solve
 
 from conftest import forced_verdicts, load_state, random_reachable_state
 
@@ -36,8 +37,7 @@ class TestInferStep:
             assert sites == sorted(sites)
 
     def test_cores_attached_and_unsat_with_pivot(self, rng):
-        # Cores come from per-part solvers but name global groups and
-        # pivots: each lies inside its pivot's part and is minimal on the
+        # Each core lies inside its pivot's part and is minimal on the
         # whole formula.
         checked = multi_part = 0
         for _ in range(120):
@@ -45,9 +45,9 @@ class TestInferStep:
             if state is None or not consistency_check(state):
                 continue
             formula = build_formula(state)
-            parts = split_components(formula)
+            parts = Solver(formula).parts
             multi_part += len(parts) >= 2
-            part_of = {v: p for p in parts for v in p.global_vars}
+            part_of = {v: groups for groups, vs in parts for v in vs}
             for inf in infer_step(state):
                 assert inf.core is not None
                 assert inf.core.size == len(inf.core.core) >= 1
@@ -55,7 +55,7 @@ class TestInferStep:
                 expected_pivot = var if inf.verdict is Verdict.SAFE else -var
                 assert inf.core.pivot == expected_pivot
                 core = sorted(inf.core.core)
-                assert set(core) <= set(part_of[var].groups)
+                assert set(core) <= set(part_of[var])
                 assert not solve(formula, core, [inf.core.pivot]).sat
                 for g in core:
                     assert solve(formula, [h for h in core if h != g],
@@ -64,6 +64,30 @@ class TestInferStep:
             if checked >= 25 and multi_part >= 10:
                 break
         assert checked >= 25 and multi_part >= 10
+
+    def test_one_solver_per_pass(self, rng, monkeypatch):
+        built = []
+
+        class CountingSolver(Solver):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(minelab.player, "Solver", CountingSolver)
+        checked = 0
+        for _ in range(200):
+            state = random_reachable_state(rng, max_outer=12)
+            if state is None or not consistency_check(state):
+                continue
+            if len(Solver(build_formula(state)).parts) < 2:
+                continue
+            del built[:]
+            infer_step(state)
+            assert len(built) == 1
+            checked += 1
+            if checked >= 5:
+                break
+        assert checked >= 5
 
     def test_core_extraction_off_keeps_verdicts(self, rng):
         for _ in range(30):

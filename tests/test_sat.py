@@ -1,7 +1,7 @@
 """Solver tests: differential checks against truth tables, assumption and
-core semantics, group activation, core-to-group mapping, and query
-sequences on one instance (kept assumption prefixes, clause-database
-reduction and budget exhaustion between queries)."""
+core semantics, group activation, core-to-group mapping, query sequences on
+one instance (kept assumption prefixes, clause-database reduction and
+budget exhaustion between queries), and connected parts."""
 from __future__ import annotations
 
 import itertools
@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minelab.board import Boundary
 from minelab.cnf import GroupedCnf, build_formula, encode_exact_count
-from minelab.sat import ResourceLimit, Solver, solve, verify_model
+from minelab.sat import ResourceLimit, Solver, solve
 
 from conftest import eval_formula, random_reachable_state, truth_table_models
 
@@ -158,7 +159,7 @@ class TestGroupActivation:
         formula = GroupedCnf(num_vars=2, groups={1: [(1,), (-1,)]})
         res = solve(formula, active_groups=[])
         assert res.sat
-        assert set(res.model) == {1, 2}
+        assert res.model == {}   # no active group, no assumption
 
     def test_reuse_across_queries_shares_state_safely(self):
         # Same solver instance answers interleaved queries correctly.
@@ -224,29 +225,9 @@ class TestDeterminism:
             formula = random_grouped_cnf(rng)
             res = Solver(formula).solve()
             if res.sat:
-                assert verify_model(formula, None, res.model)
+                assert eval_formula(formula, res.model)
                 sat += 1
         assert sat >= 10
-
-
-class TestVerifyModel:
-    def test_trivial(self):
-        formula = GroupedCnf(num_vars=2, groups={1: [(1, -2)]})
-        assert verify_model(formula, None, {1: True, 2: True})
-        assert verify_model(formula, None, {1: False, 2: False})
-        assert not verify_model(formula, None, {1: False, 2: True})
-        assert verify_model(formula, [], {1: False, 2: True})
-
-    def test_matches_independent_evaluation(self):
-        rng = random.Random(642)
-        for _ in range(200):
-            formula = random_grouped_cnf(rng, max_vars=10)
-            assign = {v: rng.random() < 0.5
-                      for v in range(1, formula.num_vars + 1)}
-            gids = sorted(formula.groups)
-            active = rng.sample(gids, rng.randint(0, len(gids)))
-            assert (verify_model(formula, active, assign)
-                    == eval_formula(formula, assign, active=active))
 
 
 def frontier_formulas(seed: int, count: int, max_outer: int = 16):
@@ -260,14 +241,28 @@ def frontier_formulas(seed: int, count: int, max_outer: int = 16):
     return formulas
 
 
+def group_vars(formula: GroupedCnf, groups) -> set:
+    """The variables the clauses of the given groups mention."""
+    return {abs(l) for g in groups for clause in formula.groups[g]
+            for l in clause}
+
+
+def decided_vars(formula: GroupedCnf, active, assumptions) -> set:
+    """The variables a query's model holds: every problem variable for an
+    all-groups query, else those of the active groups and assumptions."""
+    if active is None:
+        return set(range(1, formula.num_vars + 1))
+    return group_vars(formula, active) | {abs(l) for l in assumptions}
+
+
 def check_answer(solver, formula, active, assumptions, res) -> None:
     """res must agree with a fresh solver, and its model or core must hold
     up on its own."""
     assert res.sat == Solver(formula).solve(active, assumptions).sat
     nv = formula.num_vars
     if res.sat:
-        assert set(res.model) == set(range(1, nv + 1))
-        assert verify_model(formula, active, res.model)
+        assert set(res.model) == decided_vars(formula, active, assumptions)
+        assert eval_formula(formula, res.model, active=active)
         assert all(res.model[abs(l)] == (l > 0) for l in assumptions)
         return
     groups = solver.group_ids if active is None else active
@@ -401,7 +396,7 @@ class TestActiveSets:
                                  groups={g: formula.groups[g] for g in active})
                 assert res.sat == solve(sub, None, [pivot]).sat
                 if res.sat:
-                    assert verify_model(formula, active, res.model)
+                    assert eval_formula(formula, res.model, active=active)
                     assert res.model[v] == (pivot > 0)
                 checked += not res.sat
         assert checked >= 20
@@ -414,9 +409,21 @@ class TestActiveSets:
         res = solver.solve([g], [pivot])
         assigned = {abs(l) for l in solver.trail if abs(l) <= formula.num_vars}
         assert assigned <= set(solver.group_vars[g])
-        if res.sat:
-            assert all(not res.model[v] for v in range(1, formula.num_vars + 1)
-                       if v not in assigned)
+        assert res.sat
+        assert set(res.model) == group_vars(formula, [g]) == assigned
+        assert eval_formula(formula, res.model, active=[g])
+
+    def test_changed_active_list_is_not_stale(self):
+        # The same list object, extended between two queries: the second
+        # query must branch on the new group's variables too.
+        formula = GroupedCnf(num_vars=3, groups={1: [(1,)], 2: [(2, 3)]})
+        solver = Solver(formula)
+        active = [1]
+        assert solver.solve(active).model == {1: True}
+        active.append(2)
+        res = solver.solve(active)
+        assert set(res.model) == {1, 2, 3}
+        assert eval_formula(formula, res.model, active=active)
 
     def test_var_groups_match_a_clause_scan(self):
         rng = random.Random(515)
@@ -432,3 +439,56 @@ class TestActiveSets:
             for g in solver.group_ids:
                 assert solver.group_vars[g] == sorted(
                     {abs(l) for clause in formula.groups[g] for l in clause})
+
+
+class TestParts:
+    def test_loose_variable_and_empty_group(self):
+        # Variables 2 and 4 are in no group; group 2 has no clause.
+        formula = GroupedCnf(num_vars=5,
+                             groups={0: [(3, -5)], 1: [(-1,)], 2: [],
+                                     3: [(5, 1)]})
+        assert Solver(formula).parts == [([0, 1, 3], [1, 3, 5]), ([2], [])]
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_parts_partition_reachable_formulas(self, rng, boundary):
+        states = multi = 0
+        for _ in range(200):
+            if states >= 60 and multi >= 5:
+                break
+            state = random_reachable_state(rng, boundary=boundary)
+            if state is None:
+                continue
+            formula = build_formula(state)
+            solver = Solver(formula)
+            parts = solver.parts
+            assert sorted(g for groups, _ in parts for g in groups) == \
+                sorted(formula.groups)
+            lowest = [vs[0] for _, vs in parts if vs]
+            assert lowest == sorted(lowest)
+            assert all(vs for _, vs in parts[:len(lowest)])
+            owner = {}
+            joined = {}
+            for k, (groups, vs) in enumerate(parts):
+                assert groups == sorted(groups) and vs == sorted(vs)
+                assert set(vs) == group_vars(formula, groups)
+                for v in vs:
+                    assert owner.setdefault(v, k) == k   # no shared variable
+                # The part's groups are connected through shared variables.
+                reached, todo = set(), [groups[0]]
+                while todo:
+                    g = todo.pop()
+                    if g not in reached:
+                        reached.add(g)
+                        todo.extend(h for h in groups
+                                    if group_vars(formula, [g])
+                                    & group_vars(formula, [h]))
+                assert reached == set(groups)
+                res = solver.solve(groups)
+                assert res.sat and set(res.model) == set(vs)
+                joined.update(res.model)
+            # Models of the parts, taken one by one, join into a model of
+            # the whole formula.
+            assert eval_formula(formula, joined)
+            states += 1
+            multi += len(parts) >= 2
+        assert states >= 60 and multi >= 5
