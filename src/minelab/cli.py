@@ -110,11 +110,13 @@ def cmd_kset(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     formula = _parse_formula(_read_source(args.file))
-    result = Solver(formula, conflict_budget=args.conflict_budget).solve()
+    solver = Solver(formula, conflict_budget=args.conflict_budget)
+    result = solver.solve(solver.group_ids)
     if result.sat:
         print("SAT")
-        lits = [v if result.model[v] else -v
-                for v in sorted(result.model)]
+        # A variable no clause mentions is absent from the model: False.
+        lits = [v if result.model.get(v) else -v
+                for v in range(1, formula.num_vars + 1)]
         print("v " + " ".join(str(l) for l in lits) + " 0")
     else:
         print("UNSAT")
@@ -124,7 +126,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_core(args: argparse.Namespace) -> int:
     formula = _parse_formula(_read_source(args.file))
     try:
-        result = extract_gmus(formula, args.pivot)
+        result = extract_gmus(Solver(formula), args.pivot)
     except NotUnsat:
         print("not unsat under the pivot", file=sys.stderr)
         return 1

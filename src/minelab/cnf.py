@@ -63,11 +63,10 @@ def build_formula(state: GameState) -> GroupedCnf:
 
     One group per inner site, over the variables of its support (VarId =
     outer index + 1); variables are shared across groups wherever
-    neighborhoods overlap.
+    neighborhoods overlap. Empty frontiers give a formula with no groups
+    and no variables.
     """
     fr = frontiers(state)
-    if not fr.inner:
-        raise ValueError("state has empty frontiers, nothing to encode")
     groups: Dict[int, List[Clause]] = {}
     for gid, (isite, support, e) in enumerate(
             zip(fr.inner, fr.supports, fr.labels)):

@@ -32,7 +32,10 @@ Singleton rule: when some group that mentions the pivot variable
 contradicts the pivot on its own, the core is the lowest-id such group, so
 inferences available to single-constraint reasoning always report C = 1.
 
-Every query here names its active groups, so the solver branches only on
+Extraction runs on a Solver, which owns the grouped formula: the clauses
+that rotation and the witness filter check are read from Solver.groups, so
+they are always the clauses the queries decide. Like every solver query,
+each query here names its active groups, and the solver branches only on
 those groups' variables: a scan query decides at most the eight variables
 of one group. Its model holds only the variables it decided; rotation and
 the witness filter read the variables of the start core's groups and of the
@@ -45,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 
-from .cnf import Clause, GroupedCnf
+from .cnf import Clause
 from .sat import Solver
 
 
@@ -80,10 +83,9 @@ def _flip(lits: Set[int], v: int) -> None:
     lits.add(-l)
 
 
-def extract_gmus(formula: GroupedCnf, pivot: int, *,
-                 solver: Optional[Solver] = None,
+def extract_gmus(solver: Solver, pivot: int, *,
                  initial_core: Optional[Iterable[int]] = None) -> GmusResult:
-    """Extract a minimal (not minimum) core for formula ∧ pivot.
+    """Extract a minimal (not minimum) core for the solver's groups ∧ pivot.
 
     The deletion loop offers each group of the start core, ascending, that
     is still in the candidate and not yet known necessary; each satisfiable
@@ -95,31 +97,29 @@ def extract_gmus(formula: GroupedCnf, pivot: int, *,
     the core.
 
     Args:
-      formula: the grouped CNF.
+      solver: the Solver that owns the grouped formula; the groups' clauses
+        are read from it, and its learned clauses are shared with every
+        other query on it.
       pivot: the tentative assumption literal (x or -x).
-      solver: an existing Solver for this formula to reuse; one is built
-        otherwise. Learned clauses are shared either way.
       initial_core: group ids already known to be unsatisfiable with the
         pivot (for example from the inference query that triggered the
-        extraction); skips the initial full solve.
+        extraction); skips the initial query over all groups.
 
     Raises:
       ValueError: the pivot names no variable of the formula.
-      NotUnsat: the full formula is satisfiable with the pivot.
+      NotUnsat: all groups together are satisfiable with the pivot.
     """
-    if not 1 <= abs(pivot) <= formula.num_vars:
+    if not 1 <= abs(pivot) <= solver.num_vars:
         raise ValueError(f"pivot {pivot} names no variable of the formula "
-                         f"(variables 1..{formula.num_vars})")
-    if solver is None:
-        solver = Solver(formula)
+                         f"(variables 1..{solver.num_vars})")
     if initial_core is None:
-        res = solver.solve(None, [pivot])
+        res = solver.solve(solver.group_ids, [pivot])
         if res.sat:
             raise NotUnsat(f"formula is satisfiable with pivot {pivot}")
         start = solver.core_groups(res.core)
     else:
         start = sorted(set(initial_core))
-    groups = formula.groups
+    groups = solver.groups
     group_vars = solver.group_vars
     var_groups = solver.var_groups
     pv = abs(pivot)

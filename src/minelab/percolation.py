@@ -44,10 +44,9 @@ class OccupancyGrid:
 
 @dataclass(frozen=True)
 class ClusterStats:
-    """All cluster sizes, the subset that spans, and the exclusion flag."""
+    """All cluster sizes and the subset that spans."""
     sizes: Tuple[int, ...]
     spanning_sizes: Tuple[int, ...]
-    spanning_excluded: bool = True
 
 
 def minesweeper_occupancy(board: Board) -> OccupancyGrid:
@@ -179,13 +178,10 @@ def cluster_sizes(grid: OccupancyGrid,
 
 
 def avg_cluster_size(stats: ClusterStats) -> float:
-    """Second moment over first moment of the retained cluster sizes."""
+    """Second moment over first moment of the non-spanning cluster sizes."""
     sizes = list(stats.sizes)
-    if stats.spanning_excluded:
-        remaining = list(sizes)
-        for s in stats.spanning_sizes:
-            remaining.remove(s)
-        sizes = remaining
+    for s in stats.spanning_sizes:
+        sizes.remove(s)
     if not sizes:
         raise NoClusters("no cluster remains to average")
     num = sum(s * s for s in sizes)

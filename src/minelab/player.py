@@ -110,10 +110,9 @@ def infer_step(state: GameState, *, extract_cores: bool = True,
     attaches a minimal core to each of the part's inferences, found from
     the core of its verdict query.
     """
-    fr = frontiers(state)
-    if not fr.inner:
-        return []
     formula = build_formula(state)
+    if not formula.groups:
+        return []
     solver = Solver(formula, conflict_budget=conflict_budget)
     seen_true = bytearray(formula.num_vars + 1)
     seen_false = bytearray(formula.num_vars + 1)
@@ -149,7 +148,7 @@ def infer_step(state: GameState, *, extract_cores: bool = True,
             core = None
             if extract_cores:
                 pivot = v if verdict is Verdict.SAFE else -v
-                core = extract_gmus(formula, pivot, solver=solver,
+                core = extract_gmus(solver, pivot,
                                     initial_core=solver.core_groups(core_lits))
             inferences.append(
                 Inference(formula.var_sites[v - 1], verdict, core))
@@ -166,7 +165,8 @@ def consistency_check(state: GameState) -> bool:
         formula = build_formula(state)
     except InfeasibleLabel:
         return False
-    return Solver(formula).solve().sat
+    solver = Solver(formula)
+    return solver.solve(solver.group_ids).sat
 
 
 def play_game(board: Board, policy: Union[str, Policy] = "sat", *,

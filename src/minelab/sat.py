@@ -22,12 +22,12 @@ every selector level.
 
 Branching picks the unassigned problem variable with the highest occurrence
 count in the original formula, ties broken by lowest variable id, and always
-tries value false first. A query with all groups active branches on every
-problem variable; a query with an explicit active set branches only on the
-variables of its active groups (assumptions assign their own variables).
-Selector variables are never branched on. Once the branching variables are
-assigned and propagation is quiet, every clause of an active group has all
-its literals assigned and none falsified, so it is satisfied; setting the
+tries value false first. Every query names its active groups and branches
+only on their variables (assumptions assign their own variables); a caller
+that wants the whole formula names Solver.group_ids. Selector variables are
+never branched on. Once the branching variables are assigned and
+propagation is quiet, every clause of an active group has all its literals
+assigned and none falsified, so it is satisfied; setting the
 unassigned selectors false satisfies every other guarded clause and every
 learned clause that mentions an inactive group, so the remaining problem
 variables can take any value, and the model leaves them out.
@@ -55,12 +55,10 @@ class SolveResult:
     """Sat with a model over the variables the query decided, or Unsat with
     the subset of assumption literals (selectors included) that clash.
 
-    An all-groups query decides, and its model holds, every problem
-    variable. A query with an explicit active set decides only the
-    variables of its active groups and its assumptions, and its model holds
-    exactly those. Whatever values the absent variables take, it satisfies
-    every active group and the assumptions; the inactive groups may be
-    violated.
+    A query decides only the variables of its active groups and its
+    assumptions, and its model holds exactly those. Whatever values the
+    absent variables take, it satisfies every active group and the
+    assumptions; the inactive groups may be violated.
     """
     sat: bool
     model: Optional[Dict[int, bool]] = None
@@ -74,6 +72,9 @@ def _lit_index(l: int) -> int:
 class Solver:
     """CDCL solver bound to one GroupedCnf for its whole life.
 
+    The solver owns the formula's clause groups: groups (group id -> its
+    clauses), group_ids (ascending), group_vars (group id -> its ascending
+    variables) and num_vars are what callers such as core extraction read.
     Queries with different active groups and assumptions share learned
     clauses, and consecutive queries share the decision levels of their
     common assumption prefix: solve leaves the trail of the last query in
@@ -88,7 +89,6 @@ class Solver:
         self.selector_of = {g: self.num_vars + 1 + i
                             for i, g in enumerate(self.group_ids)}
         nv = self.num_vars + len(self.group_ids)
-        self.nv_total = nv
         self.assigns = [0] * (nv + 1)      # 0 unassigned, 1 true, -1 false
         self.level = [0] * (nv + 1)
         self.reason: List[Optional[list]] = [None] * (nv + 1)
@@ -104,14 +104,14 @@ class Solver:
         self.learnt_seq = 0
         self.max_learnts = 4000
         self.last_assumptions: List[int] = []
-        # The last explicit active set: (argument, sorted groups, order).
+        # The last active set: (argument, sorted groups, branching order).
         self._last_active: Tuple[tuple, List[int], List[int]] = ((), [], [])
         occ = [0] * (self.num_vars + 1)
-        self._groups = formula.groups
+        self.groups = groups = formula.groups
         self._orig: List[list] = []
         for g in self.group_ids:
             guard = -self.selector_of[g]
-            for clause in formula.groups[g]:
+            for clause in groups[g]:
                 cl = [guard]
                 cl.extend(clause)
                 self._orig.append(cl)
@@ -122,28 +122,24 @@ class Solver:
                     self._enqueue(guard, cl)
                 for l in clause:
                     occ[abs(l)] += 1
-        self.order = sorted(range(1, self.num_vars + 1),
-                            key=lambda v: (-occ[v], v))
-        self._group_vars: Optional[Dict[int, List[int]]] = None
+        # Group id -> the ascending variables its clauses mention.
+        self.group_vars: Dict[int, List[int]] = {
+            g: sorted(set(map(abs, chain.from_iterable(groups[g]))))
+            for g in self.group_ids}
+        # Variable -> its position in the branching order.
+        rank = [0] * (self.num_vars + 1)
+        for i, v in enumerate(sorted(range(1, self.num_vars + 1),
+                                     key=lambda v: (-occ[v], v))):
+            rank[v] = i
+        self.rank = rank
         self._var_groups: Optional[List[List[int]]] = None
         self._parts: Optional[List[Tuple[List[int], List[int]]]] = None
-        self._rank: Optional[List[int]] = None
 
-    # -- indices for explicit active sets, built on first use ---------------
+    # -- indices built on first use -----------------------------------------
     # Each is kept in an attribute that __init__ declares. functools'
     # cached_property would store it through the instance __dict__, and on
     # CPython 3.11 that made every later attribute load of the search loops
     # slower: verdict queries ran about 20 % slower once an index was built.
-
-    @property
-    def group_vars(self) -> Dict[int, List[int]]:
-        """Group id -> the ascending variables its clauses mention."""
-        if self._group_vars is None:
-            groups = self._groups
-            self._group_vars = {
-                g: sorted(set(map(abs, chain.from_iterable(groups[g]))))
-                for g in self.group_ids}
-        return self._group_vars
 
     @property
     def var_groups(self) -> List[List[int]]:
@@ -200,16 +196,6 @@ class Solver:
                 part[1].append(v)
         self._parts = [parts[r] for r in sorted(parts)] + loose
         return self._parts
-
-    @property
-    def rank(self) -> List[int]:
-        """Variable -> its position in the branching order."""
-        if self._rank is None:
-            rank = [0] * (self.num_vars + 1)
-            for i, v in enumerate(self.order):
-                rank[v] = i
-            self._rank = rank
-        return self._rank
 
     # -- clause plumbing ---------------------------------------------------
 
@@ -445,30 +431,25 @@ class Solver:
 
     # -- main search -----------------------------------------------------------
 
-    def solve(self, active_groups: Optional[Iterable[int]] = None,
+    def solve(self, active_groups: Iterable[int],
               assumptions: Sequence[int] = ()) -> SolveResult:
         """Decide the conjunction of the active groups plus assumptions.
 
-        active_groups of None means every group. Assumption literals must
-        reference problem variables. The trail stays in place afterwards;
-        the next query keeps the levels of the assumption prefix it shares
-        with this one. An explicit active set equal to the last one reuses
-        its sorted groups and branching order.
+        Assumption literals must reference problem variables. The trail
+        stays in place afterwards; the next query keeps the levels of the
+        assumption prefix it shares with this one. An active set equal to
+        the last one reuses its sorted groups and branching order.
         """
-        if active_groups is None:
-            actives = self.group_ids
-            order = self.order
-        else:
-            key = tuple(active_groups)
-            last_key, actives, order = self._last_active
-            if key != last_key:
-                actives = sorted(set(key))
-                group_vars = self.group_vars
-                branch = set()
-                for g in actives:
-                    branch.update(group_vars[g])
-                order = sorted(branch, key=self.rank.__getitem__)
-                self._last_active = (key, actives, order)
+        key = tuple(active_groups)
+        last_key, actives, order = self._last_active
+        if key != last_key:
+            actives = sorted(set(key))
+            group_vars = self.group_vars
+            branch = set()
+            for g in actives:
+                branch.update(group_vars[g])
+            order = sorted(branch, key=self.rank.__getitem__)
+            self._last_active = (key, actives, order)
         assump: List[int] = [self.selector_of[g] for g in actives]
         for l in assumptions:
             v = abs(l)
@@ -546,12 +527,4 @@ class Solver:
         """Group ids, ascending, of the selector literals in an Unsat core."""
         base = self.num_vars + 1
         return sorted(self.group_ids[l - base] for l in core_lits if l >= base)
-
-
-def solve(formula: GroupedCnf, active_groups: Optional[Iterable[int]] = None,
-          assumptions: Sequence[int] = (), *,
-          conflict_budget: int = 1_000_000) -> SolveResult:
-    """One-shot convenience wrapper around a fresh Solver instance."""
-    return Solver(formula, conflict_budget=conflict_budget).solve(
-        active_groups, assumptions)
 

@@ -5,6 +5,7 @@ and the frontier system are recounted site by site with explicit loops,
 satisfiability is decided by truth table, frontier placements are
 enumerated exhaustively, and clusters are labeled by recursive flood fill.
 Tests compare library output against these independent computations.
+solve is not an oracle: it is shorthand for one query on a fresh Solver.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import pytest
 from minelab.board import (Boundary, COVERED, FLAGGED, REVEALED, Frontiers,
                            GameState, Site, flag, frontiers, generate_board,
                            neighbors, parse_board, parse_overlay, reveal)
+from minelab.sat import Solver, SolveResult
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -84,6 +86,14 @@ def naive_frontiers(state: GameState) -> Frontiers:
     labels = tuple(naive_effective_label(state, s) for s in inner)
     return Frontiers(inner=inner, outer=outer, supports=supports,
                      labels=labels)
+
+
+def solve(formula, active=None, assumptions=(), *,
+          conflict_budget: int = 1_000_000) -> SolveResult:
+    """One query on a fresh Solver; active of None names every group."""
+    solver = Solver(formula, conflict_budget=conflict_budget)
+    return solver.solve(solver.group_ids if active is None else active,
+                        assumptions)
 
 
 def eval_clause(clause, assign: Dict[int, bool]) -> bool:

@@ -27,9 +27,7 @@ from minelab.kset import build_constraints, kset_infer
 from minelab.percolation import (PercolationConfig, minesweeper_occupancy,
                                  percolation_sweep)
 from minelab.player import Verdict, consistency_check, infer_step
-from minelab.sat import Solver, solve
-
-from conftest import load_state, random_reachable_state
+from conftest import load_state, random_reachable_state, solve
 
 CACHE = Path(__file__).parent / "_acceptance_cache"
 
@@ -337,7 +335,7 @@ def test_09_solver_truth_table_agreement():
     mismatches = 0
     for _ in range(1000):
         formula = random_formula(rnd)
-        res = Solver(formula).solve()
+        res = solve(formula)
         expected = truth_table_sat(formula)
         if res.sat != expected:
             mismatches += 1

@@ -1,15 +1,19 @@
-"""The names the benchmark's traced run patches still exist.
+"""The benchmark's traced run still sees every layer it measures.
 
 perfbench/benchtrace.py wraps module-level functions where minelab looks
-them up and two Solver methods; a refactor that drops one of them fails
-the traced run. This test imports that file as it is and checks every
-name, so such a refactor fails here first.
+them up and two Solver methods; a refactor that drops one of them, or
+changes a signature the wrappers call with, fails the traced run. These
+tests import that file as it is, check every name and play traced games,
+so such a refactor fails here first.
 """
 from __future__ import annotations
 
 import importlib.util
 from pathlib import Path
 
+import minelab.board
+import minelab.harness
+import minelab.player
 import minelab.sat
 
 BENCHTRACE = Path(__file__).parent.parent / "perfbench" / "benchtrace.py"
@@ -31,3 +35,27 @@ def test_patched_names_resolve():
     assert set(benchtrace.SOLVER_METHODS) == {"__init__", "solve"}
     for method in benchtrace.SOLVER_METHODS:
         assert callable(minelab.sat.Solver.__dict__.get(method))
+
+
+def traced_game_metrics(benchtrace, policy: str, track_cores: bool) -> dict:
+    """layer_metrics of one n=10 game played under the game patches."""
+    tracer = benchtrace.Tracer()
+    with tracer.installed(benchtrace.GAME_PATCHES, solver=True):
+        board = minelab.board.generate_board(
+            10, 0.15, minelab.harness.game_seed(1, 0.15, 0))
+        minelab.player.play_game(board, policy, track_cores=track_cores,
+                                 time_budget_s=None)
+    return benchtrace.layer_metrics(tracer, 1)
+
+
+def test_traced_games_read_every_layer():
+    benchtrace = load_benchtrace()
+    sat = traced_game_metrics(benchtrace, "sat", True)
+    for name in ("sat.solve.infer.calls", "gmus.extract_gmus.calls",
+                 "cnf.build_formula.calls", "sat.Solver_init.calls"):
+        assert sat[name] > 0, name
+    # One frontier computation per inference pass.
+    assert sat["board.frontiers.calls"] == sat["player.infer_step.calls"]
+    kset = traced_game_metrics(benchtrace, "kset:2", False)
+    assert kset["kset.evaluated"] > 0
+    assert kset["kset.kset_infer.calls"] > 0

@@ -93,6 +93,20 @@ class TestSolve:
         assert lines[0] == "SAT"
         assert lines[1] == "v -1 2 0"
 
+    @pytest.mark.parametrize("text, model", [
+        # Variables no clause mentions read False.
+        ("p cnf 3 1\n2 0\n", "v -1 2 -3 0"),
+        # Sparse group tags: group 2 has no clause.
+        ("p gcnf 4 2 3\n{1} 1 2 0\n{3} -2 0\n", "v 1 -2 -3 -4 0"),
+    ])
+    def test_model_line_covers_every_variable(self, capsys, tmp_path,
+                                              text, model):
+        path = tmp_path / "f.txt"
+        path.write_text(text)
+        code, out, _ = run_cli(capsys, "solve", str(path))
+        assert code == 0
+        assert out.splitlines() == ["SAT", model]
+
     def test_unsat(self, capsys, tmp_path):
         path = tmp_path / "f.cnf"
         path.write_text("p cnf 1 2\n1 0\n-1 0\n")

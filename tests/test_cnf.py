@@ -116,11 +116,11 @@ class TestBuildFormula:
         weights = {sum(1 for v in m if m[v]) for m in models}
         assert weights == {1, 2}
 
-    def test_empty_frontier_rejected(self):
-        board = Board(3, Boundary.OPEN, [])
-        state = GameState(board)
-        with pytest.raises(ValueError):
-            build_formula(state)
+    def test_empty_frontier_gives_empty_formula(self):
+        # Nothing revealed: no inner site, so no group and no variable.
+        formula = build_formula(GameState(Board(3, Boundary.OPEN, [])))
+        assert (formula.num_vars, formula.groups, formula.var_sites) == (
+            0, {}, ())
 
     def test_infeasible_label_reported(self):
         from minelab.board import parse_overlay

@@ -13,9 +13,9 @@ from minelab.cnf import GroupedCnf, build_formula
 from minelab.gmus import GmusResult, NotUnsat, extract_gmus, max_core_size
 from minelab.harness import game_seed
 from minelab.player import Verdict, infer_step
-from minelab.sat import Solver, solve
+from minelab.sat import Solver
 
-from conftest import load_state, random_reachable_state
+from conftest import load_state, random_reachable_state, solve
 
 
 def assert_core_invariants(formula: GroupedCnf, result: GmusResult) -> None:
@@ -33,7 +33,7 @@ class TestKnownCases:
     def test_single_contradicting_group(self):
         # Group 1 forces the pivot false; group 2 never matters.
         formula = GroupedCnf(num_vars=3, groups={1: [(-1,)], 2: [(2, 3)]})
-        result = extract_gmus(formula, 1)
+        result = extract_gmus(Solver(formula), 1)
         assert result.core == frozenset({1})
         assert result.size == 1
         assert result.pivot == 1
@@ -47,7 +47,7 @@ class TestKnownCases:
         formula = build_formula(state)
         assert formula.num_vars == 1
         centre_var = formula.var_sites.index((2, 2)) + 1
-        result = extract_gmus(formula, -centre_var)
+        result = extract_gmus(Solver(formula), -centre_var)
         assert result.size == 1
         assert result.core == frozenset({0})
         assert_core_invariants(formula, result)
@@ -63,14 +63,14 @@ class TestKnownCases:
         state = parse_overlay("1F\n1#\n", Boundary.OPEN)
         formula = build_formula(state)
         assert formula.num_vars == 1
-        result = extract_gmus(formula, 1)
+        result = extract_gmus(Solver(formula), 1)
         assert result.size == 1
         assert_core_invariants(formula, result)
 
     def test_not_unsat_on_satisfiable_pivot(self):
         formula = GroupedCnf(num_vars=2, groups={1: [(1, 2)]})
         with pytest.raises(NotUnsat):
-            extract_gmus(formula, 1)
+            extract_gmus(Solver(formula), 1)
 
     def test_single_group_beats_plain_deletion_order(self):
         # Plain in-order deletion would drop group 1 (groups 2+3 stay
@@ -78,7 +78,7 @@ class TestKnownCases:
         # still find the size-1 core.
         formula = GroupedCnf(num_vars=2,
                              groups={1: [(-1,)], 2: [(2,)], 3: [(-2, -1)]})
-        result = extract_gmus(formula, 1)
+        result = extract_gmus(Solver(formula), 1)
         assert result.core == frozenset({1})
         assert result.size == 1
 
@@ -86,7 +86,7 @@ class TestKnownCases:
         # No single group contradicts the pivot; two of them together do.
         formula = GroupedCnf(num_vars=2,
                              groups={1: [(2,)], 2: [(-2, -1)], 3: [(1, 2)]})
-        result = extract_gmus(formula, 1)
+        result = extract_gmus(Solver(formula), 1)
         assert result.core == frozenset({1, 2})
         assert result.size == 2
         assert_core_invariants(formula, result)
@@ -100,9 +100,9 @@ class TestOptions:
                              groups={1: [(2,)], 2: [(-2, -1)],
                                      3: [(3, 1)],
                                      4: [(3,)], 5: [(-3, -1)]})
-        unseeded = extract_gmus(formula, 1)
+        unseeded = extract_gmus(Solver(formula), 1)
         assert unseeded.core == frozenset({1, 2})
-        seeded = extract_gmus(formula, 1, initial_core=[4, 5])
+        seeded = extract_gmus(Solver(formula), 1, initial_core=[4, 5])
         assert seeded.core == frozenset({4, 5})
         assert_core_invariants(formula, seeded)
 
@@ -112,14 +112,14 @@ class TestOptions:
         for pivot in (0, 3, -3, 99):
             for seed in (None, [1, 2]):
                 with pytest.raises(ValueError, match=f"pivot {pivot} "):
-                    extract_gmus(formula, pivot, initial_core=seed)
+                    extract_gmus(Solver(formula), pivot, initial_core=seed)
 
     def test_shared_solver_reuse(self):
         formula = GroupedCnf(num_vars=2,
                              groups={1: [(2,)], 2: [(-2, -1)], 3: [(1, 2)]})
         solver = Solver(formula)
-        a = extract_gmus(formula, 1, solver=solver)
-        b = extract_gmus(formula, 1, solver=solver)
+        a = extract_gmus(solver, 1)
+        b = extract_gmus(solver, 1)
         assert a == b
         assert_core_invariants(formula, a)
 
@@ -131,9 +131,8 @@ class CountingSolver(Solver):
         super().__init__(formula)
         self.queries = []
 
-    def solve(self, active_groups=None, assumptions=()):
-        self.queries.append(None if active_groups is None
-                            else sorted(active_groups))
+    def solve(self, active_groups, assumptions=()):
+        self.queries.append(sorted(active_groups))
         return super().solve(active_groups, assumptions)
 
 
@@ -149,8 +148,7 @@ class TestModelRotation:
         groups[k - 1] = [(-k,)]
         formula = GroupedCnf(num_vars=k, groups=groups)
         solver = CountingSolver(formula)
-        result = extract_gmus(formula, 1, solver=solver,
-                              initial_core=range(k))
+        result = extract_gmus(solver, 1, initial_core=range(k))
         assert result.core == frozenset(range(k))
         assert solver.queries == [list(range(1, k))]
         assert_core_invariants(formula, result)
@@ -163,12 +161,12 @@ class TestModelRotation:
                              groups={0: [(1, 2)], 1: [(-1, 2), (-1, -2)],
                                      2: [(-1,)], 3: [(-1,)], 4: [(1, -2)]})
         solver = CountingSolver(formula)
-        result = extract_gmus(formula, 1, solver=solver, initial_core=[2])
+        result = extract_gmus(solver, 1, initial_core=[2])
         assert result.core == frozenset({1})
         assert all(max(q) < 2 for q in solver.queries), solver.queries
         # Seeded with the lowest singleton itself, only group 0 is queried.
         solver = CountingSolver(formula)
-        result = extract_gmus(formula, 1, solver=solver, initial_core=[1])
+        result = extract_gmus(solver, 1, initial_core=[1])
         assert result.core == frozenset({1})
         assert solver.queries == [[0]]
 
@@ -208,12 +206,12 @@ class TestRandomGroupedFormulas:
             solver = Solver(formula)
             for v in range(1, formula.num_vars + 1):
                 for pivot in (v, -v):
-                    res = solver.solve(None, [pivot])
+                    res = solver.solve(solver.group_ids, [pivot])
                     if res.sat:
                         continue
                     seed = solver.core_groups(res.core)
-                    for result in (extract_gmus(formula, pivot),
-                                   extract_gmus(formula, pivot, solver=solver,
+                    for result in (extract_gmus(Solver(formula), pivot),
+                                   extract_gmus(solver, pivot,
                                                 initial_core=seed)):
                         assert_core_invariants(formula, result)
                         single = first_singleton_core(formula, pivot)
@@ -250,13 +248,13 @@ class TestRandomExtraction:
             solver = Solver(formula)
             for v in range(1, formula.num_vars + 1):
                 pivot = None
-                if not solver.solve(None, [v]).sat:
+                if not solver.solve(solver.group_ids, [v]).sat:
                     pivot = v
-                elif not solver.solve(None, [-v]).sat:
+                elif not solver.solve(solver.group_ids, [-v]).sat:
                     pivot = -v
                 if pivot is None:
                     continue
-                result = extract_gmus(formula, pivot, solver=solver)
+                result = extract_gmus(solver, pivot)
                 assert_core_invariants(formula, result)
                 extracted += 1
         assert extracted >= 60

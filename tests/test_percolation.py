@@ -190,9 +190,6 @@ class TestAvgClusterSize:
     def test_spanning_excluded(self):
         stats = ClusterStats(sizes=(1, 1, 2, 20), spanning_sizes=(20,))
         assert avg_cluster_size(stats) == 1.5
-        kept = ClusterStats(sizes=(1, 1, 2, 20), spanning_sizes=(20,),
-                            spanning_excluded=False)
-        assert avg_cluster_size(kept) == (1 + 1 + 4 + 400) / 24
 
     def test_no_clusters_raises(self):
         with pytest.raises(NoClusters):

@@ -9,9 +9,10 @@ import minelab.player
 from minelab.cnf import build_formula
 from minelab.player import (GameRecord, Inference, Outcome, Policy, Verdict,
                             consistency_check, infer_step, play_game)
-from minelab.sat import Solver, solve
+from minelab.sat import Solver
 
-from conftest import forced_verdicts, load_state, random_reachable_state
+from conftest import (forced_verdicts, load_state, random_reachable_state,
+                      solve)
 
 
 class TestInferStep:

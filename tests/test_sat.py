@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from minelab.board import Boundary
 from minelab.cnf import GroupedCnf, build_formula, encode_exact_count
-from minelab.sat import ResourceLimit, Solver, solve
+from minelab.sat import ResourceLimit, Solver
 
-from conftest import eval_formula, random_reachable_state, truth_table_models
+from conftest import (eval_formula, random_reachable_state, solve,
+                      truth_table_models)
 
 
 def random_grouped_cnf(rng: random.Random, *, max_vars: int = 8,
@@ -69,7 +70,7 @@ class TestDifferential:
             formula = random_grouped_cnf(rng)
             gids = sorted(formula.groups)
             active = rng.sample(gids, rng.randint(0, len(gids)))
-            res = solve(formula, active_groups=active)
+            res = solve(formula, active=active)
             models = truth_table_models(formula, active=active)
             assert res.sat == bool(models), f"trial {trial}"
             if res.sat:
@@ -111,7 +112,7 @@ class TestAssumptionSemantics:
         # x1 and x2 forced true by groups, assumptions demand them false.
         formula = GroupedCnf(num_vars=2, groups={1: [(1,)], 2: [(2,)]})
         solver = Solver(formula)
-        res = solver.solve(assumptions=[-1, -2])
+        res = solver.solve(solver.group_ids, [-1, -2])
         assert not res.sat
         selectors = set(solver.selector_of.values())
         assert res.core <= {-1, -2} | selectors
@@ -123,7 +124,7 @@ class TestAssumptionSemantics:
         formula = GroupedCnf(num_vars=2,
                              groups={3: [(2,)], 8: [(1, 2)], 11: [(-1,)]})
         solver = Solver(formula)
-        res = solver.solve(assumptions=[-2])
+        res = solver.solve(solver.group_ids, [-2])
         assert not res.sat
         assert -2 in res.core
         assert solver.core_groups(res.core) == [3]
@@ -151,13 +152,13 @@ class TestAssumptionSemantics:
 class TestGroupActivation:
     def test_inactive_groups_ignored(self):
         formula = GroupedCnf(num_vars=1, groups={1: [(1,)], 2: [(-1,)]})
-        assert solve(formula, active_groups=[1]).model[1] is True
-        assert solve(formula, active_groups=[2]).model[1] is False
+        assert solve(formula, active=[1]).model[1] is True
+        assert solve(formula, active=[2]).model[1] is False
         assert not solve(formula).sat
 
     def test_no_groups_active_is_sat(self):
         formula = GroupedCnf(num_vars=2, groups={1: [(1,), (-1,)]})
-        res = solve(formula, active_groups=[])
+        res = solve(formula, active=[])
         assert res.sat
         assert res.model == {}   # no active group, no assumption
 
@@ -223,7 +224,7 @@ class TestDeterminism:
         sat = 0
         for _ in range(30):
             formula = random_grouped_cnf(rng)
-            res = Solver(formula).solve()
+            res = solve(formula)
             if res.sat:
                 assert eval_formula(formula, res.model)
                 sat += 1
@@ -248,10 +249,8 @@ def group_vars(formula: GroupedCnf, groups) -> set:
 
 
 def decided_vars(formula: GroupedCnf, active, assumptions) -> set:
-    """The variables a query's model holds: every problem variable for an
-    all-groups query, else those of the active groups and assumptions."""
-    if active is None:
-        return set(range(1, formula.num_vars + 1))
+    """The variables a query's model holds: those of the active groups and
+    the assumptions."""
     return group_vars(formula, active) | {abs(l) for l in assumptions}
 
 
@@ -265,8 +264,7 @@ def check_answer(solver, formula, active, assumptions, res) -> None:
         assert eval_formula(formula, res.model, active=active)
         assert all(res.model[abs(l)] == (l > 0) for l in assumptions)
         return
-    groups = solver.group_ids if active is None else active
-    allowed = {solver.selector_of[g] for g in groups} | set(assumptions)
+    allowed = {solver.selector_of[g] for g in active} | set(assumptions)
     assert res.core <= allowed
     lits = [l for l in res.core if abs(l) <= nv]
     assert not Solver(formula).solve(solver.core_groups(res.core), lits).sat
@@ -284,19 +282,17 @@ def query_sequence(rng: random.Random, formula: GroupedCnf, count: int):
         v = rng.randint(1, nv)
         return v if rng.random() < 0.5 else -v
 
-    active, assumptions = None, [lit()]
+    active, assumptions = gids, [lit()]
     for _ in range(count):
         r = rng.random()
         if r < 0.3:
-            active, assumptions = None, [lit()]
+            active, assumptions = gids, [lit()]
         elif r < 0.45:
             active, assumptions = [rng.choice(gids)], [lit()]
         elif r < 0.7:
-            base = gids if active is None else active
-            if len(base) > 1:
-                drop = rng.choice(base)
-                base = [g for g in base if g != drop]
-            active = base
+            if len(active) > 1:
+                drop = rng.choice(active)
+                active = [g for g in active if g != drop]
         elif r < 0.85:
             assumptions = assumptions + [lit()]
         else:
@@ -331,9 +327,9 @@ class TestQuerySequences:
         new_level = solver._new_level
         solver._new_level = lambda: (opened.append(len(solver.trail_lim)),
                                      new_level())
-        first = solver.solve(None, [1])
+        first = solver.solve(solver.group_ids, [1])
         n_first = len(opened)
-        second = solver.solve(None, [1])
+        second = solver.solve(solver.group_ids, [1])
         assert second.sat == first.sat
         assert min(opened[:n_first]) == 0
         assert min(opened[n_first:], default=len(solver.group_ids)) >= len(
