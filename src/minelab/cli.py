@@ -56,9 +56,20 @@ def _row_line(record: GameRecord, *, include_timing: bool = True) -> str:
     return buf.getvalue().rstrip("\r\n")
 
 
+def _parse_policy(command: str, text: str) -> Optional[Policy]:
+    """The policy text parsed, or None after one error line on stderr."""
+    try:
+        return Policy.parse(text)
+    except ValueError as exc:
+        print(f"minelab {command}: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_play(args: argparse.Namespace) -> int:
     boundary = Boundary(args.boundary)
-    policy = Policy.parse(args.policy)
+    policy = _parse_policy("play", args.policy)
+    if policy is None:
+        return 2
     ss = game_seed(args.master, args.rho, args.seed)
     try:
         board = generate_board(args.n, args.rho, ss, boundary)
@@ -92,7 +103,9 @@ def cmd_play(args: argparse.Namespace) -> int:
 
 def cmd_kset(args: argparse.Namespace) -> int:
     boundary = Boundary(args.boundary)
-    policy = f"kset:{args.k}"
+    policy = _parse_policy("kset", f"kset:{args.k}")
+    if policy is None:
+        return 2
     writer = csv.writer(sys.stdout)
     writer.writerow(GAMES_COLUMNS)
     for idx in range(args.seeds):
@@ -100,7 +113,7 @@ def cmd_kset(args: argparse.Namespace) -> int:
         try:
             board = generate_board(args.n, args.rho, ss, boundary)
         except GenerationExhausted:
-            record = _exhausted_record(args.n, args.rho, policy, idx)
+            record = _exhausted_record(args.n, args.rho, str(policy), idx)
         else:
             record = play_game(board, policy, time_budget_s=args.time_budget,
                                rho=args.rho, seed=idx)

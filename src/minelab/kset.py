@@ -20,11 +20,28 @@ Enumeration skips combinations that provably add nothing:
    blocks, is tight only when every block is tight on its own, and then
    forces exactly what the blocks force, so on consistent systems the
    connected union equals the union over every row set.
+
+The search runs on bitmasks, under the same pruning. Each row's support is
+one int column mask R, and each row's neighbours one int row mask. Connected
+row sets come from the ESU scheme (Wernicke, TCBB 2006) on an explicit
+stack: each set is visited once, rooted at its lowest row. Each set is
+evaluated once for all its 2^(s-1) sign vectors, from overlap counts. The
+union's columns split into atoms (the columns covered by exactly the rows
+T), c_j is constant on an atom, and atom sizes follow from the intersection
+sizes |R_U| by inclusion-exclusion. So the maximum is sum_U w_U |R_U| with
+weights fixed by (s, sign vector), and the minimum is the signed sum of row
+sizes less the maximum. Sets of one and two rows use closed forms. Column
+masks are formed only for tight combinations; when every coefficient
+cancels they are empty, so such a combination forces nothing. The weight
+tables hold 4^s packed bytes per set size s, which suits the small k the
+policies use.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from operator import mul
+from typing import List, Optional, Tuple
 
 from .board import Frontiers, GameState, frontiers
 
@@ -40,42 +57,55 @@ def build_constraints(state: GameState) -> Frontiers:
     return frontiers(state)
 
 
-def _row_adjacency(supports: Sequence[Tuple[int, ...]],
-                   n_cols: int) -> List[set]:
-    """Rows are adjacent when their supports share a column."""
-    by_col: List[List[int]] = [[] for _ in range(n_cols)]
-    for i, sup in enumerate(supports):
-        for j in sup:
-            by_col[j].append(i)
-    adj: List[set] = [set() for _ in range(len(supports))]
-    for rows in by_col:
-        for x in rows:
-            for y in rows:
-                if x != y:
-                    adj[x].add(y)
-    return adj
+@lru_cache(maxsize=None)
+def _sign_table(s: int, width: int) -> Tuple[tuple, int, tuple]:
+    """Inclusion-exclusion weights for row sets of s rows.
+
+    A set is read as the vector v of |R_U| for every bit set U of its rows
+    (R_U the intersection of the rows in U; U = 0 has weight 0), followed
+    by the rows' labels. Sign vector b (first sign positive, bit t-1 set
+    when row t is negative) has two gaps, r minus the maximum and r minus
+    the minimum, both linear in v. v . cols + bias packs every gap plus
+    half = 2^(8 width - 1) into its own width-byte field, gap 2b at field
+    2b and gap 2b+1 next to it, so one dot product yields every gap of the
+    set. atoms[b] holds the row bit sets T whose columns get a positive and
+    a negative coefficient under b.
+    """
+    tests = []
+    atoms = []
+    for bits in range(1 << (s - 1)):
+        signs = [1] + [-1 if bits >> (t - 1) & 1 else 1 for t in range(1, s)]
+        coef = [sum(signs[t] for t in range(s) if u >> t & 1)
+                for u in range(1 << s)]
+        # The maximum sums max(c_T, 0) over the atoms; Moebius inversion
+        # over the subset lattice moves it onto the intersection sizes.
+        w = [max(c, 0) for c in coef]
+        for t in range(s):
+            for u in range(1 << s):
+                if u >> t & 1:
+                    w[u] -= w[u ^ (1 << t)]
+        # The minimum is the signed sum of row sizes less the maximum.
+        net = [0] * (1 << s)
+        for t in range(s):
+            net[1 << t] = signs[t]
+        tests.append([-x for x in w] + signs)
+        tests.append([x - y for x, y in zip(w, net)] + signs)
+        atoms.append((tuple(u for u in range(1, 1 << s) if coef[u] > 0),
+                      tuple(u for u in range(1, 1 << s) if coef[u] < 0)))
+    shift = 8 * width
+    cols = tuple(sum(t[i] << (shift * f) for f, t in enumerate(tests))
+                 for i in range(len(tests[0])))
+    bias = sum(1 << (shift * f + shift - 1) for f in range(len(tests)))
+    return cols, bias, tuple(atoms)
 
 
-def _connected_subsets(adj: List[set], m: int, k: int) -> Iterator[Tuple[int, ...]]:
-    """Every connected row set of size 1..k, each exactly once (ESU scheme)."""
-    for root in range(m):
-        sub = [root]
-        ext = sorted(u for u in adj[root] if u > root)
-        yield from _esu(adj, sub, ext, root, k)
-
-
-def _esu(adj: List[set], sub: List[int], ext: List[int], root: int,
-         k: int) -> Iterator[Tuple[int, ...]]:
-    yield tuple(sub)
-    if len(sub) == k:
-        return
-    seen_nb = set().union(*(adj[v] for v in sub)) | set(sub)
-    for idx, w in enumerate(ext):
-        new_ext = ext[idx + 1:] + sorted(
-            u for u in adj[w] if u > root and u not in seen_nb)
-        sub.append(w)
-        yield from _esu(adj, sub, new_ext, root, k)
-        sub.pop()
+def _atom_masks(row_masks: List[int]) -> List[int]:
+    """For every bit set T of the rows, the columns covered by exactly the
+    rows in T (T = 0 stands for every other column)."""
+    atoms = [-1]
+    for r in row_masks:
+        atoms = [x & ~r for x in atoms] + [x & r for x in atoms]
+    return atoms
 
 
 def kset_infer(fr: Frontiers, k: int, *,
@@ -84,63 +114,126 @@ def kset_infer(fr: Frontiers, k: int, *,
 
     Only connected row sets are enumerated; on consistent systems they
     force exactly what every row set forces (see the module docstring).
+    Rows are column bitmasks, and each connected set is evaluated once for
+    all its sign vectors from the sizes of its rows' intersections.
     ForcedAssignment.col indexes fr.outer. Deduplicated and sorted by
     (col, value). The stats dict, when given, receives the number of
     (row set, sign vector) pairs enumerated under the key "evaluated".
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    m = len(fr.inner)
-    supports = fr.supports
-    sizes = [len(s) for s in supports]
     labels = fr.labels
-    evaluated = 0
-    forced: set = set()
-    for sub in _connected_subsets(_row_adjacency(supports, len(fr.outer)),
-                                  m, k):
-        s = len(sub)
-        for bits in range(1 << (s - 1)):      # first sign fixed positive
-            evaluated += 1
-            r = labels[sub[0]]
-            hi_bound = sizes[sub[0]]
-            lo_bound = 0
-            for t in range(1, s):
-                if (bits >> (t - 1)) & 1:
-                    r -= labels[sub[t]]
-                    lo_bound -= sizes[sub[t]]
+    rows: List[int] = []
+    col_rows = [0] * len(fr.outer)
+    for i, support in enumerate(fr.supports):
+        mask = 0
+        for j in support:
+            mask |= 1 << j
+            col_rows[j] |= 1 << i
+        rows.append(mask)
+    m = len(rows)
+    adj = [0] * m
+    if k > 1:
+        for i, support in enumerate(fr.supports):
+            nb = 0
+            for j in support:
+                nb |= col_rows[j]
+            adj[i] = nb & ~(1 << i)
+    # No gap exceeds span in size, so gap + half fills a field of width
+    # bytes without a carry once span < half.
+    span = min(k, m) * (max(map(int.bit_count, rows), default=0)
+                        + max(map(abs, labels), default=0))
+    width = 1
+    while span >= 1 << (8 * width - 1):
+        width *= 2
+    shift = 8 * width
+    half = 1 << (shift - 1)
+    field = (1 << shift) - 1
+    evaluated = m
+    ones = zeros = 0
+    for root in range(m):
+        ra = rows[root]
+        e = labels[root]
+        size = ra.bit_count()
+        if e == size:
+            ones |= ra
+        elif e == 0:
+            zeros |= ra
+        above = -1 << (root + 1)
+        ext = adj[root] & above
+        if not ext:
+            continue
+        # A stack entry is a set of fewer than k rows, already evaluated:
+        # its ESU extension and closed neighbourhood row masks, R_U and
+        # |R_U| for every bit set U of its rows (R_0 = every column), and
+        # its labels.
+        stack = [(ext, adj[root] | (1 << root), [-1, ra], [0, size], [e])]
+        while stack:
+            ext, nb, inter, counts, labs = stack.pop()
+            s = len(labs) + 1
+            evaluated += ext.bit_count() << (s - 1)
+            if s > 2:
+                cols, bias, signed_atoms = _sign_table(s, width)
+            while ext:
+                bit = ext & -ext
+                ext ^= bit
+                w = bit.bit_length() - 1
+                rw = rows[w]
+                f = labels[w]
+                if s < k:
+                    new = [x & rw for x in inter]
+                    child_counts = counts + [x.bit_count() for x in new]
+                    stack.append((ext | (adj[w] & above & ~nb), nb | adj[w],
+                                  inter + new, child_counts, labs + [f]))
                 else:
-                    r += labels[sub[t]]
-                    hi_bound += sizes[sub[t]]
-            # Tightness needs r at an attainable extreme; the support sizes
-            # bound both extremes, so off-range r can be dropped unevaluated.
-            if not (0 <= r <= hi_bound or lo_bound <= r <= 0):
-                continue
-            c: Dict[int, int] = {}
-            for t in range(s):
-                delta = -1 if t and (bits >> (t - 1)) & 1 else 1
-                for j in supports[sub[t]]:
-                    c[j] = c.get(j, 0) + delta
-            hi = 0
-            lo = 0
-            for v in c.values():
-                if v > 0:
-                    hi += v
-                else:
-                    lo += v
-            if hi == lo:
-                continue
-            if r == hi:
-                for j, v in c.items():
-                    if v > 0:
-                        forced.add((j, 1))
-                    elif v < 0:
-                        forced.add((j, 0))
-            elif r == lo:
-                for j, v in c.items():
-                    if v > 0:
-                        forced.add((j, 0))
-                    elif v < 0:
-                        forced.add((j, 1))
+                    child_counts = counts + [(x & rw).bit_count()
+                                             for x in inter]
+                if s == 2:
+                    # (+, +): maximum |A| + |B|, minimum 0.
+                    # (+, -): maximum |A \ B|, minimum -|B \ A|.
+                    size_w, both = child_counts[2], child_counts[3]
+                    if e + f == size + size_w:
+                        ones |= ra | rw
+                    elif e + f == 0:
+                        zeros |= ra | rw
+                    if e - f == size - both:
+                        ones |= ra & ~rw
+                        zeros |= rw & ~ra
+                    elif e - f == both - size_w:
+                        ones |= rw & ~ra
+                        zeros |= ra & ~rw
+                    continue
+                v = child_counts + labs
+                v.append(f)
+                packed = sum(map(mul, cols, v)) + bias
+                # A zero gap shows as a field whose top byte is 0x80.
+                if 0x80 not in packed.to_bytes(width << s, "little"):
+                    continue
+                row_masks = [inter[1 << t] for t in range(s - 1)]
+                row_masks.append(rw)
+                atoms = _atom_masks(row_masks)
+                for pos, neg in signed_atoms:
+                    if packed & field == half:               # r = maximum
+                        for u in pos:
+                            ones |= atoms[u]
+                        for u in neg:
+                            zeros |= atoms[u]
+                    elif packed >> shift & field == half:    # r = minimum
+                        for u in pos:
+                            zeros |= atoms[u]
+                        for u in neg:
+                            ones |= atoms[u]
+                    packed >>= 2 * shift
     if stats is not None:
         stats["evaluated"] = evaluated
-    return [ForcedAssignment(j, v) for j, v in sorted(forced)]
+    out = []
+    decided = ones | zeros
+    while decided:
+        bit = decided & -decided
+        decided ^= bit
+        j = bit.bit_length() - 1
+        if zeros & bit:
+            out.append(ForcedAssignment(j, 0))
+        if ones & bit:
+            out.append(ForcedAssignment(j, 1))
+    return out

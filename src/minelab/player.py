@@ -69,9 +69,13 @@ class Policy:
         if text == "sat":
             return Policy("sat")
         if text.startswith("kset:"):
-            k = int(text.split(":", 1)[1])
+            try:
+                k = int(text.split(":", 1)[1])
+            except ValueError:
+                k = 0
             if k < 1:
-                raise ValueError("kset arity must be >= 1")
+                raise ValueError(
+                    f"bad policy {text!r}, kset:K needs an integer K >= 1")
             return Policy("kset", k)
         raise ValueError(f"unknown policy {text!r}, expected sat or kset:K")
 

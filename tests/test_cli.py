@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from minelab.board import Boundary, generate_board
+from minelab.board import generate_board
 from minelab.cli import main
 from minelab.cnf import build_formula, export_gcnf
 from minelab.harness import GAMES_COLUMNS, game_seed, parse_sweep_config
@@ -63,6 +63,16 @@ class TestPlay:
         assert cells[2] == "kset:2"
         assert cells[5] == ""      # no max_core column for k-set play
 
+    @pytest.mark.parametrize("policy", ["kset:x", "kset:0", "dpll"])
+    def test_bad_policy_fails_before_output(self, capsys, policy):
+        code, out, err = run_cli(capsys, "play", "--n", "6", "--rho", "0.1",
+                                 "--policy", policy)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("minelab play: ")
+        assert repr(policy) in err
+
     def test_impossible_board_prints_exhausted_row(self, capsys):
         code, out, _ = run_cli(capsys, "play", "--n", "4", "--rho", "0.5625")
         assert code == 0
@@ -81,6 +91,16 @@ class TestKsetBatch:
         assert len(rows) == 4
         assert [r[3] for r in rows[1:]] == ["0", "1", "2"]
         assert all(r[2] == "kset:1" for r in rows[1:])
+
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_bad_arity_fails_before_output(self, capsys, k):
+        code, out, err = run_cli(capsys, "kset", "--k", k, "--n", "6",
+                                 "--rho", "0.1", "--seeds", "3")
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("minelab kset: ")
+        assert f"kset:{k}" in err
 
 
 class TestSolve:

@@ -7,7 +7,6 @@ import multiprocessing
 import statistics
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from minelab.board import Boundary, generate_board

@@ -1,15 +1,18 @@
 """k-set search tests: constraint extraction, single-combination algebra,
-soundness against exhaustive enumeration, and enumeration accounting."""
+soundness against exhaustive enumeration, enumeration accounting, and the
+bitmask search against a direct per-sign-vector reference."""
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, List, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
 
-from minelab.board import Boundary, Frontiers, parse_overlay
+import minelab.player
+from minelab.board import Boundary, Frontiers, generate_board, parse_overlay
+from minelab.harness import game_seed
 from minelab.kset import ForcedAssignment, build_constraints, kset_infer
 
 from conftest import load_state, random_reachable_state
@@ -91,6 +94,85 @@ def all_combinations_forced(fr: Frontiers,
             for signs in itertools.product((0, 1), repeat=s):
                 forced.update(combine_and_infer(fr, rows, signs))
     return sorted(forced)
+
+
+def _connected_subsets(supports: Sequence[Tuple[int, ...]], n_cols: int,
+                       k: int) -> Iterator[Tuple[int, ...]]:
+    """Every connected row set of size 1..k, each exactly once (ESU scheme
+    on adjacency sets, recursive)."""
+    by_col: List[List[int]] = [[] for _ in range(n_cols)]
+    for i, sup in enumerate(supports):
+        for j in sup:
+            by_col[j].append(i)
+    adj: List[set] = [set() for _ in supports]
+    for rows in by_col:
+        for x in rows:
+            adj[x].update(y for y in rows if y != x)
+
+    def esu(sub: List[int], ext: List[int],
+            root: int) -> Iterator[Tuple[int, ...]]:
+        yield tuple(sub)
+        if len(sub) == k:
+            return
+        seen_nb = set().union(*(adj[v] for v in sub)) | set(sub)
+        for idx, w in enumerate(ext):
+            new_ext = ext[idx + 1:] + sorted(
+                u for u in adj[w] if u > root and u not in seen_nb)
+            sub.append(w)
+            yield from esu(sub, new_ext, root)
+            sub.pop()
+
+    for root in range(len(supports)):
+        yield from esu([root], sorted(u for u in adj[root] if u > root),
+                       root)
+
+
+def reference_kset_infer(fr: Frontiers, k: int, *,
+                         stats: Optional[dict] = None
+                         ) -> List[ForcedAssignment]:
+    """kset_infer evaluated directly: combine_and_infer on every connected
+    row set of <= k rows and every sign vector with the first sign
+    positive."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    evaluated = 0
+    forced: set = set()
+    for sub in _connected_subsets(fr.supports, len(fr.outer), k):
+        for bits in range(1 << (len(sub) - 1)):
+            evaluated += 1
+            signs = [0] + [(bits >> (t - 1)) & 1 for t in range(1, len(sub))]
+            forced.update(combine_and_infer(fr, sub, signs))
+    if stats is not None:
+        stats["evaluated"] = evaluated
+    return sorted(forced)
+
+
+def random_system(rng: np.random.Generator) -> Frontiers:
+    """Random supports (some empty) with labels from -1 to |support| + 1, so
+    inconsistent systems are included."""
+    n_rows = int(rng.integers(0, 9))
+    n_cols = int(rng.integers(1, 11))
+    density = float(rng.uniform(0.1, 0.7))
+    supports = []
+    for _ in range(n_rows):
+        if rng.random() < 0.1:
+            supports.append(())
+        else:
+            supports.append(tuple(np.flatnonzero(
+                rng.random(n_cols) < density).tolist()))
+    labels = tuple(int(rng.integers(-1, len(s) + 2)) for s in supports)
+    return Frontiers(inner=tuple((0, i) for i in range(n_rows)),
+                     outer=tuple((1, j) for j in range(n_cols)),
+                     supports=tuple(supports), labels=labels)
+
+
+def assert_matches_reference(fr: Frontiers, k: int) -> None:
+    got_stats: dict = {}
+    want_stats: dict = {}
+    got = kset_infer(fr, k, stats=got_stats)
+    want = reference_kset_infer(fr, k, stats=want_stats)
+    assert got == want, (fr, k)
+    assert got_stats == want_stats, (fr, k)
 
 
 class TestBuildConstraints:
@@ -269,3 +351,59 @@ class TestKsetInfer:
         fr = make_system([[1]], [1])
         with pytest.raises(ValueError):
             kset_infer(fr, 0)
+
+
+class TestAgainstReference:
+    def test_random_systems(self, rng):
+        for _ in range(400):
+            fr = random_system(rng)
+            for k in (1, 2, 3, 4):
+                assert_matches_reference(fr, k)
+
+    def test_gaps_wider_than_a_byte(self):
+        # A = 0..59, B = 0..19, C = 20..89. Only (+A, -B, +C) is tight: it
+        # forces columns 20..89 to 1. (+A, +B, +C) has r minus the minimum
+        # equal to 130, more than one byte holds.
+        def span(lo, hi):
+            return tuple(range(lo, hi))
+        fr = Frontiers(inner=((0, 0), (0, 1), (0, 2)),
+                       outer=tuple((1, j) for j in range(90)),
+                       supports=(span(0, 60), span(0, 20), span(20, 90)),
+                       labels=(55, 10, 65))
+        assert kset_infer(fr, 2) == []
+        assert kset_infer(fr, 3) == [ForcedAssignment(j, 1)
+                                     for j in range(20, 90)]
+        for k in (1, 2, 3, 4):
+            assert_matches_reference(fr, k)
+
+    def test_reachable_states(self, rng):
+        checked = 0
+        for _ in range(30):
+            state = random_reachable_state(rng, max_outer=16)
+            if state is None:
+                continue
+            fr = build_constraints(state)
+            for k in (1, 2, 3, 4):
+                assert_matches_reference(fr, k)
+            checked += 1
+        assert checked >= 15
+
+
+def test_pinned_evaluations_on_a_seeded_game(monkeypatch):
+    # One n=40, rho=0.225 kset:3 game (master 0, game index 0): its passes
+    # and its (row set, sign vector) count, both as the direct evaluation
+    # of every sign vector gave them.
+    passes = []
+
+    def counting(fr, k, **kwargs):
+        stats: dict = {}
+        out = kset_infer(fr, k, stats=stats)
+        passes.append(stats["evaluated"])
+        return out
+
+    monkeypatch.setattr(minelab.player, "kset_infer", counting)
+    board = generate_board(40, 0.225, game_seed(0, 0.225, 0))
+    record = minelab.player.play_game(board, "kset:3", rho=0.225, seed=0)
+    assert len(passes) == 29
+    assert sum(passes) == 39954
+    assert record.turns == 28

@@ -9,7 +9,7 @@ import pytest
 
 from minelab.board import Board, Boundary, generate_board
 from minelab.percolation import (ClusterStats, Connectivity, NoClusters,
-                                 OccupancyGrid, PercolationConfig, PercRecord,
+                                 OccupancyGrid, PercolationConfig,
                                  avg_cluster_size, cluster_sizes,
                                  independent_occupancy, minesweeper_occupancy,
                                  percolation_sweep)

@@ -7,8 +7,8 @@ import pytest
 from minelab.board import Board, Boundary, GameState, generate_board, parse_overlay
 import minelab.player
 from minelab.cnf import build_formula
-from minelab.player import (GameRecord, Inference, Outcome, Policy, Verdict,
-                            consistency_check, infer_step, play_game)
+from minelab.player import (Outcome, Policy, Verdict, consistency_check,
+                            infer_step, play_game)
 from minelab.sat import Solver
 
 from conftest import (forced_verdicts, load_state, random_reachable_state,

@@ -2,7 +2,6 @@
 coordinate recomputation, and input filtering."""
 from __future__ import annotations
 
-import math
 import re
 
 import pytest

@@ -4,7 +4,6 @@ one instance (kept assumption prefixes, clause-database reduction and
 budget exhaustion between queries), and connected parts."""
 from __future__ import annotations
 
-import itertools
 import random
 
 import numpy as np
