@@ -22,21 +22,17 @@ from .board import Boundary, GenerationExhausted, generate_board
 from .cnf import parse_dimacs, parse_gcnf
 from .gmus import NotUnsat, extract_gmus
 from .harness import (_exhausted_record, _record_to_row, _row_to_cells,
-                      game_seed, parse_grid, parse_sweep_config, run_sweep,
-                      GAMES_COLUMNS)
+                      _validate, game_seed, parse_grid, parse_sweep_config,
+                      run_sweep, GAMES_COLUMNS)
 from .percolation import Connectivity, PercolationConfig, percolation_sweep
 from .player import GameRecord, Policy, Verdict, play_game
 from .plots import EmptyInput, render_plots
 from .sat import Solver
 
 
-def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
-
-
-def _parse_formula(text: str):
+def _read_formula(path: str):
+    """The DIMACS or GCNF formula in a file, or on stdin for -."""
+    text = sys.stdin.read() if path == "-" else Path(path).read_text()
     for line in text.splitlines():
         stripped = line.strip()
         if not stripped or stripped.startswith("c"):
@@ -56,20 +52,18 @@ def _row_line(record: GameRecord, *, include_timing: bool = True) -> str:
     return buf.getvalue().rstrip("\r\n")
 
 
-def _parse_policy(command: str, text: str) -> Optional[Policy]:
-    """The policy text parsed, or None after one error line on stderr."""
-    try:
-        return Policy.parse(text)
-    except ValueError as exc:
-        print(f"minelab {command}: {exc}", file=sys.stderr)
-        return None
+def _input_error(command: str, exc: Exception) -> int:
+    """Print one error line on stderr; the exit status for bad input."""
+    print(f"minelab {command}: {exc}", file=sys.stderr)
+    return 2
 
 
 def cmd_play(args: argparse.Namespace) -> int:
     boundary = Boundary(args.boundary)
-    policy = _parse_policy("play", args.policy)
-    if policy is None:
-        return 2
+    try:
+        policy = Policy.parse(args.policy)
+    except ValueError as exc:
+        return _input_error("play", exc)
     ss = game_seed(args.master, args.rho, args.seed)
     try:
         board = generate_board(args.n, args.rho, ss, boundary)
@@ -103,9 +97,10 @@ def cmd_play(args: argparse.Namespace) -> int:
 
 def cmd_kset(args: argparse.Namespace) -> int:
     boundary = Boundary(args.boundary)
-    policy = _parse_policy("kset", f"kset:{args.k}")
-    if policy is None:
-        return 2
+    try:
+        policy = Policy.parse(f"kset:{args.k}")
+    except ValueError as exc:
+        return _input_error("kset", exc)
     writer = csv.writer(sys.stdout)
     writer.writerow(GAMES_COLUMNS)
     for idx in range(args.seeds):
@@ -122,7 +117,10 @@ def cmd_kset(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    formula = _parse_formula(_read_source(args.file))
+    try:
+        formula = _read_formula(args.file)
+    except (OSError, ValueError) as exc:
+        return _input_error("solve", exc)
     solver = Solver(formula, conflict_budget=args.conflict_budget)
     result = solver.solve(solver.group_ids)
     if result.sat:
@@ -137,15 +135,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_core(args: argparse.Namespace) -> int:
-    formula = _parse_formula(_read_source(args.file))
     try:
+        formula = _read_formula(args.file)
         result = extract_gmus(Solver(formula), args.pivot)
     except NotUnsat:
         print("not unsat under the pivot", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"minelab core: {exc}", file=sys.stderr)
-        return 2
+    except (OSError, ValueError) as exc:
+        return _input_error("core", exc)
     groups = " ".join(str(g + 1) for g in sorted(result.core))
     print(f"groups: {groups}")
     print(f"C = {result.size}")
@@ -175,7 +172,11 @@ def cmd_percolation(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = parse_sweep_config(Path(args.config).read_text())
+    try:
+        config = parse_sweep_config(Path(args.config).read_text())
+        _validate(config)
+    except (OSError, ValueError) as exc:
+        return _input_error("sweep", exc)
     if args.outdir is not None:
         config.outdir = Path(args.outdir)
     if config.outdir is None:

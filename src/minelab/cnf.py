@@ -125,9 +125,12 @@ def _parse_clause_lines(text: str, expect: str):
             want = 4 if expect == "cnf" else 5
             if len(parts) != want or parts[1] != expect:
                 raise ValueError(f"line {lineno}: bad {expect} header {line!r}")
-            header = (int(parts[2]), int(parts[3]))
+            counts = _ints(parts[2:], lineno)
+            if min(counts) < 0:
+                raise ValueError(f"line {lineno}: negative count in {line!r}")
+            header = (counts[0], counts[1])
             if expect == "gcnf":
-                declared_groups = int(parts[4])
+                declared_groups = counts[2]
             continue
         if header is None:
             raise ValueError(f"line {lineno}: clause before header")
@@ -136,11 +139,11 @@ def _parse_clause_lines(text: str, expect: str):
             if not line.startswith("{"):
                 raise ValueError(f"line {lineno}: missing group tag")
             tag, _, rest = line.partition("}")
-            g = int(tag[1:])
+            g = _ints([tag[1:]], lineno)[0]
             if not 1 <= g <= declared_groups:
                 raise ValueError(f"line {lineno}: group {g} out of range")
             line = rest.strip()
-        lits = [int(tok) for tok in line.split()]
+        lits = _ints(line.split(), lineno)
         if not lits or lits[-1] != 0:
             raise ValueError(f"line {lineno}: clause not zero-terminated")
         clause = tuple(lits[:-1])
@@ -154,3 +157,14 @@ def _parse_clause_lines(text: str, expect: str):
     if len(clauses) != header[1]:
         raise ValueError(f"declared {header[1]} clauses, found {len(clauses)}")
     return header[0], clauses
+
+
+def _ints(tokens: List[str], lineno: int) -> List[int]:
+    out = []
+    for tok in tokens:
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected an integer, "
+                             f"got {tok!r}") from None
+    return out

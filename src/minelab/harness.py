@@ -417,39 +417,42 @@ def parse_sweep_config(text: str,
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key == "n":
-            config.ns = tuple(int(v) for v in value.split(","))
-        elif key == "rho":
-            config.rhos = parse_grid(value)
-        elif key == "policies":
-            config.policies = tuple(v.strip() for v in value.split(","))
-        elif key == "games":
-            config.games = int(value)
-        elif key == "seed":
-            config.seed = int(value)
-        elif key == "boundary":
-            config.boundary = Boundary(value)
-        elif key == "outdir":
-            config.outdir = Path(value)
-        elif key == "track_cores":
-            config.track_cores = _parse_bool(value, ln)
-        elif key == "time_budget_s":
-            config.time_budget_s = None if value == "none" else float(value)
-        elif key == "conflict_budget":
-            config.conflict_budget = int(value)
-        elif key == "record_timing":
-            config.record_timing = _parse_bool(value, ln)
-        elif key == "workers":
-            config.workers = int(value)
-        else:
-            raise ValueError(f"line {ln}: unknown key {key!r}")
+        try:
+            if key == "n":
+                config.ns = tuple(int(v) for v in value.split(","))
+            elif key == "rho":
+                config.rhos = parse_grid(value)
+            elif key == "policies":
+                config.policies = tuple(v.strip() for v in value.split(","))
+            elif key == "games":
+                config.games = int(value)
+            elif key == "seed":
+                config.seed = int(value)
+            elif key == "boundary":
+                config.boundary = Boundary(value)
+            elif key == "outdir":
+                config.outdir = Path(value)
+            elif key == "track_cores":
+                config.track_cores = _parse_bool(value)
+            elif key == "time_budget_s":
+                config.time_budget_s = None if value == "none" else float(value)
+            elif key == "conflict_budget":
+                config.conflict_budget = int(value)
+            elif key == "record_timing":
+                config.record_timing = _parse_bool(value)
+            elif key == "workers":
+                config.workers = int(value)
+            else:
+                raise ValueError(f"unknown key {key!r}")
+        except ValueError as exc:
+            raise ValueError(f"line {ln}: {exc}") from None
     return config
 
 
-def _parse_bool(value: str, ln: int) -> bool:
+def _parse_bool(value: str) -> bool:
     lowered = value.lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"line {ln}: expected a boolean, got {value!r}")
+    raise ValueError(f"expected a boolean, got {value!r}")

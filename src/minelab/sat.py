@@ -10,6 +10,8 @@ stored with a guard literal, and activating g means assuming its selector
 variable. The selector-relaxed formula is always satisfiable, so learned
 clauses (implied by it alone) remain valid across queries with any active
 set, and a solver instance can serve thousands of queries on one formula.
+Learned clauses live until a query starts with more than MAX_LEARNTS of
+them; the solver then backtracks to level 0 and drops them all.
 Selectors are numbered num_vars+1, num_vars+2, ... in ascending group id
 order, so a core maps back to group ids by position (core_groups).
 
@@ -45,6 +47,8 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .cnf import GroupedCnf
 
+MAX_LEARNTS = 4000      # more learned clauses than this are all dropped
+
 
 class ResourceLimit(Exception):
     """The per-call conflict budget was exceeded."""
@@ -78,8 +82,9 @@ class Solver:
     Queries with different active groups and assumptions share learned
     clauses, and consecutive queries share the decision levels of their
     common assumption prefix: solve leaves the trail of the last query in
-    place and backtracks only as far as the next one needs. Instances are
-    single-threaded; build one per formula.
+    place and backtracks only as far as the next one needs. Learned clauses
+    live until a query starts with more than MAX_LEARNTS, which then drops
+    them all at level 0. Instances are single-threaded; build one per formula.
     """
 
     def __init__(self, formula: GroupedCnf, *, conflict_budget: int = 1_000_000):
@@ -100,21 +105,16 @@ class Solver:
         self.qhead = 0
         self.order_head = 0
         self.learnts: List[list] = []
-        self.learnt_meta: List[Tuple[int, int]] = []   # (lbd, seq)
-        self.learnt_seq = 0
-        self.max_learnts = 4000
         self.last_assumptions: List[int] = []
         # The last active set: (argument, sorted groups, branching order).
         self._last_active: Tuple[tuple, List[int], List[int]] = ((), [], [])
         occ = [0] * (self.num_vars + 1)
         self.groups = groups = formula.groups
-        self._orig: List[list] = []
         for g in self.group_ids:
             guard = -self.selector_of[g]
             for clause in groups[g]:
                 cl = [guard]
                 cl.extend(clause)
-                self._orig.append(cl)
                 if len(cl) >= 2:
                     self._attach(cl)
                 elif self._value(guard) == 0:
@@ -295,8 +295,8 @@ class Solver:
 
     # -- conflict analysis ---------------------------------------------------
 
-    def _analyze(self, confl: list) -> Tuple[list, int, int]:
-        """First-UIP learned clause, backjump level, and LBD."""
+    def _analyze(self, confl: list) -> Tuple[list, int]:
+        """First-UIP learned clause and backjump level."""
         seen = self.seen
         level = self.level
         reason = self.reason
@@ -333,7 +333,7 @@ class Solver:
         for v in to_clear:
             seen[v] = 0
         if len(learnt) == 1:
-            return learnt, 0, 1
+            return learnt, 0
         # Move a max-level literal to the second watch slot.
         max_i = 1
         max_lvl = level[abs(learnt[1])]
@@ -343,8 +343,7 @@ class Solver:
                 max_lvl = lvl
                 max_i = k
         learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-        lbd = len({level[abs(q)] for q in learnt})
-        return learnt, max_lvl, lbd
+        return learnt, max_lvl
 
     def _analyze_final(self, failed: int) -> FrozenSet[int]:
         """Subset of assumption literals that together force the conflict."""
@@ -379,55 +378,13 @@ class Solver:
 
     # -- learned clause bookkeeping ------------------------------------------
 
-    def _record_learnt(self, learnt: list, lbd: int) -> None:
-        if len(learnt) == 1:
-            self._enqueue(learnt[0], None)
-            return
-        self._attach(learnt)
-        self.learnts.append(learnt)
-        self.learnt_meta.append((lbd, self.learnt_seq))
-        self.learnt_seq += 1
-        self._enqueue(learnt[0], learnt)
-
-    def _reduce_db(self) -> None:
-        """Drop the weaker half of the learned clauses.
-
-        Only called between queries, after solve has backtracked to decision
-        level 0 (queries otherwise keep their assumption levels), with
-        propagation complete; rebuilding the watch lists is safe there as
-        long as watches land on non-false literals and rediscovered units are
-        enqueued.
-        """
-        keep_order = sorted(
-            range(len(self.learnts)),
-            key=lambda i: (self.learnt_meta[i][0], len(self.learnts[i]),
-                           -self.learnt_meta[i][1]))
-        keep_idx = set(keep_order[:len(keep_order) // 2])
-        self.learnts = [self.learnts[i] for i in keep_order if i in keep_idx]
-        self.learnt_meta = [self.learnt_meta[i] for i in keep_order
-                            if i in keep_idx]
+    def _drop_learnts(self) -> None:
+        # At level 0 only. The originals keep valid watches and the facts
+        # keep their values; analysis never reads a level-0 reason.
+        dropped = set(map(id, self.learnts))
         for ws in self.watches:
-            del ws[:]
-        for cl in self._orig:
-            self._rewatch(cl)
-        for cl in self.learnts:
-            self._rewatch(cl)
-        self.max_learnts = int(self.max_learnts * 1.3)
-
-    def _rewatch(self, cl: list) -> None:
-        k = 0
-        for idx in range(len(cl)):
-            if self._value(cl[idx]) != -1:
-                cl[k], cl[idx] = cl[idx], cl[k]
-                k += 1
-                if k == 2:
-                    break
-        if k == 0:
-            raise RuntimeError("formula contradicts itself at level 0")
-        if len(cl) >= 2:
-            self._attach(cl)
-        if k == 1 and self._value(cl[0]) == 0:
-            self._enqueue(cl[0], cl)
+            ws[:] = [cl for cl in ws if id(cl) not in dropped]
+        self.learnts = []
 
     # -- main search -----------------------------------------------------------
 
@@ -456,9 +413,9 @@ class Solver:
             if not 1 <= v <= self.num_vars:
                 raise ValueError(f"assumption {l} references an unknown variable")
             assump.append(l)
-        if len(self.learnts) > self.max_learnts:
+        if len(self.learnts) > MAX_LEARNTS:
             self._cancel_until(0)
-            self._reduce_db()
+            self._drop_learnts()
         else:
             last = self.last_assumptions
             keep = 0
@@ -495,21 +452,24 @@ class Solver:
                         f"conflict budget {budget} exceeded")
                 if not self.trail_lim:
                     return SolveResult(sat=False, core=frozenset())
-                learnt, bt, lbd = self._analyze(confl)
+                learnt, bt = self._analyze(confl)
                 self._cancel_until(bt)
-                self._record_learnt(learnt, lbd)
+                if len(learnt) == 1:
+                    self._enqueue(learnt[0], None)      # a level-0 fact
+                else:
+                    self._attach(learnt)
+                    self.learnts.append(learnt)
+                    self._enqueue(learnt[0], learnt)
                 continue
             lvl = len(self.trail_lim)
             if lvl < nassump:
                 p = assumptions[lvl]
                 v = self._value(p)
-                if v == 1:
-                    self._new_level()     # placeholder level, keeps alignment
-                    continue
                 if v == -1:
                     return SolveResult(sat=False, core=self._analyze_final(p))
-                self._new_level()
-                self._enqueue(p, None)
+                self._new_level()     # a placeholder level if p is true
+                if v == 0:
+                    self._enqueue(p, None)
                 continue
             head = self.order_head
             n_order = len(order)
@@ -527,4 +487,3 @@ class Solver:
         """Group ids, ascending, of the selector literals in an Unsat core."""
         base = self.num_vars + 1
         return sorted(self.group_ids[l - base] for l in core_lits if l >= base)
-

@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
+import random
 
 import pytest
 
@@ -20,6 +22,16 @@ def run_cli(capsys, *argv) -> tuple:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_input_error(result: tuple, command: str, message: str) -> None:
+    """Exit status 2, no output, and one error line naming the problem."""
+    code, out, err = result
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"minelab {command}: ")
+    assert message in err
 
 
 class TestPlay:
@@ -145,8 +157,25 @@ class TestSolve:
     def test_rejects_unknown_format(self, capsys, tmp_path):
         path = tmp_path / "f.txt"
         path.write_text("hello\n")
-        with pytest.raises(ValueError):
-            run_cli(capsys, "solve", str(path))
+        assert_input_error(run_cli(capsys, "solve", str(path)), "solve",
+                           "neither DIMACS")
+
+    @pytest.mark.parametrize("command", ["solve", "core"])
+    @pytest.mark.parametrize("text, message", [
+        ("p cnf x 1\n1 0\n", "line 1: expected an integer, got 'x'"),
+        ("p cnf 2 1\n1 a 0\n", "line 2: expected an integer, got 'a'"),
+        ("p gcnf 2 1 1\n{x} 1 0\n", "line 2: expected an integer, got 'x'"),
+        ("p cnf -2 0\n", "line 1: negative count"),
+        ("p gcnf 2 1 -1\n", "line 1: negative count"),
+        (None, "No such file"),
+    ])
+    def test_rejects_malformed_input(self, capsys, tmp_path, command, text,
+                                     message):
+        path = tmp_path / "f.txt"
+        if text is not None:
+            path.write_text(text)
+        argv = [command, str(path)] + (["1"] if command == "core" else [])
+        assert_input_error(run_cli(capsys, *argv), command, message)
 
 
 class TestCore:
@@ -245,9 +274,65 @@ class TestSweep:
         # k-set games carry no cores, so no core chart is produced.
         assert not (tmp_path / "alt" / "core.svg").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("n = 5\nrho = 0.1\ngames = x\n", "line 3: "),
+        ("n = 5\nrho = 0.1\ngames = 0\n", "games must be at least 1"),
+        ("n = 5\npolicies = dpll\n", "'dpll'"),
+        (None, "No such file"),
+    ])
+    def test_bad_config_fails_before_output(self, capsys, tmp_path, text,
+                                            message):
+        config = tmp_path / "sweep.cfg"
+        if text is not None:
+            config.write_text(text + f"outdir = {tmp_path / 'out'}\n")
+        assert_input_error(run_cli(capsys, "sweep", "--config", str(config)),
+                           "sweep", message)
+        assert not (tmp_path / "out").exists()
+
     def test_missing_outdir_fails(self, capsys, tmp_path):
         config = tmp_path / "sweep.cfg"
         config.write_text("n = 5\nrho = 0.1\ngames = 1\n")
         code, _, err = run_cli(capsys, "sweep", "--config", str(config))
         assert code == 1
         assert "outdir" in err
+
+
+def random_formula_text(rng: random.Random, index: int) -> str:
+    """A seeded random 3-SAT file near the threshold: DIMACS for every third
+    index, otherwise GCNF with groups of one to three consecutive clauses."""
+    nv = rng.randint(6, 80)
+    clauses = []
+    for _ in range(round(nv * rng.uniform(3.6, 5.0))):
+        vs = rng.sample(range(1, nv + 1), 3)
+        clauses.append(" ".join(str(v if rng.random() < 0.5 else -v)
+                                for v in vs) + " 0")
+    if index % 3 == 0:
+        return f"p cnf {nv} {len(clauses)}\n" + "\n".join(clauses) + "\n"
+    tags = []
+    g = 0
+    while len(tags) < len(clauses):
+        g += 1
+        tags.extend([g] * rng.randint(1, 3))
+    lines = [f"{{{t}}} {c}" for t, c in zip(tags, clauses)]
+    return (f"p gcnf {nv} {len(clauses)} {g}\n" + "\n".join(lines) + "\n")
+
+
+class TestPinnedOutput:
+    # sha256 of every solve and core run below: exit code, stdout, stderr.
+    DIGEST = "26bdfddff062d5cc0e927743c684ede39e5a55c32758f20a02b47fe4bd370da6"
+
+    def test_solve_and_core_output_digest(self, capsys, tmp_path):
+        rng = random.Random(2610)
+        digest = hashlib.sha256()
+        for index in range(30):
+            text = random_formula_text(rng, index)
+            path = tmp_path / f"f{index}.txt"
+            path.write_text(text)
+            nv = int(text.split()[2])
+            pivot = rng.randint(1, nv) * rng.choice((1, -1))
+            for argv in (("solve", str(path)),
+                         ("core", str(path), "--", str(pivot))):
+                code, out, err = run_cli(capsys, *argv)
+                digest.update(f"{index} {argv[0]} {code}\n{out}{err}"
+                              .encode())
+        assert digest.hexdigest() == self.DIGEST

@@ -316,3 +316,5 @@ class TestParseSweepConfig:
             parse_sweep_config("cadence = 3\n")
         with pytest.raises(ValueError, match="line 3"):
             parse_sweep_config("\n\ntrack_cores = maybe\n")
+        with pytest.raises(ValueError, match="line 2"):
+            parse_sweep_config("n = 5\ngames = x\n")

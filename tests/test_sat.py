@@ -1,6 +1,6 @@
 """Solver tests: differential checks against truth tables, assumption and
 core semantics, group activation, core-to-group mapping, query sequences on
-one instance (kept assumption prefixes, clause-database reduction and
+one instance (kept assumption prefixes, dropping the learned clauses and
 budget exhaustion between queries), and connected parts."""
 from __future__ import annotations
 
@@ -334,25 +334,31 @@ class TestQuerySequences:
         assert min(opened[n_first:], default=len(solver.group_ids)) >= len(
             solver.group_ids)   # no selector level opened again
 
-    def test_reduce_db_between_queries(self):
+    def test_learnt_drop_between_queries(self, monkeypatch):
+        monkeypatch.setattr("minelab.sat.MAX_LEARNTS", 1)
         rng = random.Random(6008)
-        reduced = 0
+        drops = 0
         for formula in frontier_formulas(3209, 20, max_outer=20):
             solver = Solver(formula)
-            solver.max_learnts = 1
-            reduce_db = solver._reduce_db
+            drop_learnts = solver._drop_learnts
 
             def counted():
-                nonlocal reduced
+                nonlocal drops
                 assert not solver.trail_lim     # only ever at level 0
-                reduced += 1
-                reduce_db()
+                learnts = list(solver.learnts)      # kept alive for id()
+                dropped = set(map(id, learnts))
+                assert len(dropped) > 1
+                drop_learnts()
+                assert not solver.learnts
+                assert not any(id(cl) in dropped
+                               for ws in solver.watches for cl in ws)
+                drops += 1
 
-            solver._reduce_db = counted
+            solver._drop_learnts = counted
             for active, assumptions in query_sequence(rng, formula, 40):
                 res = solver.solve(active, assumptions)
                 check_answer(solver, formula, active, assumptions, res)
-        assert reduced >= 10
+        assert drops >= 10
 
     def test_resource_limit_mid_sequence(self):
         rng = random.Random(4242)
