@@ -27,7 +27,7 @@ from .harness import (_exhausted_record, _record_to_row, _row_to_cells,
 from .percolation import Connectivity, PercolationConfig, percolation_sweep
 from .player import GameRecord, Policy, Verdict, play_game
 from .plots import EmptyInput, render_plots
-from .sat import Solver
+from .sat import ResourceLimit, Solver
 
 
 def _read_formula(path: str):
@@ -71,6 +71,8 @@ def cmd_play(args: argparse.Namespace) -> int:
         print(_row_line(_exhausted_record(args.n, args.rho, str(policy),
                                           args.seed)))
         return 0
+    except ValueError as exc:
+        return _input_error("play", exc)
 
     trace_fn = None
     if args.trace:
@@ -122,7 +124,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         return _input_error("solve", exc)
     solver = Solver(formula, conflict_budget=args.conflict_budget)
-    result = solver.solve(solver.group_ids)
+    try:
+        result = solver.solve(solver.group_ids)
+    except ResourceLimit as exc:
+        print("UNKNOWN")
+        print(f"minelab solve: {exc}", file=sys.stderr)
+        return 1
     if result.sat:
         print("SAT")
         # A variable no clause mentions is absent from the model: False.
@@ -150,12 +157,15 @@ def cmd_core(args: argparse.Namespace) -> int:
 
 
 def cmd_percolation(args: argparse.Namespace) -> int:
-    config = PercolationConfig(
-        mode=args.mode, params=parse_grid(args.param_grid), n=args.n,
-        samples=args.samples, seed=args.seed,
-        boundary=Boundary(args.boundary) if args.boundary else None,
-        connectivity=Connectivity(args.connectivity))
-    records = percolation_sweep(config)
+    try:
+        config = PercolationConfig(
+            mode=args.mode, params=parse_grid(args.param_grid), n=args.n,
+            samples=args.samples, seed=args.seed,
+            boundary=Boundary(args.boundary) if args.boundary else None,
+            connectivity=Connectivity(args.connectivity))
+        records = percolation_sweep(config)
+    except ValueError as exc:
+        return _input_error("percolation", exc)
     writer = csv.writer(sys.stdout)
     writer.writerow(["mode", "param", "n", "s_avg_mean", "s_avg_se",
                      "samples"])

@@ -50,11 +50,9 @@ def encode_exact_count(e: int, vars: Sequence[int]) -> List[Clause]:
     m = len(vars)
     if not 0 <= e <= m:
         raise InfeasibleLabel(f"label {e} infeasible for {m} variables")
-    clauses: List[Clause] = []
-    for sub in itertools.combinations(vars, e + 1):
-        clauses.append(tuple(-v for v in sub))
-    for sub in itertools.combinations(vars, m - e + 1):
-        clauses.append(tuple(sub))
+    clauses: List[Clause] = list(
+        itertools.combinations([-v for v in vars], e + 1))
+    clauses.extend(itertools.combinations(vars, m - e + 1))
     return clauses
 
 

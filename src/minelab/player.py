@@ -21,6 +21,13 @@ groups active fixes a value for each of its variables, and a variable
 already witnessed with value b skips the "forced to not-b" query, since that
 query is satisfiable. Models found inside core extraction activate only a
 subset of groups and are never used as witnesses.
+
+Propagation keeps most of the rest out of the solver: a literal that the
+part's selector levels already make false is a verdict without a query
+(Solver.refuted), and with cores on its core literals are read from the
+same trail (Solver.analyze_final), exactly as the query would return them.
+Only the literals that neither a witness nor propagation settles are
+queried.
 """
 from __future__ import annotations
 
@@ -110,9 +117,11 @@ def infer_step(state: GameState, *, extract_cores: bool = True,
     Builds the formula and one solver once, then takes its connected parts
     in turn, each query naming the part's groups as its active set. Phase 1
     tests the part's variables in ascending order, reusing every model of
-    the part's groups as a witness. Phase 2, when extract_cores is set,
-    attaches a minimal core to each of the part's inferences, found from
-    the core of its verdict query.
+    the part's groups as a witness, and settles a literal that propagation
+    under the part's selectors already refutes without a query (its core
+    is read from the trail only when cores are wanted). Phase 2, when
+    extract_cores is set, attaches a minimal core to each of the part's
+    inferences, found from the core of its verdict query.
     """
     formula = build_formula(state)
     if not formula.groups:
@@ -134,13 +143,19 @@ def infer_step(state: GameState, *, extract_cores: bool = True,
         if not base.sat:
             raise ValueError("state is inconsistent, no inference is meaningful")
         witness(base.model)
-        # Phase 1: (var, verdict, core literals of the verdict query).
+        # Phase 1: (var, verdict, core literals of the verdict query, or
+        # None for a verdict settled by propagation with cores off).
         found = []
         for v in part_vars:
             for lit, seen, verdict in ((v, seen_true, Verdict.SAFE),
                                        (-v, seen_false, Verdict.MINE)):
                 if seen[v]:
                     continue
+                if solver.refuted(groups, lit):
+                    # Propagation under the part's selectors settled it.
+                    found.append((v, verdict, solver.analyze_final(lit)
+                                  if extract_cores else None))
+                    break
                 res = solver.solve(groups, [lit])
                 if res.sat:
                     witness(res.model)

@@ -20,7 +20,14 @@ Consecutive queries share their assumption trail (Hickey & Bacchus,
 levels of the longest common prefix of its assumption list and the previous
 one, and only backtracks and re-assumes past it. The selectors come first,
 in ascending group order, so queries over the same active groups share
-every selector level.
+every selector level; a query that repeats the last active set keeps its
+selector levels without comparing them one by one.
+
+A literal that propagation under the selectors has already made false
+needs no query (Janota, Lynce & Marques-Silva, "Algorithms for computing
+backbones of propositional formulae", AI Comm. 2015): Solver.refuted says
+when the trail alone answers solve(active, [lit]) Unsat, and
+Solver.analyze_final then gives the core that query would return.
 
 Branching picks the unassigned problem variable with the highest occurrence
 count in the original formula, ties broken by lowest variable id, and always
@@ -106,30 +113,40 @@ class Solver:
         self.order_head = 0
         self.learnts: List[list] = []
         self.last_assumptions: List[int] = []
-        # The last active set: (argument, sorted groups, branching order).
+        # The last active set: (argument, branching order, selector
+        # assumptions in ascending group order).
         self._last_active: Tuple[tuple, List[int], List[int]] = ((), [], [])
+        # One sweep over the clauses: watches (guard first, then the
+        # clause's first literal), group variables and occurrence counts.
+        watches = self.watches
         occ = [0] * (self.num_vars + 1)
         self.groups = groups = formula.groups
-        for g in self.group_ids:
-            guard = -self.selector_of[g]
-            for clause in groups[g]:
-                cl = [guard]
-                cl.extend(clause)
-                if len(cl) >= 2:
-                    self._attach(cl)
-                elif self._value(guard) == 0:
-                    # Empty problem clause: its guard is a permanent fact.
-                    self._enqueue(guard, cl)
-                for l in clause:
-                    occ[abs(l)] += 1
         # Group id -> the ascending variables its clauses mention.
-        self.group_vars: Dict[int, List[int]] = {
-            g: sorted(set(map(abs, chain.from_iterable(groups[g]))))
-            for g in self.group_ids}
-        # Variable -> its position in the branching order.
+        self.group_vars: Dict[int, List[int]] = {}
+        group_vars = self.group_vars
+        sel = self.num_vars
+        for g in self.group_ids:
+            sel += 1
+            guard_watch = watches[(sel << 1) | 1]
+            clauses = groups[g]
+            for clause in clauses:
+                if clause:
+                    cl = [-sel, *clause]
+                    guard_watch.append(cl)
+                    l = clause[0]
+                    watches[(l << 1) if l > 0 else ((-l) << 1) | 1].append(cl)
+                    for l in clause:
+                        occ[l if l > 0 else -l] += 1
+                elif self.assigns[sel] == 0:
+                    # Empty problem clause: its guard is a permanent fact.
+                    self._enqueue(-sel, [-sel])
+            group_vars[g] = sorted(set(map(abs, chain.from_iterable(clauses))))
+        # Variable -> its position in the branching order: most occurrences
+        # first, ties by lowest id (the sort is stable).
+        neg_occ = [-c for c in occ]
         rank = [0] * (self.num_vars + 1)
         for i, v in enumerate(sorted(range(1, self.num_vars + 1),
-                                     key=lambda v: (-occ[v], v))):
+                                     key=neg_occ.__getitem__)):
             rank[v] = i
         self.rank = rank
         self._var_groups: Optional[List[List[int]]] = None
@@ -243,6 +260,7 @@ class Solver:
         reason = self.reason
         level = self.level
         qhead = self.qhead
+        cur_level = len(self.trail_lim)
         while qhead < len(trail):
             p = trail[qhead]
             qhead += 1
@@ -250,7 +268,6 @@ class Solver:
             ws = watches[(p << 1) | 1 if p > 0 else (-p) << 1]
             i = j = 0
             end = len(ws)
-            cur_level = len(self.trail_lim)
             while i < end:
                 cl = ws[i]
                 i += 1
@@ -263,32 +280,30 @@ class Solver:
                     ws[j] = cl
                     j += 1
                     continue
-                found = False
                 for k in range(2, len(cl)):
                     q = cl[k]
                     if (assigns[q] if q > 0 else -assigns[-q]) != -1:
                         cl[1] = q
                         cl[k] = fal
                         watches[(q << 1) if q > 0 else ((-q) << 1) | 1].append(cl)
-                        found = True
                         break
-                if found:
-                    continue
-                ws[j] = cl
-                j += 1
-                if ov == -1:
-                    while i < end:
-                        ws[j] = ws[i]
-                        j += 1
-                        i += 1
-                    del ws[j:]
-                    self.qhead = len(trail)
-                    return cl
-                v = other if other > 0 else -other
-                assigns[v] = 1 if other > 0 else -1
-                level[v] = cur_level
-                reason[v] = cl
-                trail.append(other)
+                else:
+                    # No new watch: cl is unit or falsified.
+                    ws[j] = cl
+                    j += 1
+                    if ov == -1:
+                        while i < end:
+                            ws[j] = ws[i]
+                            j += 1
+                            i += 1
+                        del ws[j:]
+                        self.qhead = len(trail)
+                        return cl
+                    v = other if other > 0 else -other
+                    assigns[v] = 1 if other > 0 else -1
+                    level[v] = cur_level
+                    reason[v] = cl
+                    trail.append(other)
             del ws[j:]
         self.qhead = qhead
         return None
@@ -345,8 +360,9 @@ class Solver:
         learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
         return learnt, max_lvl
 
-    def _analyze_final(self, failed: int) -> FrozenSet[int]:
-        """Subset of assumption literals that together force the conflict."""
+    def analyze_final(self, failed: int) -> FrozenSet[int]:
+        """The core of a literal that is false on the trail: failed and the
+        assumption literals whose propagation falsified it."""
         core = {failed}
         level = self.level
         if level[abs(failed)] == 0:
@@ -395,10 +411,16 @@ class Solver:
         Assumption literals must reference problem variables. The trail
         stays in place afterwards; the next query keeps the levels of the
         assumption prefix it shares with this one. An active set equal to
-        the last one reuses its sorted groups and branching order.
+        the last one reuses its branching order and selector assumptions, and
+        keeps their levels still on the trail without comparing them.
         """
         key = tuple(active_groups)
-        last_key, actives, order = self._last_active
+        extra = list(assumptions)
+        for l in extra:
+            if not 1 <= abs(l) <= self.num_vars:
+                raise ValueError(f"assumption {l} references an unknown variable")
+        last_key, order, sel = self._last_active
+        keep = 0
         if key != last_key:
             actives = sorted(set(key))
             group_vars = self.group_vars
@@ -406,19 +428,17 @@ class Solver:
             for g in actives:
                 branch.update(group_vars[g])
             order = sorted(branch, key=self.rank.__getitem__)
-            self._last_active = (key, actives, order)
-        assump: List[int] = [self.selector_of[g] for g in actives]
-        for l in assumptions:
-            v = abs(l)
-            if not 1 <= v <= self.num_vars:
-                raise ValueError(f"assumption {l} references an unknown variable")
-            assump.append(l)
+            sel = [self.selector_of[g] for g in actives]
+            self._last_active = (key, order, sel)
+        else:
+            # The last query assumed the same selectors first.
+            keep = min(len(sel), len(self.trail_lim))
+        assump = sel + extra
         if len(self.learnts) > MAX_LEARNTS:
             self._cancel_until(0)
             self._drop_learnts()
         else:
             last = self.last_assumptions
-            keep = 0
             limit = min(len(last), len(assump), len(self.trail_lim))
             while keep < limit and last[keep] == assump[keep]:
                 keep += 1
@@ -434,9 +454,30 @@ class Solver:
             raise
         if res.sat:
             # The assumptions decide their variables too.
-            for l in assump[len(actives):]:
+            for l in extra:
                 res.model[abs(l)] = l > 0
         return res
+
+    def refuted(self, active_groups: Iterable[int], lit: int) -> bool:
+        """Does the trail already answer solve(active_groups, [lit]) Unsat.
+
+        True when the last query named the same active groups, its selector
+        levels are still on the trail, no learned-clause drop is due, and
+        lit is false at one of those levels (or at level 0). That query
+        would keep exactly those levels and return Unsat without search or
+        learned clause, with the core analyze_final(lit) reads now; the
+        next query cancels to the same selector levels whether it was asked
+        or not, so skipping it changes no later answer.
+        """
+        if not 1 <= abs(lit) <= self.num_vars:
+            raise ValueError(f"literal {lit} references an unknown variable")
+        key, _, sel = self._last_active
+        n_sel = len(sel)
+        return (len(self.trail_lim) >= n_sel
+                and self._value(lit) == -1
+                and self.level[abs(lit)] <= n_sel
+                and len(self.learnts) <= MAX_LEARNTS
+                and tuple(active_groups) == key)
 
     def _search(self, assumptions: List[int], order: List[int]) -> SolveResult:
         conflicts = 0
@@ -466,7 +507,7 @@ class Solver:
                 p = assumptions[lvl]
                 v = self._value(p)
                 if v == -1:
-                    return SolveResult(sat=False, core=self._analyze_final(p))
+                    return SolveResult(sat=False, core=self.analyze_final(p))
                 self._new_level()     # a placeholder level if p is true
                 if v == 0:
                     self._enqueue(p, None)

@@ -85,6 +85,10 @@ class TestPlay:
         assert err.startswith("minelab play: ")
         assert repr(policy) in err
 
+    def test_bad_board_size_fails_before_output(self, capsys):
+        assert_input_error(run_cli(capsys, "play", "--n", "0", "--rho", "0.1"),
+                           "play", "at least one empty site")
+
     def test_impossible_board_prints_exhausted_row(self, capsys):
         code, out, _ = run_cli(capsys, "play", "--n", "4", "--rho", "0.5625")
         assert code == 0
@@ -145,6 +149,18 @@ class TestSolve:
         code, out, _ = run_cli(capsys, "solve", str(path))
         assert code == 0
         assert out.strip() == "UNSAT"
+
+    def test_exceeded_conflict_budget_prints_unknown(self, capsys, tmp_path):
+        # Unsatisfiable, and the search needs conflicts to show it.
+        path = tmp_path / "f.cnf"
+        path.write_text("p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n")
+        code, out, err = run_cli(capsys, "solve", str(path),
+                                 "--conflict-budget", "0")
+        assert code == 1
+        assert out == "UNKNOWN\n"
+        assert err == "minelab solve: conflict budget 0 exceeded\n"
+        code, out, _ = run_cli(capsys, "solve", str(path))
+        assert (code, out) == (0, "UNSAT\n")
 
     def test_gcnf_input(self, capsys, tmp_path):
         state = load_state("mine_row.state", board_name="mine_row.board")
@@ -237,6 +253,12 @@ class TestPercolation:
         assert [r[1] for r in rows[1:]] == ["0.4", "0.5", "0.6"]
         assert svg.exists()
         assert "<svg" in svg.read_text()
+
+    def test_bad_grid_fails_before_output(self, capsys):
+        assert_input_error(
+            run_cli(capsys, "percolation", "--mode", "independent",
+                    "--param-grid", "x"),
+            "percolation", "could not convert string to float: 'x'")
 
     def test_grid_parses_like_sweep_rho(self, capsys, monkeypatch):
         seen = []

@@ -1,18 +1,107 @@
 """Game-player tests: inference passes against an exhaustive placement
-oracle, full-game invariants, policies, budgets, and tracing."""
+oracle and against the pass that queries every unwitnessed literal, a
+pinned digest of pass output, full-game invariants, policies, budgets, and
+tracing."""
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 
-from minelab.board import Board, Boundary, GameState, generate_board, parse_overlay
+from minelab.board import (COVERED, Board, Boundary, GameState,
+                           GenerationExhausted, flag, generate_board,
+                           parse_overlay, reveal)
 import minelab.player
 from minelab.cnf import build_formula
-from minelab.player import (Outcome, Policy, Verdict, consistency_check,
-                            infer_step, play_game)
+from minelab.gmus import extract_gmus
+from minelab.player import (Inference, Outcome, Policy, Verdict,
+                            consistency_check, infer_step, play_game)
 from minelab.sat import Solver
 
 from conftest import (forced_verdicts, load_state, random_reachable_state,
                       solve)
+
+
+def reference_infer_step(state: GameState, *,
+                         extract_cores: bool = True) -> list:
+    """infer_step as it was before propagation-settled verdicts: the same
+    parts, witnesses and phases, but every literal that no witness rules out
+    is asked of the solver."""
+    formula = build_formula(state)
+    if not formula.groups:
+        return []
+    solver = Solver(formula)
+    seen_true = bytearray(formula.num_vars + 1)
+    seen_false = bytearray(formula.num_vars + 1)
+
+    def witness(model):
+        for v, value in model.items():
+            (seen_true if value else seen_false)[v] = 1
+
+    inferences = []
+    for groups, part_vars in solver.parts:
+        base = solver.solve(groups)
+        assert base.sat
+        witness(base.model)
+        found = []
+        for v in part_vars:
+            for lit, seen, verdict in ((v, seen_true, Verdict.SAFE),
+                                       (-v, seen_false, Verdict.MINE)):
+                if seen[v]:
+                    continue
+                res = solver.solve(groups, [lit])
+                if res.sat:
+                    witness(res.model)
+                    continue
+                found.append((v, verdict, res.core))
+                break
+        for v, verdict, core_lits in found:
+            core = None
+            if extract_cores:
+                pivot = v if verdict is Verdict.SAFE else -v
+                core = extract_gmus(solver, pivot,
+                                    initial_core=solver.core_groups(core_lits))
+            inferences.append(
+                Inference(formula.var_sites[v - 1], verdict, core))
+    inferences.sort(key=lambda inf: inf.site)
+    return inferences
+
+
+def pass_states(board: Board):
+    """The state before every sat pass of a game on board, each pass applied
+    as play_game applies it (flags first, then reveals)."""
+    state = GameState(board)
+    reveal(state, board.start)
+    while True:
+        yield state
+        inferences = infer_step(state, extract_cores=False)
+        if not inferences:
+            return
+        for inf in inferences:
+            if inf.verdict is Verdict.MINE:
+                flag(state, inf.site)
+        for inf in inferences:
+            if (inf.verdict is Verdict.SAFE
+                    and int(state.status[inf.site]) == COVERED):
+                reveal(state, inf.site)
+
+
+def seeded_boards(count: int):
+    """Boards of n = 8..20 near the hardness peak, seeded by index; boards
+    that cannot be generated are skipped."""
+    for i in range(count):
+        try:
+            yield generate_board(8 + i % 13, (0.14, 0.18, 0.22, 0.25)[i % 4],
+                                 i)
+        except GenerationExhausted:
+            continue
+
+
+def pass_output(inferences) -> list:
+    """Sites, verdicts and sorted core groups of a pass."""
+    return [(inf.site, inf.verdict.value,
+             sorted(inf.core.core) if inf.core is not None else None)
+            for inf in inferences]
 
 
 class TestInferStep:
@@ -101,6 +190,37 @@ class TestInferStep:
                     == [(i.site, i.verdict) for i in without])
             assert all(i.core is None for i in without)
 
+    def test_matches_the_pass_that_queries_every_literal(self, monkeypatch):
+        # Same inferences, order and cores, with fewer solver queries: a
+        # literal that propagation under the part's selectors already
+        # refutes is settled without one.
+        calls = {infer_step: 0, reference_infer_step: 0}
+        solve = Solver.solve
+
+        def counted(infer, state, cores):
+            def solve_counted(solver, *args):
+                calls[infer] += 1
+                return solve(solver, *args)
+
+            monkeypatch.setattr(Solver, "solve", solve_counted)
+            try:
+                return infer(state, extract_cores=cores)
+            finally:
+                monkeypatch.setattr(Solver, "solve", solve)
+
+        passes = with_cores = 0
+        for board in seeded_boards(24):
+            for state in pass_states(board):
+                for cores in (True, False):
+                    got = counted(infer_step, state, cores)
+                    want = counted(reference_infer_step, state, cores)
+                    assert pass_output(got) == pass_output(want)
+                    assert [i.core for i in got] == [i.core for i in want]
+                    with_cores += cores and len(got) > 0
+                passes += 1
+        assert passes >= 100 and with_cores >= 50
+        assert calls[infer_step] < calls[reference_infer_step]
+
     def test_empty_frontier_returns_nothing(self):
         board = Board(4, Boundary.OPEN, {(0, 0)})
         assert infer_step(GameState(board)) == []
@@ -122,6 +242,24 @@ class TestInferStep:
     def test_diagonal_wall_defeats_full_inference(self):
         state = load_state("ambiguous_pocket.state", Boundary.OPEN)
         assert infer_step(state) == []
+
+
+class TestPinnedPasses:
+    # sha256 of every pass of games on 40 seeded boards, cores on: sites,
+    # verdicts and sorted core groups. A change that claims to keep the
+    # engine's results must keep it.
+    DIGEST = "be9269ecb9f97e0baa8c38660a79e9551736ffd936b606f18ad566fb71c2514a"
+
+    def test_pass_output_digest(self):
+        digest = hashlib.sha256()
+        boards = 0
+        for i, board in enumerate(seeded_boards(40)):
+            boards += 1
+            for turn, state in enumerate(pass_states(board)):
+                out = pass_output(infer_step(state, extract_cores=True))
+                digest.update(f"{i} {turn} {out}\n".encode())
+        assert boards >= 35
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestConsistencyCheck:
