@@ -165,6 +165,19 @@ class Board:
                 f"mines={len(self.mines)})")
 
 
+def check_board_shape(n: int, rho: float, boundary: Boundary) -> None:
+    """Raise ValueError unless generate_board can lay floor(n*n*rho) mines
+    on an n x n board with this boundary: rho must lie in [0, 1], one site
+    must stay empty, and a torus needs n >= 3, since on a smaller one a
+    mine is counted more than once in a neighbor's label."""
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError("rho must lie in [0, 1]")
+    if int(np.floor(n * n * rho)) >= n * n:
+        raise ValueError("board must keep at least one empty site")
+    if boundary is Boundary.TORUS and n < 3:
+        raise ValueError("torus boundary requires n >= 3")
+
+
 def generate_board(n: int, rho: float, seed, boundary: Boundary = Boundary.TORUS,
                    require_zero: bool = True, max_attempts: int = 10_000) -> Board:
     """Place floor(n*n*rho) mines uniformly at random.
@@ -183,14 +196,12 @@ def generate_board(n: int, rho: float, seed, boundary: Boundary = Boundary.TORUS
       max_attempts: rejection budget before GenerationExhausted.
 
     Raises:
+      ValueError: check_board_shape rejects (n, rho, boundary).
       GenerationExhausted: require_zero unmet within the budget.
     """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
+    check_board_shape(n, rho, boundary)
     total = n * n
     m = int(np.floor(total * rho))
-    if m >= total:
-        raise ValueError("board must keep at least one empty site")
     rng = np.random.default_rng(seed)
     attempts = max_attempts if require_zero else 1
     for _ in range(attempts):

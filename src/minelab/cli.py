@@ -18,7 +18,8 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .board import Boundary, GenerationExhausted, generate_board
+from .board import (Boundary, GenerationExhausted, check_board_shape,
+                    generate_board)
 from .cnf import parse_dimacs, parse_gcnf
 from .gmus import NotUnsat, extract_gmus
 from .harness import (_exhausted_record, _record_to_row, _row_to_cells,
@@ -64,8 +65,8 @@ def cmd_play(args: argparse.Namespace) -> int:
         policy = Policy.parse(args.policy)
     except ValueError as exc:
         return _input_error("play", exc)
-    ss = game_seed(args.master, args.rho, args.seed)
     try:
+        ss = game_seed(args.master, args.rho, args.seed)
         board = generate_board(args.n, args.rho, ss, boundary)
     except GenerationExhausted:
         print(_row_line(_exhausted_record(args.n, args.rho, str(policy),
@@ -101,6 +102,8 @@ def cmd_kset(args: argparse.Namespace) -> int:
     boundary = Boundary(args.boundary)
     try:
         policy = Policy.parse(f"kset:{args.k}")
+        check_board_shape(args.n, args.rho, boundary)
+        game_seed(args.master, args.rho, 0)     # a bad master fails here
     except ValueError as exc:
         return _input_error("kset", exc)
     writer = csv.writer(sys.stdout)

@@ -28,7 +28,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .board import Boundary, GenerationExhausted, generate_board
+from .board import (Boundary, GenerationExhausted, check_board_shape,
+                    generate_board)
 from .player import GameRecord, Outcome, Policy, play_game
 
 GAMES_COLUMNS = ("n", "rho", "policy", "seed", "alpha", "max_core",
@@ -286,6 +287,9 @@ def _validate(config: SweepConfig) -> None:
         raise ValueError("ns must be a nonempty list of positive sizes")
     if not config.rhos or any(not 0.0 <= r < 1.0 for r in config.rhos):
         raise ValueError("rhos must be a nonempty list of densities in [0, 1)")
+    for n in config.ns:
+        for rho in config.rhos:
+            check_board_shape(n, rho, config.boundary)
     if config.games < 1:
         raise ValueError("games must be at least 1")
     if not config.policies:

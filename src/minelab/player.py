@@ -28,6 +28,18 @@ part's selector levels already make false is a verdict without a query
 same trail (Solver.analyze_final), exactly as the query would return them.
 Only the literals that neither a witness nor propagation settles are
 queried.
+
+With cores off a pass reads verdicts only, so it builds a selector-free
+solver (every group takes part in every query, which gives the same
+verdicts, since a part shares no variable with the others and an
+inconsistent state still fails the base query of some part) and steers its
+branching: each decision tries the value its variable has not yet shown in
+a witness, so that every model rules out as many queries as it can
+(Janota, Lynce & Marques-Silva, AI Comm. 2015). A pass infers the backbone
+of each part, which no search order changes; only which witnesses are
+found, and so how many queries are asked, moves. Cores on keep selectors
+and the unsteered search, since the cores found depend on the solver's
+history.
 """
 from __future__ import annotations
 
@@ -121,21 +133,31 @@ def infer_step(state: GameState, *, extract_cores: bool = True,
     under the part's selectors already refutes without a query (its core
     is read from the trail only when cores are wanted). Phase 2, when
     extract_cores is set, attaches a minimal core to each of the part's
-    inferences, found from the core of its verdict query.
+    inferences, found from the core of its verdict query. Without
+    extract_cores the solver has no selectors (propagation then settles
+    what is false at level 0), and its decisions try each variable's value
+    that no witness has shown yet.
     """
     formula = build_formula(state)
     if not formula.groups:
         return []
-    solver = Solver(formula, conflict_budget=conflict_budget)
+    solver = Solver(formula, conflict_budget=conflict_budget,
+                    selectors=extract_cores)
     seen_true = bytearray(formula.num_vars + 1)
     seen_false = bytearray(formula.num_vars + 1)
+    # With cores off, each decision tries the value its variable has not yet
+    # shown in a model; cores on keep the unsteered search their cores were
+    # found with, and their phases go to an array the solver never reads.
+    phase = bytearray(formula.num_vars + 1) if extract_cores else solver.phase
 
     def witness(model):
         for v, value in model.items():
             if value:
                 seen_true[v] = 1
+                phase[v] = 0
             else:
                 seen_false[v] = 1
+                phase[v] = 1
 
     inferences: List[Inference] = []
     for groups, part_vars in solver.parts:
@@ -152,7 +174,7 @@ def infer_step(state: GameState, *, extract_cores: bool = True,
                 if seen[v]:
                     continue
                 if solver.refuted(groups, lit):
-                    # Propagation under the part's selectors settled it.
+                    # Propagation (under the part's selectors) settled it.
                     found.append((v, verdict, solver.analyze_final(lit)
                                   if extract_cores else None))
                     break

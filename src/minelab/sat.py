@@ -15,6 +15,19 @@ them; the solver then backtracks to level 0 and drops them all.
 Selectors are numbered num_vars+1, num_vars+2, ... in ascending group id
 order, so a core maps back to group ids by position (core_groups).
 
+A caller that reads no cores can build the solver with selectors=False.
+Its clauses are then stored bare, watched on their first two literals,
+unit clauses are level-0 facts, and the formula is propagated once at
+construction. No selector variable exists, and every group's clauses take
+part in every query's propagation, so an active set must be a union of
+Solver.parts that holds the assumption variables: it only picks the
+branching variables. Sat gives a model of the active groups, as with
+selectors; Unsat means the whole formula with the assumptions is
+unsatisfiable. The answers are the selector solver's whenever every part
+is satisfiable. An empty clause or a conflict at level 0 makes every later
+query Unsat with an empty core. Learned clauses carry no selector, and a
+learned unit is a permanent fact.
+
 Consecutive queries share their assumption trail (Hickey & Bacchus,
 "Speeding Up Assumption-Based SAT", SAT 2019): a query keeps the decision
 levels of the longest common prefix of its assumption list and the previous
@@ -27,14 +40,17 @@ A literal that propagation under the selectors has already made false
 needs no query (Janota, Lynce & Marques-Silva, "Algorithms for computing
 backbones of propositional formulae", AI Comm. 2015): Solver.refuted says
 when the trail alone answers solve(active, [lit]) Unsat, and
-Solver.analyze_final then gives the core that query would return.
+Solver.analyze_final then gives the core that query would return. Without
+selectors, refuted means "false at level 0".
 
 Branching picks the unassigned problem variable with the highest occurrence
-count in the original formula, ties broken by lowest variable id, and always
-tries value false first. Every query names its active groups and branches
-only on their variables (assumptions assign their own variables); a caller
-that wants the whole formula names Solver.group_ids. Selector variables are
-never branched on. Once the branching variables are assigned and
+count in the original formula, ties broken by lowest variable id, and tries
+the value in Solver.phase: false unless a caller set the variable's bit, so
+a solver nobody steers always tries false first. Every query names its
+active groups and branches only on their variables (assumptions assign
+their own variables); a caller that wants the whole formula names
+Solver.group_ids. Selector variables are never branched on. Once the
+branching variables are assigned and
 propagation is quiet, every clause of an active group has all its literals
 assigned and none falsified, so it is satisfied; setting the
 unassigned selectors false satisfies every other guarded clause and every
@@ -92,15 +108,23 @@ class Solver:
     place and backtracks only as far as the next one needs. Learned clauses
     live until a query starts with more than MAX_LEARNTS, which then drops
     them all at level 0. Instances are single-threaded; build one per formula.
+
+    selectors=False stores the clauses without guards, and every group
+    takes part in every query (see the module docstring): it serves a
+    caller that reads no cores and names unions of parts as active sets.
+    phase (variable -> 1 to try true first) steers the decisions.
     """
 
-    def __init__(self, formula: GroupedCnf, *, conflict_budget: int = 1_000_000):
+    def __init__(self, formula: GroupedCnf, *, conflict_budget: int = 1_000_000,
+                 selectors: bool = True):
         self.conflict_budget = conflict_budget
         self.num_vars = formula.num_vars
         self.group_ids = sorted(formula.groups)
-        self.selector_of = {g: self.num_vars + 1 + i
-                            for i, g in enumerate(self.group_ids)}
-        nv = self.num_vars + len(self.group_ids)
+        self.selectors = selectors
+        self.selector_of = ({g: self.num_vars + 1 + i
+                             for i, g in enumerate(self.group_ids)}
+                            if selectors else {})
+        nv = self.num_vars + len(self.selector_of)
         self.assigns = [0] * (nv + 1)      # 0 unassigned, 1 true, -1 false
         self.level = [0] * (nv + 1)
         self.reason: List[Optional[list]] = [None] * (nv + 1)
@@ -113,34 +137,70 @@ class Solver:
         self.order_head = 0
         self.learnts: List[list] = []
         self.last_assumptions: List[int] = []
+        # Variable -> the value a decision on it tries: set means true.
+        self.phase = bytearray(self.num_vars + 1)
+        # Set once the formula is known unsatisfiable with every group
+        # enforced; only a selector-free solver can learn that.
+        self._unsat = False
         # The last active set: (argument, branching order, selector
         # assumptions in ascending group order).
         self._last_active: Tuple[tuple, List[int], List[int]] = ((), [], [])
-        # One sweep over the clauses: watches (guard first, then the
-        # clause's first literal), group variables and occurrence counts.
+        # One sweep over the clauses: watches, group variables and
+        # occurrence counts.
         watches = self.watches
         occ = [0] * (self.num_vars + 1)
         self.groups = groups = formula.groups
         # Group id -> the ascending variables its clauses mention.
         self.group_vars: Dict[int, List[int]] = {}
         group_vars = self.group_vars
-        sel = self.num_vars
-        for g in self.group_ids:
-            sel += 1
-            guard_watch = watches[(sel << 1) | 1]
-            clauses = groups[g]
-            for clause in clauses:
-                if clause:
-                    cl = [-sel, *clause]
-                    guard_watch.append(cl)
-                    l = clause[0]
-                    watches[(l << 1) if l > 0 else ((-l) << 1) | 1].append(cl)
+        if selectors:
+            # Guarded clauses, watched on the guard and the first literal.
+            sel = self.num_vars
+            for g in self.group_ids:
+                sel += 1
+                guard_watch = watches[(sel << 1) | 1]
+                clauses = groups[g]
+                for clause in clauses:
+                    if clause:
+                        cl = [-sel, *clause]
+                        guard_watch.append(cl)
+                        l = clause[0]
+                        watches[(l << 1) if l > 0 else ((-l) << 1) | 1].append(cl)
+                        for l in clause:
+                            occ[l if l > 0 else -l] += 1
+                    elif self.assigns[sel] == 0:
+                        # Empty problem clause: its guard is a permanent fact.
+                        self._enqueue(-sel, [-sel])
+                group_vars[g] = sorted(set(map(abs, chain.from_iterable(clauses))))
+        else:
+            # Bare clauses, watched on their first two literals; a unit
+            # clause is a level-0 fact.
+            units = []
+            for g in self.group_ids:
+                clauses = groups[g]
+                for clause in clauses:
+                    if len(clause) > 1:
+                        cl = list(clause)
+                        l = cl[0]
+                        watches[(l << 1) if l > 0 else ((-l) << 1) | 1].append(cl)
+                        l = cl[1]
+                        watches[(l << 1) if l > 0 else ((-l) << 1) | 1].append(cl)
+                    elif clause:
+                        units.append(clause[0])
+                    else:
+                        self._unsat = True
                     for l in clause:
                         occ[l if l > 0 else -l] += 1
-                elif self.assigns[sel] == 0:
-                    # Empty problem clause: its guard is a permanent fact.
-                    self._enqueue(-sel, [-sel])
-            group_vars[g] = sorted(set(map(abs, chain.from_iterable(clauses))))
+                group_vars[g] = sorted(set(map(abs, chain.from_iterable(clauses))))
+            for l in units:
+                value = self._value(l)
+                if value == -1:
+                    self._unsat = True
+                elif value == 0:
+                    self._enqueue(l, None)
+            # The facts' consequences, once for every query.
+            if not self._unsat and self._propagate() is not None:
+                self._unsat = True
         # Variable -> its position in the branching order: most occurrences
         # first, ties by lowest id (the sort is stable).
         neg_occ = [-c for c in occ]
@@ -413,12 +473,17 @@ class Solver:
         assumption prefix it shares with this one. An active set equal to
         the last one reuses its branching order and selector assumptions, and
         keeps their levels still on the trail without comparing them.
+        Without selectors every group takes part in propagation:
+        active_groups must be a union of parts that holds the assumption
+        variables, and only picks the variables the query branches on.
         """
         key = tuple(active_groups)
         extra = list(assumptions)
         for l in extra:
             if not 1 <= abs(l) <= self.num_vars:
                 raise ValueError(f"assumption {l} references an unknown variable")
+        if self._unsat:
+            return SolveResult(sat=False, core=frozenset())
         last_key, order, sel = self._last_active
         keep = 0
         if key != last_key:
@@ -428,7 +493,8 @@ class Solver:
             for g in actives:
                 branch.update(group_vars[g])
             order = sorted(branch, key=self.rank.__getitem__)
-            sel = [self.selector_of[g] for g in actives]
+            sel = ([self.selector_of[g] for g in actives] if self.selectors
+                   else [])
             self._last_active = (key, order, sel)
         else:
             # The last query assumed the same selectors first.
@@ -467,10 +533,13 @@ class Solver:
         would keep exactly those levels and return Unsat without search or
         learned clause, with the core analyze_final(lit) reads now; the
         next query cancels to the same selector levels whether it was asked
-        or not, so skipping it changes no later answer.
+        or not, so skipping it changes no later answer. Without selectors it
+        is True when lit is false at level 0, a fact no query undoes.
         """
         if not 1 <= abs(lit) <= self.num_vars:
             raise ValueError(f"literal {lit} references an unknown variable")
+        if not self.selectors:
+            return self._value(lit) == -1 and self.level[abs(lit)] == 0
         key, _, sel = self._last_active
         n_sel = len(sel)
         return (len(self.trail_lim) >= n_sel
@@ -483,6 +552,7 @@ class Solver:
         conflicts = 0
         budget = self.conflict_budget
         assigns = self.assigns
+        phase = self.phase
         nassump = len(assumptions)
         while True:
             confl = self._propagate()
@@ -492,6 +562,7 @@ class Solver:
                     raise ResourceLimit(
                         f"conflict budget {budget} exceeded")
                 if not self.trail_lim:
+                    self._unsat = True
                     return SolveResult(sat=False, core=frozenset())
                 learnt, bt = self._analyze(confl)
                 self._cancel_until(bt)
@@ -522,7 +593,7 @@ class Solver:
                 return SolveResult(sat=True, model=model)
             var = order[head]
             self._new_level()
-            self._enqueue(-var, None)
+            self._enqueue(var if phase[var] else -var, None)
 
     def core_groups(self, core_lits: Iterable[int]) -> List[int]:
         """Group ids, ascending, of the selector literals in an Unsat core."""

@@ -118,6 +118,13 @@ class TestBoardAndLabels:
         with pytest.raises(ValueError):
             generate_board(5, 1.5, 0)
 
+    def test_small_torus_rejected(self):
+        # A 2x2 torus would count a mine up to four times in one label.
+        for n in (1, 2):
+            with pytest.raises(ValueError, match="n >= 3"):
+                generate_board(n, 0.1, 0)
+            generate_board(n, 0.1, 0, Boundary.OPEN)
+
 
 class TestMoves:
     def test_zero_flood_fills_everything(self):

@@ -89,6 +89,18 @@ class TestPlay:
         assert_input_error(run_cli(capsys, "play", "--n", "0", "--rho", "0.1"),
                            "play", "at least one empty site")
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--seed", "non-negative integer"),
+        ("--master", "non-negative integer"),
+    ])
+    def test_negative_seed_fails_before_output(self, capsys, flag, message):
+        assert_input_error(run_cli(capsys, "play", "--n", "10", "--rho",
+                                   "0.1", flag, "-1"), "play", message)
+
+    def test_small_torus_fails_before_output(self, capsys):
+        assert_input_error(run_cli(capsys, "play", "--n", "2", "--rho", "0.1"),
+                           "play", "n >= 3")
+
     def test_impossible_board_prints_exhausted_row(self, capsys):
         code, out, _ = run_cli(capsys, "play", "--n", "4", "--rho", "0.5625")
         assert code == 0
@@ -117,6 +129,16 @@ class TestKsetBatch:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("minelab kset: ")
         assert f"kset:{k}" in err
+
+    @pytest.mark.parametrize("args, message", [
+        (("--n", "0", "--rho", "0.1"), "at least one empty site"),
+        (("--n", "6", "--rho", "1.5"), "rho must lie in [0, 1]"),
+        (("--n", "6", "--rho", "0.1", "--master", "-2"),
+         "non-negative integer"),
+    ])
+    def test_bad_board_fails_before_output(self, capsys, args, message):
+        assert_input_error(run_cli(capsys, "kset", "--k", "1", "--seeds", "1",
+                                   *args), "kset", message)
 
 
 class TestSolve:
@@ -299,6 +321,7 @@ class TestSweep:
     @pytest.mark.parametrize("text, message", [
         ("n = 5\nrho = 0.1\ngames = x\n", "line 3: "),
         ("n = 5\nrho = 0.1\ngames = 0\n", "games must be at least 1"),
+        ("n = 5, 2\nrho = 0.1\n", "torus boundary requires n >= 3"),
         ("n = 5\npolicies = dpll\n", "'dpll'"),
         (None, "No such file"),
     ])

@@ -262,6 +262,9 @@ class TestRunSweep:
             run_sweep(small_config(tmp_path, games=0))
         with pytest.raises(ValueError):
             run_sweep(small_config(tmp_path, policies=("magic",)))
+        with pytest.raises(ValueError, match="n >= 3"):
+            run_sweep(small_config(tmp_path, ns=(5, 2)))
+        assert not (tmp_path / "out").exists()   # before any game
 
 
 class TestParseSweepConfig:

@@ -112,9 +112,11 @@ class TestInferStep:
             if state is None or not consistency_check(state):
                 continue
             oracle = forced_verdicts(state)
-            got = {inf.site: inf.verdict is Verdict.MINE
-                   for inf in infer_step(state)}
-            assert got == oracle
+            for extract_cores in (True, False):
+                got = {inf.site: inf.verdict is Verdict.MINE
+                       for inf in infer_step(state,
+                                             extract_cores=extract_cores)}
+                assert got == oracle, extract_cores
             checked += 1
         assert checked >= 30
 
@@ -227,8 +229,9 @@ class TestInferStep:
 
     def test_inconsistent_state_rejected(self):
         state = load_state("mine_row_swapped.state", Boundary.OPEN)
-        with pytest.raises(ValueError):
-            infer_step(state)
+        for extract_cores in (True, False):
+            with pytest.raises(ValueError):
+                infer_step(state, extract_cores=extract_cores)
 
     def test_mine_row_single_mine_inference(self):
         state = load_state("mine_row.state", board_name="mine_row.board")
