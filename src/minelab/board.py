@@ -33,18 +33,8 @@ class Boundary(enum.Enum):
     OPEN = "open"
 
 
-class Status(enum.Enum):
-    COVERED = COVERED
-    REVEALED = REVEALED
-    FLAGGED = FLAGGED
-
-
 class IllegalMove(Exception):
     """A reveal or flag that violates the game rules."""
-
-
-class IllegalQuery(Exception):
-    """A state query whose precondition does not hold."""
 
 
 class GenerationExhausted(Exception):
@@ -278,18 +268,6 @@ class GameState:
         self.turn_counter = 0
         self.exploded = False
         self.boom_site: Optional[Site] = None
-
-    def status_at(self, site: Site) -> Status:
-        return Status(int(self.status[site]))
-
-    def revealed_count(self) -> int:
-        return int(np.count_nonzero(self.status == REVEALED))
-
-    def is_won(self) -> bool:
-        if self.board is None:
-            raise IllegalQuery("no ground-truth board attached")
-        return (not self.exploded and
-                self.revealed_count() == self.n * self.n - len(self.board.mines))
 
 
 def reveal(state: GameState, site: Site) -> RevealOutcome:

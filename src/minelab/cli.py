@@ -102,6 +102,8 @@ def cmd_kset(args: argparse.Namespace) -> int:
     boundary = Boundary(args.boundary)
     try:
         policy = Policy.parse(f"kset:{args.k}")
+        if args.seeds < 1:
+            raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
         check_board_shape(args.n, args.rho, boundary)
         game_seed(args.master, args.rho, 0)     # a bad master fails here
     except ValueError as exc:
@@ -228,7 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true",
                    help="emit per-turn JSON lines before the row")
     p.add_argument("--no-cores", action="store_true")
-    p.add_argument("--time-budget", type=float, default=60.0)
+    p.add_argument("--time-budget", type=float, default=None,
+                   help="seconds before a game ends stuck_timeout "
+                        "(default: no limit)")
     p.add_argument("--conflict-budget", type=int, default=1_000_000)
     p.set_defaults(fn=cmd_play)
 
@@ -240,7 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of game indices, 0..seeds-1")
     p.add_argument("--master", type=int, default=0)
     p.add_argument("--boundary", choices=["torus", "open"], default="torus")
-    p.add_argument("--time-budget", type=float, default=60.0)
+    p.add_argument("--time-budget", type=float, default=None,
+                   help="seconds before a game ends stuck_timeout "
+                        "(default: no limit)")
     p.set_defaults(fn=cmd_kset)
 
     p = sub.add_parser("solve", help="solve a DIMACS or GCNF file")

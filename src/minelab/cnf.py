@@ -36,9 +36,6 @@ class GroupedCnf:
     def num_clauses(self) -> int:
         return sum(len(cs) for cs in self.groups.values())
 
-    def all_clauses(self) -> List[Clause]:
-        return [c for g in sorted(self.groups) for c in self.groups[g]]
-
 
 def encode_exact_count(e: int, vars: Sequence[int]) -> List[Clause]:
     """Clauses satisfied exactly when e of the given variables are true.

@@ -83,10 +83,10 @@ class SweepConfig:
     boundary: Boundary = Boundary.TORUS
     outdir: Optional[Union[str, Path]] = None
     track_cores: bool = True
-    time_budget_s: Optional[float] = 60.0
+    time_budget_s: Optional[float] = None
     conflict_budget: int = 1_000_000
     record_timing: bool = False
-    workers: Optional[int] = None       # None: MINELAB_WORKERS env, else 1
+    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -275,13 +275,6 @@ def _aggregate(n: int, rho: float, policy: str,
                        generation_exhausted=exhausted)
 
 
-def _resolve_workers(config: SweepConfig) -> int:
-    if config.workers is not None:
-        return max(1, int(config.workers))
-    env = os.environ.get("MINELAB_WORKERS", "")
-    return max(1, int(env)) if env.strip() else 1
-
-
 def _validate(config: SweepConfig) -> None:
     if not config.ns or any(n < 1 for n in config.ns):
         raise ValueError("ns must be a nonempty list of positive sizes")
@@ -307,7 +300,6 @@ def run_sweep(config: SweepConfig) -> List[SweepRecord]:
     forces a replay of that point.
     """
     _validate(config)
-    workers = _resolve_workers(config)
     token = _config_token(config)
     outdir = Path(config.outdir) if config.outdir is not None else None
     points = [(n, rho, str(Policy.parse(p)))
@@ -329,9 +321,10 @@ def run_sweep(config: SweepConfig) -> List[SweepRecord]:
                           config.boundary.value, config.track_cores,
                           config.time_budget_s, config.conflict_budget)
                          for idx in range(config.games)]
-                if workers > 1:
+                if config.workers > 1:
                     if pool is None:
-                        pool = multiprocessing.get_context("fork").Pool(workers)
+                        pool = multiprocessing.get_context("fork").Pool(
+                            config.workers)
                     recs = pool.map(_play_one, tasks, chunksize=1)
                 else:
                     recs = [_play_one(t) for t in tasks]
@@ -384,23 +377,6 @@ def read_games_csv(path: Union[str, Path]) -> List[Dict[str, object]]:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         return [_cells_to_row(c) for c in reader]
-
-
-def read_summary_csv(path: Union[str, Path]) -> List[SweepRecord]:
-    out = []
-    with open(path, newline="") as fh:
-        for c in csv.DictReader(fh):
-            out.append(SweepRecord(
-                n=int(c["n"]), rho=float(c["rho"]), policy=c["policy"],
-                games=int(c["games"]),
-                alpha_mean=float(c["alpha_mean"]) if c["alpha_mean"] else float("nan"),
-                alpha_se=float(c["alpha_se"]) if c["alpha_se"] else float("nan"),
-                maxcore_mean=float(c["maxcore_mean"]) if c["maxcore_mean"] else None,
-                maxcore_se=float(c["maxcore_se"]) if c["maxcore_se"] else None,
-                stuck_fraction=float(c["stuck_fraction"]) if c["stuck_fraction"] else float("nan"),
-                mean_wall_time=float(c["mean_wall_time"]) if c["mean_wall_time"] else float("nan"),
-                generation_exhausted=int(c["generation_exhausted"])))
-    return out
 
 
 def parse_sweep_config(text: str,

@@ -222,10 +222,15 @@ def percolation_sweep(config: PercolationConfig) -> List[PercRecord]:
     Per-sample seeds are spawned from the master seed and the (parameter,
     sample) indices, so samples are independent and any execution order
     yields identical records. Samples whose grid keeps no cluster after
-    spanning exclusion are skipped and not counted in `samples`.
+    spanning exclusion are skipped and not counted in `samples`. An unknown
+    mode, or n or samples below 1, raises ValueError.
     """
     if config.mode not in ("independent", "minesweeper"):
         raise ValueError(f"unknown mode {config.mode!r}")
+    if config.n < 1:
+        raise ValueError(f"n must be at least 1, got {config.n}")
+    if config.samples < 1:
+        raise ValueError(f"samples must be at least 1, got {config.samples}")
     boundary = config.resolved_boundary()
     records: List[PercRecord] = []
     for pi, param in enumerate(config.params):

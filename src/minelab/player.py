@@ -212,7 +212,7 @@ def consistency_check(state: GameState) -> bool:
 
 def play_game(board: Board, policy: Union[str, Policy] = "sat", *,
               track_cores: bool = True,
-              time_budget_s: Optional[float] = 60.0,
+              time_budget_s: Optional[float] = None,
               conflict_budget: int = 1_000_000,
               rho: Optional[float] = None,
               seed: Optional[int] = None,
@@ -222,9 +222,10 @@ def play_game(board: Board, policy: Union[str, Policy] = "sat", *,
 
     Loops inference passes, flagging inferred mines and revealing inferred
     safe sites, until all mines are flagged or a pass finds nothing (Stuck).
-    A pass that starts after the time budget has elapsed is not run and the
-    game records STUCK_TIMEOUT; a solver query that exceeds the conflict
-    budget ends the game as STUCK_BUDGET.
+    With a time budget set (there is none by default), a pass that starts
+    after it has elapsed is not run and the game records STUCK_TIMEOUT; a
+    solver query that exceeds the conflict budget ends the game as
+    STUCK_BUDGET.
 
     rho and seed are metadata echoed into the record; rho defaults to the
     board's realized mine fraction. trace_fn, when given, is called after

@@ -16,12 +16,12 @@ Selectors are numbered num_vars+1, num_vars+2, ... in ascending group id
 order, so a core maps back to group ids by position (core_groups).
 
 A caller that reads no cores can build the solver with selectors=False.
-Its clauses are then stored bare, watched on their first two literals,
-unit clauses are level-0 facts, and the formula is propagated once at
-construction. No selector variable exists, and every group's clauses take
-part in every query's propagation, so an active set must be a union of
-Solver.parts that holds the assumption variables: it only picks the
-branching variables. Sat gives a model of the active groups, as with
+Its clauses are then stored bare, so a unit clause is a level-0 fact, and
+the propagation at construction carries the facts through the formula
+once for every query. No selector variable exists, and every group's
+clauses take part in every query's propagation, so an active set must be
+a union of Solver.parts that holds the assumption variables: it only
+picks the branching variables. Sat gives a model of the active groups, as with
 selectors; Unsat means the whole formula with the assumptions is
 unsatisfiable. The answers are the selector solver's whenever every part
 is satisfiable. An empty clause or a conflict at level 0 makes every later
@@ -92,10 +92,6 @@ class SolveResult:
     core: Optional[FrozenSet[int]] = None
 
 
-def _lit_index(l: int) -> int:
-    return (l << 1) if l > 0 else ((-l) << 1) | 1
-
-
 class Solver:
     """CDCL solver bound to one GroupedCnf for its whole life.
 
@@ -129,7 +125,9 @@ class Solver:
         self.level = [0] * (nv + 1)
         self.reason: List[Optional[list]] = [None] * (nv + 1)
         self.seen = bytearray(nv + 1)
-        self.watches: List[list] = [[] for _ in range(2 * nv + 2)]
+        # Literal l -> the clauses watching it, at index l: a negative
+        # literal counts from the end of the list.
+        self.watches: List[list] = [[] for _ in range(2 * nv + 1)]
         self.trail: List[int] = []
         self.trail_lim: List[int] = []
         self.head_stack: List[int] = []
@@ -146,61 +144,46 @@ class Solver:
         # assumptions in ascending group order).
         self._last_active: Tuple[tuple, List[int], List[int]] = ((), [], [])
         # One sweep over the clauses: watches, group variables and
-        # occurrence counts.
+        # occurrence counts. A stored clause is its guard ([-selector], or
+        # nothing without selectors) and then its problem literals, watched
+        # on its first two literals; a one-literal clause is a level-0 fact,
+        # and an empty one makes the formula unsatisfiable.
         watches = self.watches
         occ = [0] * (self.num_vars + 1)
         self.groups = groups = formula.groups
         # Group id -> the ascending variables its clauses mention.
         self.group_vars: Dict[int, List[int]] = {}
         group_vars = self.group_vars
-        if selectors:
-            # Guarded clauses, watched on the guard and the first literal.
-            sel = self.num_vars
-            for g in self.group_ids:
+        units = []
+        guard = ()
+        sel = self.num_vars
+        for g in self.group_ids:
+            if selectors:
                 sel += 1
-                guard_watch = watches[(sel << 1) | 1]
-                clauses = groups[g]
-                for clause in clauses:
-                    if clause:
-                        cl = [-sel, *clause]
-                        guard_watch.append(cl)
-                        l = clause[0]
-                        watches[(l << 1) if l > 0 else ((-l) << 1) | 1].append(cl)
-                        for l in clause:
-                            occ[l if l > 0 else -l] += 1
-                    elif self.assigns[sel] == 0:
-                        # Empty problem clause: its guard is a permanent fact.
-                        self._enqueue(-sel, [-sel])
-                group_vars[g] = sorted(set(map(abs, chain.from_iterable(clauses))))
-        else:
-            # Bare clauses, watched on their first two literals; a unit
-            # clause is a level-0 fact.
-            units = []
-            for g in self.group_ids:
-                clauses = groups[g]
-                for clause in clauses:
-                    if len(clause) > 1:
-                        cl = list(clause)
-                        l = cl[0]
-                        watches[(l << 1) if l > 0 else ((-l) << 1) | 1].append(cl)
-                        l = cl[1]
-                        watches[(l << 1) if l > 0 else ((-l) << 1) | 1].append(cl)
-                    elif clause:
-                        units.append(clause[0])
-                    else:
-                        self._unsat = True
-                    for l in clause:
-                        occ[l if l > 0 else -l] += 1
-                group_vars[g] = sorted(set(map(abs, chain.from_iterable(clauses))))
-            for l in units:
-                value = self._value(l)
-                if value == -1:
+                guard = (-sel,)
+            clauses = groups[g]
+            for clause in clauses:
+                cl = [*guard, *clause]
+                if len(cl) > 1:
+                    watches[cl[0]].append(cl)
+                    watches[cl[1]].append(cl)
+                elif cl:
+                    units.append(cl[0])
+                else:
                     self._unsat = True
-                elif value == 0:
-                    self._enqueue(l, None)
-            # The facts' consequences, once for every query.
-            if not self._unsat and self._propagate() is not None:
+            vs = list(map(abs, chain.from_iterable(clauses)))
+            for v in vs:
+                occ[v] += 1
+            group_vars[g] = sorted(set(vs))
+        for l in units:
+            value = self._value(l)
+            if value == -1:
                 self._unsat = True
+            elif value == 0:
+                self._enqueue(l, None)
+        # The facts' consequences, once for every query.
+        if not self._unsat and self._propagate() is not None:
+            self._unsat = True
         # Variable -> its position in the branching order: most occurrences
         # first, ties by lowest id (the sort is stable).
         neg_occ = [-c for c in occ]
@@ -278,8 +261,8 @@ class Solver:
 
     def _attach(self, cl: list) -> None:
         # Callers only attach clauses with >= 2 literals.
-        self.watches[_lit_index(cl[0])].append(cl)
-        self.watches[_lit_index(cl[1])].append(cl)
+        self.watches[cl[0]].append(cl)
+        self.watches[cl[1]].append(cl)
 
     def _value(self, l: int) -> int:
         return self.assigns[l] if l > 0 else -self.assigns[-l]
@@ -325,7 +308,7 @@ class Solver:
             p = trail[qhead]
             qhead += 1
             fal = -p
-            ws = watches[(p << 1) | 1 if p > 0 else (-p) << 1]
+            ws = watches[fal]
             i = j = 0
             end = len(ws)
             while i < end:
@@ -345,7 +328,7 @@ class Solver:
                     if (assigns[q] if q > 0 else -assigns[-q]) != -1:
                         cl[1] = q
                         cl[k] = fal
-                        watches[(q << 1) if q > 0 else ((-q) << 1) | 1].append(cl)
+                        watches[q].append(cl)
                         break
                 else:
                     # No new watch: cl is unit or falsified.

@@ -241,3 +241,21 @@ def dfs_cluster_oracle(occ: np.ndarray, boundary: Boundary,
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260816)
+
+
+class HourClock:
+    """A stand-in for the time module whose clock moves on an hour every
+    time it is read."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def perf_counter(self) -> float:
+        self.now += 3600.0
+        return self.now
+
+
+@pytest.fixture
+def hour_clock(monkeypatch) -> None:
+    """The game loop's clock, replaced by an HourClock."""
+    monkeypatch.setattr("minelab.player.time", HourClock())

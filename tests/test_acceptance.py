@@ -1,12 +1,16 @@
 """End-to-end acceptance gates for the laboratory.
 
-Each test prints one [acceptance N] PASS/FAIL line with the measured
-numbers before asserting, so a full run reads as a checklist. The heavy
-sweeps cache their per-point results under tests/_acceptance_cache via the
-harness resume markers: the first run plays every game (tens of minutes
-single-threaded), later runs reload and finish in seconds. Delete the
-cache directory to force a replay, or run tests/replay_acceptance.py to
-replay the three cached sweeps elsewhere and diff them against the cache.
+Each gate prints one [acceptance N] PASS/FAIL line with the measured
+numbers before asserting, so a full run reads as a checklist. Gates 1-4
+read three sweeps that the session fixtures play from scratch, with two
+worker processes and the time budget off, into a pytest temporary
+directory. test_fresh_sweep_matches_expected then compares each sweep's
+games.csv and summary.csv byte for byte with the copies committed under
+tests/acceptance_expected/<sweep>/, so any change to a game's alpha,
+max_core, turns or outcome fails the suite and names the rows it moved.
+After a change that really moves the numbers, copy the two files of each
+sweep from the directory the failure names over the committed ones; the
+diff of those files is the record of what moved.
 """
 from __future__ import annotations
 
@@ -21,15 +25,17 @@ from scipy import stats
 
 from minelab.board import Boundary, Site, generate_board
 from minelab.cnf import GroupedCnf, build_formula
-from minelab.harness import (SweepConfig, SweepRecord, desk_rhos, float_range,
-                             read_games_csv, run_sweep)
+from minelab.harness import (GAMES_COLUMNS, SweepConfig, SweepRecord,
+                             desk_rhos, float_range, read_games_csv,
+                             run_sweep)
 from minelab.kset import build_constraints, kset_infer
 from minelab.percolation import (PercolationConfig, minesweeper_occupancy,
                                  percolation_sweep)
 from minelab.player import Verdict, consistency_check, infer_step
 from conftest import load_state, random_reachable_state, solve
 
-CACHE = Path(__file__).parent / "_acceptance_cache"
+EXPECTED = Path(__file__).parent / "acceptance_expected"
+SWEEPS = ("sat_sweep", "kset_sweep", "stratification")
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -60,55 +66,43 @@ def max_slope(curve: Dict[float, float]) -> float:
                for a, b in zip(rhos, rhos[1:]))
 
 
-# -- sweep configurations (shared with tests/replay_acceptance.py) ----------
-
-def sat_sweep_config(outdir: Path = CACHE / "sat_sweep") -> SweepConfig:
-    return SweepConfig(ns=(20, 40), rhos=desk_rhos(), policies=("sat",),
-                       games=50, seed=0, outdir=outdir, track_cores=True)
-
-
-def kset_sweep_config(outdir: Path = CACHE / "kset_sweep") -> SweepConfig:
-    return SweepConfig(ns=(40,), rhos=desk_rhos(),
-                       policies=("kset:1", "kset:2", "kset:3"),
-                       games=50, seed=0, outdir=outdir, track_cores=False)
-
-
-def stratification_rho(sat_records: List[SweepRecord],
-                       kset_records: List[SweepRecord]) -> float:
-    """The rho maximizing the n=40 sat-vs-1-set alpha gap."""
-    sat40 = alpha_by_rho(sat_records, 40, "sat")
-    k1 = alpha_by_rho(kset_records, 40, "kset:1")
-    return max(sorted(sat40), key=lambda r: sat40[r] - k1[r])
-
-
-def stratification_config(rho_star: float,
-                          outdir: Path = CACHE / "stratification"
-                          ) -> SweepConfig:
-    """A 200-game point at rho_star for every policy."""
-    return SweepConfig(ns=(40,), rhos=(rho_star,),
-                       policies=("sat", "kset:1", "kset:2", "kset:3"),
-                       games=200, seed=0, outdir=outdir, track_cores=False)
-
-
-# -- session fixtures (cached sweeps and shared state pools) ----------------
+# -- session fixtures (fresh sweeps and shared state pools) -------------------
 
 @pytest.fixture(scope="session")
-def sat_sweep() -> List[SweepRecord]:
-    return run_sweep(sat_sweep_config())
+def sweep_root(tmp_path_factory) -> Path:
+    """The directory the fresh sweeps write into, one subdirectory each."""
+    return tmp_path_factory.mktemp("acceptance")
 
 
 @pytest.fixture(scope="session")
-def kset_sweep() -> List[SweepRecord]:
-    return run_sweep(kset_sweep_config())
+def sat_sweep(sweep_root) -> List[SweepRecord]:
+    return run_sweep(SweepConfig(
+        ns=(20, 40), rhos=desk_rhos(), policies=("sat",), games=50, seed=0,
+        outdir=sweep_root / "sat_sweep", track_cores=True,
+        time_budget_s=None, workers=2))
 
 
 @pytest.fixture(scope="session")
-def stratification_point(sat_sweep, kset_sweep):
-    """A 200-game point at the rho maximizing the sat-vs-1-set gap."""
-    rho_star = stratification_rho(sat_sweep, kset_sweep)
-    records = run_sweep(stratification_config(rho_star))
-    rows = read_games_csv(CACHE / "stratification" / "games.csv")
-    return rho_star, records, rows
+def kset_sweep(sweep_root) -> List[SweepRecord]:
+    return run_sweep(SweepConfig(
+        ns=(40,), rhos=desk_rhos(), policies=("kset:1", "kset:2", "kset:3"),
+        games=50, seed=0, outdir=sweep_root / "kset_sweep",
+        track_cores=False, time_budget_s=None, workers=2))
+
+
+@pytest.fixture(scope="session")
+def stratification(sweep_root, sat_sweep, kset_sweep):
+    """A 200-game point for every policy at the rho maximizing the n=40
+    sat-vs-1-set alpha gap."""
+    sat40 = alpha_by_rho(sat_sweep, 40, "sat")
+    k1 = alpha_by_rho(kset_sweep, 40, "kset:1")
+    rho_star = max(sorted(sat40), key=lambda r: sat40[r] - k1[r])
+    outdir = sweep_root / "stratification"
+    records = run_sweep(SweepConfig(
+        ns=(40,), rhos=(rho_star,),
+        policies=("sat", "kset:1", "kset:2", "kset:3"), games=200, seed=0,
+        outdir=outdir, track_cores=False, time_budget_s=None, workers=2))
+    return rho_star, records, read_games_csv(outdir / "games.csv")
 
 
 @pytest.fixture(scope="session")
@@ -210,8 +204,8 @@ def test_03_hardness_peak(sat_sweep):
                   f"(needs >=3)")
 
 
-def test_04_kset_stratification(sat_sweep, kset_sweep, stratification_point):
-    rho_star, records, rows = stratification_point
+def test_04_kset_stratification(sat_sweep, kset_sweep, stratification):
+    rho_star, records, rows = stratification
     means = {r.policy: r.alpha_mean for r in records}
     ordered = (means["kset:1"] <= means["kset:2"] <= means["kset:3"]
                <= means["sat"])
@@ -366,3 +360,65 @@ def test_10_fixture_behavior():
                    f"({row_ok}); swapped labels inconsistent "
                    f"({swapped_ok}); ambiguous pocket: zero inferences under "
                    f"both policies ({pocket_ok})")
+
+
+# -- expected output -----------------------------------------------------------
+
+KEY = ("n", "rho", "policy", "seed")
+
+
+def sweep_differences(expected: Path, fresh: Path) -> List[str]:
+    """How a fresh sweep's games.csv and summary.csv differ from the expected
+    copies: rows per column that differ, each differing row, and where the
+    fresh files are. Empty when both files are byte-identical."""
+    differing = [name for name in ("games.csv", "summary.csv")
+                 if (fresh / name).read_bytes()
+                 != (expected / name).read_bytes()]
+    if not differing:
+        return []
+    lines = [f"{' and '.join(differing)} differ from {expected}"]
+    old = {tuple(r[k] for k in KEY): r
+           for r in read_games_csv(expected / "games.csv")}
+    new = {tuple(r[k] for k in KEY): r
+           for r in read_games_csv(fresh / "games.csv")}
+    if old.keys() != new.keys():
+        lines.append(f"rows: {len(new)} fresh, {len(old)} expected, "
+                     f"{len(old.keys() ^ new.keys())} keys in only one")
+    shared = sorted(old.keys() & new.keys())
+    moved = []
+    for col in GAMES_COLUMNS:
+        if col in KEY:
+            continue
+        changes = [(key, old[key][col], new[key][col]) for key in shared
+                   if old[key][col] != new[key][col]]
+        line = f"{col}: {len(changes)} rows differ"
+        if changes and all(isinstance(a, (int, float)) and
+                           isinstance(b, (int, float)) for _, a, b in changes):
+            up = sum(1 for _, a, b in changes if b > a)
+            line += f" ({len(changes) - up} smaller, {up} larger)"
+        lines.append(line)
+        moved.extend((key, col, a, b) for key, a, b in changes)
+    for (n, rho, policy, seed), col, a, b in moved:
+        lines.append(f"  n={n} rho={rho} {policy} seed={seed}: "
+                     f"{col} {a} -> {b}")
+    old_summary = (expected / "summary.csv").read_text().splitlines()
+    new_summary = (fresh / "summary.csv").read_text().splitlines()
+    for a, b in zip(old_summary, new_summary):
+        if a != b:
+            lines.append(f"  summary.csv {a} -> {b}")
+    if len(old_summary) != len(new_summary):
+        lines.append(f"  summary.csv: {len(new_summary)} lines fresh, "
+                     f"{len(old_summary)} expected")
+    lines.append(f"fresh files in {fresh}; after a change that really moves "
+                 f"the numbers, copy its games.csv and summary.csv over "
+                 f"the expected ones")
+    return lines
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+def test_fresh_sweep_matches_expected(name, sweep_root, request):
+    request.getfixturevalue(name)
+    lines = sweep_differences(EXPECTED / name, sweep_root / name)
+    print("\n".join(lines) or f"{name}: games.csv and summary.csv are "
+                              f"byte-identical to the expected copies")
+    assert not lines, f"{name} differs from its expected output"

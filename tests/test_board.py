@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from minelab.board import (Board, Boundary, COVERED, FLAGGED, REVEALED,
                            GameState, GenerationExhausted, IllegalMove,
-                           ParseError, Status, flag, frontiers, generate_board,
+                           ParseError, flag, frontiers, generate_board,
                            neighbors, parse_board, parse_overlay, reveal,
                            serialize_board, serialize_overlay)
 from minelab.cnf import build_formula
@@ -133,7 +133,7 @@ class TestMoves:
         out = reveal(state, (1, 1))
         assert not out.boom
         assert len(out.revealed) == 9
-        assert state.revealed_count() == 9
+        assert (state.status == REVEALED).all()
 
     def test_nonzero_label_reveals_single_site(self):
         board = Board(4, Boundary.OPEN, [(0, 0)])
@@ -168,13 +168,13 @@ class TestMoves:
         out = reveal(state, (2, 2))
         assert (0, 0) not in out.revealed
         assert len(out.revealed) == 8
-        assert state.status_at((0, 0)) is Status.FLAGGED
+        assert int(state.status[0, 0]) == FLAGGED
 
     def test_flag_semantics(self):
         board = Board(4, Boundary.OPEN, [(0, 0)])
         state = GameState(board)
         flag(state, (0, 0))
-        assert state.status_at((0, 0)) is Status.FLAGGED
+        assert int(state.status[0, 0]) == FLAGGED
         with pytest.raises(IllegalMove):
             flag(state, (0, 0))
         reveal(state, (2, 2))
@@ -219,15 +219,6 @@ class TestMoves:
         reveal(state, (1, 1))
         reveal(state, (2, 2))
         assert state.turn_counter == 2
-
-    def test_is_won(self):
-        board = Board(3, Boundary.OPEN, [(0, 0)])
-        state = GameState(board)
-        for site in [(r, c) for r in range(3) for c in range(3)
-                     if (r, c) != (0, 0)]:
-            if state.status_at(site) is Status.COVERED:
-                reveal(state, site)
-        assert state.is_won()
 
 
 class TestFrontiers:
@@ -345,7 +336,7 @@ class TestOverlayFormat:
     def test_no_board_needed(self):
         state = parse_overlay("#1\n1F\n", Boundary.OPEN)
         assert state.board is None
-        assert state.status_at((1, 1)) is Status.FLAGGED
+        assert int(state.status[1, 1]) == FLAGGED
         assert int(state.view_labels[0, 1]) == 1
 
     def test_label_mismatch_rejected(self):

@@ -53,6 +53,12 @@ class TestPlay:
         assert cells[7] == record.outcome.value
         assert float(cells[8]) >= 0.0
 
+    def test_time_budget_off_by_default(self, capsys, hour_clock):
+        code, out, _ = run_cli(capsys, "play", "--n", "8", "--rho", "0.15")
+        assert code == 0
+        cells = next(csv.reader(io.StringIO(out)))
+        assert cells[7] != "stuck_timeout" and int(cells[6]) > 0
+
     def test_trace_lines_then_row(self, capsys):
         code, out, _ = run_cli(capsys, "play", "--n", "6", "--rho", "0.12",
                                "--trace")
@@ -120,6 +126,13 @@ class TestKsetBatch:
         assert [r[3] for r in rows[1:]] == ["0", "1", "2"]
         assert all(r[2] == "kset:1" for r in rows[1:])
 
+    def test_time_budget_off_by_default(self, capsys, hour_clock):
+        code, out, _ = run_cli(capsys, "kset", "--k", "1", "--n", "8",
+                               "--rho", "0.15", "--seeds", "2")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert all(r[7] != "stuck_timeout" and int(r[6]) > 0 for r in rows)
+
     @pytest.mark.parametrize("k", ["0", "-2"])
     def test_bad_arity_fails_before_output(self, capsys, k):
         code, out, err = run_cli(capsys, "kset", "--k", k, "--n", "6",
@@ -135,6 +148,10 @@ class TestKsetBatch:
         (("--n", "6", "--rho", "1.5"), "rho must lie in [0, 1]"),
         (("--n", "6", "--rho", "0.1", "--master", "-2"),
          "non-negative integer"),
+        (("--n", "6", "--rho", "0.1", "--seeds", "-1"),
+         "--seeds must be at least 1"),
+        (("--n", "6", "--rho", "0.1", "--seeds", "0"),
+         "--seeds must be at least 1"),
     ])
     def test_bad_board_fails_before_output(self, capsys, args, message):
         assert_input_error(run_cli(capsys, "kset", "--k", "1", "--seeds", "1",
@@ -281,6 +298,16 @@ class TestPercolation:
             run_cli(capsys, "percolation", "--mode", "independent",
                     "--param-grid", "x"),
             "percolation", "could not convert string to float: 'x'")
+
+    @pytest.mark.parametrize("args, message", [
+        (("--samples", "0"), "samples must be at least 1"),
+        (("--n", "0"), "n must be at least 1"),
+    ])
+    def test_bad_count_fails_before_output(self, capsys, args, message):
+        assert_input_error(
+            run_cli(capsys, "percolation", "--mode", "independent",
+                    "--param-grid", "0.1", *args),
+            "percolation", message)
 
     def test_grid_parses_like_sweep_rho(self, capsys, monkeypatch):
         seen = []

@@ -82,7 +82,7 @@ class TestBuildFormula:
         formula = build_formula(state)
         # 7 remaining covered neighbors, all forced safe: unit negatives.
         assert formula.num_vars == 7
-        clauses = formula.all_clauses()
+        clauses = formula.groups[0]
         assert sorted(clauses) == [(-v,) for v in range(7, 0, -1)]
         assert all(len(c) == 1 and c[0] < 0 for c in clauses)
 
@@ -192,7 +192,7 @@ class TestFormats:
                              var_sites=[(0, 0), (0, 1), (0, 2)])
         back = parse_dimacs(export_dimacs(formula))
         assert back.num_vars == 3
-        assert back.all_clauses() == formula.all_clauses()
+        assert back.groups == formula.groups
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):

@@ -13,9 +13,8 @@ from minelab.board import Boundary, generate_board
 from minelab.harness import (DESK_GAMES, DESK_NS, GAMES_COLUMNS,
                              SUMMARY_COLUMNS, SweepConfig, SweepRecord,
                              desk_rhos, float_range, game_seed,
-                             parse_sweep_config, read_games_csv,
-                             read_summary_csv, run_sweep, write_games_csv,
-                             write_summary_csv)
+                             parse_sweep_config, read_games_csv, run_sweep,
+                             write_games_csv, write_summary_csv)
 
 
 def small_config(tmp_path, **overrides) -> SweepConfig:
@@ -91,7 +90,10 @@ class TestCsvRoundTrip:
                                stuck_fraction=1.0, mean_wall_time=0.0,
                                generation_exhausted=1)]
         path = write_summary_csv(tmp_path / "summary.csv", records)
-        assert read_summary_csv(path) == records
+        assert path.read_text().splitlines() == [
+            ",".join(SUMMARY_COLUMNS),
+            "6,0.1,sat,4,0.5,0.1,2.0,0.5,0.25,0.0,0",
+            "6,0.2,kset:1,3,0.25,0.0,,,1.0,0.0,1"]
 
 
 class TestRunSweep:
@@ -172,16 +174,32 @@ class TestRunSweep:
         assert len(records) == 2
         assert not (tmp_path / "out").exists()
 
-    def test_workers_do_not_change_bytes(self, tmp_path, monkeypatch):
+    def test_workers_do_not_change_bytes(self, tmp_path):
         serial = small_config(tmp_path, outdir=tmp_path / "serial",
                               rhos=(0.1,), games=3)
         run_sweep(serial)
-        monkeypatch.setenv("MINELAB_WORKERS", "2")
-        threaded = small_config(tmp_path, outdir=tmp_path / "pooled",
-                                rhos=(0.1,), games=3)
-        run_sweep(threaded)
+        pooled = small_config(tmp_path, outdir=tmp_path / "pooled",
+                              rhos=(0.1,), games=3, workers=2)
+        run_sweep(pooled)
         assert ((tmp_path / "serial" / "games.csv").read_bytes()
                 == (tmp_path / "pooled" / "games.csv").read_bytes())
+
+    def test_workers_environment_variable_ignored(self, tmp_path,
+                                                  monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a sweep with workers=1 forked a pool")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        monkeypatch.setenv("MINELAB_WORKERS", "2")
+        (record,) = run_sweep(small_config(tmp_path, rhos=(0.1,),
+                                           policies=("sat",), games=2))
+        assert record.games == 2
+
+    def test_time_budget_off_by_default(self, tmp_path, hour_clock):
+        run_sweep(small_config(tmp_path, rhos=(0.15,), games=2))
+        rows = read_games_csv(tmp_path / "out" / "games.csv")
+        assert "stuck_timeout" not in {r["outcome"] for r in rows}
+        assert all(r["turns"] > 0 for r in rows)
 
     def test_resume_of_complete_outdir_never_forks(self, tmp_path,
                                                   monkeypatch):

@@ -326,6 +326,12 @@ class TestPlayGame:
         record = play_game(board, time_budget_s=None)
         assert record.outcome in (Outcome.ALL_MINES_FLAGGED, Outcome.STUCK)
 
+    def test_time_budget_off_by_default(self, hour_clock):
+        board = generate_board(8, 0.15, 1)
+        record = play_game(board)
+        assert record.outcome is not Outcome.STUCK_TIMEOUT
+        assert record.turns > 0
+
     def test_exhausted_conflict_budget_ends_stuck(self):
         board = generate_board(7, 0.18, 5)
         full = play_game(board)
