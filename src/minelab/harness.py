@@ -285,6 +285,8 @@ def _validate(config: SweepConfig) -> None:
             check_board_shape(n, rho, config.boundary)
     if config.games < 1:
         raise ValueError("games must be at least 1")
+    if config.workers < 1:
+        raise ValueError("workers must be at least 1")
     if not config.policies:
         raise ValueError("policies must be nonempty")
     for p in config.policies:

@@ -1,20 +1,20 @@
 """Play full games by logical inference and record the α metric.
 
-One pass builds the frontier formula once, then tests every outer variable
-both ways: F ∧ x unsatisfiable means the site is safe, F ∧ ¬x unsatisfiable
+One pass decides every outer variable of the frontier formula F both
+ways: F ∧ x unsatisfiable means the site is safe, F ∧ ¬x unsatisfiable
 means it is a mine. All inferences from a pass are applied together (flags
 first, then reveals) before the frontiers are recomputed. The game ends when
 every mine is flagged or a pass yields nothing.
 
-A pass builds one solver on the whole formula and works through its
-connected parts (Solver.parts) one at a time, naming a part's groups as the
-active set of every query: a literal is forced by the whole formula exactly
-when it is forced by the part holding its variable, since the other parts
-share no variable with it, and such a query decides only the part's
-variables. On each part, phase 1 decides every verdict; phase 2 then
-extracts the minimal cores, in the same order. Keeping the extractions out
-of phase 1 lets consecutive verdict queries on a part share all its
-selector levels.
+With cores on, a pass builds one solver on the whole formula and works
+through its connected parts (Solver.parts) one at a time, naming a part's
+groups as the active set of every query: a literal is forced by the whole
+formula exactly when it is forced by the part holding its variable, since
+the other parts share no variable with it, and such a query decides only
+the part's variables. On each part, phase 1 decides every verdict; phase
+2 then extracts the minimal cores, in the same order. Keeping the
+extractions out of phase 1 lets consecutive verdict queries on a part
+share all its selector levels.
 
 Witness reuse keeps phase 1 cheap: every model of a part seen with all its
 groups active fixes a value for each of its variables, and a variable
@@ -24,32 +24,46 @@ subset of groups and are never used as witnesses.
 
 Propagation keeps most of the rest out of the solver: a literal that the
 part's selector levels already make false is a verdict without a query
-(Solver.refuted), and with cores on its core literals are read from the
-same trail (Solver.analyze_final), exactly as the query would return them.
-Only the literals that neither a witness nor propagation settles are
-queried.
+(Solver.refuted), and its core literals are read from the same trail
+(Solver.analyze_final), exactly as the query would return them. Only the
+literals that neither a witness nor propagation settles are queried.
 
-With cores off a pass reads verdicts only, so it builds a selector-free
-solver (every group takes part in every query, which gives the same
-verdicts, since a part shares no variable with the others and an
-inconsistent state still fails the base query of some part) and steers its
-branching: each decision tries the value its variable has not yet shown in
-a witness, so that every model rules out as many queries as it can
-(Janota, Lynce & Marques-Silva, AI Comm. 2015). A pass infers the backbone
-of each part, which no search order changes; only which witnesses are
-found, and so how many queries are asked, moves. Cores on keep selectors
-and the unsteered search, since the cores found depend on the solver's
-history.
+With cores off a pass reads verdicts only, and most of them need no
+solver. Counting propagation on the frontier system comes first: a row
+whose residual label is 0 forces its undecided sites safe, and one whose
+residual label equals its undecided count forces them mined, repeated to
+a fixpoint. That is unit propagation on the binomial encoding, so it
+settles exactly what the formula's level-0 propagation would (Janota,
+Lynce & Marques-Silva, AI Comm. 2015), and on played boards it settles
+most verdicts. Only the residual rows are encoded, over their undecided
+sites renumbered in row-major order, and a selector-free solver (every
+group takes part in every query, which gives the same verdicts, since a
+part shares no variable with the others and an inconsistent state still
+fails the base query of some part) decides the backbone of each residual
+part. Its branching is steered: each decision tries the value its
+variable has not yet shown in a witness, so that every model rules out as
+many queries as it can. No search order changes a backbone; only which
+witnesses are found, and so how many queries are asked, moves.
+
+A residual part's constraints, and so its backbone, are fixed by its
+signature: the set of its rows' (inner site, residual label, undecided
+sites). play_game keeps the signatures of the parts that yielded nothing
+on the last pass, and a pass asks no query for a part it meets again.
+On large boards most parts are untouched between passes. Cores on keep
+the whole formula, selectors and the unsteered search, since the cores
+found depend on the solver's history.
 """
 from __future__ import annotations
 
 import enum
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Union
+from typing import (Callable, Dict, FrozenSet, List, Optional, Set, Tuple,
+                    Union)
 
-from .board import (Board, COVERED, GameState, Site, flag, frontiers, reveal)
-from .cnf import InfeasibleLabel, build_formula
+from .board import (Board, COVERED, Frontiers, GameState, Site, flag,
+                    frontiers, reveal)
+from .cnf import GroupedCnf, InfeasibleLabel, build_formula, encode_exact_count
 from .gmus import GmusResult, extract_gmus, max_core_size
 from .kset import build_constraints, kset_infer
 from .sat import ResourceLimit, Solver
@@ -123,32 +137,67 @@ class GameRecord:
 
 
 def infer_step(state: GameState, *, extract_cores: bool = True,
-               conflict_budget: int = 1_000_000) -> List[Inference]:
+               conflict_budget: int = 1_000_000,
+               quiet: Optional[Set[FrozenSet]] = None) -> List[Inference]:
     """All forced verdicts for the current frontiers, row-major order.
 
-    Builds the formula and one solver once, then takes its connected parts
-    in turn, each query naming the part's groups as its active set. Phase 1
-    tests the part's variables in ascending order, reusing every model of
-    the part's groups as a witness, and settles a literal that propagation
-    under the part's selectors already refutes without a query (its core
-    is read from the trail only when cores are wanted). Phase 2, when
-    extract_cores is set, attaches a minimal core to each of the part's
-    inferences, found from the core of its verdict query. Without
-    extract_cores the solver has no selectors (propagation then settles
-    what is false at level 0), and its decisions try each variable's value
-    that no witness has shown yet.
+    With extract_cores, builds the formula and one solver once, then takes
+    its connected parts in turn, each query naming the part's groups as
+    its active set. Phase 1 tests the part's variables in ascending order,
+    reusing every model of the part's groups as a witness, and settles a
+    literal that propagation under the part's selectors already refutes
+    without a query, reading its core from the trail. Phase 2 attaches a
+    minimal core to each of the part's inferences, found from the core of
+    its verdict query.
+
+    Without extract_cores, counting propagation on the frontier system
+    first settles every site that unit propagation on the formula would
+    force; only the rows it leaves undecided are encoded, over their
+    undecided sites, and a selector-free solver whose decisions try each
+    variable's value that no witness has shown yet decides the backbone of
+    each residual part. quiet, when given, holds the signatures of the
+    residual parts that yielded nothing on the last pass: no query is
+    asked for such a part, and on return the set holds the signatures of
+    this pass's parts that yielded nothing. A pass with cores ignores it.
+
+    An effective label outside [0, support size] raises InfeasibleLabel;
+    any other inconsistency raises ValueError.
     """
+    if not extract_cores:
+        return _residual_step(state, conflict_budget, quiet)
     formula = build_formula(state)
     if not formula.groups:
         return []
-    solver = Solver(formula, conflict_budget=conflict_budget,
-                    selectors=extract_cores)
-    seen_true = bytearray(formula.num_vars + 1)
-    seen_false = bytearray(formula.num_vars + 1)
-    # With cores off, each decision tries the value its variable has not yet
-    # shown in a model; cores on keep the unsteered search their cores were
-    # found with, and their phases go to an array the solver never reads.
-    phase = bytearray(formula.num_vars + 1) if extract_cores else solver.phase
+    solver = Solver(formula, conflict_budget=conflict_budget)
+    inferences: List[Inference] = []
+    # Phase 2, between the parts' phase 1: the cores, in verdict order.
+    for found in _part_verdicts(solver, solver.parts):
+        for v, verdict, core_lits in found:
+            pivot = v if verdict is Verdict.SAFE else -v
+            core = extract_gmus(solver, pivot,
+                                initial_core=solver.core_groups(core_lits))
+            inferences.append(
+                Inference(formula.var_sites[v - 1], verdict, core))
+    inferences.sort(key=lambda inf: inf.site)
+    return inferences
+
+
+def _part_verdicts(solver: Solver, parts):
+    """Phase 1 on each (groups, variables) part in turn.
+
+    Yields, per part, its (var, verdict, core literals) triples; the core
+    literals are those of the verdict query, or read from the trail for a
+    literal that propagation already refutes (they mean nothing on a
+    selector-free solver). The next part is decided only once the
+    caller asks for it. A selector-free solver is steered: each witness
+    sets the phase of its variables to the value they have not yet shown.
+    A selector solver keeps the unsteered search its cores were found
+    with, and its phases go to an array it never reads.
+    """
+    seen_true = bytearray(solver.num_vars + 1)
+    seen_false = bytearray(solver.num_vars + 1)
+    phase = (bytearray(solver.num_vars + 1) if solver.selectors
+             else solver.phase)
 
     def witness(model):
         for v, value in model.items():
@@ -159,14 +208,11 @@ def infer_step(state: GameState, *, extract_cores: bool = True,
                 seen_false[v] = 1
                 phase[v] = 1
 
-    inferences: List[Inference] = []
-    for groups, part_vars in solver.parts:
+    for groups, part_vars in parts:
         base = solver.solve(groups)
         if not base.sat:
             raise ValueError("state is inconsistent, no inference is meaningful")
         witness(base.model)
-        # Phase 1: (var, verdict, core literals of the verdict query, or
-        # None for a verdict settled by propagation with cores off).
         found = []
         for v in part_vars:
             for lit, seen, verdict in ((v, seen_true, Verdict.SAFE),
@@ -174,9 +220,7 @@ def infer_step(state: GameState, *, extract_cores: bool = True,
                 if seen[v]:
                     continue
                 if solver.refuted(groups, lit):
-                    # Propagation (under the part's selectors) settled it.
-                    found.append((v, verdict, solver.analyze_final(lit)
-                                  if extract_cores else None))
+                    found.append((v, verdict, solver.analyze_final(lit)))
                     break
                 res = solver.solve(groups, [lit])
                 if res.sat:
@@ -184,30 +228,132 @@ def infer_step(state: GameState, *, extract_cores: bool = True,
                     continue
                 found.append((v, verdict, res.core))
                 break
-        # Phase 2: the cores, in the same order.
-        for v, verdict, core_lits in found:
-            core = None
-            if extract_cores:
-                pivot = v if verdict is Verdict.SAFE else -v
-                core = extract_gmus(solver, pivot,
-                                    initial_core=solver.core_groups(core_lits))
-            inferences.append(
-                Inference(formula.var_sites[v - 1], verdict, core))
+        yield found
+
+
+ResidualRow = Tuple[int, int, List[int]]  # (row, residual label, columns)
+
+
+def _settle(fr: Frontiers) -> Tuple[List[int], List[List[ResidualRow]]]:
+    """Counting propagation on the frontier system, to a fixpoint.
+
+    A row whose residual label is 0 forces its undecided columns safe, and
+    a row whose residual label equals its undecided count forces them
+    mined. This is unit propagation on the binomial encoding, which keeps
+    generalized arc consistency, so it settles exactly the sites that the
+    formula's level-0 propagation assigns.
+
+    Returns (value, parts): value[j] is 1 (mined), 0 (safe) or -1
+    (undecided) per column, and parts the residual parts, rows joined
+    through their undecided columns, each a list of (row, residual label,
+    ascending undecided columns) in row order, in the order of their first
+    row. A residual row has 0 < residual label < undecided count. Raises
+    InfeasibleLabel for a label outside [0, support size], as build_formula
+    does, and ValueError for a conflict.
+    """
+    supports = fr.supports
+    rows_of: List[List[int]] = [[] for _ in fr.outer]
+    for i, (isite, support, e) in enumerate(
+            zip(fr.inner, supports, fr.labels)):
+        if not 0 <= e <= len(support):
+            raise InfeasibleLabel(f"inner site {isite}: label {e} "
+                                  f"infeasible for {len(support)} variables")
+        for j in support:
+            rows_of[j].append(i)
+    need = list(fr.labels)
+    free = [len(s) for s in supports]
+    value = [-1] * len(fr.outer)
+    queue = [i for i, e in enumerate(need) if e == 0 or e == free[i]]
+    while queue:
+        i = queue.pop()
+        if not free[i]:
+            continue
+        # A forced row stays forced until its columns are all decided: any
+        # other move of its counts is a conflict, raised below.
+        b = 1 if need[i] else 0
+        for j in supports[i]:
+            if value[j] >= 0:
+                continue
+            value[j] = b
+            for r in rows_of[j]:
+                free[r] -= 1
+                need[r] -= b
+                e, f = need[r], free[r]
+                if e < 0 or e > f:
+                    raise ValueError(
+                        "state is inconsistent, no inference is meaningful")
+                if f and (e == 0 or e == f):
+                    queue.append(r)
+    # Every row holding an undecided column is a residual row.
+    parts = []
+    done = bytearray(len(supports))
+    for first, f in enumerate(free):
+        if done[first] or not f:
+            continue
+        done[first] = 1
+        stack = [first]
+        part = []
+        while stack:
+            i = stack.pop()
+            cols = [j for j in supports[i] if value[j] < 0]
+            part.append((i, need[i], cols))
+            for j in cols:
+                for r in rows_of[j]:
+                    if not done[r]:
+                        done[r] = 1
+                        stack.append(r)
+        part.sort()
+        parts.append(part)
+    return value, parts
+
+
+def _residual_step(state: GameState, conflict_budget: int,
+                   quiet: Optional[Set[FrozenSet]]) -> List[Inference]:
+    """infer_step without cores: settle, then solve the residual parts."""
+    fr = frontiers(state)
+    value, parts = _settle(fr)
+    inner, outer = fr.inner, fr.outer
+    inferences = [Inference(outer[j], Verdict.MINE if b else Verdict.SAFE)
+                  for j, b in enumerate(value) if b >= 0]
+    # A part's signature fixes its constraints, and so its backbone.
+    last_quiet = quiet if quiet is not None else set()
+    now_quiet = set()
+    live = []
+    for part in parts:
+        sig = frozenset((inner[i], e, tuple(outer[j] for j in cols))
+                        for i, e, cols in part)
+        if sig in last_quiet:
+            now_quiet.add(sig)
+        else:
+            live.append((part, sig))
+    if live:
+        # The live parts' columns, renumbered in row-major order.
+        var_sites = sorted({j for part, _ in live for _, _, cols in part
+                            for j in cols})
+        var_of = {j: v for v, j in enumerate(var_sites, start=1)}
+        groups: Dict[int, List[Tuple[int, ...]]] = {}
+        solver_parts = []
+        for part, _ in live:
+            first = len(groups)
+            part_vars = set()
+            for _, e, cols in part:
+                vs = [var_of[j] for j in cols]
+                groups[len(groups)] = encode_exact_count(e, vs)
+                part_vars.update(vs)
+            solver_parts.append((list(range(first, len(groups))),
+                                 sorted(part_vars)))
+        solver = Solver(GroupedCnf(num_vars=len(var_sites), groups=groups),
+                        conflict_budget=conflict_budget, selectors=False)
+        for (_, sig), found in zip(live, _part_verdicts(solver, solver_parts)):
+            if not found:
+                now_quiet.add(sig)
+            inferences.extend(Inference(outer[var_sites[v - 1]], verdict)
+                              for v, verdict, _ in found)
+    if quiet is not None:
+        quiet.clear()
+        quiet.update(now_quiet)
     inferences.sort(key=lambda inf: inf.site)
     return inferences
-
-
-def consistency_check(state: GameState) -> bool:
-    """Does any mine placement realize every effective label."""
-    fr = frontiers(state)
-    if not fr.inner:
-        return True
-    try:
-        formula = build_formula(state)
-    except InfeasibleLabel:
-        return False
-    solver = Solver(formula)
-    return solver.solve(solver.group_ids).sat
 
 
 def play_game(board: Board, policy: Union[str, Policy] = "sat", *,
@@ -245,6 +391,7 @@ def play_game(board: Board, policy: Union[str, Policy] = "sat", *,
     flags = 0
     turns = 0
     cores: List[GmusResult] = []
+    quiet: Set[FrozenSet] = set()       # cores-off parts that yielded nothing
     outcome = Outcome.STUCK
     while True:
         if flags == n_mines:
@@ -256,7 +403,8 @@ def play_game(board: Board, policy: Union[str, Policy] = "sat", *,
         try:
             if policy.kind == "sat":
                 inferences = infer_step(state, extract_cores=track_cores,
-                                        conflict_budget=conflict_budget)
+                                        conflict_budget=conflict_budget,
+                                        quiet=quiet)
             else:
                 fr = build_constraints(state)
                 inferences = [

@@ -5,7 +5,8 @@ and the frontier system are recounted site by site with explicit loops,
 satisfiability is decided by truth table, frontier placements are
 enumerated exhaustively, and clusters are labeled by recursive flood fill.
 Tests compare library output against these independent computations.
-solve is not an oracle: it is shorthand for one query on a fresh Solver.
+solve is not an oracle: it is shorthand for one query on a fresh Solver,
+and consistency_check one such query on the frontier formula.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import pytest
 from minelab.board import (Boundary, COVERED, FLAGGED, REVEALED, Frontiers,
                            GameState, Site, flag, frontiers, generate_board,
                            neighbors, parse_board, parse_overlay, reveal)
+from minelab.cnf import InfeasibleLabel, build_formula
 from minelab.sat import Solver, SolveResult
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -94,6 +96,17 @@ def solve(formula, active=None, assumptions=(), *,
     solver = Solver(formula, conflict_budget=conflict_budget)
     return solver.solve(solver.group_ids if active is None else active,
                         assumptions)
+
+
+def consistency_check(state: GameState) -> bool:
+    """Does any mine placement realize every effective label."""
+    if not frontiers(state).inner:
+        return True
+    try:
+        formula = build_formula(state)
+    except InfeasibleLabel:
+        return False
+    return solve(formula).sat
 
 
 def eval_clause(clause, assign: Dict[int, bool]) -> bool:

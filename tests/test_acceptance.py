@@ -31,8 +31,9 @@ from minelab.harness import (GAMES_COLUMNS, SweepConfig, SweepRecord,
 from minelab.kset import build_constraints, kset_infer
 from minelab.percolation import (PercolationConfig, minesweeper_occupancy,
                                  percolation_sweep)
-from minelab.player import Verdict, consistency_check, infer_step
-from conftest import load_state, random_reachable_state, solve
+from minelab.player import Verdict, infer_step
+from conftest import (consistency_check, load_state, random_reachable_state,
+                      solve)
 
 EXPECTED = Path(__file__).parent / "acceptance_expected"
 SWEEPS = ("sat_sweep", "kset_sweep", "stratification")

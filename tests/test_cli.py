@@ -348,6 +348,7 @@ class TestSweep:
     @pytest.mark.parametrize("text, message", [
         ("n = 5\nrho = 0.1\ngames = x\n", "line 3: "),
         ("n = 5\nrho = 0.1\ngames = 0\n", "games must be at least 1"),
+        ("n = 5\nrho = 0.1\nworkers = 0\n", "workers must be at least 1"),
         ("n = 5, 2\nrho = 0.1\n", "torus boundary requires n >= 3"),
         ("n = 5\npolicies = dpll\n", "'dpll'"),
         (None, "No such file"),

@@ -1,7 +1,8 @@
 """Game-player tests: inference passes against an exhaustive placement
-oracle and against the pass that queries every unwitnessed literal, a
-pinned digest of pass output, full-game invariants, policies, budgets, and
-tracing."""
+oracle and against the pass that queries every unwitnessed literal, the
+cores-off pass's counting propagation against the solver's level-0 facts,
+its quiet-part memory against passes played without it, pinned digests of
+pass output, full-game invariants, policies, budgets, and tracing."""
 from __future__ import annotations
 
 import hashlib
@@ -9,17 +10,17 @@ import hashlib
 import pytest
 
 from minelab.board import (COVERED, Board, Boundary, GameState,
-                           GenerationExhausted, flag, generate_board,
-                           parse_overlay, reveal)
+                           GenerationExhausted, flag, frontiers,
+                           generate_board, parse_overlay, reveal)
 import minelab.player
-from minelab.cnf import build_formula
+from minelab.cnf import InfeasibleLabel, build_formula
 from minelab.gmus import extract_gmus
-from minelab.player import (Inference, Outcome, Policy, Verdict,
-                            consistency_check, infer_step, play_game)
+from minelab.player import (Inference, Outcome, Policy, Verdict, _settle,
+                            infer_step, play_game)
 from minelab.sat import Solver
 
-from conftest import (forced_verdicts, load_state, random_reachable_state,
-                      solve)
+from conftest import (consistency_check, forced_verdicts, load_state,
+                      random_reachable_state, solve)
 
 
 def reference_infer_step(state: GameState, *,
@@ -233,6 +234,14 @@ class TestInferStep:
             with pytest.raises(ValueError):
                 infer_step(state, extract_cores=extract_cores)
 
+    def test_infeasible_label_raises_in_both_modes(self):
+        # A label above its support size is rejected before any
+        # propagation or query, with the encoder's exception.
+        state = parse_overlay("8#\n##\n", Boundary.OPEN)
+        for extract_cores in (True, False):
+            with pytest.raises(InfeasibleLabel):
+                infer_step(state, extract_cores=extract_cores)
+
     def test_mine_row_single_mine_inference(self):
         state = load_state("mine_row.state", board_name="mine_row.board")
         inferences = infer_step(state)
@@ -245,6 +254,66 @@ class TestInferStep:
     def test_diagonal_wall_defeats_full_inference(self):
         state = load_state("ambiguous_pocket.state", Boundary.OPEN)
         assert infer_step(state) == []
+
+
+class TestCoresOffPass:
+    def test_settled_columns_are_the_level0_facts(self):
+        # Counting propagation is unit propagation on the binomial
+        # encoding: it settles exactly what the selector-free solver
+        # assigns at level 0 when it is built.
+        passes = settled = 0
+        for board in seeded_boards(24):
+            for state in pass_states(board):
+                value, _ = _settle(frontiers(state))
+                formula = build_formula(state)
+                solver = Solver(formula, selectors=False)
+                facts = {v - 1: solver.assigns[v] == 1
+                         for v in range(1, formula.num_vars + 1)
+                         if solver.assigns[v]}
+                assert {j: b == 1 for j, b in enumerate(value)
+                        if b >= 0} == facts
+                passes += 1
+                settled += len(facts)
+        assert passes >= 100 and settled >= 1000
+
+    def test_settled_and_residual_verdicts_match_the_reference(self):
+        passes = from_residual = 0
+        for board in seeded_boards(24):
+            for state in pass_states(board):
+                fr = frontiers(state)
+                value, _ = _settle(fr)
+                settled = {fr.outer[j]: (Verdict.MINE if b else Verdict.SAFE)
+                           for j, b in enumerate(value) if b >= 0}
+                got = infer_step(state, extract_cores=False)
+                want = reference_infer_step(state, extract_cores=False)
+                assert pass_output(got) == pass_output(want)
+                verdicts = {inf.site: inf.verdict for inf in got}
+                assert settled.items() <= verdicts.items()
+                from_residual += len(verdicts) - len(settled)
+                passes += 1
+        assert passes >= 100 and from_residual >= 50
+
+    def test_quiet_part_memory_keeps_every_pass(self):
+        # Each pass with the memory of the last pass's quiet parts gives
+        # the inferences of the same pass played without it.
+        games = reused = 0
+        for board in seeded_boards(24):
+            quiet = set()
+            for state in pass_states(board):
+                last = set(quiet)
+                got = infer_step(state, extract_cores=False, quiet=quiet)
+                assert got == infer_step(state, extract_cores=False)
+                reused += len(last & quiet)
+            games += 1
+        assert games >= 20 and reused >= 20
+
+    def test_quiet_memory_ignored_with_cores(self):
+        board = generate_board(12, 0.2, 4)
+        quiet = {frozenset({((0, 0), 1, ((0, 1), (1, 1)))})}
+        for state in pass_states(board):
+            assert (pass_output(infer_step(state, quiet=quiet))
+                    == pass_output(infer_step(state)))
+        assert len(quiet) == 1
 
 
 class TestPinnedPasses:
@@ -263,6 +332,24 @@ class TestPinnedPasses:
                 digest.update(f"{i} {turn} {out}\n".encode())
         assert boards >= 35
         assert digest.hexdigest() == self.DIGEST
+
+    # The same boards and passes with cores off: sites and verdicts, each
+    # pass with the memory of the last pass's quiet parts.
+    DIGEST_CORES_OFF = (
+        "c105745dc250bb26c6a3ff3d1152e4a250e266109f1ab0ecd42c9a36bd17bfab")
+
+    def test_cores_off_pass_output_digest(self):
+        digest = hashlib.sha256()
+        boards = 0
+        for i, board in enumerate(seeded_boards(40)):
+            boards += 1
+            quiet = set()
+            for turn, state in enumerate(pass_states(board)):
+                out = pass_output(infer_step(state, extract_cores=False,
+                                             quiet=quiet))
+                digest.update(f"{i} {turn} {out}\n".encode())
+        assert boards >= 35
+        assert digest.hexdigest() == self.DIGEST_CORES_OFF
 
 
 class TestConsistencyCheck:
