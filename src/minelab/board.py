@@ -33,10 +33,6 @@ class Boundary(enum.Enum):
     OPEN = "open"
 
 
-class IllegalMove(Exception):
-    """A reveal or flag that violates the game rules."""
-
-
 class GenerationExhausted(Exception):
     """Board generation could not satisfy the zero-start requirement."""
 
@@ -50,20 +46,7 @@ class GenerationExhausted(Exception):
         self.attempts = attempts
 
 
-class ParseError(Exception):
-    """Malformed board or overlay text."""
-
-    def __init__(self, message: str, line: Optional[int] = None,
-                 column: Optional[int] = None):
-        loc = ""
-        if line is not None:
-            loc = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
-        super().__init__(message + loc)
-        self.line = line
-        self.column = column
-
-
-def neighbors(site: Site, n: int, boundary: Boundary) -> List[Site]:
+def _neighbors(site: Site, n: int, boundary: Boundary) -> List[Site]:
     """Moore neighborhood of a site, wrapped on a torus, clipped when open.
 
     Returns a deterministic list in offset order. On a torus the lattice
@@ -218,13 +201,6 @@ def generate_board(n: int, rho: float, seed, boundary: Boundary = Boundary.TORUS
 
 
 @dataclass(frozen=True)
-class RevealOutcome:
-    """Result of one reveal: either a Boom or the set of sites opened."""
-    boom: bool
-    revealed: FrozenSet[Site]
-
-
-@dataclass(frozen=True)
 class Frontiers:
     """The frontier constraint system sum_j a_ij x_j = e_i, row-major.
 
@@ -270,27 +246,28 @@ class GameState:
         self.boom_site: Optional[Site] = None
 
 
-def reveal(state: GameState, site: Site) -> RevealOutcome:
+def reveal(state: GameState, site: Site) -> FrozenSet[Site]:
     """Reveal a covered site; zero labels flood-fill their neighborhoods.
 
     Flagged sites are never opened by the flood (flags are the player's
-    bookkeeping and stay put). Returns every site opened by this move, or a
-    Boom that makes the state terminal.
+    bookkeeping and stay put). Returns every site opened by this move; a
+    mined site opens none and makes the state terminal (state.exploded).
+    A move the rules forbid raises ValueError.
     """
     if state.board is None:
-        raise IllegalMove("cannot reveal without a ground-truth board")
+        raise ValueError("cannot reveal without a ground-truth board")
     if state.exploded:
-        raise IllegalMove("game is over")
+        raise ValueError("game is over")
     st = int(state.status[site])
     if st == REVEALED:
-        raise IllegalMove(f"site {site} is already revealed")
+        raise ValueError(f"site {site} is already revealed")
     if st == FLAGGED:
-        raise IllegalMove(f"site {site} is flagged")
+        raise ValueError(f"site {site} is flagged")
     state.turn_counter += 1
     if state.board.is_mine(site):
         state.exploded = True
         state.boom_site = site
-        return RevealOutcome(boom=True, revealed=frozenset())
+        return frozenset()
     opened = set()
     queue = deque([site])
     labels = state.board.labels
@@ -303,26 +280,26 @@ def reveal(state: GameState, site: Site) -> RevealOutcome:
         opened.add(s)
         # Zero labels certify a mine-free neighborhood, so the flood is safe.
         if labels[s] == 0:
-            for t in neighbors(s, state.n, state.boundary):
+            for t in _neighbors(s, state.n, state.boundary):
                 if int(state.status[t]) == COVERED:
                     queue.append(t)
-    return RevealOutcome(boom=False, revealed=frozenset(opened))
+    return frozenset(opened)
 
 
 def flag(state: GameState, site: Site) -> None:
     """Flag a covered site as a mine claim."""
     if state.exploded:
-        raise IllegalMove("game is over")
+        raise ValueError("game is over")
     st = int(state.status[site])
     if st != COVERED:
-        raise IllegalMove(f"site {site} is not covered")
+        raise ValueError(f"site {site} is not covered")
     state.status[site] = FLAGGED
 
 
 def frontiers(state: GameState) -> Frontiers:
     """The frontier system of the state: sites, supports and labels.
 
-    On a torus the lattice side must be at least 3, as for neighbors().
+    On a torus the lattice side must be at least 3.
     """
     n, boundary = state.n, state.boundary
     if boundary is Boundary.TORUS and n < 3:
@@ -345,113 +322,3 @@ def frontiers(state: GameState) -> Frontiers:
     labels = state.view_labels - _neighbor_sum(flagged, boundary)
     return Frontiers(inner=inner, outer=outer, supports=supports,
                      labels=tuple(labels[rows, cols].tolist()))
-
-
-_BOUNDARY_WORDS = {"torus": Boundary.TORUS, "open": Boundary.OPEN}
-
-
-def parse_board(text: str) -> Board:
-    """Parse the board text format: `N <n> <torus|open>` then n mine rows."""
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("empty board text", line=1)
-    header = lines[0].split()
-    if len(header) != 3 or header[0] != "N":
-        raise ParseError("header must be 'N <n> <torus|open>'", line=1)
-    try:
-        n = int(header[1])
-    except ValueError:
-        raise ParseError(f"bad board size {header[1]!r}", line=1) from None
-    if n < 1:
-        raise ParseError("board size must be positive", line=1)
-    if header[2] not in _BOUNDARY_WORDS:
-        raise ParseError(f"unknown boundary {header[2]!r}", line=1)
-    boundary = _BOUNDARY_WORDS[header[2]]
-    rows = lines[1:]
-    if len(rows) < n:
-        raise ParseError(f"expected {n} rows, found {len(rows)}",
-                         line=len(lines) + 1)
-    for extra in rows[n:]:
-        if extra.strip():
-            raise ParseError("trailing content after board rows", line=n + 2)
-    mines = []
-    for i in range(n):
-        row = rows[i]
-        if len(row) != n:
-            raise ParseError(f"row has length {len(row)}, expected {n}",
-                             line=i + 2, column=len(row) + 1)
-        for j, ch in enumerate(row):
-            if ch == "*":
-                mines.append((i, j))
-            elif ch != ".":
-                raise ParseError(f"bad cell {ch!r}", line=i + 2, column=j + 1)
-    return Board(n, boundary, mines)
-
-
-def serialize_board(board: Board) -> str:
-    """Inverse of parse_board (the start site is not part of the format)."""
-    rows = ["N %d %s" % (board.n, board.boundary.value)]
-    for i in range(board.n):
-        rows.append("".join("*" if (i, j) in board.mines else "."
-                            for j in range(board.n)))
-    return "\n".join(rows) + "\n"
-
-
-def parse_overlay(text: str, boundary: Boundary,
-                  board: Optional[Board] = None) -> GameState:
-    """Parse a status overlay: '#' covered, 'F' flagged, digits revealed.
-
-    The grid must be square; the boundary comes from the caller (the format
-    has no header). When a ground-truth board is supplied it is attached and
-    the revealed labels are checked against it.
-    """
-    rows = [row for row in text.splitlines() if row.strip() != ""]
-    if not rows:
-        raise ParseError("empty overlay text", line=1)
-    n = len(rows)
-    status = np.full((n, n), COVERED, dtype=np.int8)
-    view = np.full((n, n), -1, dtype=np.int16)
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise ParseError(f"row has length {len(row)}, expected {n}",
-                             line=i + 1, column=len(row) + 1)
-        for j, ch in enumerate(row):
-            if ch == "#":
-                continue
-            if ch == "F":
-                status[i, j] = FLAGGED
-            elif ch.isdigit() and int(ch) <= 8:
-                status[i, j] = REVEALED
-                view[i, j] = int(ch)
-            else:
-                raise ParseError(f"bad overlay cell {ch!r}", line=i + 1, column=j + 1)
-    if board is not None:
-        if board.n != n:
-            raise ValueError(f"overlay side {n} does not match board side {board.n}")
-        if board.boundary != boundary:
-            raise ValueError("overlay boundary does not match board boundary")
-        for r, c in map(tuple, np.argwhere(status == REVEALED)):
-            if board.is_mine((r, c)):
-                raise ValueError(f"revealed site {(r, c)} is mined")
-            if int(board.labels[r, c]) != int(view[r, c]):
-                raise ValueError(
-                    f"label mismatch at {(r, c)}: overlay {int(view[r, c])}, "
-                    f"board {int(board.labels[r, c])}")
-    return GameState(board, n=n, boundary=boundary, status=status, view_labels=view)
-
-
-def serialize_overlay(state: GameState) -> str:
-    """Inverse of parse_overlay."""
-    rows = []
-    for i in range(state.n):
-        chars = []
-        for j in range(state.n):
-            st = int(state.status[i, j])
-            if st == COVERED:
-                chars.append("#")
-            elif st == FLAGGED:
-                chars.append("F")
-            else:
-                chars.append(str(int(state.view_labels[i, j])))
-        rows.append("".join(chars))
-    return "\n".join(rows) + "\n"

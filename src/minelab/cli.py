@@ -16,17 +16,16 @@ import io
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
-from .board import (Boundary, GenerationExhausted, check_board_shape,
-                    generate_board)
+from .board import Boundary, check_board_shape
 from .cnf import parse_dimacs, parse_gcnf
 from .gmus import NotUnsat, extract_gmus
-from .harness import (_exhausted_record, _record_to_row, _row_to_cells,
-                      _validate, game_seed, parse_grid, parse_sweep_config,
-                      run_sweep, GAMES_COLUMNS)
+from .harness import (GAMES_COLUMNS, game_seed, parse_grid,
+                      parse_sweep_config, play_seeded_game, record_cells,
+                      run_sweep, validate_config)
 from .percolation import Connectivity, PercolationConfig, percolation_sweep
-from .player import GameRecord, Policy, Verdict, play_game
+from .player import GameRecord, Inference, Policy, Verdict
 from .plots import EmptyInput, render_plots
 from .sat import ResourceLimit, Solver
 
@@ -46,10 +45,9 @@ def _read_formula(path: str):
     raise ValueError("input is neither DIMACS (p cnf) nor GCNF (p gcnf)")
 
 
-def _row_line(record: GameRecord, *, include_timing: bool = True) -> str:
+def _row_line(record: GameRecord) -> str:
     buf = io.StringIO()
-    csv.writer(buf).writerow(
-        _row_to_cells(_record_to_row(record, include_timing)))
+    csv.writer(buf).writerow(record_cells(record))
     return buf.getvalue().rstrip("\r\n")
 
 
@@ -59,25 +57,18 @@ def _input_error(command: str, exc: Exception) -> int:
     return 2
 
 
-def cmd_play(args: argparse.Namespace) -> int:
+def _cmd_play(args: argparse.Namespace) -> int:
     boundary = Boundary(args.boundary)
     try:
         policy = Policy.parse(args.policy)
-    except ValueError as exc:
-        return _input_error("play", exc)
-    try:
-        ss = game_seed(args.master, args.rho, args.seed)
-        board = generate_board(args.n, args.rho, ss, boundary)
-    except GenerationExhausted:
-        print(_row_line(_exhausted_record(args.n, args.rho, str(policy),
-                                          args.seed)))
-        return 0
+        game_seed(args.master, args.rho, args.seed)  # a bad seed fails here
+        check_board_shape(args.n, args.rho, boundary)
     except ValueError as exc:
         return _input_error("play", exc)
 
     trace_fn = None
     if args.trace:
-        def trace_fn(turn: int, inferences) -> None:
+        def trace_fn(turn: int, inferences: List[Inference]) -> None:
             cores = [inf.core.size for inf in inferences
                      if inf.core is not None]
             print(json.dumps({
@@ -90,15 +81,17 @@ def cmd_play(args: argparse.Namespace) -> int:
                 "core_size": max(cores) if cores else None,
             }))
 
-    record = play_game(board, policy, track_cores=not args.no_cores,
-                       time_budget_s=args.time_budget,
-                       conflict_budget=args.conflict_budget,
-                       rho=args.rho, seed=args.seed, trace_fn=trace_fn)
+    record = play_seeded_game(args.n, args.rho, policy, args.master,
+                              args.seed, boundary,
+                              track_cores=not args.no_cores,
+                              time_budget_s=args.time_budget,
+                              conflict_budget=args.conflict_budget,
+                              trace_fn=trace_fn)
     print(_row_line(record))
     return 0
 
 
-def cmd_kset(args: argparse.Namespace) -> int:
+def _cmd_kset(args: argparse.Namespace) -> int:
     boundary = Boundary(args.boundary)
     try:
         policy = Policy.parse(f"kset:{args.k}")
@@ -111,19 +104,13 @@ def cmd_kset(args: argparse.Namespace) -> int:
     writer = csv.writer(sys.stdout)
     writer.writerow(GAMES_COLUMNS)
     for idx in range(args.seeds):
-        ss = game_seed(args.master, args.rho, idx)
-        try:
-            board = generate_board(args.n, args.rho, ss, boundary)
-        except GenerationExhausted:
-            record = _exhausted_record(args.n, args.rho, str(policy), idx)
-        else:
-            record = play_game(board, policy, time_budget_s=args.time_budget,
-                               rho=args.rho, seed=idx)
-        writer.writerow(_row_to_cells(_record_to_row(record, True)))
+        writer.writerow(record_cells(play_seeded_game(
+            args.n, args.rho, policy, args.master, idx, boundary,
+            time_budget_s=args.time_budget)))
     return 0
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: argparse.Namespace) -> int:
     try:
         formula = _read_formula(args.file)
     except (OSError, ValueError) as exc:
@@ -146,7 +133,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_core(args: argparse.Namespace) -> int:
+def _cmd_core(args: argparse.Namespace) -> int:
     try:
         formula = _read_formula(args.file)
         result = extract_gmus(Solver(formula), args.pivot)
@@ -161,7 +148,7 @@ def cmd_core(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_percolation(args: argparse.Namespace) -> int:
+def _cmd_percolation(args: argparse.Namespace) -> int:
     try:
         config = PercolationConfig(
             mode=args.mode, params=parse_grid(args.param_grid), n=args.n,
@@ -186,17 +173,16 @@ def cmd_percolation(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         config = parse_sweep_config(Path(args.config).read_text())
-        _validate(config)
+        validate_config(config)
+        if args.outdir is not None:
+            config.outdir = Path(args.outdir)
+        if config.outdir is None:
+            raise ValueError("config must set outdir= (or pass --outdir)")
     except (OSError, ValueError) as exc:
         return _input_error("sweep", exc)
-    if args.outdir is not None:
-        config.outdir = Path(args.outdir)
-    if config.outdir is None:
-        print("config must set outdir= (or pass --outdir)", file=sys.stderr)
-        return 1
     records = run_sweep(config)
     outdir = Path(config.outdir)
     for kind, name in (("alpha", "alpha.svg"), ("core", "core.svg")):
@@ -213,7 +199,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minelab",
         description="Minesweeper inference hardness laboratory")
@@ -234,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seconds before a game ends stuck_timeout "
                         "(default: no limit)")
     p.add_argument("--conflict-budget", type=int, default=1_000_000)
-    p.set_defaults(fn=cmd_play)
+    p.set_defaults(fn=_cmd_play)
 
     p = sub.add_parser("kset", help="batch of k-set games as CSV rows")
     p.add_argument("--k", type=int, required=True)
@@ -247,17 +233,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-budget", type=float, default=None,
                    help="seconds before a game ends stuck_timeout "
                         "(default: no limit)")
-    p.set_defaults(fn=cmd_kset)
+    p.set_defaults(fn=_cmd_kset)
 
     p = sub.add_parser("solve", help="solve a DIMACS or GCNF file")
     p.add_argument("file", help="path or - for stdin")
     p.add_argument("--conflict-budget", type=int, default=1_000_000)
-    p.set_defaults(fn=cmd_solve)
+    p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("core", help="minimal group core of a GCNF file")
     p.add_argument("file", help="path or - for stdin")
     p.add_argument("pivot", type=int, help="assumption literal")
-    p.set_defaults(fn=cmd_core)
+    p.set_defaults(fn=_cmd_core)
 
     p = sub.add_parser("percolation", help="cluster-size sweep as CSV")
     p.add_argument("--mode", choices=["minesweeper", "independent"],
@@ -271,19 +257,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--connectivity", choices=["nearest4", "moore8"],
                    default="nearest4")
     p.add_argument("--svg", default=None, help="also render an SVG chart")
-    p.set_defaults(fn=cmd_percolation)
+    p.set_defaults(fn=_cmd_percolation)
 
     p = sub.add_parser("sweep", help="grid sweep from a key=value config")
     p.add_argument("--config", required=True)
     p.add_argument("--outdir", default=None,
                    help="override the config outdir")
-    p.set_defaults(fn=cmd_sweep)
+    p.set_defaults(fn=_cmd_sweep)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _build_parser().parse_args(argv)
     return args.fn(args)
 
 

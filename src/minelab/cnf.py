@@ -1,20 +1,25 @@
 """Frontier constraints as a group-tagged CNF formula.
 
-Each outer-frontier site gets one Boolean variable (true iff mined), numbered
-1..num_vars in row-major frontier order. Each inner-frontier site i
-contributes one clause group F_i encoding "exactly e_i of my covered
-unflagged neighbors are mines". The whole formula is the conjunction of the
-groups; group identity is what minimal-core extraction works over.
+build_formula encodes rows of the frontier system sum_j a_ij x_j = e_i:
+each row i given contributes one clause group, GroupId i, encoding "exactly
+e of these columns are mines", where e and the columns are the row's own
+(its label and support, or what counting propagation leaves of them). The
+columns the rows mention get one Boolean variable each (true iff mined),
+numbered 1..num_vars in ascending column order, so in row-major order of
+their outer sites. The formula is the conjunction of the groups; group
+identity is what minimal-core extraction works over.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .board import GameState, Site, frontiers
+# Unused here; perfbench/benchtrace.py patches minelab.cnf.frontiers.
+from .board import Frontiers, Site, frontiers  # noqa: F401
 
 Clause = Tuple[int, ...]
+Row = Tuple[int, int, Sequence[int]]    # (row, label, ascending columns)
 
 
 class InfeasibleLabel(Exception):
@@ -25,8 +30,8 @@ class InfeasibleLabel(Exception):
 class GroupedCnf:
     """A CNF split into clause groups.
 
-    A frontier formula has one group per inner-frontier site, GroupId g
-    for frontiers().inner[g], and var_sites maps VarId v to its outer site
+    A frontier formula has one group per encoded row, GroupId i for
+    frontiers().inner[i], and var_sites maps VarId v to its outer site
     var_sites[v - 1].
     """
     num_vars: int
@@ -37,7 +42,7 @@ class GroupedCnf:
         return sum(len(cs) for cs in self.groups.values())
 
 
-def encode_exact_count(e: int, vars: Sequence[int]) -> List[Clause]:
+def _encode_exact_count(e: int, vars: Sequence[int]) -> List[Clause]:
     """Clauses satisfied exactly when e of the given variables are true.
 
     Binomial encoding: one all-negative clause per (e+1)-subset rules out
@@ -53,24 +58,25 @@ def encode_exact_count(e: int, vars: Sequence[int]) -> List[Clause]:
     return clauses
 
 
-def build_formula(state: GameState) -> GroupedCnf:
-    """Group-tagged CNF for the current frontiers.
+def build_formula(fr: Frontiers, rows: Iterable[Row]) -> GroupedCnf:
+    """Group-tagged CNF for the given (row, label, columns) rows of fr.
 
-    One group per inner site, over the variables of its support (VarId =
-    outer index + 1); variables are shared across groups wherever
-    neighborhoods overlap. Empty frontiers give a formula with no groups
-    and no variables.
+    Group i says that exactly label of row i's columns are mines. The
+    columns the rows mention become the variables, renumbered in ascending
+    order, and are shared across groups wherever supports overlap. Every
+    row with its full support and label gives the whole frontier formula,
+    with VarId = outer index + 1; no rows give a formula with no groups and
+    no variables.
     """
-    fr = frontiers(state)
-    groups: Dict[int, List[Clause]] = {}
-    for gid, (isite, support, e) in enumerate(
-            zip(fr.inner, fr.supports, fr.labels)):
-        try:
-            groups[gid] = encode_exact_count(e, [j + 1 for j in support])
-        except InfeasibleLabel as exc:
-            raise InfeasibleLabel(f"inner site {isite}: {exc}") from None
-    return GroupedCnf(num_vars=len(fr.outer), groups=groups,
-                      var_sites=fr.outer)
+    rows = list(rows)
+    cols = sorted({j for _, _, support in rows for j in support})
+    var_of = [0] * len(fr.outer)
+    for v, j in enumerate(cols, start=1):
+        var_of[j] = v
+    groups = {i: _encode_exact_count(e, [var_of[j] for j in support])
+              for i, e, support in rows}
+    return GroupedCnf(num_vars=len(cols), groups=groups,
+                      var_sites=tuple(fr.outer[j] for j in cols))
 
 
 def export_dimacs(cnf: GroupedCnf) -> str:

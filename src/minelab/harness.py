@@ -22,9 +22,9 @@ import csv
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,13 +42,6 @@ SUMMARY_COLUMNS = ("n", "rho", "policy", "games", "alpha_mean", "alpha_se",
 # for stable means on one core.
 DESK_NS = (20, 40)
 DESK_GAMES = 50
-DESK_RHO_START = 0.025
-DESK_RHO_STOP = 0.45
-DESK_RHO_STEP = 0.025
-
-
-def desk_rhos() -> Tuple[float, ...]:
-    return float_range(DESK_RHO_START, DESK_RHO_STOP, DESK_RHO_STEP)
 
 
 def float_range(start: float, stop: float, step: float) -> Tuple[float, ...]:
@@ -59,6 +52,9 @@ def float_range(start: float, stop: float, step: float) -> Tuple[float, ...]:
     if di <= 0:
         raise ValueError("step must be positive")
     return tuple(k / 1_000_000 for k in range(si, ei + 1, di))
+
+
+DESK_RHOS = float_range(0.025, 0.45, 0.025)    # the desk preset's grid
 
 
 def parse_grid(text: str) -> Tuple[float, ...]:
@@ -76,7 +72,7 @@ def parse_grid(text: str) -> Tuple[float, ...]:
 @dataclass
 class SweepConfig:
     ns: Sequence[int] = DESK_NS
-    rhos: Sequence[float] = field(default_factory=desk_rhos)
+    rhos: Sequence[float] = DESK_RHOS
     policies: Sequence[str] = ("sat",)
     games: int = DESK_GAMES
     seed: int = 0
@@ -125,25 +121,31 @@ def game_seed(master: int, rho: float, index: int) -> np.random.SeedSequence:
                                   spawn_key=(_rho_key(rho), index))
 
 
-def _exhausted_record(n: int, rho: float, policy: str, seed: int) -> GameRecord:
-    """The record of a game whose board generation was exhausted."""
-    return GameRecord(n=n, rho=rho, seed=seed, policy=policy,
-                      alpha=float("nan"), max_core=None, turns=0,
-                      outcome=Outcome.GENERATION_EXHAUSTED, wall_ms=0.0)
+def play_seeded_game(n: int, rho: float, policy: Union[str, Policy],
+                     master: int, idx: int,
+                     boundary: Boundary = Boundary.TORUS,
+                     track_cores: bool = True,
+                     time_budget_s: Optional[float] = None,
+                     conflict_budget: int = 1_000_000,
+                     trace_fn: Optional[Callable] = None) -> GameRecord:
+    """Game idx of the master-seeded stream at (n, rho), played.
 
-
-def _play_one(task) -> GameRecord:
-    (n, rho, policy, master, idx, boundary_value, track_cores,
-     time_budget_s, conflict_budget) = task
-    boundary = Boundary(boundary_value)
-    ss = game_seed(master, rho, idx)
+    The board comes from game_seed(master, rho, idx); when its generation
+    is exhausted the record says so (alpha NaN, no turns). The record
+    carries rho and idx as its rho and seed; trace_fn goes to play_game.
+    The sweep's pool workers, `minelab play` and `minelab kset` all play
+    their games here.
+    """
     try:
-        board = generate_board(n, rho, ss, boundary)
+        board = generate_board(n, rho, game_seed(master, rho, idx), boundary)
     except GenerationExhausted:
-        return _exhausted_record(n, rho, policy, idx)
+        return GameRecord(n=n, rho=rho, seed=idx, policy=str(policy),
+                          alpha=float("nan"), max_core=None, turns=0,
+                          outcome=Outcome.GENERATION_EXHAUSTED, wall_ms=0.0)
     return play_game(board, policy, track_cores=track_cores,
                      time_budget_s=time_budget_s,
-                     conflict_budget=conflict_budget, rho=rho, seed=idx)
+                     conflict_budget=conflict_budget, rho=rho, seed=idx,
+                     trace_fn=trace_fn)
 
 
 # Typed per-game row shared by fresh plays and cached point files.
@@ -171,6 +173,11 @@ def _fmt_float(x: Optional[float]) -> str:
 
 def _fmt_opt_int(x: Optional[int]) -> str:
     return "" if x is None else str(int(x))
+
+
+def record_cells(rec: GameRecord) -> List[str]:
+    """The games.csv cells of one record, wall_ms included."""
+    return _row_to_cells(_record_to_row(rec, True))
 
 
 def _row_to_cells(row: Dict[str, object]) -> List[str]:
@@ -275,7 +282,8 @@ def _aggregate(n: int, rho: float, policy: str,
                        generation_exhausted=exhausted)
 
 
-def _validate(config: SweepConfig) -> None:
+def validate_config(config: SweepConfig) -> None:
+    """Raise ValueError for a config that run_sweep cannot play."""
     if not config.ns or any(n < 1 for n in config.ns):
         raise ValueError("ns must be a nonempty list of positive sizes")
     if not config.rhos or any(not 0.0 <= r < 1.0 for r in config.rhos):
@@ -301,7 +309,7 @@ def run_sweep(config: SweepConfig) -> List[SweepRecord]:
     files carry the configuration in a header comment; a stale header
     forces a replay of that point.
     """
-    _validate(config)
+    validate_config(config)
     token = _config_token(config)
     outdir = Path(config.outdir) if config.outdir is not None else None
     points = [(n, rho, str(Policy.parse(p)))
@@ -319,17 +327,17 @@ def run_sweep(config: SweepConfig) -> List[SweepRecord]:
                 path = _point_path(outdir, n, rho, policy)
                 rows = _load_point(path, token, config.games)
             if rows is None:
-                tasks = [(n, rho, policy, config.seed, idx,
-                          config.boundary.value, config.track_cores,
-                          config.time_budget_s, config.conflict_budget)
+                tasks = [(n, rho, policy, config.seed, idx, config.boundary,
+                          config.track_cores, config.time_budget_s,
+                          config.conflict_budget)
                          for idx in range(config.games)]
                 if config.workers > 1:
                     if pool is None:
                         pool = multiprocessing.get_context("fork").Pool(
                             config.workers)
-                    recs = pool.map(_play_one, tasks, chunksize=1)
+                    recs = pool.starmap(play_seeded_game, tasks, chunksize=1)
                 else:
-                    recs = [_play_one(t) for t in tasks]
+                    recs = [play_seeded_game(*t) for t in tasks]
                 rows = [_record_to_row(r, config.record_timing) for r in recs]
                 if path is not None:
                     _store_point(path, token, rows)
@@ -373,12 +381,6 @@ def write_summary_csv(path: Union[str, Path],
                 _fmt_float(r.stuck_fraction), _fmt_float(r.mean_wall_time),
                 str(r.generation_exhausted)])
     return path
-
-
-def read_games_csv(path: Union[str, Path]) -> List[Dict[str, object]]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [_cells_to_row(c) for c in reader]
 
 
 def parse_sweep_config(text: str,

@@ -38,18 +38,11 @@ policies use.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 from typing import List, Optional, Tuple
 
 from .board import Frontiers, GameState, frontiers
-
-
-@dataclass(frozen=True, order=True)
-class ForcedAssignment:
-    col: int
-    value: int
 
 
 def build_constraints(state: GameState) -> Frontiers:
@@ -109,15 +102,15 @@ def _atom_masks(row_masks: List[int]) -> List[int]:
 
 
 def kset_infer(fr: Frontiers, k: int, *,
-               stats: Optional[dict] = None) -> List[ForcedAssignment]:
+               stats: Optional[dict] = None) -> List[Tuple[int, int]]:
     """Every assignment forced by a signed combination of <= k rows.
 
     Only connected row sets are enumerated; on consistent systems they
     force exactly what every row set forces (see the module docstring).
     Rows are column bitmasks, and each connected set is evaluated once for
     all its sign vectors from the sizes of its rows' intersections.
-    ForcedAssignment.col indexes fr.outer. Deduplicated and sorted by
-    (col, value). The stats dict, when given, receives the number of
+    Returns (col, value) pairs, value 1 for mined and 0 for safe, where
+    col indexes fr.outer; deduplicated and sorted. The stats dict, when given, receives the number of
     (row set, sign vector) pairs enumerated under the key "evaluated".
     """
     if k < 1:
@@ -233,7 +226,7 @@ def kset_infer(fr: Frontiers, k: int, *,
         decided ^= bit
         j = bit.bit_length() - 1
         if zeros & bit:
-            out.append(ForcedAssignment(j, 0))
+            out.append((j, 0))
         if ones & bit:
-            out.append(ForcedAssignment(j, 1))
+            out.append((j, 1))
     return out

@@ -31,38 +31,38 @@ class Connectivity(enum.Enum):
     MOORE8 = "moore8"
 
 
-class NoClusters(Exception):
+class _NoClusters(Exception):
     """No cluster remains after spanning exclusion (or the grid is empty)."""
 
 
 @dataclass(frozen=True)
-class OccupancyGrid:
+class _OccupancyGrid:
     n: int
     occupied: np.ndarray           # (n, n) booleans
     boundary: Boundary
 
 
 @dataclass(frozen=True)
-class ClusterStats:
+class _ClusterStats:
     """All cluster sizes and the subset that spans."""
     sizes: Tuple[int, ...]
     spanning_sizes: Tuple[int, ...]
 
 
-def minesweeper_occupancy(board: Board) -> OccupancyGrid:
+def _minesweeper_occupancy(board: Board) -> _OccupancyGrid:
     """Occupied = mined or labeled nonzero."""
     occ = board.mine_grid | (board.labels > 0)
-    return OccupancyGrid(n=board.n, occupied=occ, boundary=board.boundary)
+    return _OccupancyGrid(n=board.n, occupied=occ, boundary=board.boundary)
 
 
-def independent_occupancy(n: int, p: float, seed,
-                          boundary: Boundary = Boundary.OPEN) -> OccupancyGrid:
+def _independent_occupancy(n: int, p: float, seed,
+                           boundary: Boundary = Boundary.OPEN) -> _OccupancyGrid:
     """I.i.d. site occupation with probability p (standard percolation)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     occ = rng.random((n, n)) < p
-    return OccupancyGrid(n=n, occupied=occ, boundary=boundary)
+    return _OccupancyGrid(n=n, occupied=occ, boundary=boundary)
 
 
 # Backward neighbor steps, so each undirected edge is visited exactly once
@@ -71,8 +71,9 @@ _STEPS4 = ((-1, 0), (0, -1))
 _STEPS8 = ((-1, -1), (-1, 0), (-1, 1), (0, -1))
 
 
-def cluster_sizes(grid: OccupancyGrid,
-                  connectivity: Connectivity = Connectivity.NEAREST4) -> ClusterStats:
+def _cluster_sizes(grid: _OccupancyGrid,
+                   connectivity: Connectivity = Connectivity.NEAREST4
+                   ) -> _ClusterStats:
     """Connected-component sizes under the grid's boundary rule."""
     n = grid.n
     occ = grid.occupied
@@ -173,17 +174,17 @@ def cluster_sizes(grid: OccupancyGrid,
                      or (min_col[root] == 0 and max_col[root] == n - 1))
         if spans:
             spanning.append(size[root])
-    return ClusterStats(sizes=tuple(sorted(sizes)),
-                        spanning_sizes=tuple(sorted(spanning)))
+    return _ClusterStats(sizes=tuple(sorted(sizes)),
+                         spanning_sizes=tuple(sorted(spanning)))
 
 
-def avg_cluster_size(stats: ClusterStats) -> float:
+def _avg_cluster_size(stats: _ClusterStats) -> float:
     """Second moment over first moment of the non-spanning cluster sizes."""
     sizes = list(stats.sizes)
     for s in stats.spanning_sizes:
         sizes.remove(s)
     if not sizes:
-        raise NoClusters("no cluster remains to average")
+        raise _NoClusters("no cluster remains to average")
     num = sum(s * s for s in sizes)
     den = sum(sizes)
     return num / den
@@ -238,15 +239,15 @@ def percolation_sweep(config: PercolationConfig) -> List[PercRecord]:
         for si in range(config.samples):
             ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(pi, si))
             if config.mode == "independent":
-                grid = independent_occupancy(config.n, param, ss, boundary)
+                grid = _independent_occupancy(config.n, param, ss, boundary)
             else:
                 board = generate_board(config.n, param, ss, boundary,
                                        require_zero=False)
-                grid = minesweeper_occupancy(board)
+                grid = _minesweeper_occupancy(board)
             try:
-                values.append(avg_cluster_size(
-                    cluster_sizes(grid, config.connectivity)))
-            except NoClusters:
+                values.append(_avg_cluster_size(
+                    _cluster_sizes(grid, config.connectivity)))
+            except _NoClusters:
                 continue
         if values:
             arr = np.asarray(values)

@@ -6,64 +6,70 @@ means it is a mine. All inferences from a pass are applied together (flags
 first, then reveals) before the frontiers are recomputed. The game ends when
 every mine is flagged or a pass yields nothing.
 
-With cores on, a pass builds one solver on the whole formula and works
-through its connected parts (Solver.parts) one at a time, naming a part's
-groups as the active set of every query: a literal is forced by the whole
-formula exactly when it is forced by the part holding its variable, since
-the other parts share no variable with it, and such a query decides only
-the part's variables. On each part, phase 1 decides every verdict; phase
-2 then extracts the minimal cores, in the same order. Keeping the
-extractions out of phase 1 lets consecutive verdict queries on a part
-share all its selector levels.
+A pass is one pipeline, with cores on or off (infer_step):
+
+ 1. the frontier system (board.frontiers), its labels checked once;
+ 2. with cores off only, counting propagation: a row whose residual label
+    is 0 forces its undecided sites safe, and one whose residual label
+    equals its undecided count forces them mined, to a fixpoint. That is
+    unit propagation on the binomial encoding, so it settles exactly what
+    the formula's level-0 propagation would (Janota, Lynce & Marques-Silva,
+    AI Comm. 2015), and on played boards it settles most verdicts;
+ 3. the undecided rows, split into parts joined through their undecided
+    sites. A literal is forced by the whole formula exactly when it is
+    forced by the part holding its variable, since the other parts share
+    no variable with it;
+ 4. the parts that yielded nothing on the last pass, dropped;
+ 5. the other parts' rows, encoded by cnf.build_formula over their
+    undecided sites (renumbered in row-major order) for one solver;
+ 6. per part, phase 1 decides every verdict with queries that name the
+    part's groups as the active set; with cores on, phase 2 then extracts
+    the minimal cores, in the same order, before the next part. Keeping
+    the extractions out of phase 1 lets consecutive verdict queries on a
+    part share all its selector levels.
 
 Witness reuse keeps phase 1 cheap: every model of a part seen with all its
 groups active fixes a value for each of its variables, and a variable
 already witnessed with value b skips the "forced to not-b" query, since that
 query is satisfiable. Models found inside core extraction activate only a
-subset of groups and are never used as witnesses.
+subset of groups and are never used as witnesses. A literal that
+propagation already makes false is a verdict without a query
+(Solver.refuted), and with cores its core literals are read from the same
+trail (Solver.analyze_final), exactly as the query would return them.
 
-Propagation keeps most of the rest out of the solver: a literal that the
-part's selector levels already make false is a verdict without a query
-(Solver.refuted), and its core literals are read from the same trail
-(Solver.analyze_final), exactly as the query would return them. Only the
-literals that neither a witness nor propagation settles are queried.
+With cores off the solver is selector-free (every group takes part in
+every query, which gives the same verdicts, since a part shares no
+variable with the others and an inconsistent state still fails the base
+query of some part), and its branching is steered: each decision tries
+the value its variable has not yet shown in a witness, so that every model
+rules out as many queries as it can. No search order changes a backbone;
+only which witnesses are found, and so how many queries are asked, moves.
+With cores on the solver keeps its selectors and the unsteered search,
+since the cores found depend on the solver's history.
 
-With cores off a pass reads verdicts only, and most of them need no
-solver. Counting propagation on the frontier system comes first: a row
-whose residual label is 0 forces its undecided sites safe, and one whose
-residual label equals its undecided count forces them mined, repeated to
-a fixpoint. That is unit propagation on the binomial encoding, so it
-settles exactly what the formula's level-0 propagation would (Janota,
-Lynce & Marques-Silva, AI Comm. 2015), and on played boards it settles
-most verdicts. Only the residual rows are encoded, over their undecided
-sites renumbered in row-major order, and a selector-free solver (every
-group takes part in every query, which gives the same verdicts, since a
-part shares no variable with the others and an inconsistent state still
-fails the base query of some part) decides the backbone of each residual
-part. Its branching is steered: each decision tries the value its
-variable has not yet shown in a witness, so that every model rules out as
-many queries as it can. No search order changes a backbone; only which
-witnesses are found, and so how many queries are asked, moves.
-
-A residual part's constraints, and so its backbone, are fixed by its
-signature: the set of its rows' (inner site, residual label, undecided
-sites). play_game keeps the signatures of the parts that yielded nothing
-on the last pass, and a pass asks no query for a part it meets again.
-On large boards most parts are untouched between passes. Cores on keep
-the whole formula, selectors and the unsteered search, since the cores
-found depend on the solver's history.
+A part's constraints, and so its backbone, are fixed by its signature: the
+set of its rows' (inner site, residual label, undecided sites). play_game
+keeps the signatures of the parts that yielded nothing on the last pass,
+and a pass neither encodes nor queries a part it meets again. On large
+boards most parts are untouched between passes. Dropping a quiet part
+changes no core of the others either: it has no inference and so no core;
+parts share no variable and their selector lists no prefix, so each
+part's queries start at level 0; a part's learned clauses mention only its
+own variables and selectors; and the renumbering keeps every part's
+branching and selector order. Only the count of learned clauses that
+triggers a drop (sat.MAX_LEARNTS) couples the parts.
 """
 from __future__ import annotations
 
 import enum
 import time
 from dataclasses import dataclass
-from typing import (Callable, Dict, FrozenSet, List, Optional, Set, Tuple,
+from typing import (Callable, FrozenSet, List, Optional, Set, Tuple,
                     Union)
 
 from .board import (Board, COVERED, Frontiers, GameState, Site, flag,
                     frontiers, reveal)
-from .cnf import GroupedCnf, InfeasibleLabel, build_formula, encode_exact_count
+from .cnf import InfeasibleLabel, Row, build_formula
 from .gmus import GmusResult, extract_gmus, max_core_size
 from .kset import build_constraints, kset_infer
 from .sat import ResourceLimit, Solver
@@ -141,49 +147,70 @@ def infer_step(state: GameState, *, extract_cores: bool = True,
                quiet: Optional[Set[FrozenSet]] = None) -> List[Inference]:
     """All forced verdicts for the current frontiers, row-major order.
 
-    With extract_cores, builds the formula and one solver once, then takes
-    its connected parts in turn, each query naming the part's groups as
-    its active set. Phase 1 tests the part's variables in ascending order,
-    reusing every model of the part's groups as a witness, and settles a
-    literal that propagation under the part's selectors already refutes
-    without a query, reading its core from the trail. Phase 2 attaches a
-    minimal core to each of the part's inferences, found from the core of
-    its verdict query.
-
-    Without extract_cores, counting propagation on the frontier system
-    first settles every site that unit propagation on the formula would
-    force; only the rows it leaves undecided are encoded, over their
-    undecided sites, and a selector-free solver whose decisions try each
-    variable's value that no witness has shown yet decides the backbone of
-    each residual part. quiet, when given, holds the signatures of the
-    residual parts that yielded nothing on the last pass: no query is
-    asked for such a part, and on return the set holds the signatures of
-    this pass's parts that yielded nothing. A pass with cores ignores it.
+    One pipeline serves both modes. The labels are checked first. Without
+    extract_cores, counting propagation on the frontier system then settles
+    every site that unit propagation on the formula would force, and these
+    become inferences without a solver. The rows left undecided (all rows
+    with cores on) are split into parts, rows joined through their
+    undecided columns. quiet, when given, holds the signatures of the parts
+    that yielded nothing on the last pass: such a part is neither encoded
+    nor queried, and on return the set holds the signatures of this pass's
+    parts that yielded nothing. The other parts' rows are encoded by
+    build_formula for one solver (with selectors when cores are extracted,
+    selector-free and steered otherwise), and each part's verdicts come
+    from queries that name its groups as the active set: phase 1 tests its
+    variables in ascending order, reusing every model of its groups as a
+    witness and settling a literal that propagation already refutes
+    without a query. With extract_cores, phase 2 then attaches a minimal
+    core to each of the part's inferences, found from the core of its
+    verdict query, before the next part is decided.
 
     An effective label outside [0, support size] raises InfeasibleLabel;
     any other inconsistency raises ValueError.
     """
-    if not extract_cores:
-        return _residual_step(state, conflict_budget, quiet)
-    formula = build_formula(state)
-    if not formula.groups:
-        return []
-    solver = Solver(formula, conflict_budget=conflict_budget)
-    inferences: List[Inference] = []
-    # Phase 2, between the parts' phase 1: the cores, in verdict order.
-    for found in _part_verdicts(solver, solver.parts):
-        for v, verdict, core_lits in found:
-            pivot = v if verdict is Verdict.SAFE else -v
-            core = extract_gmus(solver, pivot,
-                                initial_core=solver.core_groups(core_lits))
-            inferences.append(
-                Inference(formula.var_sites[v - 1], verdict, core))
+    fr = frontiers(state)
+    value, parts = _settle(fr, propagate=not extract_cores)
+    inner, outer = fr.inner, fr.outer
+    inferences = [Inference(outer[j], Verdict.MINE if b else Verdict.SAFE)
+                  for j, b in enumerate(value) if b >= 0]
+    # A part's signature fixes its constraints, and so its backbone.
+    last_quiet = quiet if quiet is not None else ()
+    now_quiet = set()
+    live = []
+    for part in parts:
+        sig = frozenset((inner[i], e, *[outer[j] for j in cols])
+                        for i, e, cols in part)
+        if sig in last_quiet:
+            now_quiet.add(sig)
+        else:
+            live.append((part, sig))
+    if live:
+        formula = build_formula(fr, (row for part, _ in live for row in part))
+        solver = Solver(formula, conflict_budget=conflict_budget,
+                        selectors=extract_cores)
+        part_groups = [[i for i, _, _ in part] for part, _ in live]
+        # Phase 2, between the parts' phase 1: the cores, in verdict order.
+        for (_, sig), found in zip(live, _part_verdicts(solver, part_groups)):
+            if not found:
+                now_quiet.add(sig)
+            for v, verdict, core_lits in found:
+                core = None
+                if extract_cores:
+                    pivot = v if verdict is Verdict.SAFE else -v
+                    core = extract_gmus(
+                        solver, pivot,
+                        initial_core=solver.core_groups(core_lits))
+                inferences.append(
+                    Inference(formula.var_sites[v - 1], verdict, core))
+    if quiet is not None:
+        quiet.clear()
+        quiet.update(now_quiet)
     inferences.sort(key=lambda inf: inf.site)
     return inferences
 
 
-def _part_verdicts(solver: Solver, parts):
-    """Phase 1 on each (groups, variables) part in turn.
+def _part_verdicts(solver: Solver, parts: List[List[int]]):
+    """Phase 1 on each part, given as its ascending group ids, in turn.
 
     Yields, per part, its (var, verdict, core literals) triples; the core
     literals are those of the verdict query, or read from the trail for a
@@ -208,13 +235,14 @@ def _part_verdicts(solver: Solver, parts):
                 seen_false[v] = 1
                 phase[v] = 1
 
-    for groups, part_vars in parts:
+    for groups in parts:
         base = solver.solve(groups)
         if not base.sat:
             raise ValueError("state is inconsistent, no inference is meaningful")
         witness(base.model)
         found = []
-        for v in part_vars:
+        # The base model holds exactly the part's variables.
+        for v in sorted(base.model):
             for lit, seen, verdict in ((v, seen_true, Verdict.SAFE),
                                        (-v, seen_false, Verdict.MINE)):
                 if seen[v]:
@@ -231,25 +259,25 @@ def _part_verdicts(solver: Solver, parts):
         yield found
 
 
-ResidualRow = Tuple[int, int, List[int]]  # (row, residual label, columns)
+def _settle(fr: Frontiers, propagate: bool = True
+            ) -> Tuple[List[int], List[List[Row]]]:
+    """Counting propagation on the frontier system, then its parts.
 
-
-def _settle(fr: Frontiers) -> Tuple[List[int], List[List[ResidualRow]]]:
-    """Counting propagation on the frontier system, to a fixpoint.
-
-    A row whose residual label is 0 forces its undecided columns safe, and
-    a row whose residual label equals its undecided count forces them
-    mined. This is unit propagation on the binomial encoding, which keeps
-    generalized arc consistency, so it settles exactly the sites that the
-    formula's level-0 propagation assigns.
+    Every label is checked first: one outside [0, support size] raises
+    InfeasibleLabel. With propagate, a row whose residual label is 0 then
+    forces its undecided columns safe, and a row whose residual label
+    equals its undecided count forces them mined, to a fixpoint. This is
+    unit propagation on the binomial encoding, which keeps generalized arc
+    consistency, so it settles exactly the sites that the formula's
+    level-0 propagation assigns; a conflict raises ValueError. Without
+    propagate nothing is settled.
 
     Returns (value, parts): value[j] is 1 (mined), 0 (safe) or -1
-    (undecided) per column, and parts the residual parts, rows joined
-    through their undecided columns, each a list of (row, residual label,
-    ascending undecided columns) in row order, in the order of their first
-    row. A residual row has 0 < residual label < undecided count. Raises
-    InfeasibleLabel for a label outside [0, support size], as build_formula
-    does, and ValueError for a conflict.
+    (undecided) per column, and parts the parts of the rows left
+    undecided, rows joined through their undecided columns, each a list of
+    (row, residual label, ascending undecided columns) in row order, in
+    the order of their first row. After propagation a residual row has
+    0 < residual label < undecided count.
     """
     supports = fr.supports
     rows_of: List[List[int]] = [[] for _ in fr.outer]
@@ -263,7 +291,8 @@ def _settle(fr: Frontiers) -> Tuple[List[int], List[List[ResidualRow]]]:
     need = list(fr.labels)
     free = [len(s) for s in supports]
     value = [-1] * len(fr.outer)
-    queue = [i for i, e in enumerate(need) if e == 0 or e == free[i]]
+    queue = ([i for i, e in enumerate(need) if e == 0 or e == free[i]]
+             if propagate else [])
     while queue:
         i = queue.pop()
         if not free[i]:
@@ -284,7 +313,7 @@ def _settle(fr: Frontiers) -> Tuple[List[int], List[List[ResidualRow]]]:
                         "state is inconsistent, no inference is meaningful")
                 if f and (e == 0 or e == f):
                     queue.append(r)
-    # Every row holding an undecided column is a residual row.
+    # Every row holding an undecided column is in a part.
     parts = []
     done = bytearray(len(supports))
     for first, f in enumerate(free):
@@ -305,55 +334,6 @@ def _settle(fr: Frontiers) -> Tuple[List[int], List[List[ResidualRow]]]:
         part.sort()
         parts.append(part)
     return value, parts
-
-
-def _residual_step(state: GameState, conflict_budget: int,
-                   quiet: Optional[Set[FrozenSet]]) -> List[Inference]:
-    """infer_step without cores: settle, then solve the residual parts."""
-    fr = frontiers(state)
-    value, parts = _settle(fr)
-    inner, outer = fr.inner, fr.outer
-    inferences = [Inference(outer[j], Verdict.MINE if b else Verdict.SAFE)
-                  for j, b in enumerate(value) if b >= 0]
-    # A part's signature fixes its constraints, and so its backbone.
-    last_quiet = quiet if quiet is not None else set()
-    now_quiet = set()
-    live = []
-    for part in parts:
-        sig = frozenset((inner[i], e, tuple(outer[j] for j in cols))
-                        for i, e, cols in part)
-        if sig in last_quiet:
-            now_quiet.add(sig)
-        else:
-            live.append((part, sig))
-    if live:
-        # The live parts' columns, renumbered in row-major order.
-        var_sites = sorted({j for part, _ in live for _, _, cols in part
-                            for j in cols})
-        var_of = {j: v for v, j in enumerate(var_sites, start=1)}
-        groups: Dict[int, List[Tuple[int, ...]]] = {}
-        solver_parts = []
-        for part, _ in live:
-            first = len(groups)
-            part_vars = set()
-            for _, e, cols in part:
-                vs = [var_of[j] for j in cols]
-                groups[len(groups)] = encode_exact_count(e, vs)
-                part_vars.update(vs)
-            solver_parts.append((list(range(first, len(groups))),
-                                 sorted(part_vars)))
-        solver = Solver(GroupedCnf(num_vars=len(var_sites), groups=groups),
-                        conflict_budget=conflict_budget, selectors=False)
-        for (_, sig), found in zip(live, _part_verdicts(solver, solver_parts)):
-            if not found:
-                now_quiet.add(sig)
-            inferences.extend(Inference(outer[var_sites[v - 1]], verdict)
-                              for v, verdict, _ in found)
-    if quiet is not None:
-        quiet.clear()
-        quiet.update(now_quiet)
-    inferences.sort(key=lambda inf: inf.site)
-    return inferences
 
 
 def play_game(board: Board, policy: Union[str, Policy] = "sat", *,
@@ -383,15 +363,15 @@ def play_game(board: Board, policy: Union[str, Policy] = "sat", *,
         raise ValueError("board has no disclosed zero start")
     t0 = time.perf_counter()
     state = GameState(board)
-    out = reveal(state, board.start)
-    assert not out.boom, "the disclosed start is guaranteed empty"
+    reveal(state, board.start)
+    assert not state.exploded, "the disclosed start is guaranteed empty"
     n_mines = len(board.mines)
     mines = board.mines
     rho_val = rho if rho is not None else n_mines / (board.n * board.n)
     flags = 0
     turns = 0
     cores: List[GmusResult] = []
-    quiet: Set[FrozenSet] = set()       # cores-off parts that yielded nothing
+    quiet: Set[FrozenSet] = set()       # parts that yielded nothing
     outcome = Outcome.STUCK
     while True:
         if flags == n_mines:
@@ -408,9 +388,8 @@ def play_game(board: Board, policy: Union[str, Policy] = "sat", *,
             else:
                 fr = build_constraints(state)
                 inferences = [
-                    Inference(fr.outer[fa.col],
-                              Verdict.MINE if fa.value else Verdict.SAFE)
-                    for fa in kset_infer(fr, policy.k)]
+                    Inference(fr.outer[j], Verdict.MINE if b else Verdict.SAFE)
+                    for j, b in kset_infer(fr, policy.k)]
         except ResourceLimit:
             outcome = Outcome.STUCK_BUDGET
             break
@@ -431,8 +410,8 @@ def play_game(board: Board, policy: Union[str, Policy] = "sat", *,
         for inf in inferences:
             if inf.verdict is Verdict.SAFE:
                 if int(state.status[inf.site]) == COVERED:
-                    res = reveal(state, inf.site)
-                    assert not res.boom
+                    reveal(state, inf.site)
+                    assert not state.exploded
                 if inf.core is not None:
                     cores.append(inf.core)
         turns += 1

@@ -20,8 +20,8 @@ Its clauses are then stored bare, so a unit clause is a level-0 fact, and
 the propagation at construction carries the facts through the formula
 once for every query. No selector variable exists, and every group's
 clauses take part in every query's propagation, so an active set must be
-a union of Solver.parts that holds the assumption variables: it only
-picks the branching variables. Sat gives a model of the active groups, as with
+a union of parts (groups that share no variable with the other groups)
+that holds the assumption variables: it only picks the branching variables. Sat gives a model of the active groups, as with
 selectors; Unsat means the whole formula with the assumptions is
 unsatisfiable. The answers are the selector solver's whenever every part
 is satisfiable. An empty clause or a conflict at level 0 makes every later
@@ -56,11 +56,6 @@ assigned and none falsified, so it is satisfied; setting the
 unassigned selectors false satisfies every other guarded clause and every
 learned clause that mentions an inactive group, so the remaining problem
 variables can take any value, and the model leaves them out.
-
-Groups that share no variable, directly or through other groups, are
-independent. Solver.parts lists the connected parts as group sets, so a
-caller decides a part by naming its groups as the active set: the query
-then branches only on the part's variables, and its model holds only them.
 """
 from __future__ import annotations
 
@@ -78,7 +73,7 @@ class ResourceLimit(Exception):
 
 
 @dataclass(frozen=True)
-class SolveResult:
+class _SolveResult:
     """Sat with a model over the variables the query decided, or Unsat with
     the subset of assumption literals (selectors included) that clash.
 
@@ -193,10 +188,9 @@ class Solver:
             rank[v] = i
         self.rank = rank
         self._var_groups: Optional[List[List[int]]] = None
-        self._parts: Optional[List[Tuple[List[int], List[int]]]] = None
 
-    # -- indices built on first use -----------------------------------------
-    # Each is kept in an attribute that __init__ declares. functools'
+    # -- an index built on first use -----------------------------------------
+    # It is kept in an attribute that __init__ declares. functools'
     # cached_property would store it through the instance __dict__, and on
     # CPython 3.11 that made every later attribute load of the search loops
     # slower: verdict queries ran about 20 % slower once an index was built.
@@ -211,51 +205,6 @@ class Solver:
                     out[v].append(g)
             self._var_groups = out
         return self._var_groups
-
-    @property
-    def parts(self) -> List[Tuple[List[int], List[int]]]:
-        """The connected parts: (ascending group ids, ascending variables).
-
-        Groups connect when they share a variable. Parts come in the order
-        of their lowest variable; a group without variables is a part of
-        its own, after all others, and a variable that no group mentions
-        belongs to no part.
-        """
-        if self._parts is not None:
-            return self._parts
-        group_vars = self.group_vars
-        parent = list(range(self.num_vars + 1))
-
-        def find(v: int) -> int:
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        loose: List[Tuple[List[int], List[int]]] = []
-        for g, vs in group_vars.items():
-            if not vs:
-                loose.append(([g], []))
-                continue
-            root = find(vs[0])
-            for v in vs[1:]:
-                other = find(v)
-                if other < root:
-                    parent[root] = other
-                    root = other
-                elif other > root:
-                    parent[other] = root
-        # Every root is its component's lowest variable.
-        parts: Dict[int, Tuple[List[int], List[int]]] = {}
-        for g, vs in group_vars.items():
-            if vs:
-                parts.setdefault(find(vs[0]), ([], []))[0].append(g)
-        for v in range(1, self.num_vars + 1):
-            part = parts.get(find(v))
-            if part is not None:
-                part[1].append(v)
-        self._parts = [parts[r] for r in sorted(parts)] + loose
-        return self._parts
 
     # -- clause plumbing ---------------------------------------------------
 
@@ -448,7 +397,7 @@ class Solver:
     # -- main search -----------------------------------------------------------
 
     def solve(self, active_groups: Iterable[int],
-              assumptions: Sequence[int] = ()) -> SolveResult:
+              assumptions: Sequence[int] = ()) -> _SolveResult:
         """Decide the conjunction of the active groups plus assumptions.
 
         Assumption literals must reference problem variables. The trail
@@ -466,7 +415,7 @@ class Solver:
             if not 1 <= abs(l) <= self.num_vars:
                 raise ValueError(f"assumption {l} references an unknown variable")
         if self._unsat:
-            return SolveResult(sat=False, core=frozenset())
+            return _SolveResult(sat=False, core=frozenset())
         last_key, order, sel = self._last_active
         keep = 0
         if key != last_key:
@@ -531,7 +480,7 @@ class Solver:
                 and len(self.learnts) <= MAX_LEARNTS
                 and tuple(active_groups) == key)
 
-    def _search(self, assumptions: List[int], order: List[int]) -> SolveResult:
+    def _search(self, assumptions: List[int], order: List[int]) -> _SolveResult:
         conflicts = 0
         budget = self.conflict_budget
         assigns = self.assigns
@@ -546,7 +495,7 @@ class Solver:
                         f"conflict budget {budget} exceeded")
                 if not self.trail_lim:
                     self._unsat = True
-                    return SolveResult(sat=False, core=frozenset())
+                    return _SolveResult(sat=False, core=frozenset())
                 learnt, bt = self._analyze(confl)
                 self._cancel_until(bt)
                 if len(learnt) == 1:
@@ -561,7 +510,7 @@ class Solver:
                 p = assumptions[lvl]
                 v = self._value(p)
                 if v == -1:
-                    return SolveResult(sat=False, core=self.analyze_final(p))
+                    return _SolveResult(sat=False, core=self.analyze_final(p))
                 self._new_level()     # a placeholder level if p is true
                 if v == 0:
                     self._enqueue(p, None)
@@ -573,7 +522,7 @@ class Solver:
             self.order_head = head
             if head == n_order:
                 model = {v: assigns[v] == 1 for v in order}
-                return SolveResult(sat=True, model=model)
+                return _SolveResult(sat=True, model=model)
             var = order[head]
             self._new_level()
             self._enqueue(var if phase[var] else -var, None)

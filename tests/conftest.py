@@ -6,24 +6,148 @@ satisfiability is decided by truth table, frontier placements are
 enumerated exhaustively, and clusters are labeled by recursive flood fill.
 Tests compare library output against these independent computations.
 solve is not an oracle: it is shorthand for one query on a fresh Solver,
-and consistency_check one such query on the frontier formula.
+and consistency_check one such query on the frontier formula. The
+formats that only tests read or write (board and overlay text, games.csv
+read back) are here too, and every whole-state formula comes from
+state_formula.
 """
 from __future__ import annotations
 
+import csv
 import itertools
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 import numpy as np
 import pytest
 
-from minelab.board import (Boundary, COVERED, FLAGGED, REVEALED, Frontiers,
-                           GameState, Site, flag, frontiers, generate_board,
-                           neighbors, parse_board, parse_overlay, reveal)
-from minelab.cnf import InfeasibleLabel, build_formula
-from minelab.sat import Solver, SolveResult
+from minelab.board import (Board, Boundary, COVERED, FLAGGED, REVEALED,
+                           Frontiers, GameState, Site, flag, frontiers,
+                           generate_board, reveal)
+from minelab.board import _neighbors as neighbors
+from minelab.cnf import GroupedCnf, InfeasibleLabel, build_formula
+from minelab.harness import _cells_to_row
+from minelab.sat import Solver
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+# -- text formats of boards and states, read and written only by tests ----
+
+class ParseError(Exception):
+    """Malformed board or overlay text."""
+
+    def __init__(self, message: str, line: Optional[int] = None,
+                 column: Optional[int] = None):
+        loc = ""
+        if line is not None:
+            loc = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
+        super().__init__(message + loc)
+        self.line = line
+        self.column = column
+
+
+_BOUNDARY_WORDS = {"torus": Boundary.TORUS, "open": Boundary.OPEN}
+
+
+def parse_board(text: str) -> Board:
+    """Parse the board text format: `N <n> <torus|open>` then n mine rows."""
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError("empty board text", line=1)
+    header = lines[0].split()
+    if len(header) != 3 or header[0] != "N":
+        raise ParseError("header must be 'N <n> <torus|open>'", line=1)
+    try:
+        n = int(header[1])
+    except ValueError:
+        raise ParseError(f"bad board size {header[1]!r}", line=1) from None
+    if n < 1:
+        raise ParseError("board size must be positive", line=1)
+    if header[2] not in _BOUNDARY_WORDS:
+        raise ParseError(f"unknown boundary {header[2]!r}", line=1)
+    boundary = _BOUNDARY_WORDS[header[2]]
+    rows = lines[1:]
+    if len(rows) < n:
+        raise ParseError(f"expected {n} rows, found {len(rows)}",
+                         line=len(lines) + 1)
+    for extra in rows[n:]:
+        if extra.strip():
+            raise ParseError("trailing content after board rows", line=n + 2)
+    mines = []
+    for i in range(n):
+        row = rows[i]
+        if len(row) != n:
+            raise ParseError(f"row has length {len(row)}, expected {n}",
+                             line=i + 2, column=len(row) + 1)
+        for j, ch in enumerate(row):
+            if ch == "*":
+                mines.append((i, j))
+            elif ch != ".":
+                raise ParseError(f"bad cell {ch!r}", line=i + 2, column=j + 1)
+    return Board(n, boundary, mines)
+
+
+def parse_overlay(text: str, boundary: Boundary,
+                  board: Optional[Board] = None) -> GameState:
+    """Parse a status overlay: '#' covered, 'F' flagged, digits revealed.
+
+    The grid must be square; the boundary comes from the caller (the format
+    has no header). When a ground-truth board is supplied it is attached and
+    the revealed labels are checked against it.
+    """
+    rows = [row for row in text.splitlines() if row.strip() != ""]
+    if not rows:
+        raise ParseError("empty overlay text", line=1)
+    n = len(rows)
+    status = np.full((n, n), COVERED, dtype=np.int8)
+    view = np.full((n, n), -1, dtype=np.int16)
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise ParseError(f"row has length {len(row)}, expected {n}",
+                             line=i + 1, column=len(row) + 1)
+        for j, ch in enumerate(row):
+            if ch == "#":
+                continue
+            if ch == "F":
+                status[i, j] = FLAGGED
+            elif ch.isdigit() and int(ch) <= 8:
+                status[i, j] = REVEALED
+                view[i, j] = int(ch)
+            else:
+                raise ParseError(f"bad overlay cell {ch!r}", line=i + 1, column=j + 1)
+    if board is not None:
+        if board.n != n:
+            raise ValueError(f"overlay side {n} does not match board side {board.n}")
+        if board.boundary != boundary:
+            raise ValueError("overlay boundary does not match board boundary")
+        for r, c in map(tuple, np.argwhere(status == REVEALED)):
+            if board.is_mine((r, c)):
+                raise ValueError(f"revealed site {(r, c)} is mined")
+            if int(board.labels[r, c]) != int(view[r, c]):
+                raise ValueError(
+                    f"label mismatch at {(r, c)}: overlay {int(view[r, c])}, "
+                    f"board {int(board.labels[r, c])}")
+    return GameState(board, n=n, boundary=boundary, status=status, view_labels=view)
+
+
+def serialize_board(board: Board) -> str:
+    """Inverse of parse_board (the start site is not part of the format)."""
+    rows = ["N %d %s" % (board.n, board.boundary.value)]
+    for i in range(board.n):
+        rows.append("".join("*" if (i, j) in board.mines else "."
+                            for j in range(board.n)))
+    return "\n".join(rows) + "\n"
+
+
+def serialize_overlay(state: GameState) -> str:
+    """Inverse of parse_overlay."""
+    marks = {COVERED: "#", FLAGGED: "F"}
+    return "".join(
+        "".join(marks.get(int(state.status[i, j]),
+                          str(int(state.view_labels[i, j])))
+                for j in range(state.n)) + "\n"
+        for i in range(state.n))
 
 
 def load_state(state_name: str, boundary: Boundary = Boundary.OPEN,
@@ -90,8 +214,45 @@ def naive_frontiers(state: GameState) -> Frontiers:
                      labels=labels)
 
 
+def read_games_csv(path: Union[str, Path]) -> List[Dict[str, object]]:
+    """The typed rows of a games.csv file."""
+    with open(path, newline="") as fh:
+        return [_cells_to_row(c) for c in csv.DictReader(fh)]
+
+
+def state_formula(state: GameState) -> GroupedCnf:
+    """The whole frontier formula of a state: every row with its label and
+    support, VarId = outer index + 1."""
+    fr = frontiers(state)
+    return build_formula(fr, zip(range(len(fr.inner)), fr.labels,
+                                 fr.supports))
+
+
+def formula_parts(formula: GroupedCnf) -> List[Tuple[List[int], List[int]]]:
+    """The connected parts of a grouped CNF, groups joined when they share
+    a variable: (ascending group ids, ascending variables), in the order of
+    their lowest variable. A group without variables is a part of its own,
+    after all others, and a variable that no group mentions is in none."""
+    group_vars = {g: {abs(l) for clause in clauses for l in clause}
+                  for g, clauses in formula.groups.items()}
+    left = sorted(group_vars)
+    parts = []
+    while left:
+        groups = [left.pop(0)]
+        vs = set(group_vars[groups[0]])
+        while True:
+            joined = [g for g in left if group_vars[g] & vs]
+            if not joined:
+                break
+            groups += joined
+            vs.update(*(group_vars[g] for g in joined))
+            left = [g for g in left if g not in joined]
+        parts.append((sorted(groups), sorted(vs)))
+    return sorted(parts, key=lambda part: (not part[1], part[1][:1]))
+
+
 def solve(formula, active=None, assumptions=(), *,
-          conflict_budget: int = 1_000_000) -> SolveResult:
+          conflict_budget: int = 1_000_000):
     """One query on a fresh Solver; active of None names every group."""
     solver = Solver(formula, conflict_budget=conflict_budget)
     return solver.solve(solver.group_ids if active is None else active,
@@ -103,7 +264,7 @@ def consistency_check(state: GameState) -> bool:
     if not frontiers(state).inner:
         return True
     try:
-        formula = build_formula(state)
+        formula = state_formula(state)
     except InfeasibleLabel:
         return False
     return solve(formula).sat

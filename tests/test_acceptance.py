@@ -24,16 +24,15 @@ import pytest
 from scipy import stats
 
 from minelab.board import Boundary, Site, generate_board
-from minelab.cnf import GroupedCnf, build_formula
-from minelab.harness import (GAMES_COLUMNS, SweepConfig, SweepRecord,
-                             desk_rhos, float_range, read_games_csv,
-                             run_sweep)
+from minelab.cnf import GroupedCnf
+from minelab.harness import (DESK_RHOS, GAMES_COLUMNS, SweepConfig,
+                             SweepRecord, float_range, run_sweep)
 from minelab.kset import build_constraints, kset_infer
-from minelab.percolation import (PercolationConfig, minesweeper_occupancy,
-                                 percolation_sweep)
+from minelab.percolation import PercolationConfig, percolation_sweep
+from minelab.percolation import _minesweeper_occupancy as minesweeper_occupancy
 from minelab.player import Verdict, infer_step
 from conftest import (consistency_check, load_state, random_reachable_state,
-                      solve)
+                      read_games_csv, solve, state_formula)
 
 EXPECTED = Path(__file__).parent / "acceptance_expected"
 SWEEPS = ("sat_sweep", "kset_sweep", "stratification")
@@ -78,7 +77,7 @@ def sweep_root(tmp_path_factory) -> Path:
 @pytest.fixture(scope="session")
 def sat_sweep(sweep_root) -> List[SweepRecord]:
     return run_sweep(SweepConfig(
-        ns=(20, 40), rhos=desk_rhos(), policies=("sat",), games=50, seed=0,
+        ns=(20, 40), rhos=DESK_RHOS, policies=("sat",), games=50, seed=0,
         outdir=sweep_root / "sat_sweep", track_cores=True,
         time_budget_s=None, workers=2))
 
@@ -86,7 +85,7 @@ def sat_sweep(sweep_root) -> List[SweepRecord]:
 @pytest.fixture(scope="session")
 def kset_sweep(sweep_root) -> List[SweepRecord]:
     return run_sweep(SweepConfig(
-        ns=(40,), rhos=desk_rhos(), policies=("kset:1", "kset:2", "kset:3"),
+        ns=(40,), rhos=DESK_RHOS, policies=("kset:1", "kset:2", "kset:3"),
         games=50, seed=0, outdir=sweep_root / "kset_sweep",
         track_cores=False, time_budget_s=None, workers=2))
 
@@ -291,8 +290,7 @@ def test_07_oracle_equivalence(reachable_states):
         fr = build_constraints(state)
         sat_pairs = set(got.items())
         for k in (1, 2, 3):
-            pairs = {(fr.outer[fa.col], bool(fa.value))
-                     for fa in kset_infer(fr, k)}
+            pairs = {(fr.outer[j], bool(b)) for j, b in kset_infer(fr, k)}
             if not pairs <= sat_pairs:
                 unsound_kset += 1
     ok = mismatches == 0 and unsound_kset == 0
@@ -309,7 +307,7 @@ def test_08_core_invariants():
         state = random_reachable_state(rng, max_outer=14)
         if state is None or not consistency_check(state):
             continue
-        formula = build_formula(state)
+        formula = state_formula(state)
         for inf in infer_step(state, extract_cores=True):
             core = sorted(inf.core.core)
             pivot = inf.core.pivot

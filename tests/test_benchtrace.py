@@ -60,6 +60,8 @@ def test_traced_games_read_every_layer():
     nocores = traced_game_metrics(benchtrace, "sat", False)
     assert nocores["sat.solve.infer.calls"] > 0
     assert nocores["gmus.extract_gmus.calls"] == 0
+    # The residual rows are encoded by the one encoder the trace wraps.
+    assert nocores["cnf.build_formula.calls"] > 0
     assert (nocores["board.frontiers.calls"]
             == nocores["player.infer_step.calls"] > 0)
     kset = traced_game_metrics(benchtrace, "kset:2", False)

@@ -1,4 +1,4 @@
-"""Lattice, board generation, moves, frontiers, and text formats."""
+"""Lattice, board generation, moves, frontiers, and the fixtures' text formats."""
 from __future__ import annotations
 
 import numpy as np
@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minelab.board import (Board, Boundary, COVERED, FLAGGED, REVEALED,
-                           GameState, GenerationExhausted, IllegalMove,
-                           ParseError, flag, frontiers, generate_board,
-                           neighbors, parse_board, parse_overlay, reveal,
-                           serialize_board, serialize_overlay)
-from minelab.cnf import build_formula
+                           GameState, GenerationExhausted, flag, frontiers,
+                           generate_board, reveal)
+from minelab.board import _neighbors as neighbors
 
-from conftest import naive_frontiers, naive_labels, random_reachable_state
+from conftest import (ParseError, naive_frontiers, naive_labels,
+                      parse_board, parse_overlay, random_reachable_state,
+                      serialize_board, serialize_overlay, state_formula)
 
 
 class TestNeighbors:
@@ -131,34 +131,34 @@ class TestMoves:
         board = Board(3, Boundary.OPEN, [])
         state = GameState(board)
         out = reveal(state, (1, 1))
-        assert not out.boom
-        assert len(out.revealed) == 9
+        assert not state.exploded
+        assert len(out) == 9
         assert (state.status == REVEALED).all()
 
     def test_nonzero_label_reveals_single_site(self):
         board = Board(4, Boundary.OPEN, [(0, 0)])
         state = GameState(board)
         out = reveal(state, (1, 1))
-        assert out.revealed == frozenset({(1, 1)})
+        assert out == frozenset({(1, 1)})
         assert int(state.view_labels[1, 1]) == 1
 
     def test_boom(self):
         board = Board(4, Boundary.OPEN, [(0, 0)])
         state = GameState(board)
         out = reveal(state, (0, 0))
-        assert out.boom and out.revealed == frozenset()
+        assert out == frozenset()
         assert state.exploded and state.boom_site == (0, 0)
-        with pytest.raises(IllegalMove):
+        with pytest.raises(ValueError, match="game is over"):
             reveal(state, (2, 2))
 
     def test_reveal_preconditions(self):
         board = Board(4, Boundary.OPEN, [(0, 0)])
         state = GameState(board)
         reveal(state, (1, 1))
-        with pytest.raises(IllegalMove):
+        with pytest.raises(ValueError, match="already revealed"):
             reveal(state, (1, 1))
         flag(state, (3, 3))
-        with pytest.raises(IllegalMove):
+        with pytest.raises(ValueError, match="is flagged"):
             reveal(state, (3, 3))
 
     def test_flood_stops_at_flags(self):
@@ -166,8 +166,8 @@ class TestMoves:
         state = GameState(board)
         flag(state, (0, 0))
         out = reveal(state, (2, 2))
-        assert (0, 0) not in out.revealed
-        assert len(out.revealed) == 8
+        assert (0, 0) not in out
+        assert len(out) == 8
         assert int(state.status[0, 0]) == FLAGGED
 
     def test_flag_semantics(self):
@@ -175,10 +175,10 @@ class TestMoves:
         state = GameState(board)
         flag(state, (0, 0))
         assert int(state.status[0, 0]) == FLAGGED
-        with pytest.raises(IllegalMove):
+        with pytest.raises(ValueError, match="not covered"):
             flag(state, (0, 0))
         reveal(state, (2, 2))
-        with pytest.raises(IllegalMove):
+        with pytest.raises(ValueError, match="not covered"):
             flag(state, (2, 2))
 
     def test_effective_label(self):
@@ -267,7 +267,7 @@ class TestFrontiers:
         with pytest.raises(ValueError, match="n >= 3"):
             frontiers(state)
         with pytest.raises(ValueError, match="n >= 3"):
-            build_formula(state)
+            state_formula(state)
 
     def test_flagged_excluded_from_outer(self):
         board = Board(5, Boundary.OPEN, [(1, 1)])

@@ -11,11 +11,11 @@ import pytest
 
 from minelab.board import generate_board
 from minelab.cli import main
-from minelab.cnf import build_formula, export_gcnf
+from minelab.cnf import export_gcnf
 from minelab.harness import GAMES_COLUMNS, game_seed, parse_sweep_config
 from minelab.player import play_game
 
-from conftest import load_state
+from conftest import load_state, state_formula
 
 
 def run_cli(capsys, *argv) -> tuple:
@@ -204,7 +204,7 @@ class TestSolve:
     def test_gcnf_input(self, capsys, tmp_path):
         state = load_state("mine_row.state", board_name="mine_row.board")
         path = tmp_path / "f.gcnf"
-        path.write_text(export_gcnf(build_formula(state)))
+        path.write_text(export_gcnf(state_formula(state)))
         code, out, _ = run_cli(capsys, "solve", str(path))
         assert code == 0
         assert out.strip().splitlines()[0] == "SAT"
@@ -237,7 +237,7 @@ class TestCore:
     def test_groups_printed_one_based(self, capsys, tmp_path):
         state = load_state("mine_row.state", board_name="mine_row.board")
         path = tmp_path / "f.gcnf"
-        path.write_text(export_gcnf(build_formula(state)))
+        path.write_text(export_gcnf(state_formula(state)))
         code, out, _ = run_cli(capsys, "core", str(path), "--", "-1")
         assert code == 0
         lines = out.strip().splitlines()
@@ -365,9 +365,8 @@ class TestSweep:
     def test_missing_outdir_fails(self, capsys, tmp_path):
         config = tmp_path / "sweep.cfg"
         config.write_text("n = 5\nrho = 0.1\ngames = 1\n")
-        code, _, err = run_cli(capsys, "sweep", "--config", str(config))
-        assert code == 1
-        assert "outdir" in err
+        assert_input_error(run_cli(capsys, "sweep", "--config", str(config)),
+                           "sweep", "outdir")
 
 
 def random_formula_text(rng: random.Random, index: int) -> str:

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from minelab.board import Board, Boundary, GameState, flag, frontiers, reveal
 from minelab.cnf import (GroupedCnf, InfeasibleLabel, build_formula,
-                         encode_exact_count, export_dimacs, export_gcnf,
-                         parse_dimacs, parse_gcnf)
+                         export_dimacs, export_gcnf, parse_dimacs, parse_gcnf)
+from minelab.cnf import _encode_exact_count as encode_exact_count
 
-from conftest import consistent_placements, eval_clause, truth_table_models
+from conftest import (consistent_placements, eval_clause, parse_overlay,
+                      state_formula, truth_table_models)
 
 
 class TestEncodeExactCount:
@@ -79,7 +80,7 @@ class TestBuildFormula:
         state = GameState(board)
         reveal(state, (2, 2))
         flag(state, (1, 1))
-        formula = build_formula(state)
+        formula = state_formula(state)
         # 7 remaining covered neighbors, all forced safe: unit negatives.
         assert formula.num_vars == 7
         clauses = formula.groups[0]
@@ -89,14 +90,14 @@ class TestBuildFormula:
     def test_group_per_inner_site(self, rng):
         state = _random_frontier_state(rng)
         fr = frontiers(state)
-        formula = build_formula(state)
+        formula = state_formula(state)
         assert set(formula.groups) == set(range(len(fr.inner)))
         assert list(formula.var_sites) == list(fr.outer)
 
     def test_models_equal_bruteforce_placements(self, rng):
         for _ in range(25):
             state = _random_frontier_state(rng)
-            formula = build_formula(state)
+            formula = state_formula(state)
             fr = frontiers(state)
             placements = {frozenset(p) for p in consistent_placements(state)}
             models = truth_table_models(formula)
@@ -109,25 +110,41 @@ class TestBuildFormula:
         # Two "1" labels with overlapping neighborhoods admit both a shared
         # single mine and two separate mines: the encoding carries no global
         # mine-count constraint, so both weights satisfy it.
-        from minelab.board import parse_overlay
         state = parse_overlay("1#1\n###\n###\n", Boundary.OPEN)
-        formula = build_formula(state)
+        formula = state_formula(state)
         models = truth_table_models(formula)
         weights = {sum(1 for v in m if m[v]) for m in models}
         assert weights == {1, 2}
 
     def test_empty_frontier_gives_empty_formula(self):
         # Nothing revealed: no inner site, so no group and no variable.
-        formula = build_formula(GameState(Board(3, Boundary.OPEN, [])))
+        formula = state_formula(GameState(Board(3, Boundary.OPEN, [])))
         assert (formula.num_vars, formula.groups, formula.var_sites) == (
             0, {}, ())
 
+    def test_rows_keep_their_ids_and_columns_are_renumbered(self, rng):
+        # Every other row, with one column dropped and its label lowered
+        # where it fits: group ids stay row indices, and the columns still
+        # mentioned become variables 1.. in ascending order.
+        state = _random_frontier_state(rng)
+        fr = frontiers(state)
+        rows = [(i, max(0, e - 1), support[1:])
+                for i, (support, e) in enumerate(zip(fr.supports, fr.labels))
+                if i % 2 == 0 and len(support) >= 2 and e <= len(support) - 1]
+        formula = build_formula(fr, rows)
+        cols = sorted({j for _, _, support in rows for j in support})
+        assert list(formula.var_sites) == [fr.outer[j] for j in cols]
+        assert formula.num_vars == len(cols)
+        assert sorted(formula.groups) == [i for i, _, _ in rows]
+        for i, e, support in rows:
+            assert formula.groups[i] == encode_exact_count(
+                e, [cols.index(j) + 1 for j in support])
+
     def test_infeasible_label_reported(self):
-        from minelab.board import parse_overlay
         # A lone "8" with a single covered neighbor cannot be satisfied.
         state = parse_overlay("8#\n##\n", Boundary.OPEN)
         with pytest.raises(InfeasibleLabel):
-            build_formula(state)
+            state_formula(state)
 
 
 class TestFormats:
@@ -156,7 +173,7 @@ class TestFormats:
 
     def test_gcnf_round_trip_preserves_groups(self, rng):
         state = _random_frontier_state(rng)
-        formula = build_formula(state)
+        formula = state_formula(state)
         back = parse_gcnf(export_gcnf(formula))
         assert back.num_vars == formula.num_vars
         assert set(back.groups) == set(formula.groups)
@@ -167,7 +184,7 @@ class TestFormats:
     def test_gcnf_reference_grammar_round_trip(self, rng):
         # Re-parse with an independent minimal reader of the GCNF grammar.
         state = _random_frontier_state(rng)
-        formula = build_formula(state)
+        formula = state_formula(state)
         text = export_gcnf(formula)
         header = None
         groups = {}

@@ -8,14 +8,15 @@ import itertools
 import pytest
 
 from minelab.board import (Boundary, COVERED, GameState, flag,
-                           generate_board, parse_overlay, reveal)
-from minelab.cnf import GroupedCnf, build_formula
+                           generate_board, reveal)
+from minelab.cnf import GroupedCnf
 from minelab.gmus import GmusResult, NotUnsat, extract_gmus, max_core_size
 from minelab.harness import game_seed
 from minelab.player import Verdict, infer_step
 from minelab.sat import Solver
 
-from conftest import load_state, random_reachable_state, solve
+from conftest import (load_state, parse_overlay, random_reachable_state, solve,
+                      state_formula)
 
 
 def assert_core_invariants(formula: GroupedCnf, result: GmusResult) -> None:
@@ -44,7 +45,7 @@ class TestKnownCases:
         # assuming it safe yields a singleton core: the first group in
         # row-major order. Minimality is re-checked over all subsets.
         state = load_state("mine_row.state", board_name="mine_row.board")
-        formula = build_formula(state)
+        formula = state_formula(state)
         assert formula.num_vars == 1
         centre_var = formula.var_sites.index((2, 2)) + 1
         result = extract_gmus(Solver(formula), -centre_var)
@@ -61,7 +62,7 @@ class TestKnownCases:
         # A revealed 1 with its mine flagged: effective label 0, so
         # asserting the remaining neighbor mined contradicts that one group.
         state = parse_overlay("1F\n1#\n", Boundary.OPEN)
-        formula = build_formula(state)
+        formula = state_formula(state)
         assert formula.num_vars == 1
         result = extract_gmus(Solver(formula), 1)
         assert result.size == 1
@@ -244,7 +245,7 @@ class TestRandomExtraction:
             state = random_reachable_state(rng, max_outer=12)
             if state is None:
                 continue
-            formula = build_formula(state)
+            formula = state_formula(state)
             solver = Solver(formula)
             for v in range(1, formula.num_vars + 1):
                 pivot = None
@@ -286,7 +287,7 @@ class TestGameCores:
                     inferences = infer_step(state)
                     if not inferences:
                         break
-                    formula = build_formula(state)
+                    formula = state_formula(state)
                     for inf in inferences:
                         assert_core_invariants(formula, inf.core)
                         single = first_singleton_core(formula, inf.core.pivot)

@@ -10,11 +10,12 @@ from dataclasses import replace
 import pytest
 
 from minelab.board import Boundary, generate_board
-from minelab.harness import (DESK_GAMES, DESK_NS, GAMES_COLUMNS,
+from minelab.harness import (DESK_GAMES, DESK_NS, DESK_RHOS, GAMES_COLUMNS,
                              SUMMARY_COLUMNS, SweepConfig, SweepRecord,
-                             desk_rhos, float_range, game_seed,
-                             parse_sweep_config, read_games_csv, run_sweep,
-                             write_games_csv, write_summary_csv)
+                             float_range, game_seed, parse_sweep_config,
+                             run_sweep, write_games_csv, write_summary_csv)
+
+from conftest import read_games_csv
 
 
 def small_config(tmp_path, **overrides) -> SweepConfig:
@@ -43,7 +44,7 @@ class TestFloatRange:
             float_range(0.1, 0.2, 0.0)
 
     def test_desk_grid(self):
-        rhos = desk_rhos()
+        rhos = DESK_RHOS
         assert len(rhos) == 18
         assert DESK_NS == (20, 40)
         assert DESK_GAMES == 50
@@ -320,7 +321,7 @@ class TestParseSweepConfig:
         config = parse_sweep_config("games = 3\n")
         assert config.games == 3
         assert config.ns == DESK_NS
-        assert config.rhos == desk_rhos()
+        assert config.rhos == DESK_RHOS
         assert config.boundary is Boundary.TORUS
 
     def test_base_config_overlay(self):

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 import minelab.player
-from minelab.board import Boundary, Frontiers, generate_board, parse_overlay
+from minelab.board import Boundary, Frontiers, generate_board
 from minelab.harness import game_seed
-from minelab.kset import ForcedAssignment, build_constraints, kset_infer
+from minelab.kset import build_constraints, kset_infer
 
-from conftest import load_state, random_reachable_state
+from conftest import load_state, parse_overlay, random_reachable_state
 
 
 def make_system(a, e) -> Frontiers:
@@ -47,19 +47,19 @@ def all_solutions(fr: Frontiers) -> np.ndarray:
     return xs[ok]
 
 
-def forced_by_enumeration(fr: Frontiers) -> List[ForcedAssignment]:
+def forced_by_enumeration(fr: Frontiers) -> List[Tuple[int, int]]:
     sols = all_solutions(fr)
     assert len(sols) > 0, "oracle needs a consistent system"
     out = []
     for j in range(len(fr.outer)):
         col = sols[:, j]
         if np.all(col == col[0]):
-            out.append(ForcedAssignment(j, int(col[0])))
+            out.append((j, int(col[0])))
     return out
 
 
 def combine_and_infer(fr: Frontiers, rows: Sequence[int],
-                      signs: Sequence[int]) -> List[ForcedAssignment]:
+                      signs: Sequence[int]) -> List[Tuple[int, int]]:
     """Reference evaluation of one signed combination of rows (signs are
     the b_l bits): the assignments forced when the combined label meets
     the combination's attainable maximum or minimum. Repeated rows are
@@ -78,14 +78,14 @@ def combine_and_infer(fr: Frontiers, rows: Sequence[int],
     if hi == lo:               # all coefficients cancelled, nothing to force
         return []
     if r == hi:
-        return [ForcedAssignment(j, int(c[j] > 0)) for j in sorted(c) if c[j]]
+        return [(j, int(c[j] > 0)) for j in sorted(c) if c[j]]
     if r == lo:
-        return [ForcedAssignment(j, int(c[j] < 0)) for j in sorted(c) if c[j]]
+        return [(j, int(c[j] < 0)) for j in sorted(c) if c[j]]
     return []
 
 
 def all_combinations_forced(fr: Frontiers,
-                            k: int) -> List[ForcedAssignment]:
+                            k: int) -> List[Tuple[int, int]]:
     """Union of combine_and_infer over every row set of size <= k and every
     sign vector: the enumeration kset_infer prunes."""
     forced = set()
@@ -129,7 +129,7 @@ def _connected_subsets(supports: Sequence[Tuple[int, ...]], n_cols: int,
 
 def reference_kset_infer(fr: Frontiers, k: int, *,
                          stats: Optional[dict] = None
-                         ) -> List[ForcedAssignment]:
+                         ) -> List[Tuple[int, int]]:
     """kset_infer evaluated directly: combine_and_infer on every connected
     row set of <= k rows and every sign vector with the first sign
     positive."""
@@ -218,25 +218,25 @@ class TestCombineAndInfer:
     def test_single_row_label_zero(self):
         fr = make_system([[1, 1, 1]], [0])
         out = combine_and_infer(fr, [0], [0])
-        assert out == [ForcedAssignment(0, 0), ForcedAssignment(1, 0),
-                       ForcedAssignment(2, 0)]
+        assert out == [(0, 0), (1, 0),
+                       (2, 0)]
 
     def test_single_row_saturated(self):
         fr = make_system([[1, 0, 1]], [2])
         out = combine_and_infer(fr, [0], [0])
-        assert out == [ForcedAssignment(0, 1), ForcedAssignment(2, 1)]
+        assert out == [(0, 1), (2, 1)]
 
     def test_signed_pair_minimum_tight(self):
         # Subtracting a 1-labeled pair row from a 2-labeled triple row
         # leaves c = [0 0 -1], r = -1 = min, forcing the third column to 1.
         fr = make_system([[1, 1, 0], [1, 1, 1]], [1, 2])
         out = combine_and_infer(fr, [0, 1], [0, 1])
-        assert out == [ForcedAssignment(2, 1)]
+        assert out == [(2, 1)]
         # Verified against all eight assignments of the full system.
         sols = all_solutions(fr)
         assert len(sols) == 2
         assert np.all(sols[:, 2] == 1)
-        assert forced_by_enumeration(fr) == [ForcedAssignment(2, 1)]
+        assert forced_by_enumeration(fr) == [(2, 1)]
 
     def test_mid_range_label_infers_nothing(self):
         fr = make_system([[1, 1, 1]], [1])
@@ -259,9 +259,9 @@ class TestCombineAndInfer:
             size = int(rng.integers(1, 4))
             rows = [int(r) for r in rng.integers(0, len(fr.inner), size)]
             signs = [int(b) for b in rng.integers(0, 2, size)]
-            for fa in combine_and_infer(fr, rows, signs):
-                assert np.all(sols[:, fa.col] == fa.value), (
-                    f"trial {trial}: unsound {fa} for rows={rows} "
+            for j, b in combine_and_infer(fr, rows, signs):
+                assert np.all(sols[:, j] == b), (
+                    f"trial {trial}: unsound {(j, b)} for rows={rows} "
                     f"signs={signs}")
 
 
@@ -280,14 +280,14 @@ class TestKsetInfer:
                 elif e == len(support):
                     expect.update((j, 1) for j in support)
             got = kset_infer(fr, 1)
-            assert got == [ForcedAssignment(j, v) for j, v in sorted(expect)]
+            assert got == [(j, v) for j, v in sorted(expect)]
             checked += 1
         assert checked >= 20
 
     def test_mine_row_k1_forces_centre_mine(self):
         state = load_state("mine_row.state", board_name="mine_row.board")
         fr = build_constraints(state)
-        assert kset_infer(fr, 1) == [ForcedAssignment(0, 1)]
+        assert kset_infer(fr, 1) == [(0, 1)]
 
     def test_diagonal_wall_no_inference_for_any_k(self):
         state = load_state("ambiguous_pocket.state", Boundary.OPEN)
@@ -371,7 +371,7 @@ class TestAgainstReference:
                        supports=(span(0, 60), span(0, 20), span(20, 90)),
                        labels=(55, 10, 65))
         assert kset_infer(fr, 2) == []
-        assert kset_infer(fr, 3) == [ForcedAssignment(j, 1)
+        assert kset_infer(fr, 3) == [(j, 1)
                                      for j in range(20, 90)]
         for k in (1, 2, 3, 4):
             assert_matches_reference(fr, k)

@@ -8,11 +8,15 @@ import numpy as np
 import pytest
 
 from minelab.board import Board, Boundary, generate_board
-from minelab.percolation import (ClusterStats, Connectivity, NoClusters,
-                                 OccupancyGrid, PercolationConfig,
-                                 avg_cluster_size, cluster_sizes,
-                                 independent_occupancy, minesweeper_occupancy,
+from minelab.percolation import (Connectivity, PercolationConfig,
                                  percolation_sweep)
+from minelab.percolation import (_ClusterStats as ClusterStats,
+                                 _NoClusters as NoClusters,
+                                 _OccupancyGrid as OccupancyGrid,
+                                 _avg_cluster_size as avg_cluster_size,
+                                 _cluster_sizes as cluster_sizes,
+                                 _independent_occupancy as independent_occupancy,
+                                 _minesweeper_occupancy as minesweeper_occupancy)
 
 from conftest import dfs_cluster_oracle
 

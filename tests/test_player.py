@@ -11,16 +11,17 @@ import pytest
 
 from minelab.board import (COVERED, Board, Boundary, GameState,
                            GenerationExhausted, flag, frontiers,
-                           generate_board, parse_overlay, reveal)
+                           generate_board, reveal)
 import minelab.player
-from minelab.cnf import InfeasibleLabel, build_formula
+from minelab.cnf import InfeasibleLabel
 from minelab.gmus import extract_gmus
 from minelab.player import (Inference, Outcome, Policy, Verdict, _settle,
                             infer_step, play_game)
 from minelab.sat import Solver
 
-from conftest import (consistency_check, forced_verdicts, load_state,
-                      random_reachable_state, solve)
+from conftest import (consistency_check, forced_verdicts, formula_parts,
+                      load_state, parse_overlay, random_reachable_state,
+                      solve, state_formula)
 
 
 def reference_infer_step(state: GameState, *,
@@ -28,7 +29,7 @@ def reference_infer_step(state: GameState, *,
     """infer_step as it was before propagation-settled verdicts: the same
     parts, witnesses and phases, but every literal that no witness rules out
     is asked of the solver."""
-    formula = build_formula(state)
+    formula = state_formula(state)
     if not formula.groups:
         return []
     solver = Solver(formula)
@@ -40,7 +41,7 @@ def reference_infer_step(state: GameState, *,
             (seen_true if value else seen_false)[v] = 1
 
     inferences = []
-    for groups, part_vars in solver.parts:
+    for groups, part_vars in formula_parts(formula):
         base = solver.solve(groups)
         assert base.sat
         witness(base.model)
@@ -105,6 +106,40 @@ def pass_output(inferences) -> list:
             for inf in inferences]
 
 
+def check_quiet_part_memory(extract_cores: bool) -> None:
+    """Each pass with the memory of the last pass's quiet parts gives the
+    sites, verdicts and core groups of the same pass played without it (a
+    core's pivot names a variable, and the numbering of the variables
+    moves once quiet parts are left out)."""
+    games = reused = 0
+    for board in seeded_boards(24):
+        quiet = set()
+        for state in pass_states(board):
+            last = set(quiet)
+            got = infer_step(state, extract_cores=extract_cores, quiet=quiet)
+            assert pass_output(got) == pass_output(
+                infer_step(state, extract_cores=extract_cores))
+            reused += len(last & quiet)
+        games += 1
+    assert games >= 20 and reused >= 20
+
+
+def pass_digest(extract_cores: bool, quiet: bool) -> str:
+    """sha256 of the output of every pass of games on 40 seeded boards,
+    each game's passes sharing one quiet-part memory when quiet is set."""
+    digest = hashlib.sha256()
+    boards = 0
+    for i, board in enumerate(seeded_boards(40)):
+        boards += 1
+        memory = set() if quiet else None
+        for turn, state in enumerate(pass_states(board)):
+            out = pass_output(infer_step(state, extract_cores=extract_cores,
+                                         quiet=memory))
+            digest.update(f"{i} {turn} {out}\n".encode())
+    assert boards >= 35
+    return digest.hexdigest()
+
+
 class TestInferStep:
     def test_matches_exhaustive_oracle(self, rng):
         checked = 0
@@ -137,8 +172,8 @@ class TestInferStep:
             state = random_reachable_state(rng, max_outer=12)
             if state is None or not consistency_check(state):
                 continue
-            formula = build_formula(state)
-            parts = Solver(formula).parts
+            formula = state_formula(state)
+            parts = formula_parts(formula)
             multi_part += len(parts) >= 2
             part_of = {v: groups for groups, vs in parts for v in vs}
             for inf in infer_step(state):
@@ -172,7 +207,7 @@ class TestInferStep:
             state = random_reachable_state(rng, max_outer=12)
             if state is None or not consistency_check(state):
                 continue
-            if len(Solver(build_formula(state)).parts) < 2:
+            if len(formula_parts(state_formula(state))) < 2:
                 continue
             del built[:]
             infer_step(state)
@@ -224,6 +259,11 @@ class TestInferStep:
         assert passes >= 100 and with_cores >= 50
         assert calls[infer_step] < calls[reference_infer_step]
 
+    def test_quiet_part_memory_keeps_every_pass_with_cores(self):
+        # Skipping a quiet part leaves the other parts' queries, and so
+        # their cores, as they were.
+        check_quiet_part_memory(extract_cores=True)
+
     def test_empty_frontier_returns_nothing(self):
         board = Board(4, Boundary.OPEN, {(0, 0)})
         assert infer_step(GameState(board)) == []
@@ -265,7 +305,7 @@ class TestCoresOffPass:
         for board in seeded_boards(24):
             for state in pass_states(board):
                 value, _ = _settle(frontiers(state))
-                formula = build_formula(state)
+                formula = state_formula(state)
                 solver = Solver(formula, selectors=False)
                 facts = {v - 1: solver.assigns[v] == 1
                          for v in range(1, formula.num_vars + 1)
@@ -294,26 +334,7 @@ class TestCoresOffPass:
         assert passes >= 100 and from_residual >= 50
 
     def test_quiet_part_memory_keeps_every_pass(self):
-        # Each pass with the memory of the last pass's quiet parts gives
-        # the inferences of the same pass played without it.
-        games = reused = 0
-        for board in seeded_boards(24):
-            quiet = set()
-            for state in pass_states(board):
-                last = set(quiet)
-                got = infer_step(state, extract_cores=False, quiet=quiet)
-                assert got == infer_step(state, extract_cores=False)
-                reused += len(last & quiet)
-            games += 1
-        assert games >= 20 and reused >= 20
-
-    def test_quiet_memory_ignored_with_cores(self):
-        board = generate_board(12, 0.2, 4)
-        quiet = {frozenset({((0, 0), 1, ((0, 1), (1, 1)))})}
-        for state in pass_states(board):
-            assert (pass_output(infer_step(state, quiet=quiet))
-                    == pass_output(infer_step(state)))
-        assert len(quiet) == 1
+        check_quiet_part_memory(extract_cores=False)
 
 
 class TestPinnedPasses:
@@ -323,15 +344,12 @@ class TestPinnedPasses:
     DIGEST = "be9269ecb9f97e0baa8c38660a79e9551736ffd936b606f18ad566fb71c2514a"
 
     def test_pass_output_digest(self):
-        digest = hashlib.sha256()
-        boards = 0
-        for i, board in enumerate(seeded_boards(40)):
-            boards += 1
-            for turn, state in enumerate(pass_states(board)):
-                out = pass_output(infer_step(state, extract_cores=True))
-                digest.update(f"{i} {turn} {out}\n".encode())
-        assert boards >= 35
-        assert digest.hexdigest() == self.DIGEST
+        assert pass_digest(extract_cores=True, quiet=False) == self.DIGEST
+
+    def test_pass_output_digest_with_quiet_memory(self):
+        # Cores on, each pass with the memory of the last pass's quiet
+        # parts: the same digest as without it.
+        assert pass_digest(extract_cores=True, quiet=True) == self.DIGEST
 
     # The same boards and passes with cores off: sites and verdicts, each
     # pass with the memory of the last pass's quiet parts.
@@ -339,17 +357,8 @@ class TestPinnedPasses:
         "c105745dc250bb26c6a3ff3d1152e4a250e266109f1ab0ecd42c9a36bd17bfab")
 
     def test_cores_off_pass_output_digest(self):
-        digest = hashlib.sha256()
-        boards = 0
-        for i, board in enumerate(seeded_boards(40)):
-            boards += 1
-            quiet = set()
-            for turn, state in enumerate(pass_states(board)):
-                out = pass_output(infer_step(state, extract_cores=False,
-                                             quiet=quiet))
-                digest.update(f"{i} {turn} {out}\n".encode())
-        assert boards >= 35
-        assert digest.hexdigest() == self.DIGEST_CORES_OFF
+        assert (pass_digest(extract_cores=False, quiet=True)
+                == self.DIGEST_CORES_OFF)
 
 
 class TestConsistencyCheck:

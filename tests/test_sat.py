@@ -12,12 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minelab.board import Boundary
-from minelab.cnf import GroupedCnf, build_formula, encode_exact_count
+from minelab.board import Boundary, frontiers
+from minelab.cnf import GroupedCnf
+from minelab.cnf import _encode_exact_count as encode_exact_count
+from minelab.player import _settle
 from minelab.sat import ResourceLimit, Solver
 
-from conftest import (eval_formula, random_reachable_state, solve,
-                      truth_table_models)
+from conftest import (eval_formula, formula_parts, random_reachable_state,
+                      solve, state_formula, truth_table_models)
 
 
 def random_grouped_cnf(rng: random.Random, *, max_vars: int = 8,
@@ -238,7 +240,7 @@ def frontier_formulas(seed: int, count: int, max_outer: int = 16):
     while len(formulas) < count:
         state = random_reachable_state(rng, max_outer=max_outer)
         if state is not None:
-            formulas.append(build_formula(state))
+            formulas.append(state_formula(state))
     return formulas
 
 
@@ -533,15 +535,27 @@ class TestActiveSets:
 
 
 class TestParts:
+    """Queries that name one part's groups: a part is a set of groups that
+    shares no variable with the others."""
+
     def test_loose_variable_and_empty_group(self):
-        # Variables 2 and 4 are in no group; group 2 has no clause.
+        # Variables 2 and 4 are in no group; group 2 has no clause. A
+        # part's query decides exactly the part's variables.
         formula = GroupedCnf(num_vars=5,
                              groups={0: [(3, -5)], 1: [(-1,)], 2: [],
                                      3: [(5, 1)]})
-        assert Solver(formula).parts == [([0, 1, 3], [1, 3, 5]), ([2], [])]
+        parts = formula_parts(formula)
+        assert parts == [([0, 1, 3], [1, 3, 5]), ([2], [])]
+        solver = Solver(formula)
+        for groups, vs in parts:
+            res = solver.solve(groups)
+            assert res.sat and set(res.model) == set(vs)
 
     @pytest.mark.parametrize("boundary", list(Boundary))
     def test_parts_partition_reachable_formulas(self, rng, boundary):
+        # The player's parts (rows joined through shared columns) are the
+        # formula's connected parts, and their models join into a model of
+        # the whole formula.
         states = multi = 0
         for _ in range(200):
             if states >= 60 and multi >= 5:
@@ -549,36 +563,21 @@ class TestParts:
             state = random_reachable_state(rng, boundary=boundary)
             if state is None:
                 continue
-            formula = build_formula(state)
+            formula = state_formula(state)
+            _, rows = _settle(frontiers(state), propagate=False)
+            parts = [([i for i, _, _ in part],
+                      sorted(group_vars(formula, [i for i, _, _ in part])))
+                     for part in rows]
+            assert sorted(parts) == sorted(formula_parts(formula))
+            firsts = [groups[0] for groups, _ in parts]
+            assert firsts == sorted(firsts)
             solver = Solver(formula)
-            parts = solver.parts
-            assert sorted(g for groups, _ in parts for g in groups) == \
-                sorted(formula.groups)
-            lowest = [vs[0] for _, vs in parts if vs]
-            assert lowest == sorted(lowest)
-            assert all(vs for _, vs in parts[:len(lowest)])
-            owner = {}
             joined = {}
-            for k, (groups, vs) in enumerate(parts):
-                assert groups == sorted(groups) and vs == sorted(vs)
-                assert set(vs) == group_vars(formula, groups)
-                for v in vs:
-                    assert owner.setdefault(v, k) == k   # no shared variable
-                # The part's groups are connected through shared variables.
-                reached, todo = set(), [groups[0]]
-                while todo:
-                    g = todo.pop()
-                    if g not in reached:
-                        reached.add(g)
-                        todo.extend(h for h in groups
-                                    if group_vars(formula, [g])
-                                    & group_vars(formula, [h]))
-                assert reached == set(groups)
+            for groups, vs in parts:
+                assert groups == sorted(groups)
                 res = solver.solve(groups)
                 assert res.sat and set(res.model) == set(vs)
                 joined.update(res.model)
-            # Models of the parts, taken one by one, join into a model of
-            # the whole formula.
             assert eval_formula(formula, joined)
             states += 1
             multi += len(parts) >= 2
@@ -591,9 +590,9 @@ def level0_facts(solver: Solver) -> set:
     return set(trail[:solver.trail_lim[0]] if solver.trail_lim else trail)
 
 
-def part_union(rng: random.Random, solver: Solver) -> list:
+def part_union(rng: random.Random, formula: GroupedCnf) -> list:
     """The ascending groups of a random nonempty set of parts."""
-    parts = solver.parts
+    parts = formula_parts(formula)
     picked = rng.sample(parts, rng.randint(1, len(parts)))
     return sorted(g for groups, _ in picked for g in groups)
 
@@ -644,7 +643,7 @@ class TestSelectorFree:
             assert solver.selector_of == {}
             assert len(solver.assigns) == formula.num_vars + 1
             # Every group, then a union of parts: one solver, both in turn.
-            for active in (solver.group_ids, part_union(rng, solver)):
+            for active in (solver.group_ids, part_union(rng, formula)):
                 models = truth_table_models(formula, active=active)
                 for _ in range(4):
                     assumptions = part_assumptions(rng, formula, active)
@@ -679,7 +678,7 @@ class TestSelectorFree:
             solver = Solver(formula, selectors=False)
             lits = literals(formula)
             for _ in range(8):
-                active = part_union(rng, solver)
+                active = part_union(rng, formula)
                 solver.solve(active, part_assumptions(rng, formula, active))
                 facts = level0_facts(solver)
                 falsified = {-l for l in solver.trail}
@@ -723,7 +722,7 @@ class TestSelectorFree:
 
             solver._drop_learnts = counted
             for _ in range(40):
-                active = part_union(rng, solver)
+                active = part_union(rng, formula)
                 assumptions = part_assumptions(rng, formula, active)
                 res = solver.solve(active, assumptions)
                 check_selector_free(formula, active, assumptions, res)
