@@ -7,7 +7,6 @@ boundary. Mine labels count mines in the Moore 8-neighborhood.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List, Optional, Tuple
 
@@ -89,11 +88,6 @@ def _neighbor_sum(grid: np.ndarray, boundary: Boundary) -> np.ndarray:
     for dr, dc in _OFFSETS:
         acc += padded[1 + dr:1 + dr + n, 1 + dc:1 + dc + n]
     return acc
-
-
-def _neighbor_any(mask: np.ndarray, boundary: Boundary) -> np.ndarray:
-    """Boolean grid: does any of the 8 neighbors satisfy the mask."""
-    return _neighbor_sum(mask.astype(np.int16), boundary) > 0
 
 
 class Board:
@@ -178,24 +172,21 @@ def generate_board(n: int, rho: float, seed, boundary: Boundary = Boundary.TORUS
     rng = np.random.default_rng(seed)
     attempts = max_attempts if require_zero else 1
     for _ in range(attempts):
-        idx = np.arange(total, dtype=np.int64)
-        for k in range(m):
-            j = int(rng.integers(k, total))
+        # One vector draw: the same stream as m draws integers(k, total).
+        idx = list(range(total))
+        for k, j in enumerate(rng.integers(np.arange(m), total).tolist()):
             idx[k], idx[j] = idx[j], idx[k]
         mine_flat = idx[:m]
         grid = np.zeros(total, dtype=np.int16)
         grid[mine_flat] = 1
         grid = grid.reshape(n, n)
-        labels = _neighbor_sum(grid, boundary)
-        mines = [(int(f) // n, int(f) % n) for f in mine_flat]
+        mines = [divmod(f, n) for f in mine_flat]
         if not require_zero:
-            board = Board(n, boundary, mines)
-            return board
-        zero_mask = (labels == 0) & (grid == 0)
-        zeros = np.flatnonzero(zero_mask.ravel())
+            return Board(n, boundary, mines)
+        labels = _neighbor_sum(grid, boundary)
+        zeros = np.flatnonzero((labels == 0) & (grid == 0))
         if zeros.size:
-            pick = int(zeros[int(rng.integers(zeros.size))])
-            start = (pick // n, pick % n)
+            start = divmod(int(zeros[int(rng.integers(zeros.size))]), n)
             return Board(n, boundary, mines, start=start)
     raise GenerationExhausted(n, rho, max_attempts)
 
@@ -246,43 +237,52 @@ class GameState:
         self.boom_site: Optional[Site] = None
 
 
-def reveal(state: GameState, site: Site) -> FrozenSet[Site]:
-    """Reveal a covered site; zero labels flood-fill their neighborhoods.
+def reveal(state: GameState, *sites: Site) -> FrozenSet[Site]:
+    """Reveal covered sites as one move; zero labels flood-fill their
+    neighborhoods.
 
-    Flagged sites are never opened by the flood (flags are the player's
-    bookkeeping and stay put). Returns every site opened by this move; a
-    mined site opens none and makes the state terminal (state.exploded).
-    A move the rules forbid raises ValueError.
+    The result is that of revealing the sites one by one, in order, each
+    only if it is still covered: a flood's closure does not depend on the
+    order its seeds are opened in. Flagged sites are never opened by the
+    flood (flags are the player's bookkeeping and stay put). Returns every
+    site opened by this move. A mined site opens none and makes the state
+    terminal (state.exploded): the sites before the first mined one are
+    opened, the ones after it are not. A move the rules forbid (a site
+    already revealed or flagged, or a game already over) raises ValueError
+    and changes nothing.
     """
     if state.board is None:
         raise ValueError("cannot reveal without a ground-truth board")
     if state.exploded:
         raise ValueError("game is over")
-    st = int(state.status[site])
-    if st == REVEALED:
-        raise ValueError(f"site {site} is already revealed")
-    if st == FLAGGED:
-        raise ValueError(f"site {site} is flagged")
+    status, view, labels = state.status, state.view_labels, state.board.labels
+    rows, cols = np.array(sites, dtype=np.intp).reshape(-1, 2).T
+    for site, st in zip(sites, status[rows, cols].tolist()):
+        if st == REVEALED:
+            raise ValueError(f"site {site} is already revealed")
+        if st == FLAGGED:
+            raise ValueError(f"site {site} is flagged")
     state.turn_counter += 1
-    if state.board.is_mine(site):
+    hit = np.flatnonzero(state.board.mine_grid[rows, cols])
+    if hit.size:
+        boom = int(hit[0])
         state.exploded = True
-        state.boom_site = site
-        return frozenset()
-    opened = set()
-    queue = deque([site])
-    labels = state.board.labels
-    while queue:
-        s = queue.popleft()
-        if int(state.status[s]) != COVERED:
-            continue
-        state.status[s] = REVEALED
-        state.view_labels[s] = labels[s]
-        opened.add(s)
-        # Zero labels certify a mine-free neighborhood, so the flood is safe.
-        if labels[s] == 0:
-            for t in _neighbors(s, state.n, state.boundary):
-                if int(state.status[t]) == COVERED:
-                    queue.append(t)
+        state.boom_site = sites[boom]
+        sites, rows, cols = sites[:boom], rows[:boom], cols[:boom]
+    status[rows, cols] = REVEALED
+    view[rows, cols] = labels[rows, cols]
+    opened = set(sites)
+    # Zero labels certify a mine-free neighborhood, so the flood is safe.
+    stack = [s for s, z in zip(sites, (labels[rows, cols] == 0).tolist())
+             if z]
+    while stack:
+        for t in _neighbors(stack.pop(), state.n, state.boundary):
+            if status[t] == COVERED:
+                status[t] = REVEALED
+                view[t] = labels[t]
+                opened.add(t)
+                if labels[t] == 0:
+                    stack.append(t)
     return frozenset(opened)
 
 
@@ -304,10 +304,14 @@ def frontiers(state: GameState) -> Frontiers:
     n, boundary = state.n, state.boundary
     if boundary is Boundary.TORUS and n < 3:
         raise ValueError("torus boundary requires n >= 3")
-    revealed = state.status == REVEALED
-    covered = state.status == COVERED
-    inner_mask = revealed & _neighbor_any(covered, boundary)
-    outer_mask = covered & _neighbor_any(revealed, boundary)
+    status = state.status
+    # planes[k] holds the status of every cell's k-th neighbor; -1 past an
+    # open edge matches no status.
+    padded = _padded(status, boundary, fill=-1)
+    planes = np.stack([padded[1 + dr:1 + dr + n, 1 + dc:1 + dc + n]
+                       for dr, dc in _OFFSETS])
+    inner_mask = (status == REVEALED) & (planes == COVERED).any(axis=0)
+    outer_mask = (status == COVERED) & (planes == REVEALED).any(axis=0)
     rows, cols = np.nonzero(inner_mask)
     inner = tuple(zip(rows.tolist(), cols.tolist()))
     outer = tuple(zip(*(idx.tolist() for idx in np.nonzero(outer_mask))))
@@ -317,8 +321,9 @@ def frontiers(state: GameState) -> Frontiers:
     nb = _padded(col, boundary, fill=-1)[rows[:, None] + _ROW_STEPS,
                                          cols[:, None] + _COL_STEPS]
     nb.sort(axis=1)
-    supports = tuple(tuple(j for j in row if j >= 0) for row in nb.tolist())
-    flagged = (state.status == FLAGGED).astype(np.int16)
-    labels = state.view_labels - _neighbor_sum(flagged, boundary)
+    skip = (nb < 0).sum(axis=1).tolist()
+    supports = tuple(tuple(row[k:]) for row, k in zip(nb.tolist(), skip))
+    flags = (planes[:, rows, cols] == FLAGGED).sum(axis=0)
+    labels = state.view_labels[rows, cols] - flags
     return Frontiers(inner=inner, outer=outer, supports=supports,
-                     labels=tuple(labels[rows, cols].tolist()))
+                     labels=tuple(labels.tolist()))

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence
 from .board import Boundary, check_board_shape
 from .cnf import parse_dimacs, parse_gcnf
 from .gmus import NotUnsat, extract_gmus
-from .harness import (GAMES_COLUMNS, game_seed, parse_grid,
+from .harness import (GAMES_COLUMNS, check_budgets, game_seed, parse_grid,
                       parse_sweep_config, play_seeded_game, record_cells,
                       run_sweep, validate_config)
 from .percolation import Connectivity, PercolationConfig, percolation_sweep
@@ -63,6 +63,7 @@ def _cmd_play(args: argparse.Namespace) -> int:
         policy = Policy.parse(args.policy)
         game_seed(args.master, args.rho, args.seed)  # a bad seed fails here
         check_board_shape(args.n, args.rho, boundary)
+        check_budgets(args.time_budget, args.conflict_budget)
     except ValueError as exc:
         return _input_error("play", exc)
 
@@ -99,6 +100,7 @@ def _cmd_kset(args: argparse.Namespace) -> int:
             raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
         check_board_shape(args.n, args.rho, boundary)
         game_seed(args.master, args.rho, 0)     # a bad master fails here
+        check_budgets(args.time_budget)
     except ValueError as exc:
         return _input_error("kset", exc)
     writer = csv.writer(sys.stdout)
@@ -112,6 +114,7 @@ def _cmd_kset(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     try:
+        check_budgets(conflict_budget=args.conflict_budget)
         formula = _read_formula(args.file)
     except (OSError, ValueError) as exc:
         return _input_error("solve", exc)

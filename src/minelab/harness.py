@@ -282,6 +282,18 @@ def _aggregate(n: int, rho: float, policy: str,
                        generation_exhausted=exhausted)
 
 
+def check_budgets(time_budget_s: Optional[float] = None,
+                  conflict_budget: int = 0) -> None:
+    """Raise ValueError unless the time budget is None (no limit) or a
+    positive number of seconds and the conflict budget is not negative."""
+    if time_budget_s is not None and not time_budget_s > 0:
+        raise ValueError(
+            f"time budget must be positive seconds, got {time_budget_s}")
+    if conflict_budget < 0:
+        raise ValueError(
+            f"conflict budget must not be negative, got {conflict_budget}")
+
+
 def validate_config(config: SweepConfig) -> None:
     """Raise ValueError for a config that run_sweep cannot play."""
     if not config.ns or any(n < 1 for n in config.ns):
@@ -299,6 +311,7 @@ def validate_config(config: SweepConfig) -> None:
         raise ValueError("policies must be nonempty")
     for p in config.policies:
         Policy.parse(p)
+    check_budgets(config.time_budget_s, config.conflict_budget)
 
 
 def run_sweep(config: SweepConfig) -> List[SweepRecord]:

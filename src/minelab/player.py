@@ -3,8 +3,9 @@
 One pass decides every outer variable of the frontier formula F both
 ways: F ∧ x unsatisfiable means the site is safe, F ∧ ¬x unsatisfiable
 means it is a mine. All inferences from a pass are applied together (flags
-first, then reveals) before the frontiers are recomputed. The game ends when
-every mine is flagged or a pass yields nothing.
+first, then every safe site in one reveal move) before the frontiers are
+recomputed. The game ends when every mine is flagged or a pass yields
+nothing.
 
 A pass is one pipeline, with cores on or off (infer_step):
 
@@ -67,7 +68,7 @@ from dataclasses import dataclass
 from typing import (Callable, FrozenSet, List, Optional, Set, Tuple,
                     Union)
 
-from .board import (Board, COVERED, Frontiers, GameState, Site, flag,
+from .board import (Board, Frontiers, GameState, Site, flag,
                     frontiers, reveal)
 from .cnf import InfeasibleLabel, Row, build_formula
 from .gmus import GmusResult, extract_gmus, max_core_size
@@ -407,13 +408,11 @@ def play_game(board: Board, policy: Union[str, Policy] = "sat", *,
                     cores.append(inf.core)
             elif validate:
                 assert inf.site not in mines, f"unsound safe verdict at {inf.site}"
-        for inf in inferences:
-            if inf.verdict is Verdict.SAFE:
-                if int(state.status[inf.site]) == COVERED:
-                    reveal(state, inf.site)
-                    assert not state.exploded
-                if inf.core is not None:
-                    cores.append(inf.core)
+        safe = [inf for inf in inferences if inf.verdict is Verdict.SAFE]
+        if safe:
+            reveal(state, *(inf.site for inf in safe))
+            assert not state.exploded
+        cores.extend(inf.core for inf in safe if inf.core is not None)
         turns += 1
     wall_ms = (time.perf_counter() - t0) * 1000.0
     alpha = 1.0 if n_mines == 0 else flags / n_mines

@@ -183,9 +183,27 @@ def naive_labels(n: int, mines, boundary: Boundary) -> List[List[int]]:
     return lab
 
 
+def naive_neighbors(site: Site, n: int, boundary: Boundary) -> Set[Site]:
+    """The Moore neighbors of a site, from explicit offsets: wrapped on a
+    torus, clipped past an open edge."""
+    r, c = site
+    out = set()
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            rr, cc = r + dr, c + dc
+            if boundary is Boundary.TORUS:
+                rr %= n
+                cc %= n
+            elif not (0 <= rr < n and 0 <= cc < n):
+                continue
+            if (dr, dc) != (0, 0):
+                out.add((rr, cc))
+    return out
+
+
 def naive_effective_label(state: GameState, site: Site) -> int:
     """Revealed label minus the flagged neighbors, counted one by one."""
-    flags = sum(1 for t in neighbors(site, state.n, state.boundary)
+    flags = sum(1 for t in naive_neighbors(site, state.n, state.boundary)
                 if int(state.status[t]) == FLAGGED)
     return int(state.view_labels[site]) - flags
 
@@ -197,7 +215,7 @@ def naive_frontiers(state: GameState) -> Frontiers:
 
     def has_neighbor(site, status):
         return any(int(state.status[t]) == status
-                   for t in neighbors(site, n, state.boundary))
+                   for t in naive_neighbors(site, n, state.boundary))
 
     sites = [(r, c) for r in range(n) for c in range(n)]
     inner = tuple(s for s in sites if int(state.status[s]) == REVEALED
@@ -206,12 +224,24 @@ def naive_frontiers(state: GameState) -> Frontiers:
                   and has_neighbor(s, REVEALED))
     col = {s: j for j, s in enumerate(outer)}
     supports = tuple(
-        tuple(sorted(col[t] for t in neighbors(s, n, state.boundary)
+        tuple(sorted(col[t] for t in naive_neighbors(s, n, state.boundary)
                      if int(state.status[t]) == COVERED))
         for s in inner)
     labels = tuple(naive_effective_label(state, s) for s in inner)
     return Frontiers(inner=inner, outer=outer, supports=supports,
                      labels=labels)
+
+
+def random_status_state(rng: np.random.Generator, n: int,
+                        boundary: Boundary) -> GameState:
+    """A board-free state with a random status grid, not necessarily
+    reachable: each site covered, revealed or flagged with shares drawn per
+    grid, and each revealed site a random label in 0..8."""
+    shares = rng.dirichlet((1.0, 1.0, 0.5))
+    status = rng.choice([COVERED, REVEALED, FLAGGED], size=(n, n), p=shares)
+    labels = np.where(status == REVEALED, rng.integers(0, 9, size=(n, n)), -1)
+    return GameState(n=n, boundary=boundary, status=status,
+                     view_labels=labels)
 
 
 def read_games_csv(path: Union[str, Path]) -> List[Dict[str, object]]:

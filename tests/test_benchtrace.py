@@ -56,6 +56,8 @@ def test_traced_games_read_every_layer():
         assert sat[name] > 0, name
     # One frontier computation per inference pass.
     assert sat["board.frontiers.calls"] == sat["player.infer_step.calls"]
+    # The reveals, batched one call per pass, stay visible to the trace.
+    assert sat["board.reveal.calls"] > 0
     # Cores off: the selector-free solver's queries are seen too.
     nocores = traced_game_metrics(benchtrace, "sat", False)
     assert nocores["sat.solve.infer.calls"] > 0
@@ -66,4 +68,6 @@ def test_traced_games_read_every_layer():
             == nocores["player.infer_step.calls"] > 0)
     kset = traced_game_metrics(benchtrace, "kset:2", False)
     assert kset["kset.evaluated"] > 0
-    assert kset["kset.kset_infer.calls"] > 0
+    assert kset["board.reveal.calls"] > 0
+    assert (kset["board.frontiers.calls"]
+            == kset["kset.kset_infer.calls"] > 0)

@@ -1,6 +1,8 @@
 """Lattice, board generation, moves, frontiers, and the fixtures' text formats."""
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,8 @@ from minelab.board import _neighbors as neighbors
 
 from conftest import (ParseError, naive_frontiers, naive_labels,
                       parse_board, parse_overlay, random_reachable_state,
-                      serialize_board, serialize_overlay, state_formula)
+                      random_status_state, serialize_board,
+                      serialize_overlay, state_formula)
 
 
 class TestNeighbors:
@@ -97,6 +100,29 @@ class TestBoardAndLabels:
         assert board.start is not None
         assert board.start not in board.mines
         assert int(board.labels[board.start]) == 0
+
+    def test_pinned_board_digest(self):
+        # sha256 over the boards of a grid of (n, rho, boundary, seed)
+        # cases: the mines, the start (None without require_zero), or
+        # "exhausted", then one more draw from the caller's generator, so
+        # that the stream generate_board consumes is pinned too.
+        h = hashlib.sha256()
+        for n in (3, 4, 5, 8, 13, 20, 40, 80):
+            for rho in (0.0, 0.05, 0.15, 0.225, 0.3, 0.42, 0.6):
+                for boundary in (Boundary.TORUS, Boundary.OPEN):
+                    for seed in (0, 1, 7):
+                        rng = np.random.default_rng([seed, n])
+                        try:
+                            board = generate_board(
+                                n, rho, rng, boundary,
+                                require_zero=seed != 7, max_attempts=20)
+                            out = (sorted(board.mines), board.start)
+                        except GenerationExhausted:
+                            out = "exhausted"
+                        h.update(repr((n, rho, boundary.value, seed, out,
+                                       int(rng.integers(1 << 30)))).encode())
+        assert h.hexdigest() == ("d6a8c818231ab8a1d4dc13c918eb90bc"
+                                 "d2ffdb17774b6d67bc1b862e458952cb")
 
     def test_generation_exhausted(self):
         # On a 3x3 torus every site neighbors all others, so any mine kills
@@ -213,6 +239,69 @@ class TestMoves:
         fr = frontiers(state)
         assert (0, 0) not in fr.inner and fr.labels == ()
 
+    def test_batch_matches_one_by_one(self, rng):
+        # A batch leaves what revealing its sites in order, each only if
+        # still covered, leaves; floods must reach some batch sites.
+        checked = flooded = 0
+        while checked < 500:
+            n = int(rng.integers(5, 16))
+            boundary = (Boundary.TORUS, Boundary.OPEN)[checked % 2]
+            try:
+                board = generate_board(n, float(rng.uniform(0.05, 0.3)), rng,
+                                       boundary, max_attempts=50)
+            except GenerationExhausted:
+                continue
+            batch, single = GameState(board), GameState(board)
+            for state in (batch, single):
+                reveal(state, board.start)
+            for site in sorted(board.mines)[:int(rng.integers(0, 4))]:
+                flag(batch, site)
+                flag(single, site)
+            safe = [(r, c) for r in range(n) for c in range(n)
+                    if (r, c) not in board.mines
+                    and int(batch.status[r, c]) == COVERED]
+            if not safe:
+                continue
+            picks = [safe[i] for i in rng.permutation(len(safe))
+                     [:int(rng.integers(1, 9))]]
+            opened = reveal(batch, *picks)
+            one_by_one = set()
+            for site in picks:
+                if int(single.status[site]) == COVERED:
+                    one_by_one |= reveal(single, site)
+            assert opened == one_by_one
+            assert (batch.status == single.status).all()
+            assert (batch.view_labels == single.view_labels).all()
+            assert not batch.exploded
+            flooded += len(opened) > len(picks)
+            checked += 1
+        assert flooded >= 50
+
+    def test_batch_explodes_at_first_mine(self):
+        # The sites before the mine open, the ones after it do not.
+        board = Board(5, Boundary.OPEN, [(0, 0)])
+        batch, single = GameState(board), GameState(board)
+        out = reveal(batch, (1, 1), (0, 0), (4, 4))
+        assert out == reveal(single, (1, 1)) == frozenset({(1, 1)})
+        assert reveal(single, (0, 0)) == frozenset()
+        assert batch.exploded and batch.boom_site == (0, 0)
+        assert (batch.status == single.status).all()
+        with pytest.raises(ValueError, match="game is over"):
+            reveal(batch, (4, 4))
+
+    def test_batch_preconditions_change_nothing(self):
+        board = Board(4, Boundary.OPEN, [(0, 0)])
+        state = GameState(board)
+        reveal(state, (1, 1))
+        flag(state, (0, 0))
+        status = state.status.copy()
+        with pytest.raises(ValueError, match="already revealed"):
+            reveal(state, (3, 3), (1, 1))
+        with pytest.raises(ValueError, match="is flagged"):
+            reveal(state, (3, 3), (0, 0))
+        assert (state.status == status).all()
+        assert state.turn_counter == 1
+
     def test_turn_counter(self):
         board = Board(4, Boundary.OPEN, [(0, 0), (3, 3)])
         state = GameState(board)
@@ -257,6 +346,19 @@ class TestFrontiers:
                                 for s, e in zip(fr.inner, fr.labels))
             checked += 1
         assert flag_lowered >= 10
+
+    @pytest.mark.parametrize("boundary", [Boundary.TORUS, Boundary.OPEN])
+    def test_matches_oracle_on_random_status_grids(self, rng, boundary):
+        lowered = 0
+        for _ in range(300):
+            state = random_status_state(rng, int(rng.integers(3, 14)),
+                                        boundary)
+            fr, want = frontiers(state), naive_frontiers(state)
+            for field in ("inner", "outer", "supports", "labels"):
+                assert getattr(fr, field) == getattr(want, field), field
+            lowered += any(e != int(state.view_labels[s])
+                           for s, e in zip(fr.inner, fr.labels))
+        assert lowered >= 100
 
     def test_torus_too_small(self):
         # On a 2x2 torus the wrapped border would list each neighbor twice.

@@ -107,6 +107,16 @@ class TestPlay:
         assert_input_error(run_cli(capsys, "play", "--n", "2", "--rho", "0.1"),
                            "play", "n >= 3")
 
+    @pytest.mark.parametrize("args, message", [
+        (("--time-budget", "-1"), "time budget must be positive"),
+        (("--time-budget", "0"), "time budget must be positive"),
+        (("--time-budget", "nan"), "time budget must be positive"),
+        (("--conflict-budget", "-3"), "conflict budget must not be negative"),
+    ])
+    def test_bad_budget_fails_before_output(self, capsys, args, message):
+        assert_input_error(run_cli(capsys, "play", "--n", "10", "--rho",
+                                   "0.1", *args), "play", message)
+
     def test_impossible_board_prints_exhausted_row(self, capsys):
         code, out, _ = run_cli(capsys, "play", "--n", "4", "--rho", "0.5625")
         assert code == 0
@@ -152,6 +162,8 @@ class TestKsetBatch:
          "--seeds must be at least 1"),
         (("--n", "6", "--rho", "0.1", "--seeds", "0"),
          "--seeds must be at least 1"),
+        (("--n", "6", "--rho", "0.1", "--time-budget", "-1"),
+         "time budget must be positive"),
     ])
     def test_bad_board_fails_before_output(self, capsys, args, message):
         assert_input_error(run_cli(capsys, "kset", "--k", "1", "--seeds", "1",
@@ -208,6 +220,14 @@ class TestSolve:
         code, out, _ = run_cli(capsys, "solve", str(path))
         assert code == 0
         assert out.strip().splitlines()[0] == "SAT"
+
+    def test_negative_conflict_budget_fails_before_output(self, capsys,
+                                                           tmp_path):
+        path = tmp_path / "f.cnf"
+        path.write_text("p cnf 1 1\n1 0\n")
+        assert_input_error(run_cli(capsys, "solve", str(path),
+                                   "--conflict-budget", "-3"),
+                           "solve", "conflict budget must not be negative")
 
     def test_rejects_unknown_format(self, capsys, tmp_path):
         path = tmp_path / "f.txt"
@@ -351,6 +371,10 @@ class TestSweep:
         ("n = 5\nrho = 0.1\nworkers = 0\n", "workers must be at least 1"),
         ("n = 5, 2\nrho = 0.1\n", "torus boundary requires n >= 3"),
         ("n = 5\npolicies = dpll\n", "'dpll'"),
+        ("n = 5\nrho = 0.1\ntime_budget_s = -2\n",
+         "time budget must be positive"),
+        ("n = 5\nrho = 0.1\nconflict_budget = -3\n",
+         "conflict budget must not be negative"),
         (None, "No such file"),
     ])
     def test_bad_config_fails_before_output(self, capsys, tmp_path, text,

@@ -240,8 +240,10 @@ class TestRunSweep:
                            - statistics.fmean(cores)) < 1e-12
 
     def test_expired_budget_rows_marked(self, tmp_path):
+        # A budget must be positive; a nanosecond has run out by the first
+        # pass, since the start reveal alone takes longer.
         config = small_config(tmp_path, rhos=(0.2,), policies=("sat",),
-                              games=2, time_budget_s=0.0)
+                              games=2, time_budget_s=1e-9)
         (record,) = run_sweep(config)
         assert record.stuck_fraction == 1.0
         rows = read_games_csv(tmp_path / "out" / "games.csv")
@@ -283,6 +285,11 @@ class TestRunSweep:
             run_sweep(small_config(tmp_path, policies=("magic",)))
         with pytest.raises(ValueError, match="n >= 3"):
             run_sweep(small_config(tmp_path, ns=(5, 2)))
+        for budget in (-2.0, 0.0, float("nan")):
+            with pytest.raises(ValueError, match="time budget"):
+                run_sweep(small_config(tmp_path, time_budget_s=budget))
+        with pytest.raises(ValueError, match="conflict budget"):
+            run_sweep(small_config(tmp_path, conflict_budget=-3))
         assert not (tmp_path / "out").exists()   # before any game
 
 
