@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import chain
 from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -101,17 +102,19 @@ class Board:
                  start: Optional[Site] = None):
         if n < 1:
             raise ValueError("board side must be positive")
-        mines = frozenset((int(r), int(c)) for r, c in mines)
-        for r, c in mines:
-            if not (0 <= r < n and 0 <= c < n):
-                raise ValueError(f"mine {(r, c)} outside an {n}x{n} board")
+        # One (row, col) line per mine, bounds-checked and laid as a whole.
+        rc = np.fromiter(chain.from_iterable(mines),
+                         dtype=np.intp).reshape(-1, 2)
+        outside = ((rc < 0) | (rc >= n)).any(axis=1)
+        if outside.any():
+            r, c = rc[outside.argmax()].tolist()
+            raise ValueError(f"mine {(r, c)} outside an {n}x{n} board")
         self.n = n
         self.boundary = boundary
-        self.mines: FrozenSet[Site] = mines
+        self.mines: FrozenSet[Site] = frozenset(zip(*rc.T.tolist()))
         self.start = start
         grid = np.zeros((n, n), dtype=np.int16)
-        for r, c in mines:
-            grid[r, c] = 1
+        grid[rc[:, 0], rc[:, 1]] = 1
         self.labels = _neighbor_sum(grid, boundary)
         self.mine_grid = grid.astype(bool)
 

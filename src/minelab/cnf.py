@@ -7,13 +7,15 @@ e of these columns are mines", where e and the columns are the row's own
 columns the rows mention get one Boolean variable each (true iff mined),
 numbered 1..num_vars in ascending column order, so in row-major order of
 their outer sites. The formula is the conjunction of the groups; group
-identity is what minimal-core extraction works over.
+identity is what minimal-core extraction works over, and each group's
+label is recorded beside it, so that extraction can answer by counting what
+one group alone says about one variable.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 # Unused here; perfbench/benchtrace.py patches minelab.cnf.frontiers.
 from .board import Frontiers, Site, frontiers  # noqa: F401
@@ -31,12 +33,15 @@ class GroupedCnf:
     """A CNF split into clause groups.
 
     A frontier formula has one group per encoded row, GroupId i for
-    frontiers().inner[i], and var_sites maps VarId v to its outer site
-    var_sites[v - 1].
+    frontiers().inner[i], var_sites maps VarId v to its outer site
+    var_sites[v - 1], and labels maps every group to the count e its
+    clauses assert: exactly e of the group's variables are true. A parsed
+    formula records no labels (None).
     """
     num_vars: int
     groups: Dict[int, List[Clause]]
     var_sites: Tuple[Site, ...] = ()
+    labels: Optional[Dict[int, int]] = None
 
     def num_clauses(self) -> int:
         return sum(len(cs) for cs in self.groups.values())
@@ -61,12 +66,12 @@ def _encode_exact_count(e: int, vars: Sequence[int]) -> List[Clause]:
 def build_formula(fr: Frontiers, rows: Iterable[Row]) -> GroupedCnf:
     """Group-tagged CNF for the given (row, label, columns) rows of fr.
 
-    Group i says that exactly label of row i's columns are mines. The
-    columns the rows mention become the variables, renumbered in ascending
-    order, and are shared across groups wherever supports overlap. Every
-    row with its full support and label gives the whole frontier formula,
-    with VarId = outer index + 1; no rows give a formula with no groups and
-    no variables.
+    Group i says that exactly label of row i's columns are mines, and
+    labels[i] records that label. The columns the rows mention become the
+    variables, renumbered in ascending order, and are shared across groups
+    wherever supports overlap. Every row with its full support and label
+    gives the whole frontier formula, with VarId = outer index + 1; no rows
+    give a formula with no groups and no variables.
     """
     rows = list(rows)
     cols = sorted({j for _, _, support in rows for j in support})
@@ -76,7 +81,8 @@ def build_formula(fr: Frontiers, rows: Iterable[Row]) -> GroupedCnf:
     groups = {i: _encode_exact_count(e, [var_of[j] for j in support])
               for i, e, support in rows}
     return GroupedCnf(num_vars=len(cols), groups=groups,
-                      var_sites=tuple(fr.outer[j] for j in cols))
+                      var_sites=tuple(fr.outer[j] for j in cols),
+                      labels={i: e for i, e, _ in rows})
 
 
 def export_dimacs(cnf: GroupedCnf) -> str:

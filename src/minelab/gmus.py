@@ -6,9 +6,9 @@ is satisfiable. |S| is the hardness metric C recorded per inference.
 
 Extraction is deletion-based over the fixed ascending group order of the
 start core (groups are numbered by row-major inner-frontier position, so
-this is the row-major order), then a singleton scan. Three accelerations
-preserve minimality and replace most SAT trials by checks of models the
-solver has already returned:
+this is the row-major order). Two accelerations preserve minimality and
+replace most SAT trials by checks of models the solver has already
+returned:
 
  * core trimming: every unsatisfiable trial returns the subset of activated
    groups actually used (Solver.core_groups), and the candidate resets to it;
@@ -20,17 +20,28 @@ solver has already returned:
    the flipped model. Necessary groups are never offered for deletion; a
    group necessary for a candidate stays necessary for every subset of it
    that still contains it, so trimming never drops one. Violation is read
-   from the groups' clauses, so any grouped CNF works;
- * a witness-filtered singleton scan: only groups that mention the pivot
-   variable (Solver.var_groups) can contradict the pivot alone, and one that
-   any model seen in this extraction satisfies (every such model satisfies
-   the pivot) cannot. The others are queried in ascending order after the
-   deletion loop; when the candidate is a single group c, c itself is known
-   to contradict the pivot and the scan stops there.
+   from the groups' clauses, so any grouped CNF works.
 
 Singleton rule: when some group that mentions the pivot variable
 contradicts the pivot on its own, the core is the lowest-id such group, so
 inferences available to single-constraint reasoning always report C = 1.
+How that group is found depends on the formula:
+
+ * counting, for a formula with labels (Solver.labels, every frontier
+   formula from cnf.build_formula). A group that says "exactly e of these
+   m variables are true" is satisfiable on its own (0 <= e <= m), and it
+   contradicts the pivot alone exactly when it holds the unit clause
+   -pivot: e = 0 against a true pivot, e = m against a false one. The
+   lowest such group is returned before any query. Without one, no group
+   alone contradicts the pivot, so a candidate of two groups is minimal and
+   the deletion loop stops there;
+ * queries, for a formula without labels (a parsed DIMACS or GCNF file).
+   After the deletion loop, the groups that mention the pivot variable are
+   queried alone, ascending, skipping any that a model seen in this
+   extraction satisfies (every such model satisfies the pivot), and the
+   first that contradicts the pivot is the core. When the candidate is a
+   single group c, c itself is known to contradict the pivot and the scan
+   stops there.
 
 Extraction runs on a Solver, which owns the grouped formula: the clauses
 that rotation and the witness filter check are read from Solver.groups, so
@@ -38,8 +49,9 @@ they are always the clauses the queries decide. Like every solver query,
 each query here names its active groups, and the solver branches only on
 those groups' variables: a scan query decides at most the eight variables
 of one group. Its model holds only the variables it decided; rotation and
-the witness filter read the variables of the start core's groups and of the
-pivot variable's groups, and a variable the model leaves out reads False.
+the witness filter read the variables of the start core's groups and,
+without labels, of the pivot variable's groups, and a variable the model
+leaves out reads False.
 Consecutive deletion trials share the selector levels before the deleted
 group (see minelab.sat).
 """
@@ -83,18 +95,31 @@ def _flip(lits: Set[int], v: int) -> None:
     lits.add(-l)
 
 
+def _refutes(label: int, size: int, lit: int) -> bool:
+    """Does a group saying "exactly label of its size variables are true"
+    contradict lit, a literal of one of those variables, on its own? Only
+    through the unit clause -lit: label 0 against a true lit, label size
+    against a false one."""
+    return label == (0 if lit > 0 else size)
+
+
 def extract_gmus(solver: Solver, pivot: int, *,
                  initial_core: Optional[Iterable[int]] = None) -> GmusResult:
     """Extract a minimal (not minimum) core for the solver's groups ∧ pivot.
 
-    The deletion loop offers each group of the start core, ascending, that
-    is still in the candidate and not yet known necessary; each satisfiable
-    trial's model is rotated to mark further necessary groups. The singleton
-    scan then queries the groups that mention the pivot variable and that no
-    model seen so far satisfies, ascending, and returns the first one that
-    contradicts the pivot alone; reaching the candidate's only group ends it
-    without a query. Otherwise the candidate left by the deletion loop is
-    the core.
+    With labels (Solver.labels), the lowest group that mentions the pivot
+    variable and contradicts the pivot by counting is returned before any
+    query. Otherwise the deletion loop offers each group of the start core,
+    ascending, that is still in the candidate and not yet known necessary;
+    each satisfiable trial's model is rotated to mark further necessary
+    groups. It stops at a candidate of one group, or with labels of two:
+    counting found no group that contradicts the pivot alone, so both are
+    necessary. Without labels,
+    the singleton scan then queries the groups that mention the pivot
+    variable and that no model seen so far satisfies, ascending, and
+    returns the first one that contradicts the pivot alone; reaching the
+    candidate's only group ends it without a query. Otherwise the candidate
+    left by the deletion loop is the core.
 
     Args:
       solver: the Solver that owns the grouped formula; the groups' clauses
@@ -112,6 +137,15 @@ def extract_gmus(solver: Solver, pivot: int, *,
     if not 1 <= abs(pivot) <= solver.num_vars:
         raise ValueError(f"pivot {pivot} names no variable of the formula "
                          f"(variables 1..{solver.num_vars})")
+    groups = solver.groups
+    group_vars = solver.group_vars
+    var_groups = solver.var_groups
+    labels = solver.labels
+    pv = abs(pivot)
+    if labels is not None:
+        for h in var_groups[pv]:
+            if _refutes(labels[h], len(group_vars[h]), pivot):
+                return GmusResult(core=frozenset([h]), pivot=pivot, size=1)
     if initial_core is None:
         res = solver.solve(solver.group_ids, [pivot])
         if res.sat:
@@ -119,13 +153,13 @@ def extract_gmus(solver: Solver, pivot: int, *,
         start = solver.core_groups(res.core)
     else:
         start = sorted(set(initial_core))
-    groups = solver.groups
-    group_vars = solver.group_vars
-    var_groups = solver.var_groups
-    pv = abs(pivot)
     # Groups that mention the pivot variable and that no model seen so far
-    # satisfies: the only possible size-1 cores.
-    unseen: Set[int] = set(var_groups[pv])
+    # satisfies: the only possible size-1 cores. With labels, counting has
+    # ruled out every one, so the scan below queries none.
+    unseen: Set[int] = set(var_groups[pv]) if labels is None else set()
+    # A candidate this small is minimal: one group is, and with labels so
+    # are two, since neither contradicts the pivot alone.
+    settled = 1 if labels is None else 2
     # Rotation and the witness filter read only these variables.
     read_vars = {v for g in unseen.union(start) for v in group_vars[g]}
 
@@ -173,7 +207,7 @@ def extract_gmus(solver: Solver, pivot: int, *,
                     _flip(lits, entry)
 
     for g in start:
-        if len(candidate) == 1:
+        if len(candidate) <= settled:
             break
         if g not in candidate or g in necessary:
             continue

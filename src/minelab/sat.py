@@ -92,7 +92,9 @@ class Solver:
 
     The solver owns the formula's clause groups: groups (group id -> its
     clauses), group_ids (ascending), group_vars (group id -> its ascending
-    variables) and num_vars are what callers such as core extraction read.
+    variables), labels (group id -> the count of true variables its
+    exact-count clauses assert, or None for a formula without labels) and
+    num_vars are what callers such as core extraction read.
     Queries with different active groups and assumptions share learned
     clauses, and consecutive queries share the decision levels of their
     common assumption prefix: solve leaves the trail of the last query in
@@ -146,6 +148,7 @@ class Solver:
         watches = self.watches
         occ = [0] * (self.num_vars + 1)
         self.groups = groups = formula.groups
+        self.labels = formula.labels
         # Group id -> the ascending variables its clauses mention.
         self.group_vars: Dict[int, List[int]] = {}
         group_vars = self.group_vars

@@ -137,8 +137,10 @@ class TestBoardAndLabels:
             Board(4, Boundary.OPEN, mines, start=(2, 2))
 
     def test_mine_off_board_rejected(self):
-        with pytest.raises(ValueError):
-            Board(4, Boundary.OPEN, [(4, 0)])
+        # A negative index must not wrap around onto the board.
+        for mines in ([(4, 0)], [(0, -1)], [(1, 1), (2, 4)]):
+            with pytest.raises(ValueError, match="outside an 4x4 board"):
+                Board(4, Boundary.OPEN, mines)
 
     def test_bad_rho(self):
         with pytest.raises(ValueError):

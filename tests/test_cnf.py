@@ -136,6 +136,7 @@ class TestBuildFormula:
         assert list(formula.var_sites) == [fr.outer[j] for j in cols]
         assert formula.num_vars == len(cols)
         assert sorted(formula.groups) == [i for i, _, _ in rows]
+        assert formula.labels == {i: e for i, e, _ in rows}
         for i, e, support in rows:
             assert formula.groups[i] == encode_exact_count(
                 e, [cols.index(j) + 1 for j in support])
@@ -176,6 +177,8 @@ class TestFormats:
         formula = state_formula(state)
         back = parse_gcnf(export_gcnf(formula))
         assert back.num_vars == formula.num_vars
+        # The format carries no labels.
+        assert back.labels is None
         assert set(back.groups) == set(formula.groups)
         for g in formula.groups:
             assert [tuple(c) for c in back.groups[g]] == \

@@ -7,10 +7,12 @@ import itertools
 
 import pytest
 
+import minelab.player
 from minelab.board import (Boundary, COVERED, GameState, flag,
                            generate_board, reveal)
 from minelab.cnf import GroupedCnf
-from minelab.gmus import GmusResult, NotUnsat, extract_gmus, max_core_size
+from minelab.gmus import (GmusResult, NotUnsat, _refutes, extract_gmus,
+                          max_core_size)
 from minelab.harness import game_seed
 from minelab.player import Verdict, infer_step
 from minelab.sat import Solver
@@ -128,8 +130,8 @@ class TestOptions:
 class CountingSolver(Solver):
     """A Solver that records the active groups of every query."""
 
-    def __init__(self, formula: GroupedCnf) -> None:
-        super().__init__(formula)
+    def __init__(self, formula: GroupedCnf, **kwargs) -> None:
+        super().__init__(formula, **kwargs)
         self.queries = []
 
     def solve(self, active_groups, assumptions=()):
@@ -272,35 +274,91 @@ def first_singleton_core(formula: GroupedCnf, pivot: int):
     return None
 
 
+def played_passes(master: int):
+    """(formula, inferences) for every pass of two n=16 cores-on games at
+    each of rho 0.15, 0.2 and 0.225, played from the given master seed."""
+    for rho in (0.15, 0.2, 0.225):
+        for i in range(2):
+            board = generate_board(16, rho, game_seed(master, rho, i),
+                                   Boundary.TORUS)
+            state = GameState(board)
+            reveal(state, board.start)
+            while True:
+                inferences = infer_step(state)
+                if not inferences:
+                    break
+                yield state_formula(state), inferences
+                for inf in inferences:
+                    if inf.verdict is Verdict.MINE:
+                        flag(state, inf.site)
+                for inf in inferences:
+                    if (inf.verdict is Verdict.SAFE
+                            and int(state.status[inf.site]) == COVERED):
+                        reveal(state, inf.site)
+
+
 class TestGameCores:
     def test_cores_from_played_games(self):
         # Every pass of a few n=16 games: each core is minimal, and a
         # size-1 core is exactly what the scan over all groups finds first.
         cores = multi = 0
-        for rho in (0.15, 0.2, 0.225):
-            for i in range(2):
-                board = generate_board(16, rho, game_seed(7, rho, i),
-                                       Boundary.TORUS)
-                state = GameState(board)
-                reveal(state, board.start)
-                while True:
-                    inferences = infer_step(state)
-                    if not inferences:
-                        break
-                    formula = state_formula(state)
-                    for inf in inferences:
-                        assert_core_invariants(formula, inf.core)
-                        single = first_singleton_core(formula, inf.core.pivot)
-                        if single is None:
-                            multi += 1
-                        else:
-                            assert inf.core.core == frozenset({single})
-                        cores += 1
-                    for inf in inferences:
-                        if inf.verdict is Verdict.MINE:
-                            flag(state, inf.site)
-                    for inf in inferences:
-                        if (inf.verdict is Verdict.SAFE
-                                and int(state.status[inf.site]) == COVERED):
-                            reveal(state, inf.site)
+        for formula, inferences in played_passes(7):
+            for inf in inferences:
+                assert_core_invariants(formula, inf.core)
+                single = first_singleton_core(formula, inf.core.pivot)
+                if single is None:
+                    multi += 1
+                else:
+                    assert inf.core.core == frozenset({single})
+                cores += 1
         assert cores >= 500 and multi >= 100
+
+    def test_counting_rule_matches_solver(self):
+        # The labels of a frontier formula answer "does this group alone
+        # contradict this literal" for every literal of its variables
+        # exactly as a fresh query on that group alone does.
+        refuted = kept = 0
+        for formula, _ in played_passes(3):
+            for g, clauses in formula.groups.items():
+                vs = sorted({abs(l) for clause in clauses for l in clause})
+                for lit in (*vs, *(-v for v in vs)):
+                    counted = _refutes(formula.labels[g], len(vs), lit)
+                    assert counted == (not solve(formula, [g], [lit]).sat)
+                    refuted += counted
+                    kept += not counted
+        assert refuted >= 300 and kept >= 2000
+
+    def test_extraction_asks_no_single_group_query(self, monkeypatch):
+        # With labels, extraction settles every single-group question by
+        # counting: none of its queries has one active group, and its cores
+        # are still minimal with the lowest singleton as the size-1 core.
+        solvers = []
+
+        def recording_solver(formula, **kwargs):
+            solvers.append(CountingSolver(formula, **kwargs))
+            return solvers[-1]
+
+        asked = []
+
+        def recording_extract(solver, pivot, **kwargs):
+            before = len(solver.queries)
+            result = extract_gmus(solver, pivot, **kwargs)
+            asked.extend(solver.queries[before:])
+            return result
+
+        monkeypatch.setattr(minelab.player, "Solver", recording_solver)
+        monkeypatch.setattr(minelab.player, "extract_gmus",
+                            recording_extract)
+        cores = multi = 0
+        for formula, inferences in played_passes(11):
+            for inf in inferences:
+                assert_core_invariants(formula, inf.core)
+                if inf.core.size == 1:
+                    assert inf.core.core == frozenset(
+                        {first_singleton_core(formula, inf.core.pivot)})
+                else:
+                    multi += 1
+                cores += 1
+        assert cores >= 500 and multi >= 300 and len(asked) >= 300
+        assert all(len(active) > 1 for active in asked), [
+            active for active in asked if len(active) == 1]
