@@ -118,9 +118,6 @@ class Board:
         self.labels = _neighbor_sum(grid, boundary)
         self.mine_grid = grid.astype(bool)
 
-    def is_mine(self, site: Site) -> bool:
-        return site in self.mines
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Board):
             return NotImplemented
@@ -235,7 +232,6 @@ class GameState:
                        if status is None else status.astype(np.int8))
         self.view_labels = (np.full((n, n), -1, dtype=np.int16)
                             if view_labels is None else view_labels.astype(np.int16))
-        self.turn_counter = 0
         self.exploded = False
         self.boom_site: Optional[Site] = None
 
@@ -265,7 +261,6 @@ def reveal(state: GameState, *sites: Site) -> FrozenSet[Site]:
             raise ValueError(f"site {site} is already revealed")
         if st == FLAGGED:
             raise ValueError(f"site {site} is flagged")
-    state.turn_counter += 1
     hit = np.flatnonzero(state.board.mine_grid[rows, cols])
     if hit.size:
         boom = int(hit[0])

@@ -21,11 +21,11 @@ from typing import List, Optional, Sequence
 from .board import Boundary, check_board_shape
 from .cnf import parse_dimacs, parse_gcnf
 from .gmus import NotUnsat, extract_gmus
-from .harness import (GAMES_COLUMNS, check_budgets, game_seed, parse_grid,
+from .harness import (GAMES_COLUMNS, game_seed, parse_grid,
                       parse_sweep_config, play_seeded_game, record_cells,
                       run_sweep, validate_config)
 from .percolation import Connectivity, PercolationConfig, percolation_sweep
-from .player import GameRecord, Inference, Policy, Verdict
+from .player import GameRecord, Inference, Policy, Verdict, check_budgets
 from .plots import EmptyInput, render_plots
 from .sat import ResourceLimit, Solver
 

@@ -37,21 +37,18 @@ How that group is found depends on the formula:
    the deletion loop stops there;
  * queries, for a formula without labels (a parsed DIMACS or GCNF file).
    After the deletion loop, the groups that mention the pivot variable are
-   queried alone, ascending, skipping any that a model seen in this
-   extraction satisfies (every such model satisfies the pivot), and the
-   first that contradicts the pivot is the core. When the candidate is a
-   single group c, c itself is known to contradict the pivot and the scan
-   stops there.
+   queried alone, ascending, and the first that contradicts the pivot is
+   the core. When the candidate is a single group c, c itself is known to
+   contradict the pivot and the scan stops there.
 
 Extraction runs on a Solver, which owns the grouped formula: the clauses
-that rotation and the witness filter check are read from Solver.groups, so
-they are always the clauses the queries decide. Like every solver query,
-each query here names its active groups, and the solver branches only on
-those groups' variables: a scan query decides at most the eight variables
-of one group. Its model holds only the variables it decided; rotation and
-the witness filter read the variables of the start core's groups and,
-without labels, of the pivot variable's groups, and a variable the model
-leaves out reads False.
+that rotation checks are read from Solver.groups, so they are always the
+clauses the queries decide. Like every solver query, each query here names
+its active groups, and the solver branches only on those groups'
+variables: a scan query decides at most the eight variables of one group.
+Its model holds only the variables it decided; rotation reads the
+variables of the start core's groups, and a variable the model leaves out
+reads False.
 Consecutive deletion trials share the selector levels before the deleted
 group (see minelab.sat).
 """
@@ -114,12 +111,11 @@ def extract_gmus(solver: Solver, pivot: int, *,
     each satisfiable trial's model is rotated to mark further necessary
     groups. It stops at a candidate of one group, or with labels of two:
     counting found no group that contradicts the pivot alone, so both are
-    necessary. Without labels,
-    the singleton scan then queries the groups that mention the pivot
-    variable and that no model seen so far satisfies, ascending, and
-    returns the first one that contradicts the pivot alone; reaching the
-    candidate's only group ends it without a query. Otherwise the candidate
-    left by the deletion loop is the core.
+    necessary. Without labels, the singleton scan then queries the groups
+    that mention the pivot variable, ascending, and returns the first one
+    that contradicts the pivot alone; reaching the candidate's only group
+    ends it without a query. Otherwise the candidate left by the deletion
+    loop is the core.
 
     Args:
       solver: the Solver that owns the grouped formula; the groups' clauses
@@ -153,26 +149,14 @@ def extract_gmus(solver: Solver, pivot: int, *,
         start = solver.core_groups(res.core)
     else:
         start = sorted(set(initial_core))
-    # Groups that mention the pivot variable and that no model seen so far
-    # satisfies: the only possible size-1 cores. With labels, counting has
-    # ruled out every one, so the scan below queries none.
-    unseen: Set[int] = set(var_groups[pv]) if labels is None else set()
     # A candidate this small is minimal: one group is, and with labels so
     # are two, since neither contradicts the pivot alone.
     settled = 1 if labels is None else 2
-    # Rotation and the witness filter read only these variables.
-    read_vars = {v for g in unseen.union(start) for v in group_vars[g]}
+    # Rotation reads only these variables.
+    read_vars = {v for g in start for v in group_vars[g]}
 
     candidate = set(start)
     necessary: Set[int] = set()
-
-    def witness(lits: Set[int], bad: Optional[int] = None) -> None:
-        """Drop the unseen groups that the model lits satisfies. With bad
-        given, lits is known to satisfy every candidate group except bad."""
-        for h in list(unseen):
-            if ((bad is not None and h in candidate and h != bad)
-                    or not _violated(groups[h], lits)):
-                unseen.discard(h)
 
     def rotate(g: int, lits: Set[int]) -> None:
         """Mark the groups that rotation from the model lits, which violates
@@ -197,7 +181,6 @@ def extract_gmus(solver: Solver, pivot: int, *,
                         _violated(groups[h], lits)
                         for h in var_groups[v] if h in necessary):
                     necessary.add(hit[0])
-                    witness(lits, hit[0])
                     frames.append((iter(group_vars[hit[0]]), v))
                     break
                 _flip(lits, v)
@@ -218,20 +201,15 @@ def extract_gmus(solver: Solver, pivot: int, *,
             candidate = set(solver.core_groups(res.core))
             continue
         necessary.add(g)
-        lits = _true_lits(res.model, read_vars)
-        witness(lits, g)
-        rotate(g, lits)
+        rotate(g, _true_lits(res.model, read_vars))
 
-    only = next(iter(candidate)) if len(candidate) == 1 else None
-    for h in var_groups[pv]:
-        if h == only:
-            break
-        if h not in unseen:
-            continue
-        res = solver.solve([h], [pivot])
-        if not res.sat:
-            return GmusResult(core=frozenset([h]), pivot=pivot, size=1)
-        witness(_true_lits(res.model, read_vars))
+    if labels is None:
+        only = next(iter(candidate)) if len(candidate) == 1 else None
+        for h in var_groups[pv]:
+            if h == only:
+                break
+            if not solver.solve([h], [pivot]).sat:
+                return GmusResult(core=frozenset([h]), pivot=pivot, size=1)
     return GmusResult(core=frozenset(candidate), pivot=pivot,
                       size=len(candidate))
 

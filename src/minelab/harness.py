@@ -30,7 +30,7 @@ import numpy as np
 
 from .board import (Boundary, GenerationExhausted, check_board_shape,
                     generate_board)
-from .player import GameRecord, Outcome, Policy, play_game
+from .player import GameRecord, Outcome, Policy, check_budgets, play_game
 
 GAMES_COLUMNS = ("n", "rho", "policy", "seed", "alpha", "max_core",
                  "turns", "outcome", "wall_ms")
@@ -280,18 +280,6 @@ def _aggregate(n: int, rho: float, policy: str,
                        stuck_fraction=stuck / len(done),
                        mean_wall_time=wall_mean,
                        generation_exhausted=exhausted)
-
-
-def check_budgets(time_budget_s: Optional[float] = None,
-                  conflict_budget: int = 0) -> None:
-    """Raise ValueError unless the time budget is None (no limit) or a
-    positive number of seconds and the conflict budget is not negative."""
-    if time_budget_s is not None and not time_budget_s > 0:
-        raise ValueError(
-            f"time budget must be positive seconds, got {time_budget_s}")
-    if conflict_budget < 0:
-        raise ValueError(
-            f"conflict budget must not be negative, got {conflict_budget}")
 
 
 def validate_config(config: SweepConfig) -> None:

@@ -201,7 +201,7 @@ class PercolationConfig:
     boundary: Optional[Boundary] = None    # default: open / board default torus
     connectivity: Connectivity = Connectivity.NEAREST4
 
-    def resolved_boundary(self) -> Boundary:
+    def _resolved_boundary(self) -> Boundary:
         if self.boundary is not None:
             return self.boundary
         return Boundary.OPEN if self.mode == "independent" else Boundary.TORUS
@@ -232,7 +232,7 @@ def percolation_sweep(config: PercolationConfig) -> List[PercRecord]:
         raise ValueError(f"n must be at least 1, got {config.n}")
     if config.samples < 1:
         raise ValueError(f"samples must be at least 1, got {config.samples}")
-    boundary = config.resolved_boundary()
+    boundary = config._resolved_boundary()
     records: List[PercRecord] = []
     for pi, param in enumerate(config.params):
         values = []

@@ -33,10 +33,9 @@ Witness reuse keeps phase 1 cheap: every model of a part seen with all its
 groups active fixes a value for each of its variables, and a variable
 already witnessed with value b skips the "forced to not-b" query, since that
 query is satisfiable. Models found inside core extraction activate only a
-subset of groups and are never used as witnesses. A literal that
-propagation already makes false is a verdict without a query
-(Solver.refuted), and with cores its core literals are read from the same
-trail (Solver.analyze_final), exactly as the query would return them.
+subset of groups and are never used as witnesses. Every other literal is
+asked of the solver, and with cores on that query's core starts the
+extraction.
 
 With cores off the solver is selector-free (every group takes part in
 every query, which gives the same verdicts, since a part shares no
@@ -161,10 +160,9 @@ def infer_step(state: GameState, *, extract_cores: bool = True,
     selector-free and steered otherwise), and each part's verdicts come
     from queries that name its groups as the active set: phase 1 tests its
     variables in ascending order, reusing every model of its groups as a
-    witness and settling a literal that propagation already refutes
-    without a query. With extract_cores, phase 2 then attaches a minimal
-    core to each of the part's inferences, found from the core of its
-    verdict query, before the next part is decided.
+    witness. With extract_cores, phase 2 then attaches a minimal core to
+    each of the part's inferences, found from the core of its verdict
+    query, before the next part is decided.
 
     An effective label outside [0, support size] raises InfeasibleLabel;
     any other inconsistency raises ValueError.
@@ -214,8 +212,7 @@ def _part_verdicts(solver: Solver, parts: List[List[int]]):
     """Phase 1 on each part, given as its ascending group ids, in turn.
 
     Yields, per part, its (var, verdict, core literals) triples; the core
-    literals are those of the verdict query, or read from the trail for a
-    literal that propagation already refutes (they mean nothing on a
+    literals are those of the verdict query (they mean nothing on a
     selector-free solver). The next part is decided only once the
     caller asks for it. A selector-free solver is steered: each witness
     sets the phase of its variables to the value they have not yet shown.
@@ -248,9 +245,6 @@ def _part_verdicts(solver: Solver, parts: List[List[int]]):
                                        (-v, seen_false, Verdict.MINE)):
                 if seen[v]:
                     continue
-                if solver.refuted(groups, lit):
-                    found.append((v, verdict, solver.analyze_final(lit)))
-                    break
                 res = solver.solve(groups, [lit])
                 if res.sat:
                     witness(res.model)
@@ -337,6 +331,18 @@ def _settle(fr: Frontiers, propagate: bool = True
     return value, parts
 
 
+def check_budgets(time_budget_s: Optional[float] = None,
+                  conflict_budget: int = 0) -> None:
+    """Raise ValueError unless the time budget is None (no limit) or a
+    positive number of seconds and the conflict budget is not negative."""
+    if time_budget_s is not None and not time_budget_s > 0:
+        raise ValueError(
+            f"time budget must be positive seconds, got {time_budget_s}")
+    if conflict_budget < 0:
+        raise ValueError(
+            f"conflict budget must not be negative, got {conflict_budget}")
+
+
 def play_game(board: Board, policy: Union[str, Policy] = "sat", *,
               track_cores: bool = True,
               time_budget_s: Optional[float] = None,
@@ -352,13 +358,15 @@ def play_game(board: Board, policy: Union[str, Policy] = "sat", *,
     With a time budget set (there is none by default), a pass that starts
     after it has elapsed is not run and the game records STUCK_TIMEOUT; a
     solver query that exceeds the conflict budget ends the game as
-    STUCK_BUDGET.
+    STUCK_BUDGET. A time budget that is not positive or a negative conflict
+    budget raises ValueError.
 
     rho and seed are metadata echoed into the record; rho defaults to the
     board's realized mine fraction. trace_fn, when given, is called after
     every inference pass (including the final empty one) with the pass
     number and its inferences.
     """
+    check_budgets(time_budget_s, conflict_budget)
     policy = Policy.parse(policy)
     if board.start is None:
         raise ValueError("board has no disclosed zero start")

@@ -33,15 +33,8 @@ Consecutive queries share their assumption trail (Hickey & Bacchus,
 levels of the longest common prefix of its assumption list and the previous
 one, and only backtracks and re-assumes past it. The selectors come first,
 in ascending group order, so queries over the same active groups share
-every selector level; a query that repeats the last active set keeps its
-selector levels without comparing them one by one.
-
-A literal that propagation under the selectors has already made false
-needs no query (Janota, Lynce & Marques-Silva, "Algorithms for computing
-backbones of propositional formulae", AI Comm. 2015): Solver.refuted says
-when the trail alone answers solve(active, [lit]) Unsat, and
-Solver.analyze_final then gives the core that query would return. Without
-selectors, refuted means "false at level 0".
+every selector level. A query whose assumption is already false at a kept
+level is answered Unsat there, without a search.
 
 Branching picks the unassigned problem variable with the highest occurrence
 count in the original formula, ties broken by lowest variable id, and tries
@@ -355,7 +348,7 @@ class Solver:
         learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
         return learnt, max_lvl
 
-    def analyze_final(self, failed: int) -> FrozenSet[int]:
+    def _analyze_final(self, failed: int) -> FrozenSet[int]:
         """The core of a literal that is false on the trail: failed and the
         assumption literals whose propagation falsified it."""
         core = {failed}
@@ -406,8 +399,7 @@ class Solver:
         Assumption literals must reference problem variables. The trail
         stays in place afterwards; the next query keeps the levels of the
         assumption prefix it shares with this one. An active set equal to
-        the last one reuses its branching order and selector assumptions, and
-        keeps their levels still on the trail without comparing them.
+        the last one reuses its branching order and selector assumptions.
         Without selectors every group takes part in propagation:
         active_groups must be a union of parts that holds the assumption
         variables, and only picks the variables the query branches on.
@@ -420,7 +412,6 @@ class Solver:
         if self._unsat:
             return _SolveResult(sat=False, core=frozenset())
         last_key, order, sel = self._last_active
-        keep = 0
         if key != last_key:
             actives = sorted(set(key))
             group_vars = self.group_vars
@@ -431,9 +422,6 @@ class Solver:
             sel = ([self.selector_of[g] for g in actives] if self.selectors
                    else [])
             self._last_active = (key, order, sel)
-        else:
-            # The last query assumed the same selectors first.
-            keep = min(len(sel), len(self.trail_lim))
         assump = sel + extra
         if len(self.learnts) > MAX_LEARNTS:
             self._cancel_until(0)
@@ -441,6 +429,7 @@ class Solver:
         else:
             last = self.last_assumptions
             limit = min(len(last), len(assump), len(self.trail_lim))
+            keep = 0
             while keep < limit and last[keep] == assump[keep]:
                 keep += 1
             self._cancel_until(keep)
@@ -458,30 +447,6 @@ class Solver:
             for l in extra:
                 res.model[abs(l)] = l > 0
         return res
-
-    def refuted(self, active_groups: Iterable[int], lit: int) -> bool:
-        """Does the trail already answer solve(active_groups, [lit]) Unsat.
-
-        True when the last query named the same active groups, its selector
-        levels are still on the trail, no learned-clause drop is due, and
-        lit is false at one of those levels (or at level 0). That query
-        would keep exactly those levels and return Unsat without search or
-        learned clause, with the core analyze_final(lit) reads now; the
-        next query cancels to the same selector levels whether it was asked
-        or not, so skipping it changes no later answer. Without selectors it
-        is True when lit is false at level 0, a fact no query undoes.
-        """
-        if not 1 <= abs(lit) <= self.num_vars:
-            raise ValueError(f"literal {lit} references an unknown variable")
-        if not self.selectors:
-            return self._value(lit) == -1 and self.level[abs(lit)] == 0
-        key, _, sel = self._last_active
-        n_sel = len(sel)
-        return (len(self.trail_lim) >= n_sel
-                and self._value(lit) == -1
-                and self.level[abs(lit)] <= n_sel
-                and len(self.learnts) <= MAX_LEARNTS
-                and tuple(active_groups) == key)
 
     def _search(self, assumptions: List[int], order: List[int]) -> _SolveResult:
         conflicts = 0
@@ -513,7 +478,7 @@ class Solver:
                 p = assumptions[lvl]
                 v = self._value(p)
                 if v == -1:
-                    return _SolveResult(sat=False, core=self.analyze_final(p))
+                    return _SolveResult(sat=False, core=self._analyze_final(p))
                 self._new_level()     # a placeholder level if p is true
                 if v == 0:
                     self._enqueue(p, None)

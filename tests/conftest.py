@@ -122,7 +122,7 @@ def parse_overlay(text: str, boundary: Boundary,
         if board.boundary != boundary:
             raise ValueError("overlay boundary does not match board boundary")
         for r, c in map(tuple, np.argwhere(status == REVEALED)):
-            if board.is_mine((r, c)):
+            if (r, c) in board.mines:
                 raise ValueError(f"revealed site {(r, c)} is mined")
             if int(board.labels[r, c]) != int(view[r, c]):
                 raise ValueError(

@@ -302,14 +302,6 @@ class TestMoves:
         with pytest.raises(ValueError, match="is flagged"):
             reveal(state, (3, 3), (0, 0))
         assert (state.status == status).all()
-        assert state.turn_counter == 1
-
-    def test_turn_counter(self):
-        board = Board(4, Boundary.OPEN, [(0, 0), (3, 3)])
-        state = GameState(board)
-        reveal(state, (1, 1))
-        reveal(state, (2, 2))
-        assert state.turn_counter == 2
 
 
 class TestFrontiers:

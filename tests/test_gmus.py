@@ -144,8 +144,8 @@ class TestModelRotation:
         # x1 -> x2 -> ... -> x9, then not x9: with the pivot x1 every group
         # is in the core. Plain deletion proves each group necessary with
         # its own satisfiable trial; rotating the first trial's model along
-        # the chain proves all of them, and that model's rotations satisfy
-        # group 0, the only group that mentions the pivot variable.
+        # the chain proves all of them. The singleton scan then asks group
+        # 0, the only group that mentions the pivot variable, once.
         k = 9
         groups = {i: [(-(i + 1), i + 2)] for i in range(k - 1)}
         groups[k - 1] = [(-k,)]
@@ -153,7 +153,7 @@ class TestModelRotation:
         solver = CountingSolver(formula)
         result = extract_gmus(solver, 1, initial_core=range(k))
         assert result.core == frozenset(range(k))
-        assert solver.queries == [list(range(1, k))]
+        assert solver.queries == [list(range(1, k)), [0]]
         assert_core_invariants(formula, result)
 
     def test_size_one_initial_core_scans_only_below_it(self):

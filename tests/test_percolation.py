@@ -270,9 +270,9 @@ class TestSweep:
 
     def test_boundary_defaults(self):
         assert (PercolationConfig(mode="independent", params=[])
-                .resolved_boundary() is Boundary.OPEN)
+                ._resolved_boundary() is Boundary.OPEN)
         assert (PercolationConfig(mode="minesweeper", params=[])
-                .resolved_boundary() is Boundary.TORUS)
+                ._resolved_boundary() is Boundary.TORUS)
         assert (PercolationConfig(mode="minesweeper", params=[],
                                   boundary=Boundary.OPEN)
-                .resolved_boundary() is Boundary.OPEN)
+                ._resolved_boundary() is Boundary.OPEN)

@@ -26,9 +26,10 @@ from conftest import (consistency_check, forced_verdicts, formula_parts,
 
 def reference_infer_step(state: GameState, *,
                          extract_cores: bool = True) -> list:
-    """infer_step as it was before propagation-settled verdicts: the same
-    parts, witnesses and phases, but every literal that no witness rules out
-    is asked of the solver."""
+    """infer_step on one selector solver over the whole frontier formula,
+    without counting propagation, quiet parts or steered phases: per part,
+    every literal that no witness rules out is asked of the solver, and with
+    cores each core starts from its verdict query's core."""
     formula = state_formula(state)
     if not formula.groups:
         return []
@@ -229,35 +230,45 @@ class TestInferStep:
             assert all(i.core is None for i in without)
 
     def test_matches_the_pass_that_queries_every_literal(self, monkeypatch):
-        # Same inferences, order and cores, with fewer solver queries: a
-        # literal that propagation under the part's selectors already
-        # refutes is settled without one.
-        calls = {infer_step: 0, reference_infer_step: 0}
+        # Same inferences, order and cores. With cores on, every pass asks
+        # the solver exactly the reference's queries, extractions included.
+        # With cores off, counting propagation and steered phases leave
+        # fewer queries in all.
         solve = Solver.solve
 
         def counted(infer, state, cores):
+            calls = 0
+
             def solve_counted(solver, *args):
-                calls[infer] += 1
+                nonlocal calls
+                calls += 1
                 return solve(solver, *args)
 
             monkeypatch.setattr(Solver, "solve", solve_counted)
             try:
-                return infer(state, extract_cores=cores)
+                return infer(state, extract_cores=cores), calls
             finally:
                 monkeypatch.setattr(Solver, "solve", solve)
 
         passes = with_cores = 0
+        cores_off = {infer_step: 0, reference_infer_step: 0}
         for board in seeded_boards(24):
             for state in pass_states(board):
                 for cores in (True, False):
-                    got = counted(infer_step, state, cores)
-                    want = counted(reference_infer_step, state, cores)
+                    got, got_calls = counted(infer_step, state, cores)
+                    want, want_calls = counted(reference_infer_step, state,
+                                               cores)
                     assert pass_output(got) == pass_output(want)
                     assert [i.core for i in got] == [i.core for i in want]
-                    with_cores += cores and len(got) > 0
+                    if cores:
+                        assert got_calls == want_calls
+                        with_cores += len(got) > 0
+                    else:
+                        cores_off[infer_step] += got_calls
+                        cores_off[reference_infer_step] += want_calls
                 passes += 1
         assert passes >= 100 and with_cores >= 50
-        assert calls[infer_step] < calls[reference_infer_step]
+        assert cores_off[infer_step] < cores_off[reference_infer_step]
 
     def test_quiet_part_memory_keeps_every_pass_with_cores(self):
         # Skipping a quiet part leaves the other parts' queries, and so
@@ -410,12 +421,20 @@ class TestPlayGame:
         assert default.rho == len(board.mines) / 36
         assert default.seed is None
 
-    def test_expired_time_budget_marks_timeout(self):
+    def test_expired_time_budget_marks_timeout(self, hour_clock):
         board = generate_board(8, 0.15, 1)
-        record = play_game(board, time_budget_s=0.0)
+        record = play_game(board, time_budget_s=1.0)
         assert record.outcome is Outcome.STUCK_TIMEOUT
         assert record.turns == 0
         assert record.alpha == 0.0
+
+    @pytest.mark.parametrize("budgets", [
+        {"time_budget_s": 0.0}, {"time_budget_s": -1},
+        {"conflict_budget": -1}])
+    def test_bad_budget_rejected(self, budgets):
+        board = generate_board(8, 0.15, 1)
+        with pytest.raises(ValueError, match="budget"):
+            play_game(board, **budgets)
 
     def test_no_time_budget(self):
         board = generate_board(5, 0.1, 2)

@@ -384,95 +384,6 @@ class TestQuerySequences:
         assert limits >= 10
 
 
-def literals(formula: GroupedCnf) -> list:
-    return [l for v in range(1, formula.num_vars + 1) for l in (v, -v)]
-
-
-class TestRefuted:
-    """Solver.refuted against the query solve(active, [lit]) it stands in
-    for, over the query sequences above."""
-    formulas = TestQuerySequences.formulas
-
-    def test_yes_means_that_query_is_unsat_with_the_same_core(self):
-        rng = random.Random(9157)
-        yes = 0
-        for formula in self.formulas():
-            solver = Solver(formula)
-            for active, assumptions in query_sequence(rng, formula, 25):
-                solver.solve(active, assumptions)
-                for lit in literals(formula):
-                    if not solver.refuted(active, lit):
-                        continue
-                    core = solver.analyze_final(lit)
-                    res = solver.solve(active, [lit])
-                    assert not res.sat
-                    assert res.core == core
-                    check_answer(solver, formula, active, [lit], res)
-                    yes += 1
-        assert yes >= 1000
-
-    def test_no_after_resource_limit(self):
-        rng = random.Random(5150)
-        limits = lost = 0
-        for formula in self.formulas():
-            solver = Solver(formula)
-            for active, assumptions in query_sequence(rng, formula, 25):
-                settled = [l for l in literals(formula)
-                           if solver.refuted(active, l)]
-                solver.conflict_budget = 0
-                try:
-                    solver.solve(active, assumptions)
-                except ResourceLimit:
-                    # The selector levels are gone; with no active group
-                    # there are none, and level-0 facts stay settled.
-                    if active:
-                        limits += 1
-                        lost += bool(settled)
-                        assert not any(solver.refuted(active, l)
-                                       for l in literals(formula))
-                finally:
-                    solver.conflict_budget = 1_000_000
-        assert limits >= 10 and lost >= 3
-
-    def test_no_when_a_learnt_drop_is_due(self, monkeypatch):
-        rng = random.Random(6008)
-        due = blocked = 0
-        for formula in frontier_formulas(3209, 20, max_outer=20):
-            solver = Solver(formula)
-            for active, assumptions in query_sequence(rng, formula, 40):
-                monkeypatch.setattr("minelab.sat.MAX_LEARNTS", 1)
-                solver.solve(active, assumptions)
-                if len(solver.learnts) <= 1:
-                    continue
-                due += 1
-                assert not any(solver.refuted(active, l)
-                               for l in literals(formula))
-                monkeypatch.setattr("minelab.sat.MAX_LEARNTS", 4000)
-                blocked += any(solver.refuted(active, l)
-                               for l in literals(formula))
-        assert due >= 10 and blocked >= 10
-
-    def test_no_after_a_query_on_another_active_set(self):
-        rng = random.Random(7272)
-        checked = 0
-        for formula in self.formulas():
-            solver = Solver(formula)
-            for active, assumptions in query_sequence(rng, formula, 25):
-                solver.solve(active, assumptions)
-                settled = [l for l in literals(formula)
-                           if solver.refuted(active, l)]
-                if not settled or len(active) < 2:
-                    continue
-                gids = sorted(formula.groups)
-                for other in (active[:-1], active[1:],
-                              gids if list(active) != gids else None):
-                    if other is not None:
-                        assert not any(solver.refuted(other, l)
-                                       for l in settled)
-                checked += 1
-        assert checked >= 200
-
-
 class TestActiveSets:
     def test_matches_fresh_solve_of_the_subformula(self):
         rng = random.Random(3030)
@@ -584,12 +495,6 @@ class TestParts:
         assert states >= 60 and multi >= 5
 
 
-def level0_facts(solver: Solver) -> set:
-    """The literals on the trail below the first decision level."""
-    trail = solver.trail
-    return set(trail[:solver.trail_lim[0]] if solver.trail_lim else trail)
-
-
 def part_union(rng: random.Random, formula: GroupedCnf) -> list:
     """The ascending groups of a random nonempty set of parts."""
     parts = formula_parts(formula)
@@ -670,28 +575,6 @@ class TestSelectorFree:
         for active, assumptions in queries:
             res = solver.solve(active, assumptions)
             assert not res.sat and res.core == frozenset()
-
-    def test_refuted_only_for_level0_facts(self):
-        rng = random.Random(3141)
-        yes = no_at_decision = 0
-        for formula in self.formulas():
-            solver = Solver(formula, selectors=False)
-            lits = literals(formula)
-            for _ in range(8):
-                active = part_union(rng, formula)
-                solver.solve(active, part_assumptions(rng, formula, active))
-                facts = level0_facts(solver)
-                falsified = {-l for l in solver.trail}
-                for lit in lits:
-                    if not solver.refuted(active, lit):
-                        no_at_decision += lit in falsified
-                        continue
-                    assert -lit in facts
-                    res = solver.solve(active, [lit])
-                    assert not res.sat and res.core <= {lit}
-                    assert not solve(formula, None, [lit]).sat
-                    yes += 1
-        assert yes >= 1000 and no_at_decision >= 500
 
     def test_learnt_drop_between_queries(self, monkeypatch):
         monkeypatch.setattr("minelab.sat.MAX_LEARNTS", 1)
