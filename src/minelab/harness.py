@@ -62,7 +62,11 @@ def parse_grid(text: str) -> Tuple[float, ...]:
     values: List[float] = []
     for part in text.split(","):
         if ":" in part:
-            a, b, s = (float(x) for x in part.split(":"))
+            bounds = part.split(":")
+            if len(bounds) != 3:
+                raise ValueError(f"bad range {part.strip()!r}, "
+                                 "expected start:stop:step")
+            a, b, s = (float(x) for x in bounds)
             values.extend(float_range(a, b, s))
         else:
             values.append(float(part))
@@ -297,9 +301,22 @@ def validate_config(config: SweepConfig) -> None:
         raise ValueError("workers must be at least 1")
     if not config.policies:
         raise ValueError("policies must be nonempty")
-    for p in config.policies:
-        Policy.parse(p)
+    _reject_repeats("n", config.ns, int)
+    _reject_repeats("rho", config.rhos, _rho_key)
+    _reject_repeats("policies", config.policies, Policy.parse)
     check_budgets(config.time_budget_s, config.conflict_budget)
+
+
+def _reject_repeats(name: str, values: Sequence, key: Callable) -> None:
+    """Raise ValueError when two values name the same grid point: the same
+    point file, the same seeds and the same summary row."""
+    seen: Dict[object, object] = {}
+    for v in values:
+        kv = key(v)
+        if kv in seen:
+            raise ValueError(f"{name} lists {seen[kv]!r} and {v!r}, "
+                             "which name the same grid point")
+        seen[kv] = v
 
 
 def run_sweep(config: SweepConfig) -> List[SweepRecord]:

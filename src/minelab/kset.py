@@ -23,15 +23,20 @@ Enumeration skips combinations that provably add nothing:
 
 The search runs on bitmasks, under the same pruning. Each row's support is
 one int column mask R, and each row's neighbours one int row mask. Connected
-row sets come from the ESU scheme (Wernicke, TCBB 2006) on an explicit
-stack: each set is visited once, rooted at its lowest row. Each set is
-evaluated once for all its 2^(s-1) sign vectors, from overlap counts. The
-union's columns split into atoms (the columns covered by exactly the rows
-T), c_j is constant on an atom, and atom sizes follow from the intersection
-sizes |R_U| by inclusion-exclusion. So the maximum is sum_U w_U |R_U| with
-weights fixed by (s, sign vector), and the minimum is the signed sum of row
-sizes less the maximum. Sets of one and two rows use closed forms. Column
-masks are formed only for tight combinations; when every coefficient
+row sets come from the ESU scheme (Wernicke, TCBB 2006): each set is visited
+once, rooted at its lowest row. Each set is evaluated once for all its
+2^(s-1) sign vectors, from overlap counts. The union's columns split into
+atoms (the columns covered by exactly the rows T), c_j is constant on an
+atom, and atom sizes follow from the intersection sizes |R_U| by
+inclusion-exclusion. So the maximum is sum_U w_U |R_U| with weights fixed by
+(s, sign vector), and the minimum is the signed sum of row sizes less the
+maximum; for three or more rows one dot product packs every gap of a set.
+Each set size has one evaluator. A root's pairs are a plain loop over closed
+forms. Each pair's triples are an inner loop that adds three intersection
+sizes to a packed base summed once per pair and a term summed once per row.
+Only k >= 4 keeps an explicit stack: triples are pushed onto it, and sets of
+four or more rows take the dot product over their full vector of |R_U|.
+Column masks are formed only for tight combinations; when every coefficient
 cancels they are empty, so such a combination forces nothing. The weight
 tables hold 4^s packed bytes per set size s, which suits the small k the
 policies use.
@@ -101,6 +106,30 @@ def _atom_masks(row_masks: List[int]) -> List[int]:
     return atoms
 
 
+def _tight(packed: int, row_masks: List[int], signed_atoms: tuple,
+           shift: int) -> Tuple[int, int]:
+    """The (ones, zeros) column masks a set of rows forces, read from its
+    packed gaps: under sign vector b, r is the maximum when field 2b holds
+    half and the minimum when field 2b + 1 does."""
+    field = (1 << shift) - 1
+    half = 1 << (shift - 1)
+    atoms = _atom_masks(row_masks)
+    ones = zeros = 0
+    for pos, neg in signed_atoms:
+        if packed & field == half:                   # r = maximum
+            for u in pos:
+                ones |= atoms[u]
+            for u in neg:
+                zeros |= atoms[u]
+        elif packed >> shift & field == half:        # r = minimum
+            for u in pos:
+                zeros |= atoms[u]
+            for u in neg:
+                ones |= atoms[u]
+        packed >>= 2 * shift
+    return ones, zeros
+
+
 def kset_infer(fr: Frontiers, k: int, *,
                stats: Optional[dict] = None) -> List[Tuple[int, int]]:
     """Every assignment forced by a signed combination of <= k rows.
@@ -110,8 +139,9 @@ def kset_infer(fr: Frontiers, k: int, *,
     Rows are column bitmasks, and each connected set is evaluated once for
     all its sign vectors from the sizes of its rows' intersections.
     Returns (col, value) pairs, value 1 for mined and 0 for safe, where
-    col indexes fr.outer; deduplicated and sorted. The stats dict, when given, receives the number of
-    (row set, sign vector) pairs enumerated under the key "evaluated".
+    col indexes fr.outer; deduplicated and sorted. The stats dict, when
+    given, receives the number of (row set, sign vector) pairs enumerated
+    under the key "evaluated".
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -140,8 +170,14 @@ def kset_infer(fr: Frontiers, k: int, *,
     while span >= 1 << (8 * width - 1):
         width *= 2
     shift = 8 * width
-    half = 1 << (shift - 1)
-    field = (1 << shift) - 1
+    if k > 2:
+        # A triple (A, B, C) packs v . cols3 + bias3. The terms of the pair
+        # (A, B) are summed once per pair, those of C alone once per row;
+        # cols3[0], the weight of U = 0, is 0.
+        cols3, bias3, signed3 = _sign_table(3, width)
+        c_a, c_b, c_ab, c_c, c_ac, c_bc, c_abc, c_e, c_f, c_g = cols3[1:]
+        solo = [c_c * r.bit_count() + c_g * g for r, g in zip(rows, labels)]
+        bytes3 = width << 3
     evaluated = m
     ones = zeros = 0
     for root in range(m):
@@ -156,17 +192,70 @@ def kset_infer(fr: Frontiers, k: int, *,
         ext = adj[root] & above
         if not ext:
             continue
-        # A stack entry is a set of fewer than k rows, already evaluated:
-        # its ESU extension and closed neighbourhood row masks, R_U and
-        # |R_U| for every bit set U of its rows (R_0 = every column), and
-        # its labels.
-        stack = [(ext, adj[root] | (1 << root), [-1, ra], [0, size], [e])]
+        evaluated += ext.bit_count() << 1
+        nb = adj[root] | (1 << root)
+        # Sets of four or more rows: a stack entry is a set of fewer than
+        # k rows, already evaluated: its ESU extension and closed
+        # neighbourhood row masks, R_U and |R_U| for every bit set U of its
+        # rows (R_0 = every column), and its labels.
+        stack = []
+        while ext:
+            bit = ext & -ext
+            ext ^= bit
+            b = bit.bit_length() - 1
+            rb = rows[b]
+            f = labels[b]
+            ab = ra & rb
+            size_b = rb.bit_count()
+            both = ab.bit_count()
+            # (+, +): maximum |A| + |B|, minimum 0.
+            # (+, -): maximum |A \ B|, minimum -|B \ A|.
+            if e + f == size + size_b:
+                ones |= ra | rb
+            elif e + f == 0:
+                zeros |= ra | rb
+            if e - f == size - both:
+                ones |= ra & ~rb
+                zeros |= rb & ~ra
+            elif e - f == both - size_b:
+                ones |= rb & ~ra
+                zeros |= ra & ~rb
+            if k < 3:
+                continue
+            ext2 = ext | (adj[b] & above & ~nb)
+            if not ext2:
+                continue
+            evaluated += ext2.bit_count() << 2
+            nb2 = nb | adj[b]
+            base = (c_a * size + c_b * size_b + c_ab * both + c_e * e
+                    + c_f * f + bias3)
+            while ext2:
+                bit = ext2 & -ext2
+                ext2 ^= bit
+                c = bit.bit_length() - 1
+                rc = rows[c]
+                ac = ra & rc
+                bc = rb & rc
+                abc = ab & rc
+                packed = (base + solo[c] + c_ac * ac.bit_count()
+                          + c_bc * bc.bit_count() + c_abc * abc.bit_count())
+                if k > 3:
+                    stack.append((
+                        ext2 | (adj[c] & above & ~nb2), nb2 | adj[c],
+                        [-1, ra, rb, ab, rc, ac, bc, abc],
+                        [0, size, size_b, both, rc.bit_count(),
+                         ac.bit_count(), bc.bit_count(), abc.bit_count()],
+                        [e, f, labels[c]]))
+                # A zero gap shows as a field whose top byte is 0x80.
+                if 0x80 in packed.to_bytes(bytes3, "little"):
+                    o, z = _tight(packed, [ra, rb, rc], signed3, shift)
+                    ones |= o
+                    zeros |= z
         while stack:
             ext, nb, inter, counts, labs = stack.pop()
             s = len(labs) + 1
             evaluated += ext.bit_count() << (s - 1)
-            if s > 2:
-                cols, bias, signed_atoms = _sign_table(s, width)
+            cols, bias, signed_atoms = _sign_table(s, width)
             while ext:
                 bit = ext & -ext
                 ext ^= bit
@@ -181,42 +270,15 @@ def kset_infer(fr: Frontiers, k: int, *,
                 else:
                     child_counts = counts + [(x & rw).bit_count()
                                              for x in inter]
-                if s == 2:
-                    # (+, +): maximum |A| + |B|, minimum 0.
-                    # (+, -): maximum |A \ B|, minimum -|B \ A|.
-                    size_w, both = child_counts[2], child_counts[3]
-                    if e + f == size + size_w:
-                        ones |= ra | rw
-                    elif e + f == 0:
-                        zeros |= ra | rw
-                    if e - f == size - both:
-                        ones |= ra & ~rw
-                        zeros |= rw & ~ra
-                    elif e - f == both - size_w:
-                        ones |= rw & ~ra
-                        zeros |= ra & ~rw
-                    continue
                 v = child_counts + labs
                 v.append(f)
                 packed = sum(map(mul, cols, v)) + bias
-                # A zero gap shows as a field whose top byte is 0x80.
-                if 0x80 not in packed.to_bytes(width << s, "little"):
-                    continue
-                row_masks = [inter[1 << t] for t in range(s - 1)]
-                row_masks.append(rw)
-                atoms = _atom_masks(row_masks)
-                for pos, neg in signed_atoms:
-                    if packed & field == half:               # r = maximum
-                        for u in pos:
-                            ones |= atoms[u]
-                        for u in neg:
-                            zeros |= atoms[u]
-                    elif packed >> shift & field == half:    # r = minimum
-                        for u in pos:
-                            zeros |= atoms[u]
-                        for u in neg:
-                            ones |= atoms[u]
-                    packed >>= 2 * shift
+                if 0x80 in packed.to_bytes(width << s, "little"):
+                    row_masks = [inter[1 << t] for t in range(s - 1)]
+                    row_masks.append(rw)
+                    o, z = _tight(packed, row_masks, signed_atoms, shift)
+                    ones |= o
+                    zeros |= z
     if stats is not None:
         stats["evaluated"] = evaluated
     out = []

@@ -319,6 +319,13 @@ class TestPercolation:
                     "--param-grid", "x"),
             "percolation", "could not convert string to float: 'x'")
 
+    @pytest.mark.parametrize("grid", ["0.1:0.2", "0.1:0.2:0.05:1"])
+    def test_malformed_range_fails_before_output(self, capsys, grid):
+        assert_input_error(
+            run_cli(capsys, "percolation", "--mode", "independent",
+                    "--param-grid", grid),
+            "percolation", f"bad range '{grid}', expected start:stop:step")
+
     @pytest.mark.parametrize("args, message", [
         (("--samples", "0"), "samples must be at least 1"),
         (("--n", "0"), "n must be at least 1"),
@@ -375,6 +382,15 @@ class TestSweep:
          "time budget must be positive"),
         ("n = 5\nrho = 0.1\nconflict_budget = -3\n",
          "conflict budget must not be negative"),
+        ("n = 5\nrho = 0.1:0.2\n",
+         "line 2: bad range '0.1:0.2', expected start:stop:step"),
+        ("n = 5\nrho = 0.1:0.2:0.05:0.3\n",
+         "line 2: bad range '0.1:0.2:0.05:0.3', expected start:stop:step"),
+        ("n = 8, 8\nrho = 0.1\n", "n lists 8 and 8"),
+        ("n = 8\nrho = 0.1, 0.1000000001\n",
+         "rho lists 0.1 and 0.1000000001"),
+        ("n = 8\nrho = 0.1\npolicies = kset:1, kset:01\n",
+         "policies lists 'kset:1' and 'kset:01'"),
         (None, "No such file"),
     ])
     def test_bad_config_fails_before_output(self, capsys, tmp_path, text,

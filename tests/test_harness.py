@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import re
 import statistics
 from dataclasses import replace
 
@@ -12,8 +13,9 @@ import pytest
 from minelab.board import Boundary, generate_board
 from minelab.harness import (DESK_GAMES, DESK_NS, DESK_RHOS, GAMES_COLUMNS,
                              SUMMARY_COLUMNS, SweepConfig, SweepRecord,
-                             float_range, game_seed, parse_sweep_config,
-                             run_sweep, write_games_csv, write_summary_csv)
+                             float_range, game_seed, parse_grid,
+                             parse_sweep_config, run_sweep, validate_config,
+                             write_games_csv, write_summary_csv)
 
 from conftest import read_games_csv
 
@@ -292,6 +294,24 @@ class TestRunSweep:
             run_sweep(small_config(tmp_path, conflict_budget=-3))
         assert not (tmp_path / "out").exists()   # before any game
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(ns=(8, 6, 8)), "n lists 8 and 8"),
+        # One _rho_key, so one point file and one seed stream.
+        (dict(rhos=(0.1, 0.1000000001)), "rho lists 0.1 and 0.1000000001"),
+        (dict(policies=("kset:1", "sat", "kset:01")),
+         "policies lists 'kset:1' and 'kset:01'"),
+    ])
+    def test_repeated_grid_points_rejected(self, tmp_path, overrides,
+                                           message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_sweep(small_config(tmp_path, **overrides))
+        assert not (tmp_path / "out").exists()
+
+    def test_distinct_grid_points_accepted(self, tmp_path):
+        validate_config(small_config(tmp_path, ns=(6, 8),
+                                     rhos=(0.1, 0.100001),
+                                     policies=("kset:1", "kset:2", "sat")))
+
 
 class TestParseSweepConfig:
     def test_full_configuration(self, tmp_path):
@@ -347,3 +367,11 @@ class TestParseSweepConfig:
             parse_sweep_config("\n\ntrack_cores = maybe\n")
         with pytest.raises(ValueError, match="line 2"):
             parse_sweep_config("n = 5\ngames = x\n")
+
+    @pytest.mark.parametrize("text", ["0.1:0.2", "0.1:0.2:0.05:1", ":"])
+    def test_malformed_range_named(self, text):
+        message = f"bad range '{text}', expected start:stop:step"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_grid(f"0.05, {text}")
+        with pytest.raises(ValueError, match=re.escape("line 2: " + message)):
+            parse_sweep_config(f"n = 5\nrho = {text}\n")

@@ -3,6 +3,7 @@ soundness against exhaustive enumeration, enumeration accounting, and the
 bitmask search against a direct per-sign-vector reference."""
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -407,3 +408,41 @@ def test_pinned_evaluations_on_a_seeded_game(monkeypatch):
     assert len(passes) == 29
     assert sum(passes) == 39954
     assert record.turns == 28
+
+
+# sha256 over repr((k, forced pairs, evaluated)) of every pass of the games
+# below, in play order: for k = 1..3 the first 20 games (master 0) at n=40
+# and rho 0.15, 0.225 and 0.3; for k = 4 the first 10 at n=20.
+PASS_DIGESTS = {
+    1: (40, 20, 952,
+        "3a549579426e3a1d007e43a5b0df8c56249502c1182386eab8971784d88693a4"),
+    2: (40, 20, 864,
+        "407a8f05f0bedd6d375a21b2793a0a32a8faa63faaf29a7a8ed425f004640798"),
+    3: (40, 20, 752,
+        "93c2cdc414b9afb8b80c78e2b15b0ebf578a3ca70623afae98df0225c7065972"),
+    4: (20, 10, 284,
+        "0d87d30bd0ca4a82b3338b7d7ca120785dd2304f79dd0a3f584ba83416d25c3d"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(PASS_DIGESTS))
+def test_pinned_pass_digest_of_seeded_games(monkeypatch, k):
+    n, games, n_passes, want = PASS_DIGESTS[k]
+    digest = hashlib.sha256()
+    passes = 0
+
+    def recording(fr, k, **kwargs):
+        nonlocal passes
+        stats: dict = {}
+        out = kset_infer(fr, k, stats=stats)
+        digest.update(repr((k, out, stats["evaluated"])).encode())
+        passes += 1
+        return out
+
+    monkeypatch.setattr(minelab.player, "kset_infer", recording)
+    for rho in (0.15, 0.225, 0.3):
+        for g in range(games):
+            board = generate_board(n, rho, game_seed(0, rho, g))
+            minelab.player.play_game(board, f"kset:{k}", rho=rho, seed=0)
+    assert passes == n_passes
+    assert digest.hexdigest() == want
