@@ -2,11 +2,14 @@
 
 Every grid point (n, rho, policy) is played as an independent batch of
 games and written to its own CSV under <outdir>/points/. A finished point
-file doubles as its completion marker: reruns load it instead of replaying,
-so an interrupted sweep resumes where it stopped. The aggregate games.csv
-and summary.csv are rebuilt from the point rows on every run and rows are
-canonically sorted, so output bytes depend only on the configuration, never
-on scheduling or resume history.
+file doubles as its completion marker: reruns load it instead of replaying.
+A worker pool gets the games of all missing points at once, so no worker
+waits at a point boundary; point files are still written in grid order as
+each point completes, so an interrupted sweep resumes from the points
+already stored. The aggregate games.csv and summary.csv are rebuilt from
+the point rows on every run and rows are canonically sorted, so output
+bytes depend only on the configuration, never on scheduling or resume
+history.
 
 Per-game seeds are spawned from the master seed and the (rho, game index)
 pair alone. Policies and board sizes share board seeds at fixed rho, which
@@ -200,7 +203,7 @@ def _cells_to_row(cells: Dict[str, str]) -> Dict[str, object]:
         "alpha": float(cells["alpha"]) if cells["alpha"] else None,
         "max_core": int(cells["max_core"]) if cells["max_core"] else None,
         "turns": int(cells["turns"]),
-        "outcome": cells["outcome"],
+        "outcome": Outcome(cells["outcome"]).value,
         "wall_ms": float(cells["wall_ms"]),
     }
 
@@ -219,7 +222,11 @@ def _point_path(outdir: Path, n: int, rho: float, policy: str) -> Path:
     return outdir / "points" / f"point_n{n}_r{_rho_key(rho)}_{safe_policy}.csv"
 
 
-def _load_point(path: Path, token: str, games: int) -> Optional[List[Dict[str, object]]]:
+def _load_point(path: Path, token: str, n: int, rho: float, policy: str,
+                games: int) -> Optional[List[Dict[str, object]]]:
+    """The stored rows of point (n, rho, policy), or None when the file is
+    missing or stale: another token, a row that does not parse, or rows
+    that are not this point's seeds 0..games-1 in order."""
     if not path.exists():
         return None
     with open(path, newline="") as fh:
@@ -229,9 +236,10 @@ def _load_point(path: Path, token: str, games: int) -> Optional[List[Dict[str, o
         reader = csv.DictReader(fh)
         try:
             rows = [_cells_to_row(c) for c in reader]
-        except (KeyError, ValueError):
+        except (KeyError, TypeError, ValueError):
             return None
-    if len(rows) != games:
+    if ([(r["n"], r["rho"], r["policy"], r["seed"]) for r in rows]
+            != [(n, rho, policy, idx) for idx in range(games)]):
         return None
     return rows
 
@@ -324,8 +332,16 @@ def run_sweep(config: SweepConfig) -> List[SweepRecord]:
 
     With an outdir set, writes <outdir>/games.csv and <outdir>/summary.csv
     and keeps per-point files under <outdir>/points/ for resumption. Point
-    files carry the configuration in a header comment; a stale header
-    forces a replay of that point.
+    files carry the configuration in a header comment; a stale or malformed
+    point file forces a replay of that point.
+
+    With workers > 1, the games of every missing point are queued on one
+    pool before the first result is read, so no worker waits at a point
+    boundary. Results are read back in grid order and each point's file is
+    written as soon as the point completes, so an interrupted sweep resumes
+    from the points already stored. The pool has at most one worker per
+    game still to play; with one game left the sweep plays it in-process.
+    A game that raises, or an interrupt, terminates the pool at once.
     """
     validate_config(config)
     token = _config_token(config)
@@ -333,34 +349,44 @@ def run_sweep(config: SweepConfig) -> List[SweepRecord]:
     points = [(n, rho, str(Policy.parse(p)))
               for n in config.ns for rho in config.rhos
               for p in config.policies]
+    paths = [None if outdir is None else _point_path(outdir, *point)
+             for point in points]
+    stored = [None if path is None
+              else _load_point(path, token, *point, config.games)
+              for point, path in zip(points, paths)]
+    missing = [i for i, rows in enumerate(stored) if rows is None]
 
-    pool = None     # forked on the first point that has to be played
+    def tasks(i: int) -> List[tuple]:
+        n, rho, policy = points[i]
+        return [(n, rho, policy, config.seed, idx, config.boundary,
+                 config.track_cores, config.time_budget_s,
+                 config.conflict_budget)
+                for idx in range(config.games)]
+
+    pool = None
+    processes = min(config.workers, len(missing) * config.games)
+    all_rows: List[Dict[str, object]] = []
+    records: List[SweepRecord] = []
     try:
-        all_rows: List[Dict[str, object]] = []
-        records: List[SweepRecord] = []
-        for n, rho, policy in points:
-            rows = None
-            path = None
-            if outdir is not None:
-                path = _point_path(outdir, n, rho, policy)
-                rows = _load_point(path, token, config.games)
+        if processes > 1:
+            pool = multiprocessing.get_context("fork").Pool(processes)
+            queued = {i: pool.starmap_async(play_seeded_game, tasks(i),
+                                            chunksize=1)
+                      for i in missing}
+        for i, (n, rho, policy) in enumerate(points):
+            rows = stored[i]
             if rows is None:
-                tasks = [(n, rho, policy, config.seed, idx, config.boundary,
-                          config.track_cores, config.time_budget_s,
-                          config.conflict_budget)
-                         for idx in range(config.games)]
-                if config.workers > 1:
-                    if pool is None:
-                        pool = multiprocessing.get_context("fork").Pool(
-                            config.workers)
-                    recs = pool.starmap(play_seeded_game, tasks, chunksize=1)
-                else:
-                    recs = [play_seeded_game(*t) for t in tasks]
+                recs = (queued[i].get() if pool is not None
+                        else [play_seeded_game(*t) for t in tasks(i)])
                 rows = [_record_to_row(r, config.record_timing) for r in recs]
-                if path is not None:
-                    _store_point(path, token, rows)
+                if paths[i] is not None:
+                    _store_point(paths[i], token, rows)
             all_rows.extend(rows)
             records.append(_aggregate(n, rho, policy, rows))
+    except BaseException:
+        if pool is not None:
+            pool.terminate()
+        raise
     finally:
         if pool is not None:
             pool.close()

@@ -6,10 +6,12 @@ import math
 import multiprocessing
 import re
 import statistics
+import time
 from dataclasses import replace
 
 import pytest
 
+import minelab.harness
 from minelab.board import Boundary, generate_board
 from minelab.harness import (DESK_GAMES, DESK_NS, DESK_RHOS, GAMES_COLUMNS,
                              SUMMARY_COLUMNS, SweepConfig, SweepRecord,
@@ -187,6 +189,93 @@ class TestRunSweep:
         assert ((tmp_path / "serial" / "games.csv").read_bytes()
                 == (tmp_path / "pooled" / "games.csv").read_bytes())
 
+    def test_pooled_and_serial_match_across_points(self, tmp_path):
+        grid = dict(ns=(6, 7), rhos=(0.1, 0.15, 0.2), games=3)
+        run_sweep(small_config(tmp_path, outdir=tmp_path / "clean", **grid))
+        clean = tmp_path / "clean"
+        stored = sorted((clean / "points").glob("*.csv"))
+        assert len(stored) == 12
+        for workers in (1, 2):
+            outdir = tmp_path / f"w{workers}"
+            (outdir / "points").mkdir(parents=True)
+            valid, malformed = stored[5], stored[8]
+            (outdir / "points" / valid.name).write_bytes(valid.read_bytes())
+            (outdir / "points" / malformed.name).write_bytes(
+                _cut_last_row(malformed.read_bytes()))
+            kept = (outdir / "points" / valid.name).stat().st_mtime_ns
+            run_sweep(small_config(tmp_path, outdir=outdir, workers=workers,
+                                   **grid))
+            for name in ("games.csv", "summary.csv"):
+                assert ((outdir / name).read_bytes()
+                        == (clean / name).read_bytes()), (workers, name)
+            assert (outdir / "points" / valid.name).stat().st_mtime_ns == kept
+            assert ((outdir / "points" / malformed.name).read_bytes()
+                    == malformed.read_bytes())
+
+    @pytest.mark.parametrize("damage", ["cut_row", "other_point"])
+    def test_malformed_point_replayed(self, tmp_path, damage):
+        config = small_config(tmp_path, rhos=(0.1, 0.15), policies=("sat",))
+        run_sweep(replace(config, outdir=tmp_path / "clean"))
+        clean = tmp_path / "clean"
+        first, second = sorted((clean / "points").glob("*.csv"))
+        damaged = tmp_path / "out" / "points" / first.name
+        damaged.parent.mkdir(parents=True)
+        if damage == "cut_row":
+            damaged.write_bytes(_cut_last_row(first.read_bytes()))
+        else:   # the other point's rows, under the same token
+            damaged.write_bytes(second.read_bytes())
+        run_sweep(config)
+        assert damaged.read_bytes() == first.read_bytes()
+        assert ((tmp_path / "out" / "games.csv").read_bytes()
+                == (clean / "games.csv").read_bytes())
+
+    def test_raising_game_stops_pooled_sweep(self, tmp_path, monkeypatch):
+        play = minelab.harness.play_game
+        finished = tmp_path / "finished"
+        finished.mkdir()
+
+        def play_or_raise(board, *args, rho, seed, **kwargs):
+            if rho == 0.1:
+                raise RuntimeError("game failed at rho=0.1")
+            if rho > 0.1:   # queued behind the failure; slow to finish
+                time.sleep(1.0)
+            rec = play(board, *args, rho=rho, seed=seed, **kwargs)
+            (finished / f"{rho}-{seed}").touch()
+            return rec
+
+        # The fork pool's workers inherit the patched module.
+        monkeypatch.setattr(minelab.harness, "play_game", play_or_raise)
+        config = small_config(tmp_path, rhos=(0.05, 0.1, 0.15, 0.2),
+                              policies=("kset:1",), games=3, workers=2)
+        with pytest.raises(RuntimeError, match="rho=0.1"):
+            run_sweep(config)
+        points = tmp_path / "out" / "points"
+        assert [p.name for p in points.glob("*.csv")] == [
+            "point_n6_r50000_kset-1.csv"]
+        assert multiprocessing.active_children() == []
+        later = [p.name for p in finished.iterdir()
+                 if not p.name.startswith("0.05-")]
+        assert len(later) < 6, "the pool played out its queue"
+
+    def test_pool_no_larger_than_games_left(self, tmp_path, monkeypatch):
+        config = small_config(tmp_path, rhos=(0.1,), policies=("sat",),
+                              games=2)
+        run_sweep(replace(config, outdir=tmp_path / "serial"))
+        fork = multiprocessing.get_context("fork")
+        sizes = []
+
+        class RecordingContext:
+            def Pool(self, processes):
+                sizes.append(processes)
+                return fork.Pool(processes)
+
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method: RecordingContext())
+        run_sweep(replace(config, workers=4))
+        assert sizes == [2]
+        assert ((tmp_path / "out" / "games.csv").read_bytes()
+                == (tmp_path / "serial" / "games.csv").read_bytes())
+
     def test_workers_environment_variable_ignored(self, tmp_path,
                                                   monkeypatch):
         def no_pool(*args, **kwargs):
@@ -311,6 +400,13 @@ class TestRunSweep:
         validate_config(small_config(tmp_path, ns=(6, 8),
                                      rhos=(0.1, 0.100001),
                                      policies=("kset:1", "kset:2", "sat")))
+
+
+def _cut_last_row(data: bytes) -> bytes:
+    """A point file whose last row keeps only its n and rho cells."""
+    lines = data.decode().splitlines(keepends=True)
+    lines[-1] = ",".join(lines[-1].split(",")[:2]) + "\n"
+    return "".join(lines).encode()
 
 
 class TestParseSweepConfig:
