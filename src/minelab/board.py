@@ -3,6 +3,10 @@
 Sites are (row, col) tuples indexed from the top-left corner. The lattice is
 square with side n and either toroidal (wrap-around) or open (clipped)
 boundary. Mine labels count mines in the Moore 8-neighborhood.
+
+generate_board draws at most MAX_ATTEMPTS boards while it looks for one
+with a zero-labeled start. A GameState is always played on its ground-truth
+board, from an all-covered start.
 """
 from __future__ import annotations
 
@@ -33,17 +37,12 @@ class Boundary(enum.Enum):
     OPEN = "open"
 
 
+# Boards generate_board draws before it gives up on a zero-labeled start.
+MAX_ATTEMPTS = 10_000
+
+
 class GenerationExhausted(Exception):
     """Board generation could not satisfy the zero-start requirement."""
-
-    def __init__(self, n: int, rho: float, attempts: int):
-        super().__init__(
-            f"no zero-labeled empty site after {attempts} boards "
-            f"(n={n}, rho={rho})"
-        )
-        self.n = n
-        self.rho = rho
-        self.attempts = attempts
 
 
 def _neighbors(site: Site, n: int, boundary: Boundary) -> List[Site]:
@@ -92,11 +91,8 @@ def _neighbor_sum(grid: np.ndarray, boundary: Boundary) -> np.ndarray:
 
 
 class Board:
-    """Immutable ground truth: mine set plus derived labels.
-
-    Equality compares (n, boundary, mines); the disclosed zero start is
-    bookkeeping for the player and does not participate in equality.
-    """
+    """Immutable ground truth: mine set plus derived labels, and the
+    disclosed zero start when generate_board drew one."""
 
     def __init__(self, n: int, boundary: Boundary, mines: Iterable[Site],
                  start: Optional[Site] = None):
@@ -118,15 +114,6 @@ class Board:
         self.labels = _neighbor_sum(grid, boundary)
         self.mine_grid = grid.astype(bool)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Board):
-            return NotImplemented
-        return (self.n == other.n and self.boundary == other.boundary
-                and self.mines == other.mines)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.boundary, self.mines))
-
     def __repr__(self) -> str:
         return (f"Board(n={self.n}, boundary={self.boundary.value}, "
                 f"mines={len(self.mines)})")
@@ -146,13 +133,14 @@ def check_board_shape(n: int, rho: float, boundary: Boundary) -> None:
 
 
 def generate_board(n: int, rho: float, seed, boundary: Boundary = Boundary.TORUS,
-                   require_zero: bool = True, max_attempts: int = 10_000) -> Board:
+                   require_zero: bool = True) -> Board:
     """Place floor(n*n*rho) mines uniformly at random.
 
     Mine sites are drawn by a partial Fisher-Yates shuffle of the flattened
     lattice, so the mine count is exact. With require_zero, whole boards are
-    rejection-sampled until one contains a zero-labeled empty site, and the
-    disclosed start is chosen uniformly among those sites.
+    rejection-sampled, at most MAX_ATTEMPTS of them, until one contains a
+    zero-labeled empty site, and the disclosed start is chosen uniformly
+    among those sites.
 
     Args:
       n: lattice side.
@@ -160,7 +148,6 @@ def generate_board(n: int, rho: float, seed, boundary: Boundary = Boundary.TORUS
       seed: anything accepted by numpy.random.default_rng.
       boundary: lattice topology.
       require_zero: demand a zero-labeled empty start site.
-      max_attempts: rejection budget before GenerationExhausted.
 
     Raises:
       ValueError: check_board_shape rejects (n, rho, boundary).
@@ -170,7 +157,7 @@ def generate_board(n: int, rho: float, seed, boundary: Boundary = Boundary.TORUS
     total = n * n
     m = int(np.floor(total * rho))
     rng = np.random.default_rng(seed)
-    attempts = max_attempts if require_zero else 1
+    attempts = MAX_ATTEMPTS if require_zero else 1
     for _ in range(attempts):
         # One vector draw: the same stream as m draws integers(k, total).
         idx = list(range(total))
@@ -188,7 +175,8 @@ def generate_board(n: int, rho: float, seed, boundary: Boundary = Boundary.TORUS
         if zeros.size:
             start = divmod(int(zeros[int(rng.integers(zeros.size))]), n)
             return Board(n, boundary, mines, start=start)
-    raise GenerationExhausted(n, rho, max_attempts)
+    raise GenerationExhausted(f"no zero-labeled empty site after {attempts} "
+                              f"boards (n={n}, rho={rho})")
 
 
 @dataclass(frozen=True)
@@ -208,32 +196,20 @@ class Frontiers:
 
 
 class GameState:
-    """Player-facing view of a game in progress.
+    """Player-facing view of a game in progress on a ground-truth board.
 
-    Holds the per-site status grid, the labels revealed so far, and a turn
-    counter. The ground-truth board is optional: fixture states built from
-    an overlay alone support consistency queries but cannot be played.
+    Holds the per-site status grid, every site covered at the start, the
+    labels revealed so far (-1 where covered), and whether a mine went off.
     """
 
-    def __init__(self, board: Optional[Board] = None, *,
-                 n: Optional[int] = None,
-                 boundary: Optional[Boundary] = None,
-                 status: Optional[np.ndarray] = None,
-                 view_labels: Optional[np.ndarray] = None):
-        if board is not None:
-            n = board.n
-            boundary = board.boundary
-        if n is None or boundary is None:
-            raise ValueError("a GameState needs a board or explicit n and boundary")
+    def __init__(self, board: Board):
+        n = board.n
         self.board = board
         self.n = n
-        self.boundary = boundary
-        self.status = (np.full((n, n), COVERED, dtype=np.int8)
-                       if status is None else status.astype(np.int8))
-        self.view_labels = (np.full((n, n), -1, dtype=np.int16)
-                            if view_labels is None else view_labels.astype(np.int16))
+        self.boundary = board.boundary
+        self.status = np.full((n, n), COVERED, dtype=np.int8)
+        self.view_labels = np.full((n, n), -1, dtype=np.int16)
         self.exploded = False
-        self.boom_site: Optional[Site] = None
 
 
 def reveal(state: GameState, *sites: Site) -> FrozenSet[Site]:
@@ -250,8 +226,6 @@ def reveal(state: GameState, *sites: Site) -> FrozenSet[Site]:
     already revealed or flagged, or a game already over) raises ValueError
     and changes nothing.
     """
-    if state.board is None:
-        raise ValueError("cannot reveal without a ground-truth board")
     if state.exploded:
         raise ValueError("game is over")
     status, view, labels = state.status, state.view_labels, state.board.labels
@@ -265,7 +239,6 @@ def reveal(state: GameState, *sites: Site) -> FrozenSet[Site]:
     if hit.size:
         boom = int(hit[0])
         state.exploded = True
-        state.boom_site = sites[boom]
         sites, rows, cols = sites[:boom], rows[:boom], cols[:boom]
     status[rows, cols] = REVEALED
     view[rows, cols] = labels[rows, cols]

@@ -158,8 +158,10 @@ def _cmd_percolation(args: argparse.Namespace) -> int:
             samples=args.samples, seed=args.seed,
             boundary=Boundary(args.boundary) if args.boundary else None,
             connectivity=Connectivity(args.connectivity))
+        if args.svg:
+            Path(args.svg).parent.mkdir(parents=True, exist_ok=True)
         records = percolation_sweep(config)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         return _input_error("percolation", exc)
     writer = csv.writer(sys.stdout)
     writer.writerow(["mode", "param", "n", "s_avg_mean", "s_avg_se",
@@ -179,15 +181,14 @@ def _cmd_percolation(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         config = parse_sweep_config(Path(args.config).read_text())
-        validate_config(config)
         if args.outdir is not None:
             config.outdir = Path(args.outdir)
-        if config.outdir is None:
-            raise ValueError("config must set outdir= (or pass --outdir)")
+        validate_config(config)
+        outdir = Path(config.outdir)
+        outdir.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:
         return _input_error("sweep", exc)
     records = run_sweep(config)
-    outdir = Path(config.outdir)
     for kind, name in (("alpha", "alpha.svg"), ("core", "core.svg")):
         try:
             render_plots(records, kind, outdir / name)

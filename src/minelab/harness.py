@@ -1,8 +1,9 @@
 """Game sweeps over (n, rho, policy) grids with resumable per-point storage.
 
 Every grid point (n, rho, policy) is played as an independent batch of
-games and written to its own CSV under <outdir>/points/. A finished point
-file doubles as its completion marker: reruns load it instead of replaying.
+games and written to its own CSV under <outdir>/points/. Every sweep has an
+outdir, created before the first game. A finished point file doubles as
+its completion marker: reruns load it instead of replaying.
 A worker pool gets the games of all missing points at once, so no worker
 waits at a point boundary; point files are still written in grid order as
 each point completes, so an interrupted sweep resumes from the points
@@ -25,7 +26,7 @@ import csv
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -222,16 +223,20 @@ def _point_path(outdir: Path, n: int, rho: float, policy: str) -> Path:
     return outdir / "points" / f"point_n{n}_r{_rho_key(rho)}_{safe_policy}.csv"
 
 
-def _load_point(path: Path, token: str, n: int, rho: float, policy: str,
-                games: int) -> Optional[List[Dict[str, object]]]:
+def _load_point(path: Path, config: SweepConfig, n: int, rho: float,
+                policy: str) -> Optional[List[Dict[str, object]]]:
     """The stored rows of point (n, rho, policy), or None when the file is
-    missing or stale: another token, a row that does not parse, or rows
-    that are not this point's seeds 0..games-1 in order."""
+    missing or stale: another config token, a row that does not parse,
+    rows that are not this point's seeds 0..games-1 in order, or a row this
+    config could not have written. alpha is blank exactly when generation
+    was exhausted, and in [0, 1] otherwise; max_core is blank exactly then,
+    with cores off, or for a k-set policy; wall_ms is 0.0 unless timing is
+    recorded."""
     if not path.exists():
         return None
     with open(path, newline="") as fh:
         first = fh.readline().rstrip("\n")
-        if first != f"# {token}":
+        if first != f"# {_config_token(config)}":
             return None
         reader = csv.DictReader(fh)
         try:
@@ -239,13 +244,22 @@ def _load_point(path: Path, token: str, n: int, rho: float, policy: str,
         except (KeyError, TypeError, ValueError):
             return None
     if ([(r["n"], r["rho"], r["policy"], r["seed"]) for r in rows]
-            != [(n, rho, policy, idx) for idx in range(games)]):
+            != [(n, rho, policy, idx) for idx in range(config.games)]):
         return None
+    cores = config.track_cores and Policy.parse(policy).kind == "sat"
+    for r in rows:
+        alpha, core = r["alpha"], r["max_core"]
+        if r["outcome"] != Outcome.GENERATION_EXHAUSTED.value:
+            written = (alpha is not None and 0.0 <= alpha <= 1.0
+                       and (core is not None) == cores)
+        else:
+            written = alpha is None and core is None
+        if not written or (r["wall_ms"] != 0.0 and not config.record_timing):
+            return None
     return rows
 
 
 def _store_point(path: Path, token: str, rows: List[Dict[str, object]]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(".tmp")
     with open(tmp, "w", newline="") as fh:
         fh.write(f"# {token}\n")
@@ -313,6 +327,8 @@ def validate_config(config: SweepConfig) -> None:
     _reject_repeats("rho", config.rhos, _rho_key)
     _reject_repeats("policies", config.policies, Policy.parse)
     check_budgets(config.time_budget_s, config.conflict_budget)
+    if config.outdir is None:
+        raise ValueError("outdir must be set")
 
 
 def _reject_repeats(name: str, values: Sequence, key: Callable) -> None:
@@ -330,10 +346,10 @@ def _reject_repeats(name: str, values: Sequence, key: Callable) -> None:
 def run_sweep(config: SweepConfig) -> List[SweepRecord]:
     """Play (or reload) every grid point and return canonical aggregates.
 
-    With an outdir set, writes <outdir>/games.csv and <outdir>/summary.csv
-    and keeps per-point files under <outdir>/points/ for resumption. Point
-    files carry the configuration in a header comment; a stale or malformed
-    point file forces a replay of that point.
+    Writes <outdir>/games.csv and <outdir>/summary.csv and keeps per-point
+    files under <outdir>/points/ for resumption; the directories are made
+    before the first game. Point files carry the configuration in a header
+    comment; a stale or malformed point file forces a replay of that point.
 
     With workers > 1, the games of every missing point are queued on one
     pool before the first result is read, so no worker waits at a point
@@ -345,14 +361,13 @@ def run_sweep(config: SweepConfig) -> List[SweepRecord]:
     """
     validate_config(config)
     token = _config_token(config)
-    outdir = Path(config.outdir) if config.outdir is not None else None
+    outdir = Path(config.outdir)
+    (outdir / "points").mkdir(parents=True, exist_ok=True)
     points = [(n, rho, str(Policy.parse(p)))
               for n in config.ns for rho in config.rhos
               for p in config.policies]
-    paths = [None if outdir is None else _point_path(outdir, *point)
-             for point in points]
-    stored = [None if path is None
-              else _load_point(path, token, *point, config.games)
+    paths = [_point_path(outdir, *point) for point in points]
+    stored = [_load_point(path, config, *point)
               for point, path in zip(points, paths)]
     missing = [i for i, rows in enumerate(stored) if rows is None]
 
@@ -379,8 +394,7 @@ def run_sweep(config: SweepConfig) -> List[SweepRecord]:
                 recs = (queued[i].get() if pool is not None
                         else [play_seeded_game(*t) for t in tasks(i)])
                 rows = [_record_to_row(r, config.record_timing) for r in recs]
-                if paths[i] is not None:
-                    _store_point(paths[i], token, rows)
+                _store_point(paths[i], token, rows)
             all_rows.extend(rows)
             records.append(_aggregate(n, rho, policy, rows))
     except BaseException:
@@ -394,10 +408,8 @@ def run_sweep(config: SweepConfig) -> List[SweepRecord]:
 
     all_rows.sort(key=lambda r: (r["n"], r["rho"], r["policy"], r["seed"]))
     records.sort(key=lambda r: (r.n, r.rho, r.policy))
-    if outdir is not None:
-        outdir.mkdir(parents=True, exist_ok=True)
-        write_games_csv(outdir / "games.csv", all_rows)
-        write_summary_csv(outdir / "summary.csv", records)
+    write_games_csv(outdir / "games.csv", all_rows)
+    write_summary_csv(outdir / "summary.csv", records)
     return records
 
 
@@ -427,15 +439,15 @@ def write_summary_csv(path: Union[str, Path],
     return path
 
 
-def parse_sweep_config(text: str,
-                       base: Optional[SweepConfig] = None) -> SweepConfig:
+def parse_sweep_config(text: str) -> SweepConfig:
     """key=value configuration, one per line, # comments allowed.
 
     Keys: n, rho, policies, games, seed, boundary, outdir, track_cores,
     time_budget_s, conflict_budget, record_timing, workers. Lists are
-    comma-separated; rho entries may be start:stop:step ranges.
+    comma-separated; rho entries may be start:stop:step ranges. Keys left
+    out keep their SweepConfig defaults.
     """
-    config = replace(base) if base is not None else SweepConfig()
+    config = SweepConfig()
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

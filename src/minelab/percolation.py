@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .board import Board, Boundary, generate_board
+from .board import Board, Boundary, check_board_shape, generate_board
 
 
 class Connectivity(enum.Enum):
@@ -192,7 +192,9 @@ def _avg_cluster_size(stats: _ClusterStats) -> float:
 
 @dataclass
 class PercolationConfig:
-    """One sweep: a parameter grid for one occupancy mode."""
+    """One sweep: a parameter grid for one occupancy mode. An unknown mode,
+    n or samples below 1, or a parameter no sample can be drawn at raises
+    ValueError when the config is built."""
     mode: str                      # "independent" or "minesweeper"
     params: Sequence[float]
     n: int = 64
@@ -200,6 +202,19 @@ class PercolationConfig:
     seed: int = 0
     boundary: Optional[Boundary] = None    # default: open / board default torus
     connectivity: Connectivity = Connectivity.NEAREST4
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("independent", "minesweeper"):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.n < 1:
+            raise ValueError(f"n must be at least 1, got {self.n}")
+        if self.samples < 1:
+            raise ValueError(f"samples must be at least 1, got {self.samples}")
+        for param in self.params:
+            if self.mode == "minesweeper":
+                check_board_shape(self.n, param, self._resolved_boundary())
+            elif not 0.0 <= param <= 1.0:
+                raise ValueError("p must lie in [0, 1]")
 
     def _resolved_boundary(self) -> Boundary:
         if self.boundary is not None:
@@ -223,15 +238,8 @@ def percolation_sweep(config: PercolationConfig) -> List[PercRecord]:
     Per-sample seeds are spawned from the master seed and the (parameter,
     sample) indices, so samples are independent and any execution order
     yields identical records. Samples whose grid keeps no cluster after
-    spanning exclusion are skipped and not counted in `samples`. An unknown
-    mode, or n or samples below 1, raises ValueError.
+    spanning exclusion are skipped and not counted in `samples`.
     """
-    if config.mode not in ("independent", "minesweeper"):
-        raise ValueError(f"unknown mode {config.mode!r}")
-    if config.n < 1:
-        raise ValueError(f"n must be at least 1, got {config.n}")
-    if config.samples < 1:
-        raise ValueError(f"samples must be at least 1, got {config.samples}")
     boundary = config._resolved_boundary()
     records: List[PercRecord] = []
     for pi, param in enumerate(config.params):

@@ -94,7 +94,8 @@ def parse_overlay(text: str, boundary: Boundary,
 
     The grid must be square; the boundary comes from the caller (the format
     has no header). When a ground-truth board is supplied it is attached and
-    the revealed labels are checked against it.
+    the revealed labels are checked against it; otherwise the state lies
+    over a mine-free board.
     """
     rows = [row for row in text.splitlines() if row.strip() != ""]
     if not rows:
@@ -128,7 +129,29 @@ def parse_overlay(text: str, boundary: Boundary,
                 raise ValueError(
                     f"label mismatch at {(r, c)}: overlay {int(view[r, c])}, "
                     f"board {int(board.labels[r, c])}")
-    return GameState(board, n=n, boundary=boundary, status=status, view_labels=view)
+    return overlay_state(status, view, boundary, board)
+
+
+def overlay_state(status, view_labels, boundary: Boundary,
+                  board: Optional[Board] = None) -> GameState:
+    """A state with the given status grid and revealed labels, laid over
+    the fixture's board or, when none is given, a mine-free board of the
+    grid's side."""
+    if board is None:
+        board = Board(len(status), boundary, ())
+    state = GameState(board)
+    state.status = np.array(status, dtype=np.int8)
+    state.view_labels = np.array(view_labels, dtype=np.int16)
+    return state
+
+
+def budget_board(n: int, rho: float, seed, boundary: Boundary = Boundary.TORUS,
+                 attempts: int = 50) -> Board:
+    """generate_board with its rejection budget cut to `attempts` boards,
+    so that a random (n, rho) draw without a zero start fails fast."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("minelab.board.MAX_ATTEMPTS", attempts)
+        return generate_board(n, rho, seed, boundary)
 
 
 def serialize_board(board: Board) -> str:
@@ -234,14 +257,13 @@ def naive_frontiers(state: GameState) -> Frontiers:
 
 def random_status_state(rng: np.random.Generator, n: int,
                         boundary: Boundary) -> GameState:
-    """A board-free state with a random status grid, not necessarily
-    reachable: each site covered, revealed or flagged with shares drawn per
-    grid, and each revealed site a random label in 0..8."""
+    """A state with a random status grid over a mine-free board, not
+    necessarily reachable: each site covered, revealed or flagged with
+    shares drawn per grid, and each revealed site a random label in 0..8."""
     shares = rng.dirichlet((1.0, 1.0, 0.5))
     status = rng.choice([COVERED, REVEALED, FLAGGED], size=(n, n), p=shares)
     labels = np.where(status == REVEALED, rng.integers(0, 9, size=(n, n)), -1)
-    return GameState(n=n, boundary=boundary, status=status,
-                     view_labels=labels)
+    return overlay_state(status, labels, boundary)
 
 
 def read_games_csv(path: Union[str, Path]) -> List[Dict[str, object]]:
@@ -368,7 +390,7 @@ def random_reachable_state(rng: np.random.Generator, *,
         n = int(rng.integers(5, 10))
         rho = float(rng.uniform(0.08, 0.32))
         try:
-            board = generate_board(n, rho, rng, boundary, max_attempts=50)
+            board = budget_board(n, rho, rng, boundary)
         except Exception:
             continue
         state = GameState(board)

@@ -336,6 +336,36 @@ class TestPercolation:
                     "--param-grid", "0.1", *args),
             "percolation", message)
 
+    @pytest.mark.parametrize("svg", ["afile/p.svg", "afile/sub/p.svg"])
+    def test_unusable_svg_path_fails_before_any_sample(self, capsys, tmp_path,
+                                                       monkeypatch, svg):
+        sweeps = []
+        monkeypatch.setattr("minelab.cli.percolation_sweep",
+                            lambda config: sweeps.append(config) or [])
+        (tmp_path / "afile").write_text("")
+        assert_input_error(
+            run_cli(capsys, "percolation", "--mode", "independent",
+                    "--param-grid", "0.4", "--svg", str(tmp_path / svg)),
+            "percolation", str(tmp_path / "afile"))
+        assert sweeps == []
+
+    @pytest.mark.parametrize("mode, grid, message", [
+        ("independent", "0.4,1.5", "p must lie in [0, 1]"),
+        ("minesweeper", "0.1,1.0", "board must keep at least one empty site"),
+    ])
+    def test_bad_param_fails_before_any_sample(self, capsys, tmp_path,
+                                              monkeypatch, mode, grid,
+                                              message):
+        samples = []
+        monkeypatch.setattr("minelab.percolation._cluster_sizes",
+                            lambda *args: samples.append(args))
+        assert_input_error(
+            run_cli(capsys, "percolation", "--mode", mode, "--param-grid",
+                    grid, "--n", "6", "--svg", str(tmp_path / "new" / "p.svg")),
+            "percolation", message)
+        assert samples == []
+        assert not (tmp_path / "new").exists()
+
     def test_grid_parses_like_sweep_rho(self, capsys, monkeypatch):
         seen = []
         monkeypatch.setattr("minelab.cli.percolation_sweep",
@@ -401,6 +431,20 @@ class TestSweep:
         assert_input_error(run_cli(capsys, "sweep", "--config", str(config)),
                            "sweep", message)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("outdir", ["afile", "afile/out"])
+    def test_unusable_outdir_fails_before_any_game(self, capsys, tmp_path,
+                                                   monkeypatch, outdir):
+        games = []
+        monkeypatch.setattr("minelab.harness.play_seeded_game",
+                            lambda *args, **kwargs: games.append(args))
+        (tmp_path / "afile").write_text("")
+        config = tmp_path / "sweep.cfg"
+        config.write_text("n = 5\nrho = 0.1\ngames = 2\n"
+                          f"outdir = {tmp_path / outdir}\n")
+        assert_input_error(run_cli(capsys, "sweep", "--config", str(config)),
+                           "sweep", str(tmp_path / "afile"))
+        assert games == []
 
     def test_missing_outdir_fails(self, capsys, tmp_path):
         config = tmp_path / "sweep.cfg"

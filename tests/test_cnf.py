@@ -13,8 +13,8 @@ from minelab.cnf import (GroupedCnf, InfeasibleLabel, build_formula,
                          export_dimacs, export_gcnf, parse_dimacs, parse_gcnf)
 from minelab.cnf import _encode_exact_count as encode_exact_count
 
-from conftest import (consistent_placements, eval_clause, parse_overlay,
-                      state_formula, truth_table_models)
+from conftest import (budget_board, consistent_placements, eval_clause,
+                      parse_overlay, state_formula, truth_table_models)
 
 
 class TestEncodeExactCount:
@@ -58,11 +58,9 @@ def _state_after_start(board: Board) -> GameState:
 
 
 def _random_frontier_state(rng, max_outer=12):
-    from minelab.board import generate_board
     for _ in range(100):
         n = int(rng.integers(5, 9))
-        board = generate_board(n, float(rng.uniform(0.1, 0.3)), rng,
-                               max_attempts=50)
+        board = budget_board(n, float(rng.uniform(0.1, 0.3)), rng)
         state = _state_after_start(board)
         fr = frontiers(state)
         if fr.inner and 1 <= len(fr.outer) <= max_outer:

@@ -58,7 +58,7 @@ class TestGameSeed:
     def test_same_inputs_same_board(self):
         a = generate_board(10, 0.2, game_seed(0, 0.2, 3))
         b = generate_board(10, 0.2, game_seed(0, 0.2, 3))
-        assert a == b
+        assert (a.mines, a.start) == (b.mines, b.start)
 
     def test_policy_and_size_independent_by_construction(self):
         ss = game_seed(7, 0.125, 11)
@@ -173,11 +173,15 @@ class TestRunSweep:
         rows = read_games_csv(tmp_path / "out" / "games.csv")
         assert len(rows) == 4
 
-    def test_without_outdir_no_files(self, tmp_path):
-        config = small_config(tmp_path, outdir=None, games=2, rhos=(0.1,))
-        records = run_sweep(config)
-        assert len(records) == 2
-        assert not (tmp_path / "out").exists()
+    def test_outdir_required_before_any_game(self, tmp_path, monkeypatch):
+        def no_game(*args, **kwargs):
+            raise AssertionError("a game was played")
+
+        monkeypatch.setattr(minelab.harness, "play_seeded_game", no_game)
+        config = small_config(tmp_path, outdir=None)
+        for check in (validate_config, run_sweep):
+            with pytest.raises(ValueError, match="outdir"):
+                check(config)
 
     def test_workers_do_not_change_bytes(self, tmp_path):
         serial = small_config(tmp_path, outdir=tmp_path / "serial",
@@ -228,6 +232,34 @@ class TestRunSweep:
         assert damaged.read_bytes() == first.read_bytes()
         assert ((tmp_path / "out" / "games.csv").read_bytes()
                 == (clean / "games.csv").read_bytes())
+
+    @pytest.mark.parametrize("policy, column, cell", [
+        ("sat", "alpha", ""),
+        ("sat", "alpha", "nan"),
+        ("sat", "max_core", ""),
+        ("kset:1", "max_core", "3"),
+        ("sat", "wall_ms", "999.0"),
+    ])
+    def test_row_config_could_not_write_replayed(self, tmp_path, policy,
+                                                 column, cell):
+        # alpha is blank only for an exhausted board and in [0, 1]
+        # otherwise, max_core is blank
+        # exactly when the point tracks no cores, and wall_ms is 0.0 when
+        # timing is off.
+        config = small_config(tmp_path, rhos=(0.1,), policies=(policy,),
+                              games=2)
+        run_sweep(replace(config, outdir=tmp_path / "clean"))
+        clean = tmp_path / "clean"
+        (stored,) = (clean / "points").glob("*.csv")
+        damaged = tmp_path / "out" / "points" / stored.name
+        damaged.parent.mkdir(parents=True)
+        damaged.write_bytes(_set_cell(stored.read_bytes(), column, cell))
+        assert damaged.read_bytes() != stored.read_bytes()
+        run_sweep(config)
+        assert damaged.read_bytes() == stored.read_bytes()
+        for name in ("games.csv", "summary.csv"):
+            assert ((tmp_path / "out" / name).read_bytes()
+                    == (clean / name).read_bytes()), name
 
     def test_raising_game_stops_pooled_sweep(self, tmp_path, monkeypatch):
         play = minelab.harness.play_game
@@ -364,6 +396,11 @@ class TestRunSweep:
         rows = read_games_csv(tmp_path / "out" / "games.csv")
         assert all(r["outcome"] == "generation_exhausted" for r in rows)
         assert all(r["alpha"] is None for r in rows)
+        # The exhausted rows are ones this config writes: a rerun keeps them.
+        (point,) = (tmp_path / "out" / "points").glob("*.csv")
+        kept = point.stat().st_mtime_ns
+        run_sweep(config)
+        assert point.stat().st_mtime_ns == kept
 
     def test_validation_errors(self, tmp_path):
         with pytest.raises(ValueError):
@@ -409,6 +446,16 @@ def _cut_last_row(data: bytes) -> bytes:
     return "".join(lines).encode()
 
 
+def _set_cell(data: bytes, column: str, cell: str) -> bytes:
+    """A point file whose first row has cell in the named column."""
+    lines = data.decode().splitlines(keepends=True)
+    row = lines[2].rstrip("\r\n")
+    cells = row.split(",")
+    cells[GAMES_COLUMNS.index(column)] = cell
+    lines[2] = ",".join(cells) + lines[2][len(row):]
+    return "".join(lines).encode()
+
+
 class TestParseSweepConfig:
     def test_full_configuration(self, tmp_path):
         text = """
@@ -446,13 +493,6 @@ class TestParseSweepConfig:
         assert config.ns == DESK_NS
         assert config.rhos == DESK_RHOS
         assert config.boundary is Boundary.TORUS
-
-    def test_base_config_overlay(self):
-        base = SweepConfig(games=9, seed=4)
-        config = parse_sweep_config("seed = 5\n", base)
-        assert config.games == 9
-        assert config.seed == 5
-        assert base.seed == 4
 
     def test_error_lines_reported(self):
         with pytest.raises(ValueError, match="line 2"):

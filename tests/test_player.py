@@ -19,9 +19,9 @@ from minelab.player import (Inference, Outcome, Policy, Verdict, _settle,
                             infer_step, play_game)
 from minelab.sat import Solver
 
-from conftest import (consistency_check, forced_verdicts, formula_parts,
-                      load_state, parse_overlay, random_reachable_state,
-                      solve, state_formula)
+from conftest import (budget_board, consistency_check, forced_verdicts,
+                      formula_parts, load_state, parse_overlay,
+                      random_reachable_state, solve, state_formula)
 
 
 def reference_infer_step(state: GameState, *,
@@ -401,7 +401,7 @@ class TestPlayGame:
             n = int(rng.integers(5, 9))
             rho = float(rng.uniform(0.05, 0.3))
             try:
-                board = generate_board(n, rho, rng, max_attempts=50)
+                board = budget_board(n, rho, rng)
             except Exception:
                 continue
             record = play_game(board, time_budget_s=30.0)
