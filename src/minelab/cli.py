@@ -185,7 +185,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             config.outdir = Path(args.outdir)
         validate_config(config)
         outdir = Path(config.outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
+        (outdir / "points").mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:
         return _input_error("sweep", exc)
     records = run_sweep(config)

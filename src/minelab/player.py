@@ -21,36 +21,39 @@ A pass is one pipeline, with cores on or off (infer_step):
     forced by the part holding its variable, since the other parts share
     no variable with it;
  4. the parts that yielded nothing on the last pass, dropped;
- 5. the other parts' rows, encoded by cnf.build_formula over their
-    undecided sites (renumbered in row-major order) for one solver;
- 6. per part, phase 1 decides every verdict with queries that name the
-    part's groups as the active set; with cores on, phase 2 then extracts
-    the minimal cores, in the same order, before the next part. Keeping
-    the extractions out of phase 1 lets consecutive verdict queries on a
-    part share all its selector levels.
+ 5. with cores off, each other part's verdicts by a counting search on
+    its own rows (_backbone): no formula and no solver;
+ 6. with cores on, the other parts' rows, encoded by cnf.build_formula
+    over their undecided sites (renumbered in row-major order) for one
+    solver. Per part, phase 1 decides every verdict with queries that name
+    the part's groups as the active set, and phase 2 then extracts the
+    minimal cores, in the same order, before the next part. Keeping the
+    extractions out of phase 1 lets consecutive verdict queries on a part
+    share all its selector levels.
 
-Witness reuse keeps phase 1 cheap: every model of a part seen with all its
-groups active fixes a value for each of its variables, and a variable
-already witnessed with value b skips the "forced to not-b" query, since that
-query is satisfiable. Models found inside core extraction activate only a
-subset of groups and are never used as witnesses. Every other literal is
-asked of the solver, and with cores on that query's core starts the
-extraction.
+Witness reuse keeps both modes cheap: every model of a part fixes a value
+for each of its variables, and a variable already witnessed with value b
+skips the "forced to not-b" question, since its answer is a model. With
+cores on, the models are those of queries with all the part's groups
+active; models found inside core extraction activate only a subset of
+groups and are never used as witnesses. Every other literal is asked of
+the solver, and that query's core starts the extraction.
 
-With cores off the solver is selector-free (every group takes part in
-every query, which gives the same verdicts, since a part shares no
-variable with the others and an inconsistent state still fails the base
-query of some part), and its branching is steered: each decision tries
-the value its variable has not yet shown in a witness, so that every model
-rules out as many queries as it can. No search order changes a backbone;
-only which witnesses are found, and so how many queries are asked, moves.
-With cores on the solver keeps its selectors and the unsteered search,
-since the cores found depend on the solver's history.
+With cores off a part's verdicts are its backbone, which does not depend
+on how it is found. The counting search asks each site, mined first, for
+each value no model has shown it: a depth-first search with counting
+propagation after every decision, whose failure is the inference. A search
+under a site decides the sites nearest it first, so a contradiction near
+it is met before a far site is decided, and every decision tries the value
+its site has not yet shown, so that each model rules out as many searches
+as it can. Each search counts its conflicts against the conflict budget.
+With cores on the solver keeps its selectors and its own search, since the
+cores found depend on the solver's history.
 
 A part's constraints, and so its backbone, are fixed by its signature: the
 set of its rows' (inner site, residual label, undecided sites). play_game
 keeps the signatures of the parts that yielded nothing on the last pass,
-and a pass neither encodes nor queries a part it meets again. On large
+and a pass neither searches nor encodes a part it meets again. On large
 boards most parts are untouched between passes. Dropping a quiet part
 changes no core of the others either: it has no inference and so no core;
 parts share no variable and their selector lists no prefix, so each
@@ -64,8 +67,8 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass
-from typing import (Callable, FrozenSet, List, Optional, Set, Tuple,
-                    Union)
+from typing import (Callable, FrozenSet, List, Optional, Sequence, Set,
+                    Tuple, Union)
 
 from .board import (Board, Frontiers, GameState, Site, flag,
                     frontiers, reveal)
@@ -150,28 +153,29 @@ def infer_step(state: GameState, *, extract_cores: bool = True,
     One pipeline serves both modes. The labels are checked first. Without
     extract_cores, counting propagation on the frontier system then settles
     every site that unit propagation on the formula would force, and these
-    become inferences without a solver. The rows left undecided (all rows
+    become inferences without a search. The rows left undecided (all rows
     with cores on) are split into parts, rows joined through their
     undecided columns. quiet, when given, holds the signatures of the parts
-    that yielded nothing on the last pass: such a part is neither encoded
-    nor queried, and on return the set holds the signatures of this pass's
-    parts that yielded nothing. The other parts' rows are encoded by
-    build_formula for one solver (with selectors when cores are extracted,
-    selector-free and steered otherwise), and each part's verdicts come
-    from queries that name its groups as the active set: phase 1 tests its
-    variables in ascending order, reusing every model of its groups as a
-    witness. With extract_cores, phase 2 then attaches a minimal core to
+    that yielded nothing on the last pass: such a part is passed over, and
+    on return the set holds the signatures of this pass's parts that
+    yielded nothing. Without extract_cores, each other part's verdicts come
+    from a counting search on its rows. With it, the other parts' rows are
+    encoded by build_formula for one selector solver, and each part's
+    verdicts come from queries that name its groups as the active set:
+    phase 1 tests its variables in ascending order, reusing every model of
+    its groups as a witness, and phase 2 then attaches a minimal core to
     each of the part's inferences, found from the core of its verdict
-    query, before the next part is decided.
+    query, before the next part is decided. A search or query past
+    conflict_budget conflicts raises ResourceLimit.
 
     An effective label outside [0, support size] raises InfeasibleLabel;
     any other inconsistency raises ValueError.
     """
     fr = frontiers(state)
-    value, parts = _settle(fr, propagate=not extract_cores)
+    rows, parts = _settle(fr, propagate=not extract_cores)
     inner, outer = fr.inner, fr.outer
     inferences = [Inference(outer[j], Verdict.MINE if b else Verdict.SAFE)
-                  for j, b in enumerate(value) if b >= 0]
+                  for j, b in enumerate(rows.value) if b >= 0]
     # A part's signature fixes its constraints, and so its backbone.
     last_quiet = quiet if quiet is not None else ()
     now_quiet = set()
@@ -183,22 +187,26 @@ def infer_step(state: GameState, *, extract_cores: bool = True,
             now_quiet.add(sig)
         else:
             live.append((part, sig))
-    if live:
+    if not extract_cores:
+        for part, sig in live:
+            found = _backbone(rows, part, conflict_budget)
+            if not found:
+                now_quiet.add(sig)
+            inferences.extend(
+                Inference(outer[j], Verdict.MINE if b else Verdict.SAFE)
+                for j, b in found)
+    elif live:
         formula = build_formula(fr, (row for part, _ in live for row in part))
-        solver = Solver(formula, conflict_budget=conflict_budget,
-                        selectors=extract_cores)
+        solver = Solver(formula, conflict_budget=conflict_budget)
         part_groups = [[i for i, _, _ in part] for part, _ in live]
         # Phase 2, between the parts' phase 1: the cores, in verdict order.
         for (_, sig), found in zip(live, _part_verdicts(solver, part_groups)):
             if not found:
                 now_quiet.add(sig)
             for v, verdict, core_lits in found:
-                core = None
-                if extract_cores:
-                    pivot = v if verdict is Verdict.SAFE else -v
-                    core = extract_gmus(
-                        solver, pivot,
-                        initial_core=solver.core_groups(core_lits))
+                pivot = v if verdict is Verdict.SAFE else -v
+                core = extract_gmus(solver, pivot,
+                                    initial_core=solver.core_groups(core_lits))
                 inferences.append(
                     Inference(formula.var_sites[v - 1], verdict, core))
     if quiet is not None:
@@ -211,27 +219,19 @@ def infer_step(state: GameState, *, extract_cores: bool = True,
 def _part_verdicts(solver: Solver, parts: List[List[int]]):
     """Phase 1 on each part, given as its ascending group ids, in turn.
 
-    Yields, per part, its (var, verdict, core literals) triples; the core
-    literals are those of the verdict query (they mean nothing on a
-    selector-free solver). The next part is decided only once the
-    caller asks for it. A selector-free solver is steered: each witness
-    sets the phase of its variables to the value they have not yet shown.
-    A selector solver keeps the unsteered search its cores were found
-    with, and its phases go to an array it never reads.
+    Yields, per part, its (var, verdict, core literals) triples, the core
+    literals those of the verdict query. The next part is decided only
+    once the caller asks for it.
     """
     seen_true = bytearray(solver.num_vars + 1)
     seen_false = bytearray(solver.num_vars + 1)
-    phase = (bytearray(solver.num_vars + 1) if solver.selectors
-             else solver.phase)
 
     def witness(model):
         for v, value in model.items():
             if value:
                 seen_true[v] = 1
-                phase[v] = 0
             else:
                 seen_false[v] = 1
-                phase[v] = 1
 
     for groups in parts:
         base = solver.solve(groups)
@@ -254,8 +254,212 @@ def _part_verdicts(solver: Solver, parts: List[List[int]]):
         yield found
 
 
+class _Rows:
+    """Exact-count rows over 0/1 columns, with counting propagation and the
+    state of the searches on them.
+
+    supports[i] holds row i's columns, need[i] the mines it still needs
+    (its residual label) and free[i] its undecided columns; value[j] is 1
+    (mined), 0 (safe) or -1 (undecided), and rows_of[j] the rows holding
+    column j. Every column set goes on trail, so undo takes back all that
+    was set after a mark. shown[j] has bit b set once a model gave column
+    j the value b, and phase[j] is the value a decision on j tries first.
+    """
+
+    def __init__(self, supports: Sequence[Sequence[int]],
+                 labels: Sequence[int], columns: int):
+        self.supports = supports
+        self.need = list(labels)
+        self.free = [len(s) for s in supports]
+        self.value = [-1] * columns
+        self.rows_of: List[List[int]] = [[] for _ in range(columns)]
+        for i, support in enumerate(supports):
+            for j in support:
+                self.rows_of[j].append(i)
+        self.trail: List[int] = []
+        self.shown = bytearray(columns)
+        self.phase = bytearray(columns)
+        # Visit stamps of the breadth-first orders, one per order.
+        self._stamp = 0
+        self._row_seen = [0] * len(supports)
+        self._col_seen = [0] * columns
+
+    def forced(self) -> List[int]:
+        """The rows whose counts force their undecided columns."""
+        free = self.free
+        return [i for i, e in enumerate(self.need) if e == 0 or e == free[i]]
+
+    def propagate(self, queue: List[int], cols: Sequence[int] = (),
+                  b: int = 0) -> bool:
+        """Set the undecided columns of cols to b, then counting
+        propagation from the queued rows and those the new values force,
+        to a fixpoint: a row with need 0 forces its undecided columns safe,
+        and one with need equal to free forces them mined.
+
+        Returns False at the first conflict, a row left with need < 0 or
+        need > free; the conflicting column's rows are all counted, so
+        undo stays exact. The queue is then emptied.
+        """
+        supports, rows_of = self.supports, self.rows_of
+        need, free, value, trail = self.need, self.free, self.value, self.trail
+        while True:
+            for j in cols:
+                if value[j] >= 0:
+                    continue
+                value[j] = b
+                trail.append(j)
+                ok = True
+                for r in rows_of[j]:
+                    e = need[r] - b
+                    f = free[r] - 1
+                    need[r] = e
+                    free[r] = f
+                    if e < 0 or e > f:
+                        ok = False
+                    elif f and (e == 0 or e == f):
+                        queue.append(r)
+                if not ok:
+                    del queue[:]
+                    return False
+            while queue:
+                i = queue.pop()
+                if free[i]:
+                    break
+            else:
+                return True
+            # A forced row stays forced until its columns are all decided:
+            # any other move of its counts is a conflict.
+            cols = supports[i]
+            b = 1 if need[i] else 0
+
+    def undo(self, mark: int) -> None:
+        """Take back every column set after the first mark trail entries."""
+        trail, value, need, free = self.trail, self.value, self.need, self.free
+        rows_of = self.rows_of
+        while len(trail) > mark:
+            j = trail.pop()
+            b = value[j]
+            value[j] = -1
+            for r in rows_of[j]:
+                need[r] += b
+                free[r] += 1
+
+    def order_from(self, mark: int) -> List[int]:
+        """The columns set after the first mark trail entries, then, breadth
+        first, the undecided columns joined to them through rows."""
+        supports, rows_of, value = self.supports, self.rows_of, self.value
+        self._stamp += 1
+        stamp, row_seen, seen = self._stamp, self._row_seen, self._col_seen
+        order = self.trail[mark:]
+        for j in order:
+            seen[j] = stamp
+        for j in order:
+            for r in rows_of[j]:
+                if row_seen[r] == stamp:
+                    continue
+                row_seen[r] = stamp
+                for k in supports[r]:
+                    if seen[k] != stamp and value[k] < 0:
+                        seen[k] = stamp
+                        order.append(k)
+        return order
+
+
+def _search(rows: _Rows, j: int, b: int, order: List[int],
+            budget: int) -> bool:
+    """Whether column j can take the value b, by depth-first search.
+
+    Decisions take the first undecided column of order and try the value
+    in rows.phase; counting propagation follows each. An empty order is
+    filled at the first decision: j and the columns its value set, then
+    the columns joined to them, nearest first. Columns that no path of
+    rows through columns undecided at the start joins to j are left out,
+    since they cannot change the answer. On True the model is left in
+    rows.value for the caller to undo; on False, or when the conflicts
+    pass budget (ResourceLimit), every value is as before.
+    """
+    value, trail, phase = rows.value, rows.trail, rows.phase
+    start = len(trail)
+    ok = rows.propagate([], (j,), b)
+    decisions: List[Tuple[int, int, bool]] = []   # (mark, head, flipped)
+    head = 0
+    conflicts = 0
+    while True:
+        if ok:
+            if not order:
+                order += rows.order_from(start)
+            while head < len(order) and value[order[head]] >= 0:
+                head += 1
+            if head == len(order):
+                return True
+            decisions.append((len(trail), head, False))
+            k = order[head]
+            ok = rows.propagate([], (k,), phase[k])
+            continue
+        conflicts += 1
+        if conflicts > budget:
+            rows.undo(start)
+            raise ResourceLimit(f"conflict budget {budget} exceeded")
+        while decisions and decisions[-1][2]:
+            decisions.pop()
+        if not decisions:
+            rows.undo(start)
+            return False
+        mark, head, _ = decisions.pop()
+        k = order[head]
+        flip = 1 - value[k]
+        rows.undo(mark)
+        decisions.append((mark, head, True))
+        ok = rows.propagate([], (k,), flip)
+
+
+def _backbone(rows: _Rows, part: List[Row],
+              conflict_budget: int) -> List[Tuple[int, int]]:
+    """The forced (column, value) pairs of a part's undecided columns,
+    ascending, by counting search on rows.
+
+    Each column is asked, by a search under it, for each value that no
+    model has shown it, mined first. A failed search, with a model of the
+    other value seen, is an inference; it is then kept, with its
+    propagation, for the searches after it. If both values fail the rows
+    have no model, and ValueError is raised; a search past
+    conflict_budget conflicts raises ResourceLimit. Each model steers the
+    decisions after it toward the values its columns have not shown, and
+    a search under a column decides the columns nearest it first, so that
+    a contradiction near it is met before a far column is decided. The
+    result is the backbone, which no search order changes.
+    """
+    value, shown, phase = rows.value, rows.shown, rows.phase
+    found = []
+    for j in sorted({j for _, _, cols in part for j in cols}):
+        if value[j] >= 0:
+            found.append((j, value[j]))
+            continue
+        order: List[int] = []
+        failed = -1
+        for b in (1, 0):
+            if shown[j] >> b & 1:
+                continue
+            mark = len(rows.trail)
+            if not _search(rows, j, b, order, conflict_budget):
+                if failed >= 0:
+                    raise ValueError(
+                        "state is inconsistent, no inference is meaningful")
+                failed = b
+                continue
+            for k in rows.trail[mark:]:
+                v = value[k]
+                shown[k] |= 1 << v
+                phase[k] = 1 - v
+            rows.undo(mark)
+        if failed >= 0:
+            found.append((j, 1 - failed))
+            rows.propagate([], (j,), 1 - failed)
+    return found
+
+
 def _settle(fr: Frontiers, propagate: bool = True
-            ) -> Tuple[List[int], List[List[Row]]]:
+            ) -> Tuple[_Rows, List[List[Row]]]:
     """Counting propagation on the frontier system, then its parts.
 
     Every label is checked first: one outside [0, support size] raises
@@ -267,47 +471,22 @@ def _settle(fr: Frontiers, propagate: bool = True
     level-0 propagation assigns; a conflict raises ValueError. Without
     propagate nothing is settled.
 
-    Returns (value, parts): value[j] is 1 (mined), 0 (safe) or -1
-    (undecided) per column, and parts the parts of the rows left
-    undecided, rows joined through their undecided columns, each a list of
-    (row, residual label, ascending undecided columns) in row order, in
-    the order of their first row. After propagation a residual row has
-    0 < residual label < undecided count.
+    Returns (rows, parts): rows the system, whose value[j] is 1 (mined),
+    0 (safe) or -1 (undecided) per column, and parts the parts of the rows
+    left undecided, rows joined through their undecided columns, each a
+    list of (row, residual label, ascending undecided columns) in row
+    order, in the order of their first row. After propagation a residual
+    row has 0 < residual label < undecided count.
     """
     supports = fr.supports
-    rows_of: List[List[int]] = [[] for _ in fr.outer]
-    for i, (isite, support, e) in enumerate(
-            zip(fr.inner, supports, fr.labels)):
+    for isite, support, e in zip(fr.inner, supports, fr.labels):
         if not 0 <= e <= len(support):
             raise InfeasibleLabel(f"inner site {isite}: label {e} "
                                   f"infeasible for {len(support)} variables")
-        for j in support:
-            rows_of[j].append(i)
-    need = list(fr.labels)
-    free = [len(s) for s in supports]
-    value = [-1] * len(fr.outer)
-    queue = ([i for i, e in enumerate(need) if e == 0 or e == free[i]]
-             if propagate else [])
-    while queue:
-        i = queue.pop()
-        if not free[i]:
-            continue
-        # A forced row stays forced until its columns are all decided: any
-        # other move of its counts is a conflict, raised below.
-        b = 1 if need[i] else 0
-        for j in supports[i]:
-            if value[j] >= 0:
-                continue
-            value[j] = b
-            for r in rows_of[j]:
-                free[r] -= 1
-                need[r] -= b
-                e, f = need[r], free[r]
-                if e < 0 or e > f:
-                    raise ValueError(
-                        "state is inconsistent, no inference is meaningful")
-                if f and (e == 0 or e == f):
-                    queue.append(r)
+    rows = _Rows(supports, fr.labels, len(fr.outer))
+    if propagate and not rows.propagate(rows.forced()):
+        raise ValueError("state is inconsistent, no inference is meaningful")
+    need, free, value, rows_of = rows.need, rows.free, rows.value, rows.rows_of
     # Every row holding an undecided column is in a part.
     parts = []
     done = bytearray(len(supports))
@@ -328,7 +507,7 @@ def _settle(fr: Frontiers, propagate: bool = True
                         stack.append(r)
         part.sort()
         parts.append(part)
-    return value, parts
+    return rows, parts
 
 
 def check_budgets(time_budget_s: Optional[float] = None,

@@ -13,20 +13,8 @@ set, and a solver instance can serve thousands of queries on one formula.
 Learned clauses live until a query starts with more than MAX_LEARNTS of
 them; the solver then backtracks to level 0 and drops them all.
 Selectors are numbered num_vars+1, num_vars+2, ... in ascending group id
-order, so a core maps back to group ids by position (core_groups).
-
-A caller that reads no cores can build the solver with selectors=False.
-Its clauses are then stored bare, so a unit clause is a level-0 fact, and
-the propagation at construction carries the facts through the formula
-once for every query. No selector variable exists, and every group's
-clauses take part in every query's propagation, so an active set must be
-a union of parts (groups that share no variable with the other groups)
-that holds the assumption variables: it only picks the branching variables. Sat gives a model of the active groups, as with
-selectors; Unsat means the whole formula with the assumptions is
-unsatisfiable. The answers are the selector solver's whenever every part
-is satisfiable. An empty clause or a conflict at level 0 makes every later
-query Unsat with an empty core. Learned clauses carry no selector, and a
-learned unit is a permanent fact.
+order, so a core maps back to group ids by position (core_groups). Every
+stored clause holds a selector, so no conflict ever reaches level 0.
 
 Consecutive queries share their assumption trail (Hickey & Bacchus,
 "Speeding Up Assumption-Based SAT", SAT 2019): a query keeps the decision
@@ -38,17 +26,15 @@ level is answered Unsat there, without a search.
 
 Branching picks the unassigned problem variable with the highest occurrence
 count in the original formula, ties broken by lowest variable id, and tries
-the value in Solver.phase: false unless a caller set the variable's bit, so
-a solver nobody steers always tries false first. Every query names its
-active groups and branches only on their variables (assumptions assign
-their own variables); a caller that wants the whole formula names
-Solver.group_ids. Selector variables are never branched on. Once the
-branching variables are assigned and
-propagation is quiet, every clause of an active group has all its literals
-assigned and none falsified, so it is satisfied; setting the
-unassigned selectors false satisfies every other guarded clause and every
-learned clause that mentions an inactive group, so the remaining problem
-variables can take any value, and the model leaves them out.
+false first. Every query names its active groups and branches only on their
+variables (assumptions assign their own variables); a caller that wants the
+whole formula names Solver.group_ids. Selector variables are never branched
+on. Once the branching variables are assigned and propagation is quiet,
+every clause of an active group has all its literals assigned and none
+falsified, so it is satisfied; setting the unassigned selectors false
+satisfies every other guarded clause and every learned clause that mentions
+an inactive group, so the remaining problem variables can take any value,
+and the model leaves them out.
 """
 from __future__ import annotations
 
@@ -94,22 +80,14 @@ class Solver:
     place and backtracks only as far as the next one needs. Learned clauses
     live until a query starts with more than MAX_LEARNTS, which then drops
     them all at level 0. Instances are single-threaded; build one per formula.
-
-    selectors=False stores the clauses without guards, and every group
-    takes part in every query (see the module docstring): it serves a
-    caller that reads no cores and names unions of parts as active sets.
-    phase (variable -> 1 to try true first) steers the decisions.
     """
 
-    def __init__(self, formula: GroupedCnf, *, conflict_budget: int = 1_000_000,
-                 selectors: bool = True):
+    def __init__(self, formula: GroupedCnf, *, conflict_budget: int = 1_000_000):
         self.conflict_budget = conflict_budget
         self.num_vars = formula.num_vars
         self.group_ids = sorted(formula.groups)
-        self.selectors = selectors
-        self.selector_of = ({g: self.num_vars + 1 + i
-                             for i, g in enumerate(self.group_ids)}
-                            if selectors else {})
+        self.selector_of = {g: self.num_vars + 1 + i
+                            for i, g in enumerate(self.group_ids)}
         nv = self.num_vars + len(self.selector_of)
         self.assigns = [0] * (nv + 1)      # 0 unassigned, 1 true, -1 false
         self.level = [0] * (nv + 1)
@@ -125,19 +103,13 @@ class Solver:
         self.order_head = 0
         self.learnts: List[list] = []
         self.last_assumptions: List[int] = []
-        # Variable -> the value a decision on it tries: set means true.
-        self.phase = bytearray(self.num_vars + 1)
-        # Set once the formula is known unsatisfiable with every group
-        # enforced; only a selector-free solver can learn that.
-        self._unsat = False
         # The last active set: (argument, branching order, selector
         # assumptions in ascending group order).
         self._last_active: Tuple[tuple, List[int], List[int]] = ((), [], [])
         # One sweep over the clauses: watches, group variables and
-        # occurrence counts. A stored clause is its guard ([-selector], or
-        # nothing without selectors) and then its problem literals, watched
-        # on its first two literals; a one-literal clause is a level-0 fact,
-        # and an empty one makes the formula unsatisfiable.
+        # occurrence counts. A stored clause is its guard -selector and then
+        # its problem literals, watched on its first two literals; the guard
+        # of an empty clause alone is a level-0 fact.
         watches = self.watches
         occ = [0] * (self.num_vars + 1)
         self.groups = groups = formula.groups
@@ -145,36 +117,20 @@ class Solver:
         # Group id -> the ascending variables its clauses mention.
         self.group_vars: Dict[int, List[int]] = {}
         group_vars = self.group_vars
-        units = []
-        guard = ()
-        sel = self.num_vars
         for g in self.group_ids:
-            if selectors:
-                sel += 1
-                guard = (-sel,)
+            guard = -self.selector_of[g]
             clauses = groups[g]
             for clause in clauses:
-                cl = [*guard, *clause]
+                cl = [guard, *clause]
                 if len(cl) > 1:
                     watches[cl[0]].append(cl)
                     watches[cl[1]].append(cl)
-                elif cl:
-                    units.append(cl[0])
-                else:
-                    self._unsat = True
+                elif self._value(guard) == 0:
+                    self._enqueue(guard, None)
             vs = list(map(abs, chain.from_iterable(clauses)))
             for v in vs:
                 occ[v] += 1
             group_vars[g] = sorted(set(vs))
-        for l in units:
-            value = self._value(l)
-            if value == -1:
-                self._unsat = True
-            elif value == 0:
-                self._enqueue(l, None)
-        # The facts' consequences, once for every query.
-        if not self._unsat and self._propagate() is not None:
-            self._unsat = True
         # Variable -> its position in the branching order: most occurrences
         # first, ties by lowest id (the sort is stable).
         neg_occ = [-c for c in occ]
@@ -400,17 +356,12 @@ class Solver:
         stays in place afterwards; the next query keeps the levels of the
         assumption prefix it shares with this one. An active set equal to
         the last one reuses its branching order and selector assumptions.
-        Without selectors every group takes part in propagation:
-        active_groups must be a union of parts that holds the assumption
-        variables, and only picks the variables the query branches on.
         """
         key = tuple(active_groups)
         extra = list(assumptions)
         for l in extra:
             if not 1 <= abs(l) <= self.num_vars:
                 raise ValueError(f"assumption {l} references an unknown variable")
-        if self._unsat:
-            return _SolveResult(sat=False, core=frozenset())
         last_key, order, sel = self._last_active
         if key != last_key:
             actives = sorted(set(key))
@@ -419,8 +370,7 @@ class Solver:
             for g in actives:
                 branch.update(group_vars[g])
             order = sorted(branch, key=self.rank.__getitem__)
-            sel = ([self.selector_of[g] for g in actives] if self.selectors
-                   else [])
+            sel = [self.selector_of[g] for g in actives]
             self._last_active = (key, order, sel)
         assump = sel + extra
         if len(self.learnts) > MAX_LEARNTS:
@@ -452,7 +402,6 @@ class Solver:
         conflicts = 0
         budget = self.conflict_budget
         assigns = self.assigns
-        phase = self.phase
         nassump = len(assumptions)
         while True:
             confl = self._propagate()
@@ -461,9 +410,6 @@ class Solver:
                 if conflicts > budget:
                     raise ResourceLimit(
                         f"conflict budget {budget} exceeded")
-                if not self.trail_lim:
-                    self._unsat = True
-                    return _SolveResult(sat=False, core=frozenset())
                 learnt, bt = self._analyze(confl)
                 self._cancel_until(bt)
                 if len(learnt) == 1:
@@ -493,7 +439,7 @@ class Solver:
                 return _SolveResult(sat=True, model=model)
             var = order[head]
             self._new_level()
-            self._enqueue(var if phase[var] else -var, None)
+            self._enqueue(-var, None)
 
     def core_groups(self, core_lits: Iterable[int]) -> List[int]:
         """Group ids, ascending, of the selector literals in an Unsat core."""

@@ -446,6 +446,23 @@ class TestSweep:
                            "sweep", str(tmp_path / "afile"))
         assert games == []
 
+    def test_points_file_in_outdir_fails_before_any_game(self, capsys,
+                                                         tmp_path,
+                                                         monkeypatch):
+        # The sweep keeps its point files under <outdir>/points, so a file
+        # of that name is as unusable as the outdir being a file.
+        games = []
+        monkeypatch.setattr("minelab.harness.play_seeded_game",
+                            lambda *args, **kwargs: games.append(args))
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "points").write_text("")
+        config = tmp_path / "sweep.cfg"
+        config.write_text("n = 5\nrho = 0.1\ngames = 2\n"
+                          f"outdir = {tmp_path / 'out'}\n")
+        assert_input_error(run_cli(capsys, "sweep", "--config", str(config)),
+                           "sweep", str(tmp_path / "out" / "points"))
+        assert games == []
+
     def test_missing_outdir_fails(self, capsys, tmp_path):
         config = tmp_path / "sweep.cfg"
         config.write_text("n = 5\nrho = 0.1\ngames = 1\n")

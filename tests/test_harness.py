@@ -384,6 +384,19 @@ class TestRunSweep:
         stuck = sum(1 for o in outcomes if o != "all_mines_flagged")
         assert record.stuck_fraction == stuck / len(rows)
 
+    def test_exhausted_conflict_budget_rows_marked_with_cores_off(
+            self, tmp_path):
+        # The counting search of cores-off passes counts its conflicts
+        # against the same budget.
+        config = small_config(tmp_path, ns=(12,), rhos=(0.2,),
+                              policies=("sat",), track_cores=False,
+                              conflict_budget=0)
+        run_sweep(config)
+        rows = read_games_csv(tmp_path / "out" / "games.csv")
+        outcomes = [r["outcome"] for r in rows]
+        assert "stuck_budget" in outcomes
+        assert all(r["max_core"] is None for r in rows)
+
     def test_impossible_generation_reported(self, tmp_path):
         # 9 mines on a 4x4 torus leave no mine-free 3x3 block, so board
         # generation must give up on every game.

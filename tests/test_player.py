@@ -1,11 +1,14 @@
 """Game-player tests: inference passes against an exhaustive placement
 oracle and against the pass that queries every unwitnessed literal, the
-cores-off pass's counting propagation against the solver's level-0 facts,
-its quiet-part memory against passes played without it, pinned digests of
-pass output, full-game invariants, policies, budgets, and tracing."""
+cores-off pass's counting propagation against unit propagation on the
+formula, its counting search against truth tables, its quiet-part memory
+against passes played without it, pinned digests of pass output, full-game
+invariants, policies, budgets, and tracing."""
 from __future__ import annotations
 
 import hashlib
+import itertools
+import random
 
 import pytest
 
@@ -15,8 +18,8 @@ from minelab.board import (COVERED, Board, Boundary, GameState,
 import minelab.player
 from minelab.cnf import InfeasibleLabel
 from minelab.gmus import extract_gmus
-from minelab.player import (Inference, Outcome, Policy, Verdict, _settle,
-                            infer_step, play_game)
+from minelab.player import (Inference, Outcome, Policy, Verdict, _backbone,
+                            _Rows, _settle, infer_step, play_game)
 from minelab.sat import Solver
 
 from conftest import (budget_board, consistency_check, forced_verdicts,
@@ -27,7 +30,7 @@ from conftest import (budget_board, consistency_check, forced_verdicts,
 def reference_infer_step(state: GameState, *,
                          extract_cores: bool = True) -> list:
     """infer_step on one selector solver over the whole frontier formula,
-    without counting propagation, quiet parts or steered phases: per part,
+    without counting propagation, counting search or quiet parts: per part,
     every literal that no witness rules out is asked of the solver, and with
     cores each core starts from its verdict query's core."""
     formula = state_formula(state)
@@ -68,6 +71,52 @@ def reference_infer_step(state: GameState, *,
                 Inference(formula.var_sites[v - 1], verdict, core))
     inferences.sort(key=lambda inf: inf.site)
     return inferences
+
+
+def unit_facts(formula) -> dict:
+    """Unit propagation on every clause of formula to a fixpoint, from no
+    assignment: variable -> the value it is forced to."""
+    clauses = [c for group in formula.groups.values() for c in group]
+    occurs = {}
+    for c in clauses:
+        for lit in c:
+            occurs.setdefault(abs(lit), []).append(c)
+    facts = {}
+    pending = list(clauses)
+    while pending:
+        c = pending.pop()
+        if any(facts.get(abs(lit)) == (lit > 0) for lit in c):
+            continue
+        free = [lit for lit in c if abs(lit) not in facts]
+        assert free, "unit propagation met a conflict"
+        if len(free) == 1:
+            facts[abs(free[0])] = free[0] > 0
+            pending.extend(occurs[abs(free[0])])
+    return facts
+
+
+def system_backbone(supports, labels, columns):
+    """The values every 0/1 solution of the exact-count rows gives a column
+    of some row, by truth table, or None when the rows have no solution."""
+    used = sorted({j for support in supports for j in support})
+    models = [bits for bits in itertools.product((0, 1), repeat=columns)
+              if all(sum(bits[j] for j in support) == e
+                     for support, e in zip(supports, labels))]
+    if not models:
+        return None
+    return [(j, models[0][j]) for j in used
+            if len({bits[j] for bits in models}) == 1]
+
+
+def random_row_system(rng: random.Random):
+    """Random exact-count rows over at most 8 columns, each label within
+    [0, support size]."""
+    columns = rng.randint(1, 8)
+    supports = [sorted(rng.sample(range(columns),
+                                  rng.randint(1, min(4, columns))))
+                for _ in range(rng.randint(1, 6))]
+    labels = [rng.randint(0, len(s)) for s in supports]
+    return supports, labels, columns
 
 
 def pass_states(board: Board):
@@ -232,8 +281,8 @@ class TestInferStep:
     def test_matches_the_pass_that_queries_every_literal(self, monkeypatch):
         # Same inferences, order and cores. With cores on, every pass asks
         # the solver exactly the reference's queries, extractions included.
-        # With cores off, counting propagation and steered phases leave
-        # fewer queries in all.
+        # With cores off, counting propagation and the counting search
+        # leave no solver query at all.
         solve = Solver.solve
 
         def counted(infer, state, cores):
@@ -268,7 +317,7 @@ class TestInferStep:
                         cores_off[reference_infer_step] += want_calls
                 passes += 1
         assert passes >= 100 and with_cores >= 50
-        assert cores_off[infer_step] < cores_off[reference_infer_step]
+        assert cores_off[infer_step] == 0 < cores_off[reference_infer_step]
 
     def test_quiet_part_memory_keeps_every_pass_with_cores(self):
         # Skipping a quiet part leaves the other parts' queries, and so
@@ -310,17 +359,14 @@ class TestInferStep:
 class TestCoresOffPass:
     def test_settled_columns_are_the_level0_facts(self):
         # Counting propagation is unit propagation on the binomial
-        # encoding: it settles exactly what the selector-free solver
-        # assigns at level 0 when it is built.
+        # encoding: it settles exactly what unit propagation on the whole
+        # frontier formula forces.
         passes = settled = 0
         for board in seeded_boards(24):
             for state in pass_states(board):
-                value, _ = _settle(frontiers(state))
-                formula = state_formula(state)
-                solver = Solver(formula, selectors=False)
-                facts = {v - 1: solver.assigns[v] == 1
-                         for v in range(1, formula.num_vars + 1)
-                         if solver.assigns[v]}
+                value = _settle(frontiers(state))[0].value
+                facts = {v - 1: b
+                         for v, b in unit_facts(state_formula(state)).items()}
                 assert {j: b == 1 for j, b in enumerate(value)
                         if b >= 0} == facts
                 passes += 1
@@ -332,7 +378,7 @@ class TestCoresOffPass:
         for board in seeded_boards(24):
             for state in pass_states(board):
                 fr = frontiers(state)
-                value, _ = _settle(fr)
+                value = _settle(fr)[0].value
                 settled = {fr.outer[j]: (Verdict.MINE if b else Verdict.SAFE)
                            for j, b in enumerate(value) if b >= 0}
                 got = infer_step(state, extract_cores=False)
@@ -344,8 +390,73 @@ class TestCoresOffPass:
                 passes += 1
         assert passes >= 100 and from_residual >= 50
 
+    @pytest.mark.parametrize("n, rho, count", [(40, 0.2, 3), (40, 0.25, 3)])
+    def test_large_board_passes_match_the_reference(self, n, rho, count):
+        # Parts on larger boards are longer than the n <= 20 ones above.
+        passes = from_residual = 0
+        for seed in range(count):
+            for state in pass_states(generate_board(n, rho, seed)):
+                got = infer_step(state, extract_cores=False)
+                want = reference_infer_step(state, extract_cores=False)
+                assert pass_output(got) == pass_output(want)
+                settled = sum(b >= 0 for b in _settle(frontiers(state))[0].value)
+                from_residual += len(got) - settled
+                passes += 1
+        assert passes >= 20 and from_residual >= 20
+
     def test_quiet_part_memory_keeps_every_pass(self):
         check_quiet_part_memory(extract_cores=False)
+
+
+class TestCountingSearch:
+    """_backbone on exact-count row systems, alone and after counting
+    propagation, against truth tables."""
+
+    @staticmethod
+    def backbone(supports, labels, columns, propagate):
+        rows = _Rows(supports, labels, columns)
+        if propagate and not rows.propagate(rows.forced()):
+            raise ValueError("conflict in propagation")
+        settled = {j: b for j, b in enumerate(rows.value) if b >= 0}
+        part = [(i, rows.need[i], [j for j in s if rows.value[j] < 0])
+                for i, s in enumerate(supports)]
+        found = dict(_backbone(rows, part, 1_000_000))
+        assert not settled.keys() & found.keys()
+        return sorted({**settled, **found}.items())
+
+    @pytest.mark.parametrize("propagate", [False, True])
+    def test_matches_truth_table(self, propagate):
+        rng = random.Random(5150)
+        forced = unsat = 0
+        for _ in range(400):
+            supports, labels, columns = random_row_system(rng)
+            want = system_backbone(supports, labels, columns)
+            if want is None:
+                with pytest.raises(ValueError):
+                    self.backbone(supports, labels, columns, propagate)
+                unsat += 1
+                continue
+            got = self.backbone(supports, labels, columns, propagate)
+            assert got == want, (supports, labels)
+            forced += len(got)
+        assert forced >= 300 and unsat >= 50
+
+    def test_search_leaves_the_counts_as_found(self):
+        # Every search undoes its model and its failures; only inferences
+        # and their propagation stay, and they match a fresh propagation.
+        rng = random.Random(77)
+        for _ in range(200):
+            supports, labels, columns = random_row_system(rng)
+            if system_backbone(supports, labels, columns) is None:
+                continue
+            rows = _Rows(supports, labels, columns)
+            part = [(i, e, s) for i, (s, e) in enumerate(zip(supports, labels))]
+            found = _backbone(rows, part, 1_000_000)
+            fresh = _Rows(supports, labels, columns)
+            for j, b in found:
+                assert fresh.propagate([], (j,), b)
+            assert fresh.value == rows.value
+            assert fresh.need == rows.need and fresh.free == rows.free
 
 
 class TestPinnedPasses:
@@ -454,6 +565,27 @@ class TestPlayGame:
         tiny = play_game(board, conflict_budget=0)
         assert tiny.outcome is Outcome.STUCK_BUDGET
         assert tiny.alpha <= full.alpha
+
+    def test_exhausted_conflict_budget_ends_stuck_with_cores_off(self):
+        # The board's cores-off game needs a failed search, and so a
+        # conflict, on some pass; with no conflict allowed the counting
+        # search stops the game there.
+        board = generate_board(20, 0.2, 2)
+        from_search = []
+
+        def residual(turn, inferences):
+            state = states.pop(0)
+            settled = sum(b >= 0 for b in _settle(frontiers(state))[0].value)
+            from_search.append(len(inferences) - settled)
+
+        states = list(itertools.islice(pass_states(board), 1000))
+        full = play_game(board, track_cores=False, trace_fn=residual)
+        assert full.outcome is not Outcome.STUCK_BUDGET
+        assert any(from_search)
+        tiny = play_game(board, track_cores=False, conflict_budget=0)
+        assert tiny.outcome is Outcome.STUCK_BUDGET
+        assert tiny.alpha <= full.alpha
+        assert tiny.turns < full.turns
 
     def test_kset_policy_never_beats_sat(self):
         for seed in range(6):

@@ -1,8 +1,7 @@
 """Solver tests: differential checks against truth tables, assumption and
 core semantics, group activation, core-to-group mapping, query sequences on
 one instance (kept assumption prefixes, dropping the learned clauses and
-budget exhaustion between queries), connected parts, and the
-selector-free solver that cores-off passes use."""
+budget exhaustion between queries) and connected parts."""
 from __future__ import annotations
 
 import random
@@ -220,6 +219,11 @@ class TestDeterminism:
             solve(formula, conflict_budget=1)
         res = solve(formula)   # default budget decides it: no overlap
         assert not res.sat
+
+    def test_decisions_try_false_first(self):
+        formula = GroupedCnf(num_vars=3, groups={1: [(1, 2, 3)]})
+        assert Solver(formula).solve([1]).model == {1: False, 2: False,
+                                                    3: True}
 
     def test_sat_models_verify(self):
         rng = random.Random(99)
@@ -493,131 +497,3 @@ class TestParts:
             states += 1
             multi += len(parts) >= 2
         assert states >= 60 and multi >= 5
-
-
-def part_union(rng: random.Random, formula: GroupedCnf) -> list:
-    """The ascending groups of a random nonempty set of parts."""
-    parts = formula_parts(formula)
-    picked = rng.sample(parts, rng.randint(1, len(parts)))
-    return sorted(g for groups, _ in picked for g in groups)
-
-
-def part_assumptions(rng: random.Random, formula: GroupedCnf, active) -> list:
-    """Up to three random literals over the variables of the active groups."""
-    vs = sorted(group_vars(formula, active))
-    return [v if rng.random() < 0.5 else -v
-            for v in rng.sample(vs, min(len(vs), rng.randint(0, 3)))]
-
-
-def check_selector_free(formula, active, assumptions, res) -> None:
-    """res of a selector-free query on a union of parts that holds the
-    assumption variables: Sat gives a model of the active groups, Unsat
-    holds for the whole formula, and with every part satisfiable the
-    answer is the active groups' own."""
-    sub = solve(formula, active, assumptions).sat
-    if res.sat:
-        assert sub
-        assert set(res.model) == decided_vars(formula, active, assumptions)
-        assert eval_formula(formula, res.model, active=active)
-        assert all(res.model[abs(l)] == (l > 0) for l in assumptions)
-    else:
-        assert res.core <= set(assumptions)
-        assert not solve(formula, None, sorted(res.core)).sat
-    if solve(formula).sat:
-        assert res.sat == sub
-
-
-class TestSelectorFree:
-    """Solver(selectors=False): bare clauses, every group in every query's
-    propagation, active sets that are unions of parts."""
-
-    def formulas(self):
-        rng = random.Random(2718)
-        return ([random_grouped_cnf(rng, max_vars=8, max_groups=6,
-                                    max_clauses=4) for _ in range(120)]
-                + frontier_formulas(6161, 30))
-
-    def test_truth_table_agreement(self):
-        rng = random.Random(1414)
-        unsat = 0
-        for _ in range(200):
-            formula = random_grouped_cnf(rng, max_vars=8, max_groups=6,
-                                         max_clauses=4)
-            whole = truth_table_models(formula)
-            solver = Solver(formula, selectors=False)
-            assert solver.selector_of == {}
-            assert len(solver.assigns) == formula.num_vars + 1
-            # Every group, then a union of parts: one solver, both in turn.
-            for active in (solver.group_ids, part_union(rng, formula)):
-                models = truth_table_models(formula, active=active)
-                for _ in range(4):
-                    assumptions = part_assumptions(rng, formula, active)
-                    res = solver.solve(active, assumptions)
-                    if whole:
-                        assert res.sat == any(
-                            all(m[abs(l)] == (l > 0) for l in assumptions)
-                            for m in models)
-                    check_selector_free(formula, active, assumptions, res)
-                    unsat += not res.sat
-        assert unsat >= 500
-
-    @pytest.mark.parametrize("groups", [
-        {1: [(1, 2)], 2: [()]},                         # an empty clause
-        {1: [(1,)], 2: [(-1,)], 3: [(2, 3)]},           # clashing units
-        {1: [(1,)], 2: [(-1, 2)], 3: [(-2, 3)], 4: [(-3,)]},
-        {1: [(1, 2), (1, -2)], 2: [(-1, 2), (-1, -2)]},  # needs a search
-    ])
-    def test_unsatisfiable_formula_answers_every_query_unsat(self, groups):
-        formula = GroupedCnf(num_vars=3, groups=groups)
-        solver = Solver(formula, selectors=False)
-        queries = [(solver.group_ids, []), (solver.group_ids, [1]),
-                   ([1], [-2]), ([], []), (solver.group_ids, [])]
-        for active, assumptions in queries:
-            res = solver.solve(active, assumptions)
-            assert not res.sat and res.core == frozenset()
-
-    def test_learnt_drop_between_queries(self, monkeypatch):
-        monkeypatch.setattr("minelab.sat.MAX_LEARNTS", 1)
-        rng = random.Random(6008)
-        drops = 0
-        # Random 3-CNF near the threshold, where queries need conflicts.
-        formulas = [GroupedCnf(num_vars=20, groups={
-            g: [tuple(v if rng.random() < 0.5 else -v
-                      for v in rng.sample(range(1, 21), 3))
-                for _ in range(17)] for g in range(5)}) for _ in range(20)]
-        for formula in frontier_formulas(3209, 20, max_outer=20) + formulas:
-            solver = Solver(formula, selectors=False)
-            drop_learnts = solver._drop_learnts
-
-            def counted():
-                nonlocal drops
-                assert not solver.trail_lim     # only ever at level 0
-                facts = list(solver.trail)
-                learnts = list(solver.learnts)      # kept alive for id()
-                dropped = set(map(id, learnts))
-                assert len(dropped) > 1
-                drop_learnts()
-                assert not solver.learnts
-                assert not any(id(cl) in dropped
-                               for ws in solver.watches for cl in ws)
-                assert solver.trail == facts    # the facts stay
-                drops += 1
-
-            solver._drop_learnts = counted
-            for _ in range(40):
-                active = part_union(rng, formula)
-                assumptions = part_assumptions(rng, formula, active)
-                res = solver.solve(active, assumptions)
-                check_selector_free(formula, active, assumptions, res)
-        assert drops >= 50
-
-    @pytest.mark.parametrize("selectors", [True, False])
-    def test_phase_honoured_on_a_free_variable(self, selectors):
-        formula = GroupedCnf(num_vars=3, groups={1: [(1, 2, 3)]})
-        solver = Solver(formula, selectors=selectors)
-        assert solver.solve([1]).model == {1: False, 2: False, 3: True}
-        solver.phase[1] = 1
-        assert solver.solve([1]).model == {1: True, 2: False, 3: False}
-        solver.phase[1] = 0
-        solver.phase[2] = 1
-        assert solver.solve([1]).model == {1: False, 2: True, 3: False}
