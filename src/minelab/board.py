@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import chain
-from typing import FrozenSet, Iterable, List, Optional, Tuple
+from functools import lru_cache
+from itertools import chain, repeat
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -113,6 +114,10 @@ class Board:
         grid[rc[:, 0], rc[:, 1]] = 1
         self.labels = _neighbor_sum(grid, boundary)
         self.mine_grid = grid.astype(bool)
+        # Row-major, one byte per site: is it mined, is its label 0. reveal
+        # reads these instead of indexing the grids site by site.
+        self._mine_bytes = self.mine_grid.tobytes()
+        self._zero_bytes = (self.labels == 0).tobytes()
 
     def __repr__(self) -> str:
         return (f"Board(n={self.n}, boundary={self.boundary.value}, "
@@ -212,6 +217,27 @@ class GameState:
         self.exploded = False
 
 
+def _flat_index(site: Site, n: int) -> int:
+    """Row-major index of a site; ValueError naming it when it is off the
+    board, where a wrapped index would silently hit another site."""
+    r, c = site
+    if not (0 <= r < n and 0 <= c < n):
+        raise ValueError(f"site {site} outside an {n}x{n} board")
+    return r * n + c
+
+
+@lru_cache(maxsize=None)
+def _edge_table(n: int, boundary: Boundary) -> Dict[int, Tuple[int, ...]]:
+    """The flat neighbor indices of every site on the outer ring of the
+    lattice, keyed by its flat index. Inner sites reach theirs by the eight
+    fixed offsets, so the table takes O(n) memory."""
+    ring = {(r, c) for r in range(n) for c in (0, n - 1)}
+    ring |= {(c, r) for r, c in ring}
+    return {r * n + c: tuple(rr * n + cc
+                             for rr, cc in _neighbors((r, c), n, boundary))
+            for r, c in ring}
+
+
 def reveal(state: GameState, *sites: Site) -> FrozenSet[Site]:
     """Reveal covered sites as one move; zero labels flood-fill their
     neighborhoods.
@@ -222,49 +248,65 @@ def reveal(state: GameState, *sites: Site) -> FrozenSet[Site]:
     flood (flags are the player's bookkeeping and stay put). Returns every
     site opened by this move. A mined site opens none and makes the state
     terminal (state.exploded): the sites before the first mined one are
-    opened, the ones after it are not. A move the rules forbid (a site
-    already revealed or flagged, or a game already over) raises ValueError
-    and changes nothing.
+    opened, the ones after it are not. A move the rules forbid (a site off
+    the board, already revealed or flagged, a game already over, or a
+    torus side below 3) raises ValueError and changes nothing.
+
+    The flood runs on flat row-major indices over a byte view of the
+    status grid; the opened sites' view labels are written in one batch.
     """
     if state.exploded:
         raise ValueError("game is over")
-    status, view, labels = state.status, state.view_labels, state.board.labels
-    rows, cols = np.array(sites, dtype=np.intp).reshape(-1, 2).T
-    for site, st in zip(sites, status[rows, cols].tolist()):
-        if st == REVEALED:
+    board, n = state.board, state.n
+    edge = _edge_table(n, state.boundary)
+    status = memoryview(state.status).cast("B")
+    seeds = [_flat_index(site, n) for site in sites]
+    for site, i in zip(sites, seeds):
+        if status[i] == REVEALED:
             raise ValueError(f"site {site} is already revealed")
-        if st == FLAGGED:
+        if status[i] == FLAGGED:
             raise ValueError(f"site {site} is flagged")
-    hit = np.flatnonzero(state.board.mine_grid[rows, cols])
-    if hit.size:
-        boom = int(hit[0])
-        state.exploded = True
-        sites, rows, cols = sites[:boom], rows[:boom], cols[:boom]
-    status[rows, cols] = REVEALED
-    view[rows, cols] = labels[rows, cols]
-    opened = set(sites)
+    mined = board._mine_bytes
+    for k, i in enumerate(seeds):
+        if mined[i]:
+            state.exploded = True
+            del seeds[k:]
+            break
+    for i in seeds:
+        status[i] = REVEALED
     # Zero labels certify a mine-free neighborhood, so the flood is safe.
-    stack = [s for s, z in zip(sites, (labels[rows, cols] == 0).tolist())
-             if z]
+    zero = board._zero_bytes
+    stack = [i for i in seeds if zero[i]]
+    opened = seeds
+    up, down = n + 1, n - 1
     while stack:
-        for t in _neighbors(stack.pop(), state.n, state.boundary):
+        i = stack.pop()
+        around = edge.get(i)
+        if around is None:
+            a, b = i - up, i + down
+            around = (a, a + 1, a + 2, i - 1, i + 1, b, b + 1, b + 2)
+        for t in around:
             if status[t] == COVERED:
                 status[t] = REVEALED
-                view[t] = labels[t]
-                opened.add(t)
-                if labels[t] == 0:
+                opened.append(t)
+                if zero[t]:
                     stack.append(t)
-    return frozenset(opened)
+    flat = np.array(opened, dtype=np.intp)
+    state.view_labels.put(flat, board.labels.take(flat))
+    return frozenset(map(divmod, opened, repeat(n)))
 
 
 def flag(state: GameState, site: Site) -> None:
-    """Flag a covered site as a mine claim."""
+    """Flag a covered site as a mine claim. A site off the board or not
+    covered, or a game already over, raises ValueError and changes
+    nothing."""
     if state.exploded:
         raise ValueError("game is over")
-    st = int(state.status[site])
-    if st != COVERED:
+    i = _flat_index(site, state.n)
+    status = memoryview(state.status).cast("B")
+    if status[i] != COVERED:
         raise ValueError(f"site {site} is not covered")
-    state.status[site] = FLAGGED
+    status[i] = FLAGGED
 
 
 def frontiers(state: GameState) -> Frontiers:

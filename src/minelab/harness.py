@@ -3,7 +3,8 @@
 Every grid point (n, rho, policy) is played as an independent batch of
 games and written to its own CSV under <outdir>/points/. Every sweep has an
 outdir, created before the first game. A finished point file doubles as
-its completion marker: reruns load it instead of replaying.
+its completion marker: reruns load it instead of replaying, as long as
+its header names the same configuration and the same engine source.
 A worker pool gets the games of all missing points at once, so no worker
 waits at a point boundary; point files are still written in grid order as
 each point completes, so an interrupted sweep resumes from the points
@@ -23,6 +24,7 @@ runs byte-identical.
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 import multiprocessing
 import os
@@ -209,13 +211,23 @@ def _cells_to_row(cells: Dict[str, str]) -> Dict[str, object]:
     }
 
 
-def _config_token(config: SweepConfig) -> str:
+def _engine_id() -> str:
+    """A truncated sha256 over the bytes of minelab's modules, taken in name
+    order: point files written by other code do not match it."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.read_bytes())
+    return h.hexdigest()[:16]
+
+
+def _config_token(config: SweepConfig, engine: str) -> str:
     return ("master={} games={} boundary={} cores={} budget={} conflicts={} "
-            "timing={}").format(config.seed, config.games,
-                                config.boundary.value,
-                                int(config.track_cores),
-                                config.time_budget_s, config.conflict_budget,
-                                int(config.record_timing))
+            "timing={} engine={}").format(config.seed, config.games,
+                                          config.boundary.value,
+                                          int(config.track_cores),
+                                          config.time_budget_s,
+                                          config.conflict_budget,
+                                          int(config.record_timing), engine)
 
 
 def _point_path(outdir: Path, n: int, rho: float, policy: str) -> Path:
@@ -223,20 +235,20 @@ def _point_path(outdir: Path, n: int, rho: float, policy: str) -> Path:
     return outdir / "points" / f"point_n{n}_r{_rho_key(rho)}_{safe_policy}.csv"
 
 
-def _load_point(path: Path, config: SweepConfig, n: int, rho: float,
-                policy: str) -> Optional[List[Dict[str, object]]]:
+def _load_point(path: Path, token: str, config: SweepConfig, n: int,
+                rho: float, policy: str) -> Optional[List[Dict[str, object]]]:
     """The stored rows of point (n, rho, policy), or None when the file is
-    missing or stale: another config token, a row that does not parse,
-    rows that are not this point's seeds 0..games-1 in order, or a row this
-    config could not have written. alpha is blank exactly when generation
-    was exhausted, and in [0, 1] otherwise; max_core is blank exactly then,
-    with cores off, or for a k-set policy; wall_ms is 0.0 unless timing is
-    recorded."""
+    missing or stale: another token than this run's (another config or
+    another engine), a row that does not parse, rows that are not this
+    point's seeds 0..games-1 in order, or a row this config could not have
+    written. alpha is blank exactly when generation was exhausted, and in
+    [0, 1] otherwise; max_core is blank exactly then, with cores off, or for
+    a k-set policy; wall_ms is 0.0 unless timing is recorded."""
     if not path.exists():
         return None
     with open(path, newline="") as fh:
         first = fh.readline().rstrip("\n")
-        if first != f"# {_config_token(config)}":
+        if first != f"# {token}":
             return None
         reader = csv.DictReader(fh)
         try:
@@ -349,7 +361,8 @@ def run_sweep(config: SweepConfig) -> List[SweepRecord]:
     Writes <outdir>/games.csv and <outdir>/summary.csv and keeps per-point
     files under <outdir>/points/ for resumption; the directories are made
     before the first game. Point files carry the configuration in a header
-    comment; a stale or malformed point file forces a replay of that point.
+    comment, with a hash of the engine's source; a stale or malformed point
+    file forces a replay of that point.
 
     With workers > 1, the games of every missing point are queued on one
     pool before the first result is read, so no worker waits at a point
@@ -360,14 +373,14 @@ def run_sweep(config: SweepConfig) -> List[SweepRecord]:
     A game that raises, or an interrupt, terminates the pool at once.
     """
     validate_config(config)
-    token = _config_token(config)
+    token = _config_token(config, _engine_id())
     outdir = Path(config.outdir)
     (outdir / "points").mkdir(parents=True, exist_ok=True)
     points = [(n, rho, str(Policy.parse(p)))
               for n in config.ns for rho in config.rhos
               for p in config.policies]
     paths = [_point_path(outdir, *point) for point in points]
-    stored = [_load_point(path, config, *point)
+    stored = [_load_point(path, token, config, *point)
               for point, path in zip(points, paths)]
     missing = [i for i, rows in enumerate(stored) if rows is None]
 

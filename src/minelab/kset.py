@@ -147,16 +147,20 @@ def kset_infer(fr: Frontiers, k: int, *,
         raise ValueError("k must be >= 1")
     labels = fr.labels
     rows: List[int] = []
-    col_rows = [0] * len(fr.outer)
-    for i, support in enumerate(fr.supports):
+    for support in fr.supports:
         mask = 0
         for j in support:
             mask |= 1 << j
-            col_rows[j] |= 1 << i
         rows.append(mask)
     m = len(rows)
     adj = [0] * m
     if k > 1:
+        # Rows are adjacent when they share a column.
+        col_rows = [0] * len(fr.outer)
+        for i, support in enumerate(fr.supports):
+            bit = 1 << i
+            for j in support:
+                col_rows[j] |= bit
         for i, support in enumerate(fr.supports):
             nb = 0
             for j in support:

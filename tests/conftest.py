@@ -224,6 +224,28 @@ def naive_neighbors(site: Site, n: int, boundary: Boundary) -> Set[Site]:
     return out
 
 
+def naive_reveal(state: GameState, *sites: Site) -> FrozenSet[Site]:
+    """reveal redone one site at a time: each site in order, up to the
+    first mine, opens when still covered and floods breadth first through
+    naive_neighbors from every zero label, never opening a flag."""
+    board, opened = state.board, set()
+    for site in sites:
+        if site in board.mines:
+            state.exploded = True
+            break
+        queue = [site]
+        while queue:
+            s = queue.pop(0)
+            if int(state.status[s]) != COVERED:
+                continue
+            state.status[s] = REVEALED
+            state.view_labels[s] = board.labels[s]
+            opened.add(s)
+            if int(board.labels[s]) == 0:
+                queue.extend(naive_neighbors(s, state.n, state.boundary))
+    return frozenset(opened)
+
+
 def naive_effective_label(state: GameState, site: Site) -> int:
     """Revealed label minus the flagged neighbors, counted one by one."""
     flags = sum(1 for t in naive_neighbors(site, state.n, state.boundary)

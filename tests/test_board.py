@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -14,9 +15,25 @@ from minelab.board import (Board, Boundary, COVERED, FLAGGED, REVEALED,
 from minelab.board import _neighbors as neighbors
 
 from conftest import (ParseError, budget_board, naive_frontiers,
-                      naive_labels, overlay_state, parse_board, parse_overlay,
-                      random_reachable_state, random_status_state,
-                      serialize_board, serialize_overlay, state_formula)
+                      naive_labels, naive_reveal, overlay_state, parse_board,
+                      parse_overlay, random_reachable_state,
+                      random_status_state, serialize_board, serialize_overlay,
+                      state_formula)
+
+
+def twin(state: GameState) -> GameState:
+    """A separate state with the same board, grids and exploded flag."""
+    out = GameState(state.board)
+    out.status = state.status.copy()
+    out.view_labels = state.view_labels.copy()
+    out.exploded = state.exploded
+    return out
+
+
+def assert_same_state(a: GameState, b: GameState) -> None:
+    assert a.status.tolist() == b.status.tolist()
+    assert a.view_labels.tolist() == b.view_labels.tolist()
+    assert a.exploded == b.exploded
 
 
 class TestNeighbors:
@@ -194,6 +211,18 @@ class TestMoves:
         assert (0, 0) not in out
         assert len(out) == 8
         assert int(state.status[0, 0]) == FLAGGED
+        # Flags inside a zero region, edges and corners too, stay shut.
+        flags = [(2, 2), (3, 3), (0, 5), (5, 5)]
+        for boundary in (Boundary.TORUS, Boundary.OPEN):
+            state = GameState(Board(6, boundary, []))
+            for site in flags:
+                flag(state, site)
+            reference = twin(state)
+            out = reveal(state, (5, 0))
+            assert out == naive_reveal(reference, (5, 0))
+            assert len(out) == 32 and not set(flags) & out
+            assert_same_state(state, reference)
+            assert all(int(state.view_labels[s]) == -1 for s in flags)
 
     def test_flag_semantics(self):
         board = Board(4, Boundary.OPEN, [(0, 0)])
@@ -240,41 +269,45 @@ class TestMoves:
 
     def test_batch_matches_one_by_one(self, rng):
         # A batch leaves what revealing its sites in order, each only if
-        # still covered, leaves; floods must reach some batch sites.
-        checked = flooded = 0
+        # still covered, up to the first mine, leaves, and what naive_reveal
+        # leaves. Flags lie on mines and safe sites alike, picks may repeat,
+        # every fourth batch may hold mines, and floods must reach some
+        # batch sites.
+        checked = flooded = exploded = 0
         while checked < 500:
-            n = int(rng.integers(5, 16))
+            n = int(rng.integers(3, 16))
             boundary = (Boundary.TORUS, Boundary.OPEN)[checked % 2]
             try:
                 board = budget_board(n, float(rng.uniform(0.05, 0.3)), rng,
                                      boundary)
             except GenerationExhausted:
                 continue
-            batch, single = GameState(board), GameState(board)
-            for state in (batch, single):
-                reveal(state, board.start)
-            for site in sorted(board.mines)[:int(rng.integers(0, 4))]:
-                flag(batch, site)
-                flag(single, site)
-            safe = [(r, c) for r in range(n) for c in range(n)
-                    if (r, c) not in board.mines
-                    and int(batch.status[r, c]) == COVERED]
-            if not safe:
+            batch = GameState(board)
+            reveal(batch, board.start)
+            covered = [(r, c) for r in range(n) for c in range(n)
+                       if int(batch.status[r, c]) == COVERED]
+            for i in rng.permutation(len(covered))[:int(rng.integers(0, 4))]:
+                flag(batch, covered[i])
+            pool = [s for s in covered if int(batch.status[s]) == COVERED
+                    and (checked % 4 == 3 or s not in board.mines)]
+            if not pool:
                 continue
-            picks = [safe[i] for i in rng.permutation(len(safe))
-                     [:int(rng.integers(1, 9))]]
+            picks = [pool[i] for i in
+                     rng.integers(len(pool), size=int(rng.integers(1, 9)))]
+            single, reference = twin(batch), twin(batch)
             opened = reveal(batch, *picks)
             one_by_one = set()
             for site in picks:
-                if int(single.status[site]) == COVERED:
+                if not single.exploded and int(single.status[site]) == COVERED:
                     one_by_one |= reveal(single, site)
-            assert opened == one_by_one
-            assert (batch.status == single.status).all()
-            assert (batch.view_labels == single.view_labels).all()
-            assert not batch.exploded
+            assert opened == one_by_one == naive_reveal(reference, *picks)
+            assert_same_state(batch, single)
+            assert_same_state(batch, reference)
+            assert batch.exploded == any(s in board.mines for s in picks)
             flooded += len(opened) > len(picks)
+            exploded += batch.exploded
             checked += 1
-        assert flooded >= 50
+        assert flooded >= 50 and exploded >= 20
 
     def test_batch_explodes_at_first_mine(self):
         # The sites before the mine open, the ones after it do not.
@@ -299,6 +332,61 @@ class TestMoves:
         with pytest.raises(ValueError, match="is flagged"):
             reveal(state, (3, 3), (0, 0))
         assert (state.status == status).all()
+
+    @pytest.mark.parametrize("n, boundary", [
+        (3, Boundary.TORUS), (4, Boundary.TORUS), (7, Boundary.TORUS),
+        (1, Boundary.OPEN), (2, Boundary.OPEN), (3, Boundary.OPEN),
+        (7, Boundary.OPEN)])
+    def test_every_seed_matches_reference(self, rng, n, boundary):
+        # Corner, edge and inner seeds alike, over boards with few or no
+        # mines so that most seeds flood, with flags laid anywhere. A lone
+        # site has no neighbor to flood.
+        flooded = 0
+        for _ in range(6):
+            sites = [(r, c) for r in range(n) for c in range(n)]
+            order = rng.permutation(len(sites))
+            mines = [sites[i] for i in order[:int(rng.integers(0, n))]]
+            board = Board(n, boundary, mines)
+            flagged = [sites[i] for i in
+                       order[len(mines):][:int(rng.integers(0, 3))]]
+            for seed in sites:
+                if seed in flagged:
+                    continue
+                state = GameState(board)
+                for site in flagged:
+                    flag(state, site)
+                reference = twin(state)
+                opened = reveal(state, seed)
+                assert opened == naive_reveal(reference, seed), seed
+                assert_same_state(state, reference)
+                flooded += len(opened) > 1
+        assert flooded >= 3 or n == 1
+
+    @pytest.mark.parametrize("boundary", [Boundary.TORUS, Boundary.OPEN])
+    def test_off_board_sites_change_nothing(self, boundary):
+        # A wrapped index would hit another site: (-1, 0) is (4, 0) on the
+        # torus, a zero label here.
+        board = Board(5, boundary, [(2, 2)])
+        state = GameState(board)
+        for sites in ([(-2, -2)], [(-1, 0)], [(5, 0)], [(0, 5)],
+                      [(4, 4), (0, -1)], [(0, 0), (1, 7)]):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"site {sites[-1]} outside an 5x5 board")):
+                reveal(state, *sites)
+        for site in [(-1, 1), (5, 2), (1, -1), (0, 5)]:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"site {site} outside an 5x5 board")):
+                flag(state, site)
+        assert (state.status == COVERED).all()
+        assert (state.view_labels == -1).all()
+        assert not state.exploded
+
+    def test_small_torus_changes_nothing(self):
+        # On a 2x2 torus a site's 8 neighbors are not distinct.
+        state = GameState(Board(2, Boundary.TORUS, []))
+        with pytest.raises(ValueError, match="n >= 3"):
+            reveal(state, (0, 0))
+        assert (state.status == COVERED).all()
 
 
 class TestFrontiers:

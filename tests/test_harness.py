@@ -8,6 +8,7 @@ import re
 import statistics
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -172,6 +173,43 @@ class TestRunSweep:
         assert point.stat().st_mtime_ns != before
         rows = read_games_csv(tmp_path / "out" / "games.csv")
         assert len(rows) == 4
+
+    def test_other_engine_forces_replay(self, tmp_path, monkeypatch):
+        # The engine field hashes minelab's source, read once per sweep; a
+        # point stored by other code is replayed, as a clean run plays it.
+        config = small_config(tmp_path)
+        run_sweep(replace(config, outdir=tmp_path / "clean"))
+        clean = tmp_path / "clean"
+        reads = []
+        engine_id = minelab.harness._engine_id
+        monkeypatch.setattr(minelab.harness, "_engine_id",
+                            lambda: reads.append(1) or engine_id())
+        run_sweep(config)
+        assert len(reads) == 1
+        stale, kept = sorted((tmp_path / "out" / "points").glob("*.csv"))[:2]
+        header, rows = stale.read_text().split("\n", 1)
+        head, engine = header.rsplit(" engine=", 1)
+        assert re.fullmatch("[0-9a-f]{16}", engine)
+        stale.write_text(f"{head} engine={'0' * 16}\n{rows}")
+        kept_stat = kept.stat().st_mtime_ns
+        run_sweep(config)
+        assert stale.read_bytes() == (clean / "points" / stale.name).read_bytes()
+        assert kept.stat().st_mtime_ns == kept_stat
+        for name in ("games.csv", "summary.csv"):
+            assert ((tmp_path / "out" / name).read_bytes()
+                    == (clean / name).read_bytes()), name
+
+    def test_engine_id_follows_the_source(self, tmp_path, monkeypatch):
+        src = Path(minelab.harness.__file__).parent
+        for path in src.glob("*.py"):
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        engine_id = minelab.harness._engine_id()
+        monkeypatch.setattr(minelab.harness, "__file__",
+                            str(tmp_path / "harness.py"))
+        assert minelab.harness._engine_id() == engine_id
+        with open(tmp_path / "board.py", "a") as fh:
+            fh.write("\n")
+        assert minelab.harness._engine_id() != engine_id
 
     def test_outdir_required_before_any_game(self, tmp_path, monkeypatch):
         def no_game(*args, **kwargs):
