@@ -123,8 +123,8 @@ def extract_gmus(solver: Solver, pivot: int, *,
         other query on it.
       pivot: the tentative assumption literal (x or -x).
       initial_core: group ids already known to be unsatisfiable with the
-        pivot (for example from the inference query that triggered the
-        extraction); skips the initial query over all groups.
+        pivot (for example from the query that confirmed the inference);
+        skips the initial query over all groups.
 
     Raises:
       ValueError: the pivot names no variable of the formula.
@@ -212,8 +212,3 @@ def extract_gmus(solver: Solver, pivot: int, *,
                 return GmusResult(core=frozenset([h]), pivot=pivot, size=1)
     return GmusResult(core=frozenset(candidate), pivot=pivot,
                       size=len(candidate))
-
-
-def max_core_size(records: Iterable[GmusResult]) -> int:
-    """Largest core size in a collection, 0 when empty."""
-    return max((r.size for r in records), default=0)

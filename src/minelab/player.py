@@ -7,60 +7,46 @@ first, then every safe site in one reveal move) before the frontiers are
 recomputed. The game ends when every mine is flagged or a pass yields
 nothing.
 
-A pass is one pipeline, with cores on or off (infer_step):
+A pass is one pipeline (infer_step):
 
  1. the frontier system (board.frontiers), its labels checked once;
- 2. with cores off only, counting propagation: a row whose residual label
-    is 0 forces its undecided sites safe, and one whose residual label
-    equals its undecided count forces them mined, to a fixpoint. That is
-    unit propagation on the binomial encoding, so it settles exactly what
-    the formula's level-0 propagation would (Janota, Lynce & Marques-Silva,
+ 2. counting propagation: a row whose residual label is 0 forces its
+    undecided sites safe, and one whose residual label equals its
+    undecided count forces them mined, to a fixpoint. That is unit
+    propagation on the binomial encoding, so it settles exactly what the
+    formula's level-0 propagation would (Janota, Lynce & Marques-Silva,
     AI Comm. 2015), and on played boards it settles most verdicts;
  3. the undecided rows, split into parts joined through their undecided
     sites. A literal is forced by the whole formula exactly when it is
     forced by the part holding its variable, since the other parts share
     no variable with it;
  4. the parts that yielded nothing on the last pass, dropped;
- 5. with cores off, each other part's verdicts by a counting search on
-    its own rows (_backbone): no formula and no solver;
- 6. with cores on, the other parts' rows, encoded by cnf.build_formula
-    over their undecided sites (renumbered in row-major order) for one
-    solver. Per part, phase 1 decides every verdict with queries that name
-    the part's groups as the active set, and phase 2 then extracts the
-    minimal cores, in the same order, before the next part. Keeping the
-    extractions out of phase 1 lets consecutive verdict queries on a part
-    share all its selector levels.
+ 5. each other part's verdicts by a counting search on its own rows
+    (_backbone): no formula and no solver;
+ 6. with cores on, and only when the pass inferred something, the SAT
+    reduction: cnf.build_formula over the whole frontier system (VarId =
+    outer index + 1) for one selector solver, which asks every
+    inference's pivot with all groups active, in ascending site order, and
+    then extracts the minimal cores in the same order. Every verdict is so
+    confirmed by an unsatisfiable query before any extraction, and
+    consecutive pivot queries share every selector level.
 
-Witness reuse keeps both modes cheap: every model of a part fixes a value
-for each of its variables, and a variable already witnessed with value b
-skips the "forced to not-b" question, since its answer is a model. With
-cores on, the models are those of queries with all the part's groups
-active; models found inside core extraction activate only a subset of
-groups and are never used as witnesses. Every other literal is asked of
-the solver, and that query's core starts the extraction.
-
-With cores off a part's verdicts are its backbone, which does not depend
-on how it is found. The counting search asks each site, mined first, for
-each value no model has shown it: a depth-first search with counting
-propagation after every decision, whose failure is the inference. A search
-under a site decides the sites nearest it first, so a contradiction near
-it is met before a far site is decided, and every decision tries the value
-its site has not yet shown, so that each model rules out as many searches
-as it can. Each search counts its conflicts against the conflict budget.
-With cores on the solver keeps its selectors and its own search, since the
-cores found depend on the solver's history.
+A part's verdicts are its backbone, which does not depend on how it is
+found. The counting search asks each site, mined first, for each value no
+model has shown it: a depth-first search with counting propagation after
+every decision, whose failure is the inference. A search under a site
+decides the sites nearest it first, so a contradiction near it is met
+before a far site is decided, and every decision tries the value its site
+has not yet shown, so that each model rules out as many searches as it
+can. Each search, and each solver query, counts its conflicts against the
+conflict budget.
 
 A part's constraints, and so its backbone, are fixed by its signature: the
 set of its rows' (inner site, residual label, undecided sites). play_game
 keeps the signatures of the parts that yielded nothing on the last pass,
-and a pass neither searches nor encodes a part it meets again. On large
-boards most parts are untouched between passes. Dropping a quiet part
-changes no core of the others either: it has no inference and so no core;
-parts share no variable and their selector lists no prefix, so each
-part's queries start at level 0; a part's learned clauses mention only its
-own variables and selectors; and the renumbering keeps every part's
-branching and selector order. Only the count of learned clauses that
-triggers a drop (sat.MAX_LEARNTS) couples the parts.
+and a pass does not search a part it meets again. On large boards most
+parts are untouched between passes. Cores are extracted on the whole
+frontier formula, so they do not depend on that memory.
 """
 from __future__ import annotations
 
@@ -73,7 +59,7 @@ from typing import (Callable, FrozenSet, List, Optional, Sequence, Set,
 from .board import (Board, Frontiers, GameState, Site, flag,
                     frontiers, reveal)
 from .cnf import InfeasibleLabel, Row, build_formula
-from .gmus import GmusResult, extract_gmus, max_core_size
+from .gmus import GmusResult, extract_gmus
 from .kset import build_constraints, kset_infer
 from .sat import ResourceLimit, Solver
 
@@ -150,108 +136,67 @@ def infer_step(state: GameState, *, extract_cores: bool = True,
                quiet: Optional[Set[FrozenSet]] = None) -> List[Inference]:
     """All forced verdicts for the current frontiers, row-major order.
 
-    One pipeline serves both modes. The labels are checked first. Without
-    extract_cores, counting propagation on the frontier system then settles
-    every site that unit propagation on the formula would force, and these
-    become inferences without a search. The rows left undecided (all rows
-    with cores on) are split into parts, rows joined through their
-    undecided columns. quiet, when given, holds the signatures of the parts
-    that yielded nothing on the last pass: such a part is passed over, and
-    on return the set holds the signatures of this pass's parts that
-    yielded nothing. Without extract_cores, each other part's verdicts come
-    from a counting search on its rows. With it, the other parts' rows are
-    encoded by build_formula for one selector solver, and each part's
-    verdicts come from queries that name its groups as the active set:
-    phase 1 tests its variables in ascending order, reusing every model of
-    its groups as a witness, and phase 2 then attaches a minimal core to
-    each of the part's inferences, found from the core of its verdict
-    query, before the next part is decided. A search or query past
-    conflict_budget conflicts raises ResourceLimit.
+    The labels are checked first. Counting propagation on the frontier
+    system then settles every site that unit propagation on the formula
+    would force, and these become inferences without a search. The rows
+    left undecided are split into parts, rows joined through their
+    undecided columns, and each part's verdicts come from a counting
+    search on its rows. quiet, when given, holds the signatures of the
+    parts that yielded nothing on the last pass: such a part is passed
+    over, and on return the set holds the signatures of this pass's parts
+    that yielded nothing. A search past conflict_budget conflicts raises
+    ResourceLimit.
+
+    With extract_cores, a pass that inferred something encodes the whole
+    frontier system by build_formula for one selector solver. Every
+    inference's pivot is asked with all groups active, in ascending site
+    order, and a satisfiable answer raises ValueError; then a minimal core
+    is attached to each inference, in the same order, found from the core
+    of its pivot query. A query past conflict_budget conflicts raises
+    ResourceLimit.
 
     An effective label outside [0, support size] raises InfeasibleLabel;
     any other inconsistency raises ValueError.
     """
     fr = frontiers(state)
-    rows, parts = _settle(fr, propagate=not extract_cores)
+    rows, parts = _settle(fr)
     inner, outer = fr.inner, fr.outer
-    inferences = [Inference(outer[j], Verdict.MINE if b else Verdict.SAFE)
-                  for j, b in enumerate(rows.value) if b >= 0]
+    found = [(j, b) for j, b in enumerate(rows.value) if b >= 0]
     # A part's signature fixes its constraints, and so its backbone.
     last_quiet = quiet if quiet is not None else ()
     now_quiet = set()
-    live = []
     for part in parts:
         sig = frozenset((inner[i], e, *[outer[j] for j in cols])
                         for i, e, cols in part)
-        if sig in last_quiet:
-            now_quiet.add(sig)
-        else:
-            live.append((part, sig))
-    if not extract_cores:
-        for part, sig in live:
-            found = _backbone(rows, part, conflict_budget)
-            if not found:
-                now_quiet.add(sig)
-            inferences.extend(
-                Inference(outer[j], Verdict.MINE if b else Verdict.SAFE)
-                for j, b in found)
-    elif live:
-        formula = build_formula(fr, (row for part, _ in live for row in part))
-        solver = Solver(formula, conflict_budget=conflict_budget)
-        part_groups = [[i for i, _, _ in part] for part, _ in live]
-        # Phase 2, between the parts' phase 1: the cores, in verdict order.
-        for (_, sig), found in zip(live, _part_verdicts(solver, part_groups)):
-            if not found:
-                now_quiet.add(sig)
-            for v, verdict, core_lits in found:
-                pivot = v if verdict is Verdict.SAFE else -v
-                core = extract_gmus(solver, pivot,
-                                    initial_core=solver.core_groups(core_lits))
-                inferences.append(
-                    Inference(formula.var_sites[v - 1], verdict, core))
+        if sig not in last_quiet:
+            part_found = _backbone(rows, part, conflict_budget)
+            if part_found:
+                found.extend(part_found)
+                continue
+        now_quiet.add(sig)
     if quiet is not None:
         quiet.clear()
         quiet.update(now_quiet)
-    inferences.sort(key=lambda inf: inf.site)
-    return inferences
-
-
-def _part_verdicts(solver: Solver, parts: List[List[int]]):
-    """Phase 1 on each part, given as its ascending group ids, in turn.
-
-    Yields, per part, its (var, verdict, core literals) triples, the core
-    literals those of the verdict query. The next part is decided only
-    once the caller asks for it.
-    """
-    seen_true = bytearray(solver.num_vars + 1)
-    seen_false = bytearray(solver.num_vars + 1)
-
-    def witness(model):
-        for v, value in model.items():
-            if value:
-                seen_true[v] = 1
-            else:
-                seen_false[v] = 1
-
-    for groups in parts:
-        base = solver.solve(groups)
-        if not base.sat:
-            raise ValueError("state is inconsistent, no inference is meaningful")
-        witness(base.model)
-        found = []
-        # The base model holds exactly the part's variables.
-        for v in sorted(base.model):
-            for lit, seen, verdict in ((v, seen_true, Verdict.SAFE),
-                                       (-v, seen_false, Verdict.MINE)):
-                if seen[v]:
-                    continue
-                res = solver.solve(groups, [lit])
-                if res.sat:
-                    witness(res.model)
-                    continue
-                found.append((v, verdict, res.core))
-                break
-        yield found
+    found.sort()
+    cores: List[Optional[GmusResult]] = [None] * len(found)
+    if extract_cores and found:
+        formula = build_formula(fr, zip(range(len(inner)), fr.labels,
+                                        fr.supports))
+        solver = Solver(formula, conflict_budget=conflict_budget)
+        # The pivot assumes the verdict's opposite: mined for a safe site.
+        pivots = [j + 1 if b == 0 else -(j + 1) for j, b in found]
+        starts = []
+        for pivot in pivots:
+            res = solver.solve(solver.group_ids, [pivot])
+            if res.sat:
+                raise ValueError(f"pivot {pivot} is satisfiable: the "
+                                 f"verdict at {outer[abs(pivot) - 1]} is "
+                                 f"not forced")
+            starts.append(solver.core_groups(res.core))
+        cores = [extract_gmus(solver, pivot, initial_core=start)
+                 for pivot, start in zip(pivots, starts)]
+    return [Inference(outer[j], Verdict.MINE if b else Verdict.SAFE, core)
+            for (j, b), core in zip(found, cores)]
 
 
 class _Rows:
@@ -458,18 +403,16 @@ def _backbone(rows: _Rows, part: List[Row],
     return found
 
 
-def _settle(fr: Frontiers, propagate: bool = True
-            ) -> Tuple[_Rows, List[List[Row]]]:
+def _settle(fr: Frontiers) -> Tuple[_Rows, List[List[Row]]]:
     """Counting propagation on the frontier system, then its parts.
 
     Every label is checked first: one outside [0, support size] raises
-    InfeasibleLabel. With propagate, a row whose residual label is 0 then
-    forces its undecided columns safe, and a row whose residual label
-    equals its undecided count forces them mined, to a fixpoint. This is
-    unit propagation on the binomial encoding, which keeps generalized arc
+    InfeasibleLabel. A row whose residual label is 0 then forces its
+    undecided columns safe, and a row whose residual label equals its
+    undecided count forces them mined, to a fixpoint. This is unit
+    propagation on the binomial encoding, which keeps generalized arc
     consistency, so it settles exactly the sites that the formula's
-    level-0 propagation assigns; a conflict raises ValueError. Without
-    propagate nothing is settled.
+    level-0 propagation assigns; a conflict raises ValueError.
 
     Returns (rows, parts): rows the system, whose value[j] is 1 (mined),
     0 (safe) or -1 (undecided) per column, and parts the parts of the rows
@@ -484,7 +427,7 @@ def _settle(fr: Frontiers, propagate: bool = True
             raise InfeasibleLabel(f"inner site {isite}: label {e} "
                                   f"infeasible for {len(support)} variables")
     rows = _Rows(supports, fr.labels, len(fr.outer))
-    if propagate and not rows.propagate(rows.forced()):
+    if not rows.propagate(rows.forced()):
         raise ValueError("state is inconsistent, no inference is meaningful")
     need, free, value, rows_of = rows.need, rows.free, rows.value, rows.rows_of
     # Every row holding an undecided column is in a part.
@@ -558,7 +501,7 @@ def play_game(board: Board, policy: Union[str, Policy] = "sat", *,
     rho_val = rho if rho is not None else n_mines / (board.n * board.n)
     flags = 0
     turns = 0
-    cores: List[GmusResult] = []
+    largest = 0                         # the largest core met
     quiet: Set[FrozenSet] = set()       # parts that yielded nothing
     outcome = Outcome.STUCK
     while True:
@@ -591,21 +534,18 @@ def play_game(board: Board, policy: Union[str, Policy] = "sat", *,
                     assert inf.site in mines, f"unsound mine verdict at {inf.site}"
                 flag(state, inf.site)
                 flags += 1
-                if inf.core is not None:
-                    cores.append(inf.core)
             elif validate:
                 assert inf.site not in mines, f"unsound safe verdict at {inf.site}"
+            if inf.core is not None:
+                largest = max(largest, inf.core.size)
         safe = [inf for inf in inferences if inf.verdict is Verdict.SAFE]
         if safe:
             reveal(state, *(inf.site for inf in safe))
             assert not state.exploded
-        cores.extend(inf.core for inf in safe if inf.core is not None)
         turns += 1
     wall_ms = (time.perf_counter() - t0) * 1000.0
     alpha = 1.0 if n_mines == 0 else flags / n_mines
-    max_core: Optional[int] = None
-    if policy.kind == "sat" and track_cores:
-        max_core = max_core_size(cores)
+    max_core = largest if policy.kind == "sat" and track_cores else None
     return GameRecord(n=board.n, rho=rho_val, seed=seed, policy=str(policy),
                       alpha=alpha, max_core=max_core, turns=turns,
                       outcome=outcome, wall_ms=wall_ms)

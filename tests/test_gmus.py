@@ -11,8 +11,7 @@ import minelab.player
 from minelab.board import (Boundary, COVERED, GameState, flag,
                            generate_board, reveal)
 from minelab.cnf import GroupedCnf
-from minelab.gmus import (GmusResult, NotUnsat, _refutes, extract_gmus,
-                          max_core_size)
+from minelab.gmus import GmusResult, NotUnsat, _refutes, extract_gmus
 from minelab.harness import game_seed
 from minelab.player import Verdict, infer_step
 from minelab.sat import Solver
@@ -225,17 +224,6 @@ class TestRandomGroupedFormulas:
                             multi += 1
                         extracted += 1
         assert extracted >= 1000 and singles >= 300 and multi >= 300
-
-
-class TestMaxCoreSize:
-    def test_empty(self):
-        assert max_core_size([]) == 0
-
-    def test_mixed_sizes(self):
-        records = [GmusResult(core=frozenset({1}), pivot=1, size=1),
-                   GmusResult(core=frozenset({1, 2, 3}), pivot=-2, size=3),
-                   GmusResult(core=frozenset({4, 5}), pivot=3, size=2)]
-        assert max_core_size(records) == 3
 
 
 class TestRandomExtraction:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minelab.board import Boundary, frontiers
-from minelab.cnf import GroupedCnf
+from minelab.cnf import GroupedCnf, build_formula
 from minelab.cnf import _encode_exact_count as encode_exact_count
 from minelab.player import _settle
 from minelab.sat import ResourceLimit, Solver
@@ -468,32 +468,40 @@ class TestParts:
 
     @pytest.mark.parametrize("boundary", list(Boundary))
     def test_parts_partition_reachable_formulas(self, rng, boundary):
-        # The player's parts (rows joined through shared columns) are the
-        # formula's connected parts, and their models join into a model of
-        # the whole formula.
+        # The player's parts (the rows that counting propagation leaves
+        # undecided, joined through their undecided columns) are the
+        # connected parts of those rows' formula, and their models, with
+        # the settled columns, join into a model of the whole formula.
         states = multi = 0
-        for _ in range(200):
+        for _ in range(400):
             if states >= 60 and multi >= 5:
                 break
             state = random_reachable_state(rng, boundary=boundary)
             if state is None:
                 continue
-            formula = state_formula(state)
-            _, rows = _settle(frontiers(state), propagate=False)
-            parts = [([i for i, _, _ in part],
-                      sorted(group_vars(formula, [i for i, _, _ in part])))
-                     for part in rows]
-            assert sorted(parts) == sorted(formula_parts(formula))
-            firsts = [groups[0] for groups, _ in parts]
+            fr = frontiers(state)
+            rows, parts = _settle(fr)
+            if not parts:
+                continue
+            formula = build_formula(fr, (row for part in parts
+                                         for row in part))
+            groups_of = [[i for i, _, _ in part] for part in parts]
+            assert (sorted((groups, sorted(group_vars(formula, groups)))
+                           for groups in groups_of)
+                    == sorted(formula_parts(formula)))
+            firsts = [groups[0] for groups in groups_of]
             assert firsts == sorted(firsts)
             solver = Solver(formula)
-            joined = {}
-            for groups, vs in parts:
+            joined = {j + 1: b == 1 for j, b in enumerate(rows.value)
+                      if b >= 0}
+            for groups in groups_of:
                 assert groups == sorted(groups)
                 res = solver.solve(groups)
-                assert res.sat and set(res.model) == set(vs)
-                joined.update(res.model)
-            assert eval_formula(formula, joined)
+                assert res.sat
+                assert set(res.model) == group_vars(formula, groups)
+                for v, value in res.model.items():
+                    joined[fr.outer.index(formula.var_sites[v - 1]) + 1] = value
+            assert eval_formula(state_formula(state), joined)
             states += 1
             multi += len(parts) >= 2
         assert states >= 60 and multi >= 5
