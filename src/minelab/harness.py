@@ -28,9 +28,10 @@ import hashlib
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, List, Optional, Sequence, TextIO, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -158,57 +159,37 @@ def play_seeded_game(n: int, rho: float, policy: Union[str, Policy],
                      trace_fn=trace_fn)
 
 
-# Typed per-game row shared by fresh plays and cached point files.
-
-def _record_to_row(rec: GameRecord, record_timing: bool) -> Dict[str, object]:
-    exhausted = rec.outcome is Outcome.GENERATION_EXHAUSTED
-    return {
-        "n": rec.n,
-        "rho": rec.rho,
-        "policy": rec.policy,
-        "seed": rec.seed,
-        "alpha": None if exhausted else rec.alpha,
-        "max_core": rec.max_core,
-        "turns": rec.turns,
-        "outcome": rec.outcome.value,
-        "wall_ms": rec.wall_ms if record_timing else 0.0,
-    }
-
+# A GameRecord is the one game row: played, stored in a point file, written
+# to games.csv and read back on resume.
 
 def _fmt_float(x: Optional[float]) -> str:
-    if x is None or (isinstance(x, float) and math.isnan(x)):
+    if x is None or math.isnan(x):
         return ""
     return repr(float(x))
 
 
-def _fmt_opt_int(x: Optional[int]) -> str:
-    return "" if x is None else str(int(x))
-
-
 def record_cells(rec: GameRecord) -> List[str]:
-    """The games.csv cells of one record, wall_ms included."""
-    return _row_to_cells(_record_to_row(rec, True))
+    """The games.csv cells of one record; a NaN alpha is blank."""
+    return [str(rec.n), _fmt_float(rec.rho), rec.policy, str(rec.seed),
+            _fmt_float(rec.alpha),
+            "" if rec.max_core is None else str(rec.max_core),
+            str(rec.turns), rec.outcome.value, _fmt_float(rec.wall_ms)]
 
 
-def _row_to_cells(row: Dict[str, object]) -> List[str]:
-    return [str(row["n"]), _fmt_float(row["rho"]), str(row["policy"]),
-            str(row["seed"]), _fmt_float(row["alpha"]),
-            _fmt_opt_int(row["max_core"]), str(row["turns"]),
-            str(row["outcome"]), _fmt_float(row["wall_ms"])]
+def _parse_record(cells: Sequence[str]) -> GameRecord:
+    """The record of one stored line, as record_cells wrote it: a blank
+    alpha reads as NaN (an exhausted board), a blank max_core as None."""
+    n, rho, policy, seed, alpha, core, turns, outcome, wall_ms = cells
+    return GameRecord(n=int(n), rho=float(rho), seed=int(seed), policy=policy,
+                      alpha=float(alpha) if alpha else float("nan"),
+                      max_core=int(core) if core else None, turns=int(turns),
+                      outcome=Outcome(outcome), wall_ms=float(wall_ms))
 
 
-def _cells_to_row(cells: Dict[str, str]) -> Dict[str, object]:
-    return {
-        "n": int(cells["n"]),
-        "rho": float(cells["rho"]),
-        "policy": cells["policy"],
-        "seed": int(cells["seed"]),
-        "alpha": float(cells["alpha"]) if cells["alpha"] else None,
-        "max_core": int(cells["max_core"]) if cells["max_core"] else None,
-        "turns": int(cells["turns"]),
-        "outcome": Outcome(cells["outcome"]).value,
-        "wall_ms": float(cells["wall_ms"]),
-    }
+def _write_records(fh: TextIO, records: Sequence[GameRecord]) -> None:
+    writer = csv.writer(fh)
+    writer.writerow(GAMES_COLUMNS)
+    writer.writerows(map(record_cells, records))
 
 
 def _engine_id() -> str:
@@ -236,54 +217,55 @@ def _point_path(outdir: Path, n: int, rho: float, policy: str) -> Path:
 
 
 def _load_point(path: Path, token: str, config: SweepConfig, n: int,
-                rho: float, policy: str) -> Optional[List[Dict[str, object]]]:
-    """The stored rows of point (n, rho, policy), or None when the file is
-    missing or stale: another token than this run's (another config or
-    another engine), a row that does not parse, rows that are not this
-    point's seeds 0..games-1 in order, or a row this config could not have
-    written. alpha is blank exactly when generation was exhausted, and in
-    [0, 1] otherwise; max_core is blank exactly then, with cores off, or for
-    a k-set policy; wall_ms is 0.0 unless timing is recorded."""
+                rho: float, policy: str) -> Optional[List[GameRecord]]:
+    """The stored records of point (n, rho, policy), or None when the file
+    is missing or stale: another token than this run's (another config or
+    another engine), a line that does not parse, records that are not this
+    point's seeds 0..games-1 in order, or a record this config could not
+    have played. An exhausted board has alpha NaN, no max_core, no turns
+    and no wall_ms. Any other game has alpha in [0, 1], equal to 1 exactly
+    when all mines were flagged, turns >= 0, and max_core exactly with
+    cores on and the sat policy; wall_ms is 0.0 unless timing is
+    recorded."""
     if not path.exists():
         return None
     with open(path, newline="") as fh:
-        first = fh.readline().rstrip("\n")
-        if first != f"# {token}":
+        if fh.readline().rstrip("\n") != f"# {token}":
             return None
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        if next(reader, None) != list(GAMES_COLUMNS):
+            return None
         try:
-            rows = [_cells_to_row(c) for c in reader]
-        except (KeyError, TypeError, ValueError):
+            records = [_parse_record(cells) for cells in reader]
+        except ValueError:
             return None
-    if ([(r["n"], r["rho"], r["policy"], r["seed"]) for r in rows]
+    if ([(r.n, r.rho, r.policy, r.seed) for r in records]
             != [(n, rho, policy, idx) for idx in range(config.games)]):
         return None
     cores = config.track_cores and Policy.parse(policy).kind == "sat"
-    for r in rows:
-        alpha, core = r["alpha"], r["max_core"]
-        if r["outcome"] != Outcome.GENERATION_EXHAUSTED.value:
-            written = (alpha is not None and 0.0 <= alpha <= 1.0
-                       and (core is not None) == cores)
+    for r in records:
+        if r.outcome is Outcome.GENERATION_EXHAUSTED:
+            written = (math.isnan(r.alpha) and r.max_core is None
+                       and r.turns == 0 and r.wall_ms == 0.0)
         else:
-            written = alpha is None and core is None
-        if not written or (r["wall_ms"] != 0.0 and not config.record_timing):
+            flagged = r.outcome is Outcome.ALL_MINES_FLAGGED
+            written = (0.0 <= r.alpha <= 1.0 and (r.alpha == 1.0) == flagged
+                       and r.turns >= 0 and (r.max_core is not None) == cores)
+        if not written or (r.wall_ms != 0.0 and not config.record_timing):
             return None
-    return rows
+    return records
 
 
-def _store_point(path: Path, token: str, rows: List[Dict[str, object]]) -> None:
+def _store_point(path: Path, token: str, records: List[GameRecord]) -> None:
     tmp = path.with_suffix(".tmp")
     with open(tmp, "w", newline="") as fh:
         fh.write(f"# {token}\n")
-        writer = csv.writer(fh)
-        writer.writerow(GAMES_COLUMNS)
-        for row in rows:
-            writer.writerow(_row_to_cells(row))
+        _write_records(fh, records)
     os.replace(tmp, path)
 
 
-_STUCK_OUTCOMES = frozenset(o.value for o in (
-    Outcome.STUCK, Outcome.STUCK_TIMEOUT, Outcome.STUCK_BUDGET))
+_STUCK_OUTCOMES = frozenset((Outcome.STUCK, Outcome.STUCK_TIMEOUT,
+                             Outcome.STUCK_BUDGET))
 
 
 def _mean_se(values: Sequence[float]) -> Tuple[float, float]:
@@ -294,9 +276,10 @@ def _mean_se(values: Sequence[float]) -> Tuple[float, float]:
 
 
 def _aggregate(n: int, rho: float, policy: str,
-               rows: List[Dict[str, object]]) -> SweepRecord:
-    done = [r for r in rows if r["outcome"] != "generation_exhausted"]
-    exhausted = len(rows) - len(done)
+               records: List[GameRecord]) -> SweepRecord:
+    done = [r for r in records
+            if r.outcome is not Outcome.GENERATION_EXHAUSTED]
+    exhausted = len(records) - len(done)
     if not done:
         return SweepRecord(n=n, rho=rho, policy=policy, games=0,
                            alpha_mean=float("nan"), alpha_se=float("nan"),
@@ -304,14 +287,14 @@ def _aggregate(n: int, rho: float, policy: str,
                            stuck_fraction=float("nan"),
                            mean_wall_time=float("nan"),
                            generation_exhausted=exhausted)
-    alpha_mean, alpha_se = _mean_se([r["alpha"] for r in done])
-    cores = [r["max_core"] for r in done if r["max_core"] is not None]
+    alpha_mean, alpha_se = _mean_se([r.alpha for r in done])
+    cores = [r.max_core for r in done if r.max_core is not None]
     if cores:
         maxcore_mean, maxcore_se = _mean_se([float(c) for c in cores])
     else:
         maxcore_mean = maxcore_se = None
-    stuck = sum(1 for r in done if r["outcome"] in _STUCK_OUTCOMES)
-    wall_mean = float(np.mean([r["wall_ms"] for r in done]))
+    stuck = sum(1 for r in done if r.outcome in _STUCK_OUTCOMES)
+    wall_mean = float(np.mean([r.wall_ms for r in done]))
     return SweepRecord(n=n, rho=rho, policy=policy, games=len(done),
                        alpha_mean=alpha_mean, alpha_se=alpha_se,
                        maxcore_mean=maxcore_mean, maxcore_se=maxcore_se,
@@ -382,7 +365,7 @@ def run_sweep(config: SweepConfig) -> List[SweepRecord]:
     paths = [_point_path(outdir, *point) for point in points]
     stored = [_load_point(path, token, config, *point)
               for point, path in zip(points, paths)]
-    missing = [i for i, rows in enumerate(stored) if rows is None]
+    missing = [i for i, recs in enumerate(stored) if recs is None]
 
     def tasks(i: int) -> List[tuple]:
         n, rho, policy = points[i]
@@ -393,7 +376,7 @@ def run_sweep(config: SweepConfig) -> List[SweepRecord]:
 
     pool = None
     processes = min(config.workers, len(missing) * config.games)
-    all_rows: List[Dict[str, object]] = []
+    games: List[GameRecord] = []
     records: List[SweepRecord] = []
     try:
         if processes > 1:
@@ -402,14 +385,15 @@ def run_sweep(config: SweepConfig) -> List[SweepRecord]:
                                             chunksize=1)
                       for i in missing}
         for i, (n, rho, policy) in enumerate(points):
-            rows = stored[i]
-            if rows is None:
+            recs = stored[i]
+            if recs is None:
                 recs = (queued[i].get() if pool is not None
                         else [play_seeded_game(*t) for t in tasks(i)])
-                rows = [_record_to_row(r, config.record_timing) for r in recs]
-                _store_point(paths[i], token, rows)
-            all_rows.extend(rows)
-            records.append(_aggregate(n, rho, policy, rows))
+                if not config.record_timing:
+                    recs = [replace(r, wall_ms=0.0) for r in recs]
+                _store_point(paths[i], token, recs)
+            games.extend(recs)
+            records.append(_aggregate(n, rho, policy, recs))
     except BaseException:
         if pool is not None:
             pool.terminate()
@@ -419,20 +403,18 @@ def run_sweep(config: SweepConfig) -> List[SweepRecord]:
             pool.close()
             pool.join()
 
-    all_rows.sort(key=lambda r: (r["n"], r["rho"], r["policy"], r["seed"]))
+    games.sort(key=lambda r: (r.n, r.rho, r.policy, r.seed))
     records.sort(key=lambda r: (r.n, r.rho, r.policy))
-    write_games_csv(outdir / "games.csv", all_rows)
+    write_games_csv(outdir / "games.csv", games)
     write_summary_csv(outdir / "summary.csv", records)
     return records
 
 
-def write_games_csv(path: Union[str, Path], rows: List[Dict[str, object]]) -> Path:
+def write_games_csv(path: Union[str, Path],
+                    records: Sequence[GameRecord]) -> Path:
     path = Path(path)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(GAMES_COLUMNS)
-        for row in rows:
-            writer.writerow(_row_to_cells(row))
+        _write_records(fh, records)
     return path
 
 

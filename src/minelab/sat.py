@@ -10,8 +10,7 @@ stored with a guard literal, and activating g means assuming its selector
 variable. The selector-relaxed formula is always satisfiable, so learned
 clauses (implied by it alone) remain valid across queries with any active
 set, and a solver instance can serve thousands of queries on one formula.
-Learned clauses live until a query starts with more than MAX_LEARNTS of
-them; the solver then backtracks to level 0 and drops them all.
+Learned clauses live as long as the solver.
 Selectors are numbered num_vars+1, num_vars+2, ... in ascending group id
 order, so a core maps back to group ids by position (core_groups). Every
 stored clause holds a selector, so no conflict ever reaches level 0.
@@ -44,8 +43,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .cnf import GroupedCnf
 
-MAX_LEARNTS = 4000      # more learned clauses than this are all dropped
-
 
 class ResourceLimit(Exception):
     """The per-call conflict budget was exceeded."""
@@ -72,14 +69,14 @@ class Solver:
     The solver owns the formula's clause groups: groups (group id -> its
     clauses), group_ids (ascending), group_vars (group id -> its ascending
     variables), labels (group id -> the count of true variables its
-    exact-count clauses assert, or None for a formula without labels) and
-    num_vars are what callers such as core extraction read.
+    exact-count clauses assert, or None for a formula without labels),
+    var_groups (variable -> the ascending ids of the groups that mention it)
+    and num_vars are what callers such as core extraction read.
     Queries with different active groups and assumptions share learned
     clauses, and consecutive queries share the decision levels of their
     common assumption prefix: solve leaves the trail of the last query in
-    place and backtracks only as far as the next one needs. Learned clauses
-    live until a query starts with more than MAX_LEARNTS, which then drops
-    them all at level 0. Instances are single-threaded; build one per formula.
+    place and backtracks only as far as the next one needs. Instances are
+    single-threaded; build one per formula.
     """
 
     def __init__(self, formula: GroupedCnf, *, conflict_budget: int = 1_000_000):
@@ -101,22 +98,23 @@ class Solver:
         self.head_stack: List[int] = []
         self.qhead = 0
         self.order_head = 0
-        self.learnts: List[list] = []
         self.last_assumptions: List[int] = []
         # The last active set: (argument, branching order, selector
         # assumptions in ascending group order).
         self._last_active: Tuple[tuple, List[int], List[int]] = ((), [], [])
-        # One sweep over the clauses: watches, group variables and
-        # occurrence counts. A stored clause is its guard -selector and then
-        # its problem literals, watched on its first two literals; the guard
-        # of an empty clause alone is a level-0 fact.
+        # One sweep over the clauses: watches, the group-variable indexes
+        # and occurrence counts. A stored clause is its guard -selector and
+        # then its problem literals, watched on its first two literals; the
+        # guard of an empty clause alone is a level-0 fact.
         watches = self.watches
         occ = [0] * (self.num_vars + 1)
         self.groups = groups = formula.groups
         self.labels = formula.labels
-        # Group id -> the ascending variables its clauses mention.
+        # Group id -> the ascending variables its clauses mention, and
+        # variable -> the ascending ids of the groups that mention it.
         self.group_vars: Dict[int, List[int]] = {}
-        group_vars = self.group_vars
+        self.var_groups: List[List[int]] = [[] for _ in occ]
+        group_vars, var_groups = self.group_vars, self.var_groups
         for g in self.group_ids:
             guard = -self.selector_of[g]
             clauses = groups[g]
@@ -130,7 +128,9 @@ class Solver:
             vs = list(map(abs, chain.from_iterable(clauses)))
             for v in vs:
                 occ[v] += 1
-            group_vars[g] = sorted(set(vs))
+            group_vars[g] = gv = sorted(set(vs))
+            for v in gv:
+                var_groups[v].append(g)
         # Variable -> its position in the branching order: most occurrences
         # first, ties by lowest id (the sort is stable).
         neg_occ = [-c for c in occ]
@@ -139,24 +139,6 @@ class Solver:
                                      key=neg_occ.__getitem__)):
             rank[v] = i
         self.rank = rank
-        self._var_groups: Optional[List[List[int]]] = None
-
-    # -- an index built on first use -----------------------------------------
-    # It is kept in an attribute that __init__ declares. functools'
-    # cached_property would store it through the instance __dict__, and on
-    # CPython 3.11 that made every later attribute load of the search loops
-    # slower: verdict queries ran about 20 % slower once an index was built.
-
-    @property
-    def var_groups(self) -> List[List[int]]:
-        """Variable -> the ascending ids of the groups that mention it."""
-        if self._var_groups is None:
-            out: List[List[int]] = [[] for _ in range(self.num_vars + 1)]
-            for g, vs in self.group_vars.items():
-                for v in vs:
-                    out[v].append(g)
-            self._var_groups = out
-        return self._var_groups
 
     # -- clause plumbing ---------------------------------------------------
 
@@ -336,16 +318,6 @@ class Solver:
                     pending += 1
         return frozenset(core)
 
-    # -- learned clause bookkeeping ------------------------------------------
-
-    def _drop_learnts(self) -> None:
-        # At level 0 only. The originals keep valid watches and the facts
-        # keep their values; analysis never reads a level-0 reason.
-        dropped = set(map(id, self.learnts))
-        for ws in self.watches:
-            ws[:] = [cl for cl in ws if id(cl) not in dropped]
-        self.learnts = []
-
     # -- main search -----------------------------------------------------------
 
     def solve(self, active_groups: Iterable[int],
@@ -373,16 +345,12 @@ class Solver:
             sel = [self.selector_of[g] for g in actives]
             self._last_active = (key, order, sel)
         assump = sel + extra
-        if len(self.learnts) > MAX_LEARNTS:
-            self._cancel_until(0)
-            self._drop_learnts()
-        else:
-            last = self.last_assumptions
-            limit = min(len(last), len(assump), len(self.trail_lim))
-            keep = 0
-            while keep < limit and last[keep] == assump[keep]:
-                keep += 1
-            self._cancel_until(keep)
+        last = self.last_assumptions
+        limit = min(len(last), len(assump), len(self.trail_lim))
+        keep = 0
+        while keep < limit and last[keep] == assump[keep]:
+            keep += 1
+        self._cancel_until(keep)
         self.last_assumptions = assump
         # Kept levels are assumption levels, opened before any branching, so
         # the branching scan restarts at the head of this query's order.
@@ -416,7 +384,6 @@ class Solver:
                     self._enqueue(learnt[0], None)      # a level-0 fact
                 else:
                     self._attach(learnt)
-                    self.learnts.append(learnt)
                     self._enqueue(learnt[0], learnt)
                 continue
             lvl = len(self.trail_lim)

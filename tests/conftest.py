@@ -26,7 +26,6 @@ from minelab.board import (Board, Boundary, COVERED, FLAGGED, REVEALED,
                            generate_board, reveal)
 from minelab.board import _neighbors as neighbors
 from minelab.cnf import GroupedCnf, InfeasibleLabel, build_formula
-from minelab.harness import _cells_to_row
 from minelab.sat import Solver
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -288,10 +287,17 @@ def random_status_state(rng: np.random.Generator, n: int,
     return overlay_state(status, labels, boundary)
 
 
+GAMES_TYPES = {"n": int, "rho": float, "policy": str, "seed": int,
+               "alpha": float, "max_core": int, "turns": int, "outcome": str,
+               "wall_ms": float}
+
+
 def read_games_csv(path: Union[str, Path]) -> List[Dict[str, object]]:
-    """The typed rows of a games.csv file."""
+    """The rows of a games.csv file, each cell typed by its column; a blank
+    cell (the alpha of an exhausted board, an untracked max_core) is None."""
     with open(path, newline="") as fh:
-        return [_cells_to_row(c) for c in csv.DictReader(fh)]
+        return [{k: GAMES_TYPES[k](v) if v else None for k, v in row.items()}
+                for row in csv.DictReader(fh)]
 
 
 def state_formula(state: GameState) -> GroupedCnf:

@@ -2,12 +2,14 @@
 canonical CSV bytes, aggregation cross-checks, and config parsing."""
 from __future__ import annotations
 
+import csv
 import math
 import multiprocessing
 import re
 import statistics
 import time
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -17,8 +19,10 @@ from minelab.board import Boundary, generate_board
 from minelab.harness import (DESK_GAMES, DESK_NS, DESK_RHOS, GAMES_COLUMNS,
                              SUMMARY_COLUMNS, SweepConfig, SweepRecord,
                              float_range, game_seed, parse_grid,
-                             parse_sweep_config, run_sweep, validate_config,
-                             write_games_csv, write_summary_csv)
+                             parse_sweep_config, record_cells, run_sweep,
+                             validate_config, write_games_csv,
+                             write_summary_csv)
+from minelab.player import GameRecord, Outcome
 
 from conftest import read_games_csv
 
@@ -28,6 +32,28 @@ def small_config(tmp_path, **overrides) -> SweepConfig:
                 games=4, seed=1, outdir=tmp_path / "out")
     base.update(overrides)
     return SweepConfig(**base)
+
+
+# The cells of an exhausted board's row, set over a played one.
+EXHAUSTED = {"outcome": "generation_exhausted", "alpha": "", "max_core": ""}
+# Edits of a stored row that no engine could have written:
+# (policy, {column: cell}, record_timing).
+STALE_EDITS = [
+    ("sat", {"alpha": ""}, False),
+    ("sat", {"alpha": "nan"}, False),
+    ("sat", {"max_core": ""}, False),
+    ("kset:1", {"max_core": "3"}, False),
+    ("sat", {"wall_ms": "999.0"}, False),
+    ("sat", {"turns": "-7"}, False),
+    ("sat", {"alpha": "1.0"}, False),
+    ("sat", {"outcome": "all_mines_flagged"}, False),
+    ("sat", {**EXHAUSTED, "turns": "3"}, False),
+    ("sat", {**EXHAUSTED, "turns": "0"}, True),     # wall_ms stays timed
+]
+
+
+def _edit_id(policy, cells, timing):
+    return "-".join([policy, *chain(*cells.items())] + ["timed"] * timing)
 
 
 class TestFloatRange:
@@ -74,15 +100,35 @@ class TestGameSeed:
 
 class TestCsvRoundTrip:
     def test_games_rows_round_trip(self, tmp_path):
-        rows = [
-            {"n": 6, "rho": 0.1, "policy": "sat", "seed": 0, "alpha": 0.75,
-             "max_core": 3, "turns": 4, "outcome": "stuck", "wall_ms": 0.0},
-            {"n": 6, "rho": 0.1, "policy": "kset:2", "seed": 1, "alpha": None,
-             "max_core": None, "turns": 0,
-             "outcome": "generation_exhausted", "wall_ms": 0.0},
+        def game(seed, policy, alpha, max_core, turns, outcome, wall_ms):
+            return GameRecord(n=6, rho=0.1, seed=seed, policy=policy,
+                              alpha=alpha, max_core=max_core, turns=turns,
+                              outcome=outcome, wall_ms=wall_ms)
+
+        records = [
+            game(0, "sat", 1.0, 3, 4, Outcome.ALL_MINES_FLAGGED, 0.0),
+            game(1, "sat", 0.75, 0, 2, Outcome.STUCK, 12.5),
+            game(2, "kset:2", 0.5, None, 1, Outcome.STUCK_TIMEOUT, 0.0),
+            game(3, "sat", 0.0, None, 0, Outcome.STUCK_BUDGET, 3.25),
+            game(4, "kset:2", float("nan"), None, 0,
+                 Outcome.GENERATION_EXHAUSTED, 0.0),
         ]
-        path = write_games_csv(tmp_path / "games.csv", rows)
-        assert read_games_csv(path) == rows
+        assert {r.outcome for r in records} == set(Outcome)
+        path = write_games_csv(tmp_path / "games.csv", records)
+        with open(path, newline="") as fh:
+            header, *lines = csv.reader(fh)
+        assert header == list(GAMES_COLUMNS)
+        assert lines == [record_cells(r) for r in records]
+        assert lines[4][GAMES_COLUMNS.index("alpha")] == ""
+        back = [minelab.harness._parse_record(cells) for cells in lines]
+        assert math.isnan(back[4].alpha)
+
+        def nan_free(r):    # NaN never equals itself
+            return replace(r, alpha=None) if math.isnan(r.alpha) else r
+
+        assert list(map(nan_free, back)) == list(map(nan_free, records))
+        rows = read_games_csv(path)
+        assert rows[4]["alpha"] is None and rows[0]["alpha"] == 1.0
 
     def test_summary_round_trip(self, tmp_path):
         records = [SweepRecord(n=6, rho=0.1, policy="sat", games=4,
@@ -271,29 +317,37 @@ class TestRunSweep:
         assert ((tmp_path / "out" / "games.csv").read_bytes()
                 == (clean / "games.csv").read_bytes())
 
-    @pytest.mark.parametrize("policy, column, cell", [
-        ("sat", "alpha", ""),
-        ("sat", "alpha", "nan"),
-        ("sat", "max_core", ""),
-        ("kset:1", "max_core", "3"),
-        ("sat", "wall_ms", "999.0"),
-    ])
+    @pytest.mark.parametrize("policy, cells, timing", STALE_EDITS,
+                             ids=[_edit_id(*e) for e in STALE_EDITS])
     def test_row_config_could_not_write_replayed(self, tmp_path, policy,
-                                                 column, cell):
-        # alpha is blank only for an exhausted board and in [0, 1]
-        # otherwise, max_core is blank
-        # exactly when the point tracks no cores, and wall_ms is 0.0 when
-        # timing is off.
+                                                 cells, timing):
+        # The first stored game is stuck with alpha 1/3. alpha is blank only
+        # for an exhausted board, and in [0, 1] otherwise, 1 exactly when
+        # all mines were flagged; turns is never negative, and 0 for an
+        # exhausted board; max_core is blank exactly when the point tracks
+        # no cores; wall_ms is 0.0 when timing is off or the board was
+        # exhausted.
         config = small_config(tmp_path, rhos=(0.1,), policies=(policy,),
-                              games=2)
+                              games=2, record_timing=timing)
         run_sweep(replace(config, outdir=tmp_path / "clean"))
         clean = tmp_path / "clean"
         (stored,) = (clean / "points").glob("*.csv")
+        assert read_games_csv(clean / "games.csv")[0]["outcome"] == "stuck"
         damaged = tmp_path / "out" / "points" / stored.name
         damaged.parent.mkdir(parents=True)
-        damaged.write_bytes(_set_cell(stored.read_bytes(), column, cell))
+        data = stored.read_bytes()
+        for column, cell in cells.items():
+            data = _set_cell(data, column, cell)
+        damaged.write_bytes(data)
         assert damaged.read_bytes() != stored.read_bytes()
         run_sweep(config)
+        if timing:      # the replay times its games anew
+            def untimed(path):
+                return [{**r, "wall_ms": None} for r in read_games_csv(path)]
+
+            assert (untimed(tmp_path / "out" / "games.csv")
+                    == untimed(clean / "games.csv"))
+            return
         assert damaged.read_bytes() == stored.read_bytes()
         for name in ("games.csv", "summary.csv"):
             assert ((tmp_path / "out" / name).read_bytes()

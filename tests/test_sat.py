@@ -341,32 +341,6 @@ class TestQuerySequences:
         assert min(opened[n_first:], default=len(solver.group_ids)) >= len(
             solver.group_ids)   # no selector level opened again
 
-    def test_learnt_drop_between_queries(self, monkeypatch):
-        monkeypatch.setattr("minelab.sat.MAX_LEARNTS", 1)
-        rng = random.Random(6008)
-        drops = 0
-        for formula in frontier_formulas(3209, 20, max_outer=20):
-            solver = Solver(formula)
-            drop_learnts = solver._drop_learnts
-
-            def counted():
-                nonlocal drops
-                assert not solver.trail_lim     # only ever at level 0
-                learnts = list(solver.learnts)      # kept alive for id()
-                dropped = set(map(id, learnts))
-                assert len(dropped) > 1
-                drop_learnts()
-                assert not solver.learnts
-                assert not any(id(cl) in dropped
-                               for ws in solver.watches for cl in ws)
-                drops += 1
-
-            solver._drop_learnts = counted
-            for active, assumptions in query_sequence(rng, formula, 40):
-                res = solver.solve(active, assumptions)
-                check_answer(solver, formula, active, assumptions, res)
-        assert drops >= 10
-
     def test_resource_limit_mid_sequence(self):
         rng = random.Random(4242)
         limits = 0
