@@ -53,6 +53,8 @@ DESK_GAMES = 50
 
 def float_range(start: float, stop: float, step: float) -> Tuple[float, ...]:
     """Inclusive range built on micro-unit integers, immune to float drift."""
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError("range bounds and step must be finite")
     si = int(round(start * 1_000_000))
     ei = int(round(stop * 1_000_000))
     di = int(round(step * 1_000_000))
@@ -118,7 +120,9 @@ class SweepRecord:
     generation_exhausted: int
 
 
-def _rho_key(rho: float) -> int:
+def rho_key(rho: float) -> int:
+    """A grid value in integer micro-units; values with one key are one
+    grid point."""
     return int(round(rho * 1_000_000))
 
 
@@ -129,7 +133,7 @@ def game_seed(master: int, rho: float, index: int) -> np.random.SeedSequence:
     replays the same stream everywhere rho matches.
     """
     return np.random.SeedSequence(entropy=master,
-                                  spawn_key=(_rho_key(rho), index))
+                                  spawn_key=(rho_key(rho), index))
 
 
 def play_seeded_game(n: int, rho: float, policy: Union[str, Policy],
@@ -213,7 +217,7 @@ def _config_token(config: SweepConfig, engine: str) -> str:
 
 def _point_path(outdir: Path, n: int, rho: float, policy: str) -> Path:
     safe_policy = policy.replace(":", "-")
-    return outdir / "points" / f"point_n{n}_r{_rho_key(rho)}_{safe_policy}.csv"
+    return outdir / "points" / f"point_n{n}_r{rho_key(rho)}_{safe_policy}.csv"
 
 
 def _load_point(path: Path, token: str, config: SweepConfig, n: int,
@@ -268,7 +272,9 @@ _STUCK_OUTCOMES = frozenset((Outcome.STUCK, Outcome.STUCK_TIMEOUT,
                              Outcome.STUCK_BUDGET))
 
 
-def _mean_se(values: Sequence[float]) -> Tuple[float, float]:
+def mean_se(values: Sequence[float]) -> Tuple[float, float]:
+    """Mean and standard error of a nonempty sample; the error is 0.0 for
+    a single value."""
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
     se = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
@@ -287,10 +293,10 @@ def _aggregate(n: int, rho: float, policy: str,
                            stuck_fraction=float("nan"),
                            mean_wall_time=float("nan"),
                            generation_exhausted=exhausted)
-    alpha_mean, alpha_se = _mean_se([r.alpha for r in done])
+    alpha_mean, alpha_se = mean_se([r.alpha for r in done])
     cores = [r.max_core for r in done if r.max_core is not None]
     if cores:
-        maxcore_mean, maxcore_se = _mean_se([float(c) for c in cores])
+        maxcore_mean, maxcore_se = mean_se([float(c) for c in cores])
     else:
         maxcore_mean = maxcore_se = None
     stuck = sum(1 for r in done if r.outcome in _STUCK_OUTCOMES)
@@ -318,15 +324,15 @@ def validate_config(config: SweepConfig) -> None:
         raise ValueError("workers must be at least 1")
     if not config.policies:
         raise ValueError("policies must be nonempty")
-    _reject_repeats("n", config.ns, int)
-    _reject_repeats("rho", config.rhos, _rho_key)
-    _reject_repeats("policies", config.policies, Policy.parse)
+    reject_repeats("n", config.ns, int)
+    reject_repeats("rho", config.rhos, rho_key)
+    reject_repeats("policies", config.policies, Policy.parse)
     check_budgets(config.time_budget_s, config.conflict_budget)
     if config.outdir is None:
         raise ValueError("outdir must be set")
 
 
-def _reject_repeats(name: str, values: Sequence, key: Callable) -> None:
+def reject_repeats(name: str, values: Sequence, key: Callable) -> None:
     """Raise ValueError when two values name the same grid point: the same
     point file, the same seeds and the same summary row."""
     seen: Dict[object, object] = {}

@@ -246,7 +246,7 @@ def test_05_occupancy_formula():
                                         spawn_key=(int(rho * 1000), b))
             board = generate_board(40, rho, ss, Boundary.TORUS,
                                    require_zero=False)
-            fracs.append(float(minesweeper_occupancy(board).occupied.mean()))
+            fracs.append(float(minesweeper_occupancy(board).mean()))
         arr = np.asarray(fracs)
         mean = arr.mean()
         se = arr.std(ddof=1) / math.sqrt(len(arr))

@@ -319,12 +319,17 @@ class TestPercolation:
                     "--param-grid", "x"),
             "percolation", "could not convert string to float: 'x'")
 
-    @pytest.mark.parametrize("grid", ["0.1:0.2", "0.1:0.2:0.05:1"])
-    def test_malformed_range_fails_before_output(self, capsys, grid):
+    @pytest.mark.parametrize("grid, message", [
+        pytest.param(grid, f"bad range '{grid}', expected start:stop:step",
+                     id=grid) for grid in ("0.1:0.2", "0.1:0.2:0.05:1")] + [
+        pytest.param(grid, "range bounds and step must be finite", id=grid)
+        for grid in ("0:inf:0.1", "0:0.5:inf", "nan:0.5:0.1")])
+    def test_malformed_range_fails_before_output(self, capsys, grid,
+                                                 message):
         assert_input_error(
             run_cli(capsys, "percolation", "--mode", "independent",
                     "--param-grid", grid),
-            "percolation", f"bad range '{grid}', expected start:stop:step")
+            "percolation", message)
 
     @pytest.mark.parametrize("args, message", [
         (("--samples", "0"), "samples must be at least 1"),
@@ -352,6 +357,11 @@ class TestPercolation:
     @pytest.mark.parametrize("mode, grid, message", [
         ("independent", "0.4,1.5", "p must lie in [0, 1]"),
         ("minesweeper", "0.1,1.0", "board must keep at least one empty site"),
+        ("independent", "0.7:0.5:0.1", "params must be a nonempty list"),
+        ("independent", "0.5,0.5",
+         "params lists 0.5 and 0.5, which name the same grid point"),
+        ("minesweeper", "0.1,0.05:0.15:0.05",
+         "params lists 0.1 and 0.1, which name the same grid point"),
     ])
     def test_bad_param_fails_before_any_sample(self, capsys, tmp_path,
                                               monkeypatch, mode, grid,

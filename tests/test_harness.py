@@ -527,7 +527,7 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("overrides, message", [
         (dict(ns=(8, 6, 8)), "n lists 8 and 8"),
-        # One _rho_key, so one point file and one seed stream.
+        # One rho_key, so one point file and one seed stream.
         (dict(rhos=(0.1, 0.1000000001)), "rho lists 0.1 and 0.1000000001"),
         (dict(policies=("kset:1", "sat", "kset:01")),
          "policies lists 'kset:1' and 'kset:01'"),
@@ -608,6 +608,11 @@ class TestParseSweepConfig:
             parse_sweep_config("\n\ntrack_cores = maybe\n")
         with pytest.raises(ValueError, match="line 2"):
             parse_sweep_config("n = 5\ngames = x\n")
+        for rho in ("0.1:inf:0.1", "0.1:0.3:inf", "nan:0.3:0.1"):
+            with pytest.raises(ValueError,
+                               match="line 2: range bounds and step must "
+                                     "be finite"):
+                parse_sweep_config(f"n = 5\nrho = {rho}\n")
 
     @pytest.mark.parametrize("text", ["0.1:0.2", "0.1:0.2:0.05:1", ":"])
     def test_malformed_range_named(self, text):

@@ -2,6 +2,7 @@
 handmade spanning and winding cases, occupancy rules, and sweep behavior."""
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -10,12 +11,8 @@ import pytest
 from minelab.board import Board, Boundary, generate_board
 from minelab.percolation import (Connectivity, PercolationConfig,
                                  percolation_sweep)
-from minelab.percolation import (_ClusterStats as ClusterStats,
-                                 _NoClusters as NoClusters,
-                                 _OccupancyGrid as OccupancyGrid,
-                                 _avg_cluster_size as avg_cluster_size,
+from minelab.percolation import (_avg_cluster_size as avg_cluster_size,
                                  _cluster_sizes as cluster_sizes,
-                                 _independent_occupancy as independent_occupancy,
                                  _minesweeper_occupancy as minesweeper_occupancy)
 
 from conftest import dfs_cluster_oracle
@@ -25,33 +22,52 @@ _STEPS = {Connectivity.NEAREST4: ((-1, 0), (0, -1), (1, 0), (0, 1)),
                                      for dc in (-1, 0, 1)
                                      if (dr, dc) != (0, 0))}
 
+# sha256 over repr of the records of PINNED_CONFIGS, taken from the
+# union-find labelling that the flood fill replaced.
+PINNED_DIGEST = ("8ee7af7979e65124405b9bb096b17156"
+                 "e85dde3cf7f37cb8cc6664fe585996d1")
+PINNED_PARAMS = {"independent": (0.3, 0.6, 0.9), "minesweeper": (0.05, 0.12)}
+PINNED_CONFIGS = [dict(mode=mode, params=PINNED_PARAMS[mode], n=n, samples=10,
+                       seed=11, boundary=boundary, connectivity=conn)
+                  for mode in ("independent", "minesweeper")
+                  for boundary in (None, Boundary.OPEN, Boundary.TORUS)
+                  for conn in Connectivity
+                  for n in (3, 7, 16)]
 
-def grid_from_rows(rows, boundary=Boundary.OPEN) -> OccupancyGrid:
-    occ = np.array([[ch == "x" for ch in row] for row in rows])
-    return OccupancyGrid(n=occ.shape[0], occupied=occ, boundary=boundary)
+
+def grid_from_rows(rows) -> np.ndarray:
+    return np.array([[ch == "x" for ch in row] for row in rows])
+
+
+def independent_occupancy(n: int, p: float, seed) -> np.ndarray:
+    """I.i.d. occupation as percolation_sweep draws it."""
+    return np.random.default_rng(seed).random((n, n)) < p
+
+
+def sorted_clusters(occ: np.ndarray, boundary: Boundary = Boundary.OPEN,
+                    conn: Connectivity = Connectivity.NEAREST4):
+    sizes, spanning = cluster_sizes(occ, boundary, conn)
+    return tuple(sorted(sizes)), tuple(sorted(spanning))
 
 
 class TestOccupancy:
     def test_empty_board_unoccupied(self):
-        board = Board(6, Boundary.TORUS, set())
-        occ = minesweeper_occupancy(board)
-        assert occ.n == 6
-        assert occ.boundary is Boundary.TORUS
-        assert not occ.occupied.any()
+        occ = minesweeper_occupancy(Board(6, Boundary.TORUS, set()))
+        assert occ.shape == (6, 6)
+        assert occ.dtype == bool
+        assert not occ.any()
 
     def test_single_torus_mine_occupies_nine_sites(self):
-        board = Board(6, Boundary.TORUS, {(2, 3)})
-        occ = minesweeper_occupancy(board)
-        assert int(occ.occupied.sum()) == 9
+        occ = minesweeper_occupancy(Board(6, Boundary.TORUS, {(2, 3)}))
+        assert int(occ.sum()) == 9
         for dr in (-1, 0, 1):
             for dc in (-1, 0, 1):
-                assert occ.occupied[2 + dr, 3 + dc]
+                assert occ[2 + dr, 3 + dc]
 
     def test_open_corner_mine(self):
-        board = Board(5, Boundary.OPEN, {(0, 0)})
-        occ = minesweeper_occupancy(board)
-        assert int(occ.occupied.sum()) == 4
-        assert occ.occupied[0, 0] and occ.occupied[1, 1]
+        occ = minesweeper_occupancy(Board(5, Boundary.OPEN, {(0, 0)}))
+        assert int(occ.sum()) == 4
+        assert occ[0, 0] and occ[1, 1]
 
     def test_occupied_iff_neighborhood_mined(self, rng):
         # Torus rule: a site is occupied exactly when its 3x3 block holds
@@ -65,27 +81,40 @@ class TestOccupancy:
                     block_mined = any(
                         ((r + dr) % 8, (c + dc) % 8) in board.mines
                         for dr in (-1, 0, 1) for dc in (-1, 0, 1))
-                    assert occ.occupied[r, c] == block_mined
+                    assert occ[r, c] == block_mined
 
     def test_independent_extremes(self):
-        assert not independent_occupancy(10, 0.0, 0).occupied.any()
-        assert independent_occupancy(10, 1.0, 0).occupied.all()
+        assert not independent_occupancy(10, 0.0, 0).any()
+        assert independent_occupancy(10, 1.0, 0).all()
 
     def test_independent_fraction_tracks_p(self):
         n, p = 80, 0.3
-        occ = independent_occupancy(n, p, 123)
-        frac = occ.occupied.mean()
+        frac = independent_occupancy(n, p, 123).mean()
         sigma = math.sqrt(p * (1 - p) / (n * n))
         assert abs(frac - p) < 3 * sigma
 
-    def test_independent_deterministic(self):
-        a = independent_occupancy(12, 0.4, 77)
-        b = independent_occupancy(12, 0.4, 77)
-        assert np.array_equal(a.occupied, b.occupied)
+    @pytest.mark.parametrize("mode, params", [("independent", (0.3, 0.6)),
+                                              ("minesweeper", (0.05, 0.2))])
+    def test_sweep_samples_these_grids(self, monkeypatch, mode, params):
+        seen = []
+        monkeypatch.setattr("minelab.percolation._cluster_sizes",
+                            lambda occ, *args: seen.append(occ) or ([], []))
+        percolation_sweep(PercolationConfig(mode=mode, params=params, n=9,
+                                            samples=3, seed=5))
+        assert len(seen) == 6
+        for k, occ in enumerate(seen):
+            pi, si = divmod(k, 3)
+            ss = np.random.SeedSequence(entropy=5, spawn_key=(pi, si))
+            if mode == "independent":
+                expect = independent_occupancy(9, params[pi], ss)
+            else:
+                expect = minesweeper_occupancy(generate_board(
+                    9, params[pi], ss, Boundary.TORUS, require_zero=False))
+            assert np.array_equal(occ, expect)
 
-    def test_independent_bad_p(self):
-        with pytest.raises(ValueError):
-            independent_occupancy(5, 1.5, 0)
+    def test_independent_deterministic(self):
+        assert np.array_equal(independent_occupancy(12, 0.4, 77),
+                              independent_occupancy(12, 0.4, 77))
 
 
 class TestClusterSizes:
@@ -96,110 +125,88 @@ class TestClusterSizes:
             boundary = Boundary.TORUS if rng.random() < 0.5 else Boundary.OPEN
             conn = (Connectivity.NEAREST4 if rng.random() < 0.5
                     else Connectivity.MOORE8)
-            occ = independent_occupancy(n, p, rng, boundary)
-            stats = cluster_sizes(occ, conn)
-            oracle_sizes, oracle_spanning = dfs_cluster_oracle(
-                occ.occupied, boundary, _STEPS[conn])
-            assert sorted(stats.sizes) == sorted(oracle_sizes), f"trial {trial}"
-            assert (sorted(stats.spanning_sizes)
-                    == sorted(oracle_spanning)), f"trial {trial}"
+            occ = independent_occupancy(n, p, rng)
+            assert (sorted_clusters(occ, boundary, conn)
+                    == dfs_cluster_oracle(occ, boundary, _STEPS[conn])), \
+                f"trial {trial}"
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("conn", list(Connectivity))
+    def test_tiny_grids_match_oracle(self, boundary, conn):
+        # On a torus of side 1 a site is its own neighbour, and on side 2
+        # its neighbour on both sides: every such step closes a loop.
+        for n in (1, 2):
+            for bits in range(2 ** (n * n)):
+                occ = np.array([bool(bits >> i & 1) for i in range(n * n)]
+                               ).reshape(n, n)
+                assert (sorted_clusters(occ, boundary, conn)
+                        == dfs_cluster_oracle(occ, boundary, _STEPS[conn])), \
+                    occ.tolist()
 
     def test_checkerboard_isolated_under_nearest4(self):
         n = 6
         occ = np.indices((n, n)).sum(axis=0) % 2 == 0
-        grid = OccupancyGrid(n=n, occupied=occ, boundary=Boundary.OPEN)
-        stats = cluster_sizes(grid, Connectivity.NEAREST4)
-        assert stats.sizes == tuple([1] * (n * n // 2))
-        assert stats.spanning_sizes == ()
+        assert sorted_clusters(occ) == (tuple([1] * (n * n // 2)), ())
         # Diagonal adjacency merges everything into one spanning cluster.
-        moore = cluster_sizes(grid, Connectivity.MOORE8)
-        assert moore.sizes == (n * n // 2,)
-        assert moore.spanning_sizes == (n * n // 2,)
+        assert (sorted_clusters(occ, Boundary.OPEN, Connectivity.MOORE8)
+                == ((n * n // 2,), (n * n // 2,)))
 
     def test_full_grid_single_spanning_cluster(self):
         for boundary in (Boundary.OPEN, Boundary.TORUS):
-            grid = OccupancyGrid(n=5, occupied=np.ones((5, 5), dtype=bool),
-                                 boundary=boundary)
-            stats = cluster_sizes(grid)
-            assert stats.sizes == (25,)
-            assert stats.spanning_sizes == (25,)
+            occ = np.ones((5, 5), dtype=bool)
+            assert sorted_clusters(occ, boundary) == ((25,), (25,))
 
     def test_open_column_spans_rows(self):
-        grid = grid_from_rows([".x..", ".x..", ".x..", ".x.."])
-        stats = cluster_sizes(grid)
-        assert stats.sizes == (4,)
-        assert stats.spanning_sizes == (4,)
+        occ = grid_from_rows([".x..", ".x..", ".x..", ".x.."])
+        assert sorted_clusters(occ) == ((4,), (4,))
 
     def test_open_bent_path_not_spanning(self):
-        grid = grid_from_rows([".x..", ".x..", ".xx.", "...."])
-        stats = cluster_sizes(grid)
-        assert stats.sizes == (4,)
-        assert stats.spanning_sizes == ()
+        occ = grid_from_rows([".x..", ".x..", ".xx.", "...."])
+        assert sorted_clusters(occ) == ((4,), ())
 
     def test_torus_ring_winds(self):
         # A full row wraps around the column axis: spanning on a torus.
-        grid = grid_from_rows(["....", "xxxx", "....", "...."],
-                              boundary=Boundary.TORUS)
-        stats = cluster_sizes(grid)
-        assert stats.spanning_sizes == (4,)
+        occ = grid_from_rows(["....", "xxxx", "....", "...."])
+        assert sorted_clusters(occ, Boundary.TORUS)[1] == (4,)
 
     def test_torus_full_column_minus_gap_does_not_wind(self):
         # Same shape as a spanning column but broken by one hole: on the
         # torus, touching both edges is not enough, the loop must close.
-        grid = grid_from_rows([".x..", ".x..", ".x..", "...."],
-                              boundary=Boundary.TORUS)
-        stats = cluster_sizes(grid)
-        assert stats.sizes == (3,)
-        assert stats.spanning_sizes == ()
+        occ = grid_from_rows([".x..", ".x..", ".x..", "...."])
+        assert sorted_clusters(occ, Boundary.TORUS) == ((3,), ())
 
     def test_torus_diagonal_winding_moore(self):
         # A diagonal stripe closes a loop with both offsets nonzero.
-        n = 4
-        occ = np.zeros((n, n), dtype=bool)
-        for i in range(n):
-            occ[i, i] = True
-        grid = OccupancyGrid(n=n, occupied=occ, boundary=Boundary.TORUS)
-        stats = cluster_sizes(grid, Connectivity.MOORE8)
-        assert stats.sizes == (4,)
-        assert stats.spanning_sizes == (4,)
+        occ = np.eye(4, dtype=bool)
+        assert (sorted_clusters(occ, Boundary.TORUS, Connectivity.MOORE8)
+                == ((4,), (4,)))
 
     def test_empty_grid_no_clusters(self):
-        grid = OccupancyGrid(n=3, occupied=np.zeros((3, 3), dtype=bool),
-                             boundary=Boundary.OPEN)
-        stats = cluster_sizes(grid)
-        assert stats.sizes == ()
-        assert stats.spanning_sizes == ()
+        occ = np.zeros((3, 3), dtype=bool)
+        assert sorted_clusters(occ) == ((), ())
 
     def test_torus_translation_invariance(self, rng):
         for _ in range(20):
             occ = rng.random((7, 7)) < 0.55
-            base = cluster_sizes(OccupancyGrid(7, occ, Boundary.TORUS))
             dr, dc = int(rng.integers(7)), int(rng.integers(7))
             rolled = np.roll(occ, (dr, dc), axis=(0, 1))
-            moved = cluster_sizes(OccupancyGrid(7, rolled, Boundary.TORUS))
-            assert sorted(base.sizes) == sorted(moved.sizes)
-            assert (sorted(base.spanning_sizes)
-                    == sorted(moved.spanning_sizes))
+            assert (sorted_clusters(occ, Boundary.TORUS)
+                    == sorted_clusters(rolled, Boundary.TORUS))
 
 
 class TestAvgClusterSize:
     def test_single_cluster(self):
-        stats = ClusterStats(sizes=(5,), spanning_sizes=())
-        assert avg_cluster_size(stats) == 5.0
+        assert avg_cluster_size([5], []) == 5.0
 
     def test_weighted_mean(self):
-        stats = ClusterStats(sizes=(1, 1, 2), spanning_sizes=())
-        assert avg_cluster_size(stats) == 1.5
+        assert avg_cluster_size([1, 1, 2], []) == 1.5
 
     def test_spanning_excluded(self):
-        stats = ClusterStats(sizes=(1, 1, 2, 20), spanning_sizes=(20,))
-        assert avg_cluster_size(stats) == 1.5
+        assert avg_cluster_size([1, 20, 1, 2], [20]) == 1.5
 
-    def test_no_clusters_raises(self):
-        with pytest.raises(NoClusters):
-            avg_cluster_size(ClusterStats(sizes=(), spanning_sizes=()))
-        with pytest.raises(NoClusters):
-            avg_cluster_size(ClusterStats(sizes=(9,), spanning_sizes=(9,)))
+    def test_no_cluster_left(self):
+        assert avg_cluster_size([], []) is None
+        assert avg_cluster_size([9], [9]) is None
 
 
 class TestCriticalGrowth:
@@ -212,8 +219,9 @@ class TestCriticalGrowth:
             for si in range(40):
                 ss = np.random.SeedSequence(entropy=4242, spawn_key=(n, si))
                 occ = independent_occupancy(n, 0.593, ss)
-                stats = cluster_sizes(occ)
-                largest.append(max(stats.sizes))
+                sizes, _ = cluster_sizes(occ, Boundary.OPEN,
+                                         Connectivity.NEAREST4)
+                largest.append(max(sizes))
             medians.append(float(np.median(largest)))
         assert medians[1] > 2.0 * medians[0]
 
@@ -269,10 +277,17 @@ class TestSweep:
             percolation_sweep(PercolationConfig(mode="random", params=[0.1]))
 
     def test_boundary_defaults(self):
-        assert (PercolationConfig(mode="independent", params=[])
-                ._resolved_boundary() is Boundary.OPEN)
-        assert (PercolationConfig(mode="minesweeper", params=[])
-                ._resolved_boundary() is Boundary.TORUS)
-        assert (PercolationConfig(mode="minesweeper", params=[],
+        assert (PercolationConfig(mode="independent", params=[0.5])
+                .boundary is Boundary.OPEN)
+        assert (PercolationConfig(mode="minesweeper", params=[0.1])
+                .boundary is Boundary.TORUS)
+        assert (PercolationConfig(mode="minesweeper", params=[0.1],
                                   boundary=Boundary.OPEN)
-                ._resolved_boundary() is Boundary.OPEN)
+                .boundary is Boundary.OPEN)
+
+    def test_pinned_records(self):
+        digest = hashlib.sha256()
+        for kwargs in PINNED_CONFIGS:
+            records = percolation_sweep(PercolationConfig(**kwargs))
+            digest.update(repr(records).encode())
+        assert digest.hexdigest() == PINNED_DIGEST
