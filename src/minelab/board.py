@@ -2,7 +2,9 @@
 
 Sites are (row, col) tuples indexed from the top-left corner. The lattice is
 square with side n and either toroidal (wrap-around) or open (clipped)
-boundary. Mine labels count mines in the Moore 8-neighborhood.
+boundary. Mine labels count mines in the Moore 8-neighborhood. Every
+neighbourhood is read from a grid inside a one-cell border (_padded), which
+also holds the torus rule: a torus needs n >= 3.
 
 generate_board draws at most MAX_ATTEMPTS boards while it looks for one
 with a zero-labeled start. A GameState is always played on its ground-truth
@@ -14,7 +16,7 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -46,34 +48,17 @@ class GenerationExhausted(Exception):
     """Board generation could not satisfy the zero-start requirement."""
 
 
-def _neighbors(site: Site, n: int, boundary: Boundary) -> List[Site]:
-    """Moore neighborhood of a site, wrapped on a torus, clipped when open.
-
-    Returns a deterministic list in offset order. On a torus the lattice
-    side must be at least 3 so that the 8 neighbors are distinct.
-    """
-    r, c = site
-    if not (0 <= r < n and 0 <= c < n):
-        raise ValueError(f"site {site} outside an {n}x{n} board")
-    if boundary is Boundary.TORUS:
-        if n < 3:
-            raise ValueError("torus boundary requires n >= 3")
-        return [((r + dr) % n, (c + dc) % n) for dr, dc in _OFFSETS]
-    out = []
-    for dr, dc in _OFFSETS:
-        rr, cc = r + dr, c + dc
-        if 0 <= rr < n and 0 <= cc < n:
-            out.append((rr, cc))
-    return out
-
-
 def _padded(grid: np.ndarray, boundary: Boundary, fill: int = 0) -> np.ndarray:
     """The grid inside a one-cell border: wrapped around on a torus, fill
-    past an open edge. Cell (r, c) of the grid is (r + 1, c + 1) here."""
+    past an open edge. Cell (r, c) of the grid is (r + 1, c + 1) here. A
+    torus side below 3 raises ValueError: a cell's 8 neighbours would not
+    be distinct."""
     n = grid.shape[0]
     out = np.full((n + 2, n + 2), fill, dtype=grid.dtype)
     out[1:-1, 1:-1] = grid
     if boundary is Boundary.TORUS:
+        if n < 3:
+            raise ValueError("torus boundary requires n >= 3")
         out[0, 1:-1] = grid[-1]
         out[-1, 1:-1] = grid[0]
         out[:, 0] = out[:, -2]
@@ -93,7 +78,8 @@ def _neighbor_sum(grid: np.ndarray, boundary: Boundary) -> np.ndarray:
 
 class Board:
     """Immutable ground truth: mine set plus derived labels, and the
-    disclosed zero start when generate_board drew one."""
+    disclosed zero start when generate_board drew one. A mine off the
+    board, or a torus side below 3, raises ValueError."""
 
     def __init__(self, n: int, boundary: Boundary, mines: Iterable[Site],
                  start: Optional[Site] = None):
@@ -229,13 +215,16 @@ def _flat_index(site: Site, n: int) -> int:
 @lru_cache(maxsize=None)
 def _edge_table(n: int, boundary: Boundary) -> Dict[int, Tuple[int, ...]]:
     """The flat neighbor indices of every site on the outer ring of the
-    lattice, keyed by its flat index. Inner sites reach theirs by the eight
-    fixed offsets, so the table takes O(n) memory."""
-    ring = {(r, c) for r in range(n) for c in (0, n - 1)}
-    ring |= {(c, r) for r, c in ring}
-    return {r * n + c: tuple(rr * n + cc
-                             for rr, cc in _neighbors((r, c), n, boundary))
-            for r, c in ring}
+    lattice, keyed by its flat index, in offset order. Inner sites reach
+    theirs by the eight fixed offsets, so the table takes O(n) memory."""
+    flat = _padded(np.arange(n * n).reshape(n, n), boundary, fill=-1)
+    on_ring = np.ones((n, n), dtype=bool)
+    on_ring[1:-1, 1:-1] = False
+    rows, cols = np.nonzero(on_ring)
+    nb = flat[rows[:, None] + _ROW_STEPS, cols[:, None] + _COL_STEPS]
+    return {r * n + c: tuple(t for t in around if t >= 0)
+            for r, c, around in zip(rows.tolist(), cols.tolist(),
+                                    nb.tolist())}
 
 
 def reveal(state: GameState, *sites: Site) -> FrozenSet[Site]:
@@ -249,8 +238,8 @@ def reveal(state: GameState, *sites: Site) -> FrozenSet[Site]:
     site opened by this move. A mined site opens none and makes the state
     terminal (state.exploded): the sites before the first mined one are
     opened, the ones after it are not. A move the rules forbid (a site off
-    the board, already revealed or flagged, a game already over, or a
-    torus side below 3) raises ValueError and changes nothing.
+    the board, already revealed or flagged, or a game already over) raises
+    ValueError and changes nothing.
 
     The flood runs on flat row-major indices over a byte view of the
     status grid; the opened sites' view labels are written in one batch.
@@ -310,13 +299,8 @@ def flag(state: GameState, site: Site) -> None:
 
 
 def frontiers(state: GameState) -> Frontiers:
-    """The frontier system of the state: sites, supports and labels.
-
-    On a torus the lattice side must be at least 3.
-    """
+    """The frontier system of the state: sites, supports and labels."""
     n, boundary = state.n, state.boundary
-    if boundary is Boundary.TORUS and n < 3:
-        raise ValueError("torus boundary requires n >= 3")
     status = state.status
     # planes[k] holds the status of every cell's k-th neighbor; -1 past an
     # open edge matches no status.

@@ -1,27 +1,24 @@
 """Frontier constraints as a group-tagged CNF formula.
 
-build_formula encodes rows of the frontier system sum_j a_ij x_j = e_i:
-each row i given contributes one clause group, GroupId i, encoding "exactly
-e of these columns are mines", where e and the columns are the row's own
-(its label and support, or what counting propagation leaves of them). The
-columns the rows mention get one Boolean variable each (true iff mined),
-numbered 1..num_vars in ascending column order, so in row-major order of
-their outer sites. The formula is the conjunction of the groups; group
-identity is what minimal-core extraction works over, and each group's
-label is recorded beside it, so that extraction can answer by counting what
-one group alone says about one variable.
+build_formula encodes the whole frontier system sum_j a_ij x_j = e_i:
+row i contributes one clause group, GroupId i, encoding "exactly e_i of
+row i's support are mines", and outer site j is the Boolean variable
+VarId j + 1 (true iff mined), so variables run in row-major order of their
+sites. The formula is the conjunction of the groups; group identity is
+what minimal-core extraction works over, and each group's label is
+recorded beside it, so that extraction can answer by counting what one
+group alone says about one variable.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 # Unused here; perfbench/benchtrace.py patches minelab.cnf.frontiers.
-from .board import Frontiers, Site, frontiers  # noqa: F401
+from .board import Frontiers, frontiers  # noqa: F401
 
 Clause = Tuple[int, ...]
-Row = Tuple[int, int, Sequence[int]]    # (row, label, ascending columns)
 
 
 class InfeasibleLabel(Exception):
@@ -32,15 +29,13 @@ class InfeasibleLabel(Exception):
 class GroupedCnf:
     """A CNF split into clause groups.
 
-    A frontier formula has one group per encoded row, GroupId i for
-    frontiers().inner[i], var_sites maps VarId v to its outer site
-    var_sites[v - 1], and labels maps every group to the count e its
+    A frontier formula has one group per row, GroupId i for
+    frontiers().inner[i], and labels maps every group to the count e its
     clauses assert: exactly e of the group's variables are true. A parsed
     formula records no labels (None).
     """
     num_vars: int
     groups: Dict[int, List[Clause]]
-    var_sites: Tuple[Site, ...] = ()
     labels: Optional[Dict[int, int]] = None
 
     def num_clauses(self) -> int:
@@ -63,26 +58,15 @@ def _encode_exact_count(e: int, vars: Sequence[int]) -> List[Clause]:
     return clauses
 
 
-def build_formula(fr: Frontiers, rows: Iterable[Row]) -> GroupedCnf:
-    """Group-tagged CNF for the given (row, label, columns) rows of fr.
-
-    Group i says that exactly label of row i's columns are mines, and
-    labels[i] records that label. The columns the rows mention become the
-    variables, renumbered in ascending order, and are shared across groups
-    wherever supports overlap. Every row with its full support and label
-    gives the whole frontier formula, with VarId = outer index + 1; no rows
-    give a formula with no groups and no variables.
-    """
-    rows = list(rows)
-    cols = sorted({j for _, _, support in rows for j in support})
-    var_of = [0] * len(fr.outer)
-    for v, j in enumerate(cols, start=1):
-        var_of[j] = v
-    groups = {i: _encode_exact_count(e, [var_of[j] for j in support])
-              for i, e, support in rows}
-    return GroupedCnf(num_vars=len(cols), groups=groups,
-                      var_sites=tuple(fr.outer[j] for j in cols),
-                      labels={i: e for i, e, _ in rows})
+def build_formula(fr: Frontiers) -> GroupedCnf:
+    """The whole frontier formula of fr: group i says that exactly
+    fr.labels[i] of row i's support are mines, labels[i] records that
+    label, and VarId j + 1 stands for fr.outer[j]. An empty frontier gives
+    a formula with no groups and no variables."""
+    groups = {i: _encode_exact_count(e, [j + 1 for j in support])
+              for i, (e, support) in enumerate(zip(fr.labels, fr.supports))}
+    return GroupedCnf(num_vars=len(fr.outer), groups=groups,
+                      labels=dict(enumerate(fr.labels)))
 
 
 def export_dimacs(cnf: GroupedCnf) -> str:

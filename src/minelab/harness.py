@@ -67,7 +67,8 @@ DESK_RHOS = float_range(0.025, 0.45, 0.025)    # the desk preset's grid
 
 
 def parse_grid(text: str) -> Tuple[float, ...]:
-    """Comma list of floats whose entries may be start:stop:step ranges."""
+    """Comma list of floats whose entries may be start:stop:step ranges;
+    a range that holds no value raises ValueError naming it."""
     values: List[float] = []
     for part in text.split(","):
         if ":" in part:
@@ -75,8 +76,10 @@ def parse_grid(text: str) -> Tuple[float, ...]:
             if len(bounds) != 3:
                 raise ValueError(f"bad range {part.strip()!r}, "
                                  "expected start:stop:step")
-            a, b, s = (float(x) for x in bounds)
-            values.extend(float_range(a, b, s))
+            span = float_range(*(float(x) for x in bounds))
+            if not span:
+                raise ValueError(f"empty range {part.strip()!r}")
+            values.extend(span)
         else:
             values.append(float(part))
     return tuple(values)

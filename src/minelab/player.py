@@ -58,7 +58,7 @@ from typing import (Callable, FrozenSet, List, Optional, Sequence, Set,
 
 from .board import (Board, Frontiers, GameState, Site, flag,
                     frontiers, reveal)
-from .cnf import InfeasibleLabel, Row, build_formula
+from .cnf import InfeasibleLabel, build_formula
 from .gmus import GmusResult, extract_gmus
 from .kset import build_constraints, kset_infer
 from .sat import ResourceLimit, Solver
@@ -180,8 +180,7 @@ def infer_step(state: GameState, *, extract_cores: bool = True,
     found.sort()
     cores: List[Optional[GmusResult]] = [None] * len(found)
     if extract_cores and found:
-        formula = build_formula(fr, zip(range(len(inner)), fr.labels,
-                                        fr.supports))
+        formula = build_formula(fr)
         solver = Solver(formula, conflict_budget=conflict_budget)
         # The pivot assumes the verdict's opposite: mined for a safe site.
         pivots = [j + 1 if b == 0 else -(j + 1) for j, b in found]
@@ -197,6 +196,10 @@ def infer_step(state: GameState, *, extract_cores: bool = True,
                  for pivot, start in zip(pivots, starts)]
     return [Inference(outer[j], Verdict.MINE if b else Verdict.SAFE, core)
             for (j, b), core in zip(found, cores)]
+
+
+# A part of the residual rows: (row, residual label, undecided columns).
+_Part = List[Tuple[int, int, List[int]]]
 
 
 class _Rows:
@@ -358,7 +361,7 @@ def _search(rows: _Rows, j: int, b: int, order: List[int],
         ok = rows.propagate([], (k,), flip)
 
 
-def _backbone(rows: _Rows, part: List[Row],
+def _backbone(rows: _Rows, part: _Part,
               conflict_budget: int) -> List[Tuple[int, int]]:
     """The forced (column, value) pairs of a part's undecided columns,
     ascending, by counting search on rows.
@@ -403,7 +406,7 @@ def _backbone(rows: _Rows, part: List[Row],
     return found
 
 
-def _settle(fr: Frontiers) -> Tuple[_Rows, List[List[Row]]]:
+def _settle(fr: Frontiers) -> Tuple[_Rows, List[_Part]]:
     """Counting propagation on the frontier system, then its parts.
 
     Every label is checked first: one outside [0, support size] raises

@@ -8,8 +8,8 @@ Tests compare library output against these independent computations.
 solve is not an oracle: it is shorthand for one query on a fresh Solver,
 and consistency_check one such query on the frontier formula. The
 formats that only tests read or write (board and overlay text, games.csv
-read back) are here too, and every whole-state formula comes from
-state_formula.
+read back) are here too; every whole-state formula comes from
+state_formula, and a formula of some rows from rows_formula.
 """
 from __future__ import annotations
 
@@ -24,8 +24,8 @@ import pytest
 from minelab.board import (Board, Boundary, COVERED, FLAGGED, REVEALED,
                            Frontiers, GameState, Site, flag, frontiers,
                            generate_board, reveal)
-from minelab.board import _neighbors as neighbors
 from minelab.cnf import GroupedCnf, InfeasibleLabel, build_formula
+from minelab.cnf import _encode_exact_count as encode_exact_count
 from minelab.sat import Solver
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -301,11 +301,20 @@ def read_games_csv(path: Union[str, Path]) -> List[Dict[str, object]]:
 
 
 def state_formula(state: GameState) -> GroupedCnf:
-    """The whole frontier formula of a state: every row with its label and
-    support, VarId = outer index + 1."""
-    fr = frontiers(state)
-    return build_formula(fr, zip(range(len(fr.inner)), fr.labels,
-                                 fr.supports))
+    """The whole frontier formula of a state, VarId = outer index + 1."""
+    return build_formula(frontiers(state))
+
+
+def rows_formula(rows, num_vars: int) -> GroupedCnf:
+    """The grouped CNF of some (row, label, ascending columns) rows of a
+    frontier system: group id = row, VarId = column + 1, as in the whole
+    frontier formula."""
+    rows = list(rows)
+    return GroupedCnf(
+        num_vars=num_vars,
+        groups={i: encode_exact_count(e, [j + 1 for j in cols])
+                for i, e, cols in rows},
+        labels={i: e for i, e, _ in rows})
 
 
 def formula_parts(formula: GroupedCnf) -> List[Tuple[List[int], List[int]]]:
@@ -380,7 +389,8 @@ def consistent_placements(state: GameState) -> List[FrozenSet[Site]]:
         ok = True
         for inner in fr.inner:
             need = naive_effective_label(state, inner)
-            have = sum(1 for nb in neighbors(inner, state.n, state.boundary)
+            have = sum(1 for nb in naive_neighbors(inner, state.n,
+                                                   state.boundary)
                        if nb in mines)
             if need != have:
                 ok = False

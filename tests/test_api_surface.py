@@ -12,7 +12,11 @@ The same holds for parameters: every defaulted parameter of a public
 function, and of the __init__ or a public method of a public class, must be
 passed, by position or by keyword, in some call in src/minelab or
 perfbench/. A call of __init__ names its class. A knob that only tests turn
-belongs in tests/. Dataclass fields are not checked.
+belongs in tests/.
+
+And for dataclass fields: every field of a public dataclass must be read as
+an attribute (obj.field) somewhere in src/minelab or perfbench/. A field
+that only tests read belongs in tests/.
 """
 from __future__ import annotations
 
@@ -159,3 +163,35 @@ def test_every_defaulted_parameter_is_passed():
                     unpassed.append(f"{path.name}: {param}")
     assert not unpassed, ("defaulted parameters no call in src or perfbench "
                           f"passes: {unpassed}")
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    for d in node.decorator_list:
+        target = d.func if isinstance(d, ast.Call) else d
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def attributes_read(paths: List[Path]) -> Set[str]:
+    """Every attribute name loaded in the files."""
+    return {node.attr for path in paths
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_dataclass_field_is_read():
+    read = attributes_read(SRC + PERFBENCH)
+    unread = []
+    for path in SRC:
+        for node in public_defs(ast.parse(path.read_text()).body):
+            if isinstance(node, ast.ClassDef) and is_dataclass(node):
+                unread.extend(
+                    f"{path.name}: {node.name}.{stmt.target.id}"
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                    and stmt.target.id not in read)
+    assert not unread, ("dataclass fields no code in src or perfbench "
+                        f"reads: {unread}")

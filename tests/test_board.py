@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from minelab.board import (Board, Boundary, COVERED, FLAGGED, REVEALED,
                            GameState, GenerationExhausted, flag, frontiers,
                            generate_board, reveal)
-from minelab.board import _neighbors as neighbors
+from minelab.board import _edge_table
 
 from conftest import (ParseError, budget_board, naive_frontiers,
-                      naive_labels, naive_reveal, overlay_state, parse_board,
+                      naive_labels, naive_neighbors, naive_reveal,
+                      overlay_state, parse_board,
                       parse_overlay, random_reachable_state,
                       random_status_state, serialize_board, serialize_overlay,
                       state_formula)
@@ -37,38 +38,42 @@ def assert_same_state(a: GameState, b: GameState) -> None:
 
 
 class TestNeighbors:
+    @pytest.mark.parametrize("n, boundary", [
+        *((n, Boundary.OPEN) for n in range(1, 8)),
+        *((n, Boundary.TORUS) for n in range(3, 8))])
+    def test_matches_naive_neighbors(self, n, boundary):
+        # Every site on the outer ring, and only those, lists its distinct
+        # neighbours as flat indices.
+        edge = _edge_table(n, boundary)
+        ring = [(r, c) for r in range(n) for c in range(n)
+                if min(r, c) == 0 or max(r, c) == n - 1]
+        assert sorted(edge) == [r * n + c for r, c in ring]
+        for r, c in ring:
+            around = edge[r * n + c]
+            assert len(around) == len(set(around))
+            assert set(around) == {rr * n + cc for rr, cc in
+                                   naive_neighbors((r, c), n, boundary)}
+
     def test_torus_corner_wraps(self):
-        got = set(neighbors((0, 0), 5, Boundary.TORUS))
-        assert len(got) == 8
-        assert {(4, 4), (4, 0), (0, 4)} <= got
+        got = _edge_table(5, Boundary.TORUS)[0]
+        assert len(set(got)) == 8
+        assert {24, 20, 4} <= set(got)
 
     def test_open_corner_clips(self):
-        assert set(neighbors((0, 0), 5, Boundary.OPEN)) == {(0, 1), (1, 0),
-                                                            (1, 1)}
-
-    def test_open_interior_ring(self):
-        got = set(neighbors((2, 2), 5, Boundary.OPEN))
-        assert got == {(r, c) for r in (1, 2, 3) for c in (1, 2, 3)
-                       if (r, c) != (2, 2)}
-
-    def test_torus_every_site_has_eight(self):
-        for r in range(4):
-            for c in range(4):
-                nb = neighbors((r, c), 4, Boundary.TORUS)
-                assert len(nb) == len(set(nb)) == 8
+        assert _edge_table(5, Boundary.OPEN)[0] == (1, 5, 6)
 
     def test_torus_too_small(self):
-        with pytest.raises(ValueError):
-            neighbors((0, 0), 2, Boundary.TORUS)
+        for n in (1, 2):
+            with pytest.raises(ValueError, match="n >= 3"):
+                _edge_table(n, Boundary.TORUS)
 
     def test_symmetry(self, rng):
         for _ in range(50):
             n = int(rng.integers(3, 8))
             boundary = Boundary.TORUS if rng.random() < 0.5 else Boundary.OPEN
-            a = (int(rng.integers(n)), int(rng.integers(n)))
-            b = (int(rng.integers(n)), int(rng.integers(n)))
-            assert ((b in neighbors(a, n, boundary))
-                    == (a in neighbors(b, n, boundary)))
+            edge = _edge_table(n, boundary)
+            a, b = rng.choice(sorted(edge), size=2).tolist()
+            assert (b in edge[a]) == (a in edge[b])
 
 
 class TestBoardAndLabels:
@@ -165,7 +170,10 @@ class TestBoardAndLabels:
         for n in (1, 2):
             with pytest.raises(ValueError, match="n >= 3"):
                 generate_board(n, 0.1, 0)
+            with pytest.raises(ValueError, match="n >= 3"):
+                Board(n, Boundary.TORUS, [(0, 0)])
             generate_board(n, 0.1, 0, Boundary.OPEN)
+            Board(n, Boundary.OPEN, [(0, 0)])
 
 
 class TestMoves:
@@ -382,8 +390,10 @@ class TestMoves:
         assert not state.exploded
 
     def test_small_torus_changes_nothing(self):
-        # On a 2x2 torus a site's 8 neighbors are not distinct.
-        state = GameState(Board(2, Boundary.TORUS, []))
+        # No 2x2 torus board can be built, since a site's 8 neighbors are
+        # not distinct; a state that claims one fails at its first move.
+        state = GameState(Board(2, Boundary.OPEN, []))
+        state.boundary = Boundary.TORUS
         with pytest.raises(ValueError, match="n >= 3"):
             reveal(state, (0, 0))
         assert (state.status == COVERED).all()
@@ -402,7 +412,7 @@ class TestFrontiers:
         reveal(state, (2, 2))
         fr = frontiers(state)
         assert fr.inner == ((2, 2),)
-        assert set(fr.outer) == set(neighbors((2, 2), 5, Boundary.OPEN))
+        assert set(fr.outer) == naive_neighbors((2, 2), 5, Boundary.OPEN)
 
     def test_row_major_order(self):
         board = generate_board(9, 0.2, 11)
@@ -440,9 +450,14 @@ class TestFrontiers:
         assert lowered >= 100
 
     def test_torus_too_small(self):
-        # On a 2x2 torus the wrapped border would list each neighbor twice.
-        state = overlay_state([[REVEALED, COVERED], [COVERED, COVERED]],
-                              [[1, -1], [-1, -1]], Boundary.TORUS)
+        # On a 2x2 torus the wrapped border would list each neighbor twice:
+        # no such board is built, and a state that claims one is refused.
+        status = [[REVEALED, COVERED], [COVERED, COVERED]]
+        labels = [[1, -1], [-1, -1]]
+        with pytest.raises(ValueError, match="n >= 3"):
+            overlay_state(status, labels, Boundary.TORUS)
+        state = overlay_state(status, labels, Boundary.OPEN)
+        state.boundary = Boundary.TORUS
         with pytest.raises(ValueError, match="n >= 3"):
             frontiers(state)
         with pytest.raises(ValueError, match="n >= 3"):
@@ -540,6 +555,6 @@ class TestOverlayFormat:
         assert exc.value.line == 1 and exc.value.column == 2
 
     def test_boundary_mismatch(self):
-        board = Board(2, Boundary.TORUS, [])
+        board = Board(3, Boundary.TORUS, [])
         with pytest.raises(ValueError):
-            parse_overlay("##\n##\n", Boundary.OPEN, board)
+            parse_overlay("###\n###\n###\n", Boundary.OPEN, board)

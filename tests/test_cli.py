@@ -323,7 +323,9 @@ class TestPercolation:
         pytest.param(grid, f"bad range '{grid}', expected start:stop:step",
                      id=grid) for grid in ("0.1:0.2", "0.1:0.2:0.05:1")] + [
         pytest.param(grid, "range bounds and step must be finite", id=grid)
-        for grid in ("0:inf:0.1", "0:0.5:inf", "nan:0.5:0.1")])
+        for grid in ("0:inf:0.1", "0:0.5:inf", "nan:0.5:0.1")] + [
+        pytest.param("0.3,0.7:0.5:0.1", "empty range '0.7:0.5:0.1'",
+                     id="0.3,0.7:0.5:0.1")])
     def test_malformed_range_fails_before_output(self, capsys, grid,
                                                  message):
         assert_input_error(
@@ -357,7 +359,7 @@ class TestPercolation:
     @pytest.mark.parametrize("mode, grid, message", [
         ("independent", "0.4,1.5", "p must lie in [0, 1]"),
         ("minesweeper", "0.1,1.0", "board must keep at least one empty site"),
-        ("independent", "0.7:0.5:0.1", "params must be a nonempty list"),
+        ("independent", "0.7:0.5:0.1", "empty range '0.7:0.5:0.1'"),
         ("independent", "0.5,0.5",
          "params lists 0.5 and 0.5, which name the same grid point"),
         ("minesweeper", "0.1,0.05:0.15:0.05",

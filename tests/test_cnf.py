@@ -86,11 +86,15 @@ class TestBuildFormula:
         assert all(len(c) == 1 and c[0] < 0 for c in clauses)
 
     def test_group_per_inner_site(self, rng):
+        # Group i is row i with its label; VarId j + 1 is outer site j.
         state = _random_frontier_state(rng)
         fr = frontiers(state)
-        formula = state_formula(state)
-        assert set(formula.groups) == set(range(len(fr.inner)))
-        assert list(formula.var_sites) == list(fr.outer)
+        formula = build_formula(fr)
+        assert formula.num_vars == len(fr.outer)
+        assert formula.labels == dict(enumerate(fr.labels))
+        assert formula.groups == {
+            i: encode_exact_count(e, [j + 1 for j in support])
+            for i, (e, support) in enumerate(zip(fr.labels, fr.supports))}
 
     def test_models_equal_bruteforce_placements(self, rng):
         for _ in range(25):
@@ -117,27 +121,7 @@ class TestBuildFormula:
     def test_empty_frontier_gives_empty_formula(self):
         # Nothing revealed: no inner site, so no group and no variable.
         formula = state_formula(GameState(Board(3, Boundary.OPEN, [])))
-        assert (formula.num_vars, formula.groups, formula.var_sites) == (
-            0, {}, ())
-
-    def test_rows_keep_their_ids_and_columns_are_renumbered(self, rng):
-        # Every other row, with one column dropped and its label lowered
-        # where it fits: group ids stay row indices, and the columns still
-        # mentioned become variables 1.. in ascending order.
-        state = _random_frontier_state(rng)
-        fr = frontiers(state)
-        rows = [(i, max(0, e - 1), support[1:])
-                for i, (support, e) in enumerate(zip(fr.supports, fr.labels))
-                if i % 2 == 0 and len(support) >= 2 and e <= len(support) - 1]
-        formula = build_formula(fr, rows)
-        cols = sorted({j for _, _, support in rows for j in support})
-        assert list(formula.var_sites) == [fr.outer[j] for j in cols]
-        assert formula.num_vars == len(cols)
-        assert sorted(formula.groups) == [i for i, _, _ in rows]
-        assert formula.labels == {i: e for i, e, _ in rows}
-        for i, e, support in rows:
-            assert formula.groups[i] == encode_exact_count(
-                e, [cols.index(j) + 1 for j in support])
+        assert (formula.num_vars, formula.groups) == (0, {})
 
     def test_infeasible_label_reported(self):
         # A lone "8" with a single covered neighbor cannot be satisfied.
@@ -148,21 +132,19 @@ class TestBuildFormula:
 
 class TestFormats:
     def test_dimacs_transcription(self):
-        formula = GroupedCnf(num_vars=2, groups={0: [(1, 2), (-1, -2)]},
-                             var_sites=[(0, 0), (0, 1)])
+        formula = GroupedCnf(num_vars=2, groups={0: [(1, 2), (-1, -2)]})
         text = export_dimacs(formula)
         lines = text.strip().splitlines()
         assert lines[0] == "p cnf 2 2"
         assert lines[1:] == ["1 2 0", "-1 -2 0"]
 
     def test_empty_formula(self):
-        formula = GroupedCnf(num_vars=0, groups={}, var_sites=[])
+        formula = GroupedCnf(num_vars=0, groups={})
         assert export_dimacs(formula).strip().splitlines()[0] == "p cnf 0 0"
 
     def test_gcnf_header_and_tags(self):
         formula = GroupedCnf(num_vars=2,
-                             groups={0: [(1,)], 1: [(-1, 2), (-2,)]},
-                             var_sites=[(0, 0), (0, 1)])
+                             groups={0: [(1,)], 1: [(-1, 2), (-2,)]})
         text = export_gcnf(formula)
         lines = text.strip().splitlines()
         assert lines[0] == "p gcnf 2 3 2"
@@ -206,8 +188,7 @@ class TestFormats:
         assert len(groups) == len(formula.groups)
 
     def test_dimacs_round_trip(self):
-        formula = GroupedCnf(num_vars=3, groups={0: [(1, -2), (2, 3), (-3,)]},
-                             var_sites=[(0, 0), (0, 1), (0, 2)])
+        formula = GroupedCnf(num_vars=3, groups={0: [(1, -2), (2, 3), (-3,)]})
         back = parse_dimacs(export_dimacs(formula))
         assert back.num_vars == 3
         assert back.groups == formula.groups

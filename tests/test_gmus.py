@@ -8,7 +8,7 @@ import itertools
 import pytest
 
 import minelab.player
-from minelab.board import (Boundary, COVERED, GameState, flag,
+from minelab.board import (Boundary, COVERED, GameState, flag, frontiers,
                            generate_board, reveal)
 from minelab.cnf import GroupedCnf
 from minelab.gmus import GmusResult, NotUnsat, _refutes, extract_gmus
@@ -48,7 +48,7 @@ class TestKnownCases:
         state = load_state("mine_row.state", board_name="mine_row.board")
         formula = state_formula(state)
         assert formula.num_vars == 1
-        centre_var = formula.var_sites.index((2, 2)) + 1
+        centre_var = frontiers(state).outer.index((2, 2)) + 1
         result = extract_gmus(Solver(formula), -centre_var)
         assert result.size == 1
         assert result.core == frozenset({0})

@@ -614,9 +614,12 @@ class TestParseSweepConfig:
                                      "be finite"):
                 parse_sweep_config(f"n = 5\nrho = {rho}\n")
 
-    @pytest.mark.parametrize("text", ["0.1:0.2", "0.1:0.2:0.05:1", ":"])
-    def test_malformed_range_named(self, text):
-        message = f"bad range '{text}', expected start:stop:step"
+    @pytest.mark.parametrize("text, message", [
+        *(pytest.param(text, f"bad range '{text}', expected start:stop:step",
+                       id=text) for text in ("0.1:0.2", "0.1:0.2:0.05:1", ":")),
+        pytest.param("0.7:0.5:0.1", "empty range '0.7:0.5:0.1'",
+                     id="0.7:0.5:0.1")])
+    def test_malformed_range_named(self, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_grid(f"0.05, {text}")
         with pytest.raises(ValueError, match=re.escape("line 2: " + message)):

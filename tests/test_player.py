@@ -77,7 +77,8 @@ def reference_infer_step(state: GameState, *,
             starts.append(solver.core_groups(res.core))
         cores = [extract_gmus(solver, pivot, initial_core=start)
                  for pivot, start in zip(pivots, starts)]
-    return [Inference(formula.var_sites[v - 1], verdict, core)
+    outer = frontiers(state).outer
+    return [Inference(outer[v - 1], verdict, core)
             for (v, verdict), core in zip(found, cores)]
 
 
@@ -229,13 +230,14 @@ class TestInferStep:
             if state is None or not consistency_check(state):
                 continue
             formula = state_formula(state)
+            outer = frontiers(state).outer
             parts = formula_parts(formula)
             multi_part += len(parts) >= 2
             part_of = {v: groups for groups, vs in parts for v in vs}
             for inf in infer_step(state):
                 assert inf.core is not None
                 assert inf.core.size == len(inf.core.core) >= 1
-                var = formula.var_sites.index(inf.site) + 1
+                var = outer.index(inf.site) + 1
                 expected_pivot = var if inf.verdict is Verdict.SAFE else -var
                 assert inf.core.pivot == expected_pivot
                 core = sorted(inf.core.core)

@@ -12,13 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minelab.board import Boundary, frontiers
-from minelab.cnf import GroupedCnf, build_formula
+from minelab.cnf import GroupedCnf
 from minelab.cnf import _encode_exact_count as encode_exact_count
 from minelab.player import _settle
 from minelab.sat import ResourceLimit, Solver
 
 from conftest import (eval_formula, formula_parts, random_reachable_state,
-                      solve, state_formula, truth_table_models)
+                      rows_formula, solve, state_formula, truth_table_models)
 
 
 def random_grouped_cnf(rng: random.Random, *, max_vars: int = 8,
@@ -457,8 +457,8 @@ class TestParts:
             rows, parts = _settle(fr)
             if not parts:
                 continue
-            formula = build_formula(fr, (row for part in parts
-                                         for row in part))
+            formula = rows_formula((row for part in parts for row in part),
+                                   len(fr.outer))
             groups_of = [[i for i, _, _ in part] for part in parts]
             assert (sorted((groups, sorted(group_vars(formula, groups)))
                            for groups in groups_of)
@@ -474,7 +474,7 @@ class TestParts:
                 assert res.sat
                 assert set(res.model) == group_vars(formula, groups)
                 for v, value in res.model.items():
-                    joined[fr.outer.index(formula.var_sites[v - 1]) + 1] = value
+                    joined[v] = value
             assert eval_formula(state_formula(state), joined)
             states += 1
             multi += len(parts) >= 2
