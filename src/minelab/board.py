@@ -77,9 +77,9 @@ def _neighbor_sum(grid: np.ndarray, boundary: Boundary) -> np.ndarray:
 
 
 class Board:
-    """Immutable ground truth: mine set plus derived labels, and the
-    disclosed zero start when generate_board drew one. A mine off the
-    board, or a torus side below 3, raises ValueError."""
+    """Immutable ground truth: mine_grid, the one record of the mines, with
+    derived labels and the disclosed zero start when generate_board drew
+    one. A mine off the board or a torus side below 3 raises ValueError."""
 
     def __init__(self, n: int, boundary: Boundary, mines: Iterable[Site],
                  start: Optional[Site] = None):
@@ -94,27 +94,27 @@ class Board:
             raise ValueError(f"mine {(r, c)} outside an {n}x{n} board")
         self.n = n
         self.boundary = boundary
-        self.mines: FrozenSet[Site] = frozenset(zip(*rc.T.tolist()))
         self.start = start
         grid = np.zeros((n, n), dtype=np.int16)
         grid[rc[:, 0], rc[:, 1]] = 1
         self.labels = _neighbor_sum(grid, boundary)
         self.mine_grid = grid.astype(bool)
-        # Row-major, one byte per site: is it mined, is its label 0. reveal
-        # reads these instead of indexing the grids site by site.
-        self._mine_bytes = self.mine_grid.tobytes()
+        # Row-major, one byte per site: is its label 0. reveal reads it, and
+        # the mine grid's bytes, instead of indexing the grids site by site.
         self._zero_bytes = (self.labels == 0).tobytes()
 
     def __repr__(self) -> str:
         return (f"Board(n={self.n}, boundary={self.boundary.value}, "
-                f"mines={len(self.mines)})")
+                f"mines={np.count_nonzero(self.mine_grid)})")
 
 
 def check_board_shape(n: int, rho: float, boundary: Boundary) -> None:
     """Raise ValueError unless generate_board can lay floor(n*n*rho) mines
-    on an n x n board with this boundary: rho must lie in [0, 1], one site
-    must stay empty, and a torus needs n >= 3, since on a smaller one a
-    mine is counted more than once in a neighbor's label."""
+    on an n x n board with this boundary: n >= 1, rho in [0, 1], one site
+    left empty, and n >= 3 on a torus, where a smaller side would count a
+    mine more than once in a neighbor's label."""
+    if n < 1:
+        raise ValueError("board side must be positive")
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
     if int(np.floor(n * n * rho)) >= n * n:
@@ -155,17 +155,15 @@ def generate_board(n: int, rho: float, seed, boundary: Boundary = Boundary.TORUS
         for k, j in enumerate(rng.integers(np.arange(m), total).tolist()):
             idx[k], idx[j] = idx[j], idx[k]
         mine_flat = idx[:m]
-        grid = np.zeros(total, dtype=np.int16)
-        grid[mine_flat] = 1
-        grid = grid.reshape(n, n)
-        mines = [divmod(f, n) for f in mine_flat]
-        if not require_zero:
-            return Board(n, boundary, mines)
-        labels = _neighbor_sum(grid, boundary)
-        zeros = np.flatnonzero((labels == 0) & (grid == 0))
-        if zeros.size:
+        start = None
+        if require_zero:
+            grid = np.bincount(mine_flat, minlength=total).reshape(n, n)
+            zeros = np.flatnonzero((_neighbor_sum(grid, boundary) == 0)
+                                   & (grid == 0))
+            if not zeros.size:
+                continue
             start = divmod(int(zeros[int(rng.integers(zeros.size))]), n)
-            return Board(n, boundary, mines, start=start)
+        return Board(n, boundary, map(divmod, mine_flat, repeat(n)), start)
     raise GenerationExhausted(f"no zero-labeled empty site after {attempts} "
                               f"boards (n={n}, rho={rho})")
 
@@ -255,7 +253,7 @@ def reveal(state: GameState, *sites: Site) -> FrozenSet[Site]:
             raise ValueError(f"site {site} is already revealed")
         if status[i] == FLAGGED:
             raise ValueError(f"site {site} is flagged")
-    mined = board._mine_bytes
+    mined = memoryview(board.mine_grid).cast("B")
     for k, i in enumerate(seeds):
         if mined[i]:
             state.exploded = True

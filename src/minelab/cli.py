@@ -61,8 +61,8 @@ def _cmd_play(args: argparse.Namespace) -> int:
     boundary = Boundary(args.boundary)
     try:
         policy = Policy.parse(args.policy)
-        game_seed(args.master, args.rho, args.seed)  # a bad seed fails here
         check_board_shape(args.n, args.rho, boundary)
+        game_seed(args.master, args.rho, args.seed)  # a bad seed fails here
         check_budgets(args.time_budget, args.conflict_budget)
     except ValueError as exc:
         return _input_error("play", exc)

@@ -498,9 +498,10 @@ def play_game(board: Board, policy: Union[str, Policy] = "sat", *,
     t0 = time.perf_counter()
     state = GameState(board)
     reveal(state, board.start)
-    assert not state.exploded, "the disclosed start is guaranteed empty"
-    n_mines = len(board.mines)
-    mines = board.mines
+    if state.exploded:
+        raise AssertionError("the disclosed start is guaranteed empty")
+    mined = memoryview(board.mine_grid)     # mined[r, c] is a bool
+    n_mines = int(board.mine_grid.sum())
     rho_val = rho if rho is not None else n_mines / (board.n * board.n)
     flags = 0
     turns = 0
@@ -532,19 +533,20 @@ def play_game(board: Board, policy: Union[str, Policy] = "sat", *,
         if not inferences:
             break
         for inf in inferences:
-            if inf.verdict is Verdict.MINE:
-                if validate:
-                    assert inf.site in mines, f"unsound mine verdict at {inf.site}"
+            is_mine = inf.verdict is Verdict.MINE
+            if validate and mined[inf.site] != is_mine:
+                raise AssertionError(f"unsound {inf.verdict.value} verdict "
+                                     f"at {inf.site}")
+            if is_mine:
                 flag(state, inf.site)
                 flags += 1
-            elif validate:
-                assert inf.site not in mines, f"unsound safe verdict at {inf.site}"
             if inf.core is not None:
                 largest = max(largest, inf.core.size)
         safe = [inf for inf in inferences if inf.verdict is Verdict.SAFE]
         if safe:
             reveal(state, *(inf.site for inf in safe))
-            assert not state.exploded
+            if state.exploded:
+                raise AssertionError
         turns += 1
     wall_ms = (time.perf_counter() - t0) * 1000.0
     alpha = 1.0 if n_mines == 0 else flags / n_mines

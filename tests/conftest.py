@@ -121,8 +121,9 @@ def parse_overlay(text: str, boundary: Boundary,
             raise ValueError(f"overlay side {n} does not match board side {board.n}")
         if board.boundary != boundary:
             raise ValueError("overlay boundary does not match board boundary")
+        mines = mine_sites(board)
         for r, c in map(tuple, np.argwhere(status == REVEALED)):
-            if (r, c) in board.mines:
+            if (r, c) in mines:
                 raise ValueError(f"revealed site {(r, c)} is mined")
             if int(board.labels[r, c]) != int(view[r, c]):
                 raise ValueError(
@@ -153,11 +154,17 @@ def budget_board(n: int, rho: float, seed, boundary: Boundary = Boundary.TORUS,
         return generate_board(n, rho, seed, boundary)
 
 
+def mine_sites(board: Board) -> FrozenSet[Site]:
+    """The board's mined sites, read off its mine grid."""
+    return frozenset(map(tuple, np.argwhere(board.mine_grid).tolist()))
+
+
 def serialize_board(board: Board) -> str:
     """Inverse of parse_board (the start site is not part of the format)."""
     rows = ["N %d %s" % (board.n, board.boundary.value)]
+    mines = mine_sites(board)
     for i in range(board.n):
-        rows.append("".join("*" if (i, j) in board.mines else "."
+        rows.append("".join("*" if (i, j) in mines else "."
                             for j in range(board.n)))
     return "\n".join(rows) + "\n"
 
@@ -228,8 +235,9 @@ def naive_reveal(state: GameState, *sites: Site) -> FrozenSet[Site]:
     first mine, opens when still covered and floods breadth first through
     naive_neighbors from every zero label, never opening a flag."""
     board, opened = state.board, set()
+    mines = mine_sites(board)
     for site in sites:
-        if site in board.mines:
+        if site in mines:
             state.exploded = True
             break
         queue = [site]
@@ -433,13 +441,14 @@ def random_reachable_state(rng: np.random.Generator, *,
             continue
         state = GameState(board)
         reveal(state, board.start)
+        mines = mine_sites(board)
         safe_pool = [(r, c) for r in range(n) for c in range(n)
-                     if (r, c) not in board.mines]
+                     if (r, c) not in mines]
         moves = int(rng.integers(0, 6))
         for _ in range(moves):
             covered_safe = [s for s in safe_pool
                             if int(state.status[s]) == COVERED]
-            covered_mines = [s for s in sorted(board.mines)
+            covered_mines = [s for s in sorted(mines)
                              if int(state.status[s]) == COVERED]
             if covered_mines and rng.random() < 0.3:
                 flag(state, covered_mines[int(rng.integers(len(covered_mines)))])

@@ -17,6 +17,10 @@ belongs in tests/.
 And for dataclass fields: every field of a public dataclass must be read as
 an attribute (obj.field) somewhere in src/minelab or perfbench/. A field
 that only tests read belongs in tests/.
+
+No module in src/minelab holds an assert statement: python -O compiles
+them out, and the program's checks (play_game's soundness checks among
+them) must hold under it too.
 """
 from __future__ import annotations
 
@@ -195,3 +199,10 @@ def test_every_dataclass_field_is_read():
                     and stmt.target.id not in read)
     assert not unread, ("dataclass fields no code in src or perfbench "
                         f"reads: {unread}")
+
+
+def test_no_assert_statements():
+    asserts = [f"{path.name}:{node.lineno}" for path in SRC
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Assert)]
+    assert not asserts, f"assert statements python -O would drop: {asserts}"

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from minelab.board import (Board, Boundary, COVERED, FLAGGED, REVEALED,
                            generate_board, reveal)
 from minelab.board import _edge_table
 
-from conftest import (ParseError, budget_board, naive_frontiers,
+from conftest import (ParseError, budget_board, mine_sites, naive_frontiers,
                       naive_labels, naive_neighbors, naive_reveal,
                       overlay_state, parse_board,
                       parse_overlay, random_reachable_state,
@@ -79,21 +80,23 @@ class TestNeighbors:
 class TestBoardAndLabels:
     def test_empty_board(self):
         board = generate_board(4, 0.0, 1, require_zero=False)
-        assert len(board.mines) == 0
+        assert not mine_sites(board)
         assert not board.labels.any()
 
     def test_saturated_torus(self):
         board = generate_board(4, 1 - 1 / 16, 7, require_zero=False)
-        assert len(board.mines) == 15
+        mines = mine_sites(board)
+        assert len(mines) == 15
         empty = [(r, c) for r in range(4) for c in range(4)
-                 if (r, c) not in board.mines]
+                 if (r, c) not in mines]
         assert len(empty) == 1
         assert int(board.labels[empty[0]]) == 8
 
     def test_labels_match_naive_recount(self):
         board = generate_board(20, 0.2, 1, require_zero=False)
-        assert len(board.mines) == 80
-        assert board.labels.tolist() == naive_labels(20, board.mines,
+        mines = mine_sites(board)
+        assert len(mines) == 80
+        assert board.labels.tolist() == naive_labels(20, mines,
                                                      Boundary.TORUS)
 
     @given(st.integers(3, 9), st.floats(0.0, 0.6), st.integers(0, 10_000),
@@ -101,26 +104,53 @@ class TestBoardAndLabels:
     @settings(max_examples=60, deadline=None)
     def test_labels_property(self, n, rho, seed, boundary):
         board = generate_board(n, rho, seed, boundary, require_zero=False)
-        assert len(board.mines) == int(np.floor(n * n * rho))
-        assert board.labels.tolist() == naive_labels(n, board.mines, boundary)
+        mines = mine_sites(board)
+        assert len(mines) == int(np.floor(n * n * rho))
+        assert board.labels.tolist() == naive_labels(n, mines, boundary)
 
-    def test_mine_grid_matches_mines(self):
-        board = generate_board(9, 0.3, 5, require_zero=False)
-        listed = {(r, c) for r, c in np.argwhere(board.mine_grid)}
-        assert listed == set(board.mines)
+    def test_mine_grid_matches_mines(self, rng):
+        # The grid marks exactly the sites given, a site listed twice being
+        # one mine, whether they come as a list or as an iterator.
+        for _ in range(30):
+            n = int(rng.integers(1, 12))
+            boundary = Boundary.TORUS if n >= 3 else Boundary.OPEN
+            sites = [tuple(s) for s in rng.integers(
+                n, size=(int(rng.integers(0, n * n + 1)), 2)).tolist()]
+            sites += sites[:int(rng.integers(0, len(sites) + 1))]
+            given = set(sites)
+            want = [[(r, c) in given for c in range(n)] for r in range(n)]
+            for mines in (sites, iter(sites)):
+                board = Board(n, boundary, mines)
+                assert board.mine_grid.tolist() == want
+                assert f"mines={len(given)})" in repr(board)
+
+    def test_board_holds_no_per_site_objects(self):
+        # A board keeps its mines in arrays, not one Python object per
+        # site: ten n=40 boards at rho 0.2 (320 mines each) retain a few KB
+        # apiece.
+        generate_board(40, 0.2, 0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            boards = [generate_board(40, 0.2, seed) for seed in range(10)]
+            per_board = ((tracemalloc.get_traced_memory()[0] - before)
+                         / len(boards))
+        finally:
+            tracemalloc.stop()
+        assert per_board < 16_000
 
     def test_determinism_and_seed_sensitivity(self):
         a = generate_board(10, 0.2, 42)
         b = generate_board(10, 0.2, 42)
         c = generate_board(10, 0.2, 43)
-        assert a.mines == b.mines
+        assert mine_sites(a) == mine_sites(b)
         assert a.start == b.start
-        assert a.mines != c.mines
+        assert mine_sites(a) != mine_sites(c)
 
     def test_zero_start_disclosed(self):
         board = generate_board(12, 0.15, 3)
         assert board.start is not None
-        assert board.start not in board.mines
+        assert board.start not in mine_sites(board)
         assert int(board.labels[board.start]) == 0
 
     def test_pinned_board_digest(self, monkeypatch):
@@ -140,7 +170,7 @@ class TestBoardAndLabels:
                             board = generate_board(
                                 n, rho, rng, boundary,
                                 require_zero=seed != 7)
-                            out = (sorted(board.mines), board.start)
+                            out = (sorted(mine_sites(board)), board.start)
                         except GenerationExhausted:
                             out = "exhausted"
                         h.update(repr((n, rho, boundary.value, seed, out,
@@ -290,6 +320,7 @@ class TestMoves:
                                      boundary)
             except GenerationExhausted:
                 continue
+            mines = mine_sites(board)
             batch = GameState(board)
             reveal(batch, board.start)
             covered = [(r, c) for r in range(n) for c in range(n)
@@ -297,7 +328,7 @@ class TestMoves:
             for i in rng.permutation(len(covered))[:int(rng.integers(0, 4))]:
                 flag(batch, covered[i])
             pool = [s for s in covered if int(batch.status[s]) == COVERED
-                    and (checked % 4 == 3 or s not in board.mines)]
+                    and (checked % 4 == 3 or s not in mines)]
             if not pool:
                 continue
             picks = [pool[i] for i in
@@ -311,7 +342,7 @@ class TestMoves:
             assert opened == one_by_one == naive_reveal(reference, *picks)
             assert_same_state(batch, single)
             assert_same_state(batch, reference)
-            assert batch.exploded == any(s in board.mines for s in picks)
+            assert batch.exploded == any(s in mines for s in picks)
             flooded += len(opened) > len(picks)
             exploded += batch.exploded
             checked += 1
@@ -483,13 +514,13 @@ class TestBoardFormat:
             board = generate_board(n, float(rng.uniform(0, 0.5)), rng,
                                    boundary, require_zero=False)
             back = parse_board(serialize_board(board))
-            assert ((back.n, back.boundary, back.mines)
-                    == (board.n, board.boundary, board.mines))
+            assert ((back.n, back.boundary, mine_sites(back))
+                    == (board.n, board.boundary, mine_sites(board)))
 
     def test_header(self):
         board = parse_board("N 3 torus\n...\n.*.\n...\n")
         assert board.n == 3 and board.boundary is Boundary.TORUS
-        assert board.mines == frozenset({(1, 1)})
+        assert mine_sites(board) == frozenset({(1, 1)})
 
     def test_wrong_row_length(self):
         with pytest.raises(ParseError) as exc:
@@ -522,7 +553,7 @@ class TestOverlayFormat:
         board = generate_board(8, 0.2, 9)
         state = GameState(board)
         reveal(state, board.start)
-        flag(state, sorted(board.mines)[0])
+        flag(state, sorted(mine_sites(board))[0])
         text = serialize_overlay(state)
         back = parse_overlay(text, board.boundary, board)
         assert (back.status == state.status).all()
@@ -531,7 +562,7 @@ class TestOverlayFormat:
 
     def test_no_board_needed(self):
         state = parse_overlay("#1\n1F\n", Boundary.OPEN)
-        assert state.board.n == 2 and not state.board.mines
+        assert state.board.n == 2 and not mine_sites(state.board)
         assert int(state.status[1, 1]) == FLAGGED
         assert int(state.view_labels[0, 1]) == 1
 

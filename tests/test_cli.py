@@ -93,7 +93,16 @@ class TestPlay:
 
     def test_bad_board_size_fails_before_output(self, capsys):
         assert_input_error(run_cli(capsys, "play", "--n", "0", "--rho", "0.1"),
+                           "play", "board side must be positive")
+
+    def test_full_board_fails_before_output(self, capsys):
+        assert_input_error(run_cli(capsys, "play", "--n", "6", "--rho", "1"),
                            "play", "at least one empty site")
+
+    @pytest.mark.parametrize("rho", ["nan", "-0.1", "1.5"])
+    def test_bad_density_fails_before_output(self, capsys, rho):
+        assert_input_error(run_cli(capsys, "play", "--n", "6", "--rho", rho),
+                           "play", "rho must lie in [0, 1]")
 
     @pytest.mark.parametrize("flag, message", [
         ("--seed", "non-negative integer"),
@@ -154,7 +163,7 @@ class TestKsetBatch:
         assert f"kset:{k}" in err
 
     @pytest.mark.parametrize("args, message", [
-        (("--n", "0", "--rho", "0.1"), "at least one empty site"),
+        (("--n", "6", "--rho", "1"), "at least one empty site"),
         (("--n", "6", "--rho", "1.5"), "rho must lie in [0, 1]"),
         (("--n", "6", "--rho", "0.1", "--master", "-2"),
          "non-negative integer"),
@@ -164,6 +173,8 @@ class TestKsetBatch:
          "--seeds must be at least 1"),
         (("--n", "6", "--rho", "0.1", "--time-budget", "-1"),
          "time budget must be positive"),
+        (("--n", "0", "--rho", "0.1"), "board side must be positive"),
+        (("--n", "6", "--rho", "nan"), "rho must lie in [0, 1]"),
     ])
     def test_bad_board_fails_before_output(self, capsys, args, message):
         assert_input_error(run_cli(capsys, "kset", "--k", "1", "--seeds", "1",

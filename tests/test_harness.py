@@ -24,7 +24,7 @@ from minelab.harness import (DESK_GAMES, DESK_NS, DESK_RHOS, GAMES_COLUMNS,
                              write_summary_csv)
 from minelab.player import GameRecord, Outcome
 
-from conftest import read_games_csv
+from conftest import mine_sites, read_games_csv
 
 
 def small_config(tmp_path, **overrides) -> SweepConfig:
@@ -85,7 +85,7 @@ class TestGameSeed:
     def test_same_inputs_same_board(self):
         a = generate_board(10, 0.2, game_seed(0, 0.2, 3))
         b = generate_board(10, 0.2, game_seed(0, 0.2, 3))
-        assert (a.mines, a.start) == (b.mines, b.start)
+        assert (mine_sites(a), a.start) == (mine_sites(b), b.start)
 
     def test_policy_and_size_independent_by_construction(self):
         ss = game_seed(7, 0.125, 11)
@@ -93,7 +93,7 @@ class TestGameSeed:
         assert ss.spawn_key == (125_000, 11)
 
     def test_distinct_indices_distinct_boards(self):
-        boards = {generate_board(10, 0.2, game_seed(0, 0.2, i)).mines
+        boards = {mine_sites(generate_board(10, 0.2, game_seed(0, 0.2, i)))
                   for i in range(8)}
         assert len(boards) > 1
 

@@ -3,12 +3,18 @@ oracle and against the pass that queries every unwitnessed literal, the
 cores-off pass's counting propagation against unit propagation on the
 formula, its counting search against truth tables, its quiet-part memory
 against passes played without it, pinned digests of pass output, full-game
-invariants, policies, budgets, and tracing."""
+invariants and soundness checks (also under python -O), policies,
+budgets, and tracing."""
 from __future__ import annotations
 
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +29,7 @@ from minelab.player import (Inference, Outcome, Policy, Verdict, _backbone,
 from minelab.sat import Solver
 
 from conftest import (budget_board, consistency_check, forced_verdicts,
-                      formula_parts, load_state, parse_overlay,
+                      formula_parts, load_state, mine_sites, parse_overlay,
                       random_reachable_state, solve, state_formula)
 
 
@@ -558,7 +564,7 @@ class TestPlayGame:
         assert record.seed == 42
         assert record.n == 6
         default = play_game(board)
-        assert default.rho == len(board.mines) / 36
+        assert default.rho == len(mine_sites(board)) / 36
         assert default.seed is None
 
     def test_expired_time_budget_marks_timeout(self, hour_clock):
@@ -638,6 +644,53 @@ class TestPlayGame:
         board = Board(4, Boundary.OPEN, {(0, 0)})
         with pytest.raises(ValueError):
             play_game(board)
+
+    @pytest.mark.parametrize("verdict, validate, message", [
+        (Verdict.MINE, True, "unsound mine verdict at"),
+        (Verdict.SAFE, True, "unsound safe verdict at"),
+        (Verdict.SAFE, False, "^$"),    # the reveal explodes
+    ])
+    def test_unsound_verdict_raises(self, monkeypatch, verdict, validate,
+                                    message):
+        board = generate_board(8, 0.15, 1)
+        mines = mine_sites(board)
+        wrong = verdict is Verdict.SAFE     # a wrong SAFE names a mine
+
+        def unsound_pass(state, **_):
+            site = next((r, c) for r, row in enumerate(state.status.tolist())
+                        for c, s in enumerate(row)
+                        if s == COVERED and ((r, c) in mines) == wrong)
+            return [Inference(site, verdict)]
+
+        monkeypatch.setattr(minelab.player, "infer_step", unsound_pass)
+        with pytest.raises(AssertionError, match=message):
+            play_game(board, validate=validate)
+
+    def test_soundness_check_survives_optimize_flag(self):
+        # python -O drops assert statements, not these checks.
+        script = textwrap.dedent("""
+            import sys
+            from minelab import player
+            from minelab.board import COVERED, generate_board
+            board = generate_board(8, 0.15, 1)
+            def infer_step(state, **_):
+                site = next((r, c) for r in range(8) for c in range(8)
+                            if state.status[r, c] == COVERED
+                            and not board.mine_grid[r, c])
+                return [player.Inference(site, player.Verdict.MINE)]
+            player.infer_step = infer_step
+            try:
+                print(sys.flags.optimize, player.play_game(board).outcome)
+            except AssertionError as exc:
+                print(sys.flags.optimize, exc)
+            """)
+        src = str(Path(minelab.player.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("1 unsound mine verdict at ")
 
     def test_trace_matches_turn_count(self):
         board = generate_board(7, 0.15, 11)
