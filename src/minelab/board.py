@@ -16,7 +16,7 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -66,23 +66,22 @@ def _padded(grid: np.ndarray, boundary: Boundary, fill: int = 0) -> np.ndarray:
     return out
 
 
-def _neighbor_sum(grid: np.ndarray, boundary: Boundary) -> np.ndarray:
-    """Sum of the 8 neighboring cells for every cell of an integer grid."""
+def _neighbor_planes(grid: np.ndarray, boundary: Boundary,
+                     fill: int = 0) -> np.ndarray:
+    """The 8 neighbour planes of a grid, in _OFFSETS order: plane k holds
+    every cell's k-th neighbour, fill past an open edge."""
     n = grid.shape[0]
-    padded = _padded(grid, boundary)
-    acc = np.zeros_like(grid)
-    for dr, dc in _OFFSETS:
-        acc += padded[1 + dr:1 + dr + n, 1 + dc:1 + dc + n]
-    return acc
+    padded = _padded(grid, boundary, fill)
+    return np.stack([padded[1 + dr:1 + dr + n, 1 + dc:1 + dc + n]
+                     for dr, dc in _OFFSETS])
 
 
 class Board:
-    """Immutable ground truth: mine_grid, the one record of the mines, with
-    derived labels and the disclosed zero start when generate_board drew
-    one. A mine off the board or a torus side below 3 raises ValueError."""
+    """Ground truth: mine_grid and the int16 labels, each kept once, and the
+    zero start generate_board disclosed (None on any other board). A mine
+    off the board or a torus side below 3 raises ValueError."""
 
-    def __init__(self, n: int, boundary: Boundary, mines: Iterable[Site],
-                 start: Optional[Site] = None):
+    def __init__(self, n: int, boundary: Boundary, mines: Iterable[Site]):
         if n < 1:
             raise ValueError("board side must be positive")
         # One (row, col) line per mine, bounds-checked and laid as a whole.
@@ -94,14 +93,11 @@ class Board:
             raise ValueError(f"mine {(r, c)} outside an {n}x{n} board")
         self.n = n
         self.boundary = boundary
-        self.start = start
-        grid = np.zeros((n, n), dtype=np.int16)
-        grid[rc[:, 0], rc[:, 1]] = 1
-        self.labels = _neighbor_sum(grid, boundary)
-        self.mine_grid = grid.astype(bool)
-        # Row-major, one byte per site: is its label 0. reveal reads it, and
-        # the mine grid's bytes, instead of indexing the grids site by site.
-        self._zero_bytes = (self.labels == 0).tobytes()
+        self.start: Optional[Site] = None
+        self.mine_grid = np.zeros((n, n), dtype=bool)
+        self.mine_grid[rc[:, 0], rc[:, 1]] = True
+        self.labels = _neighbor_planes(self.mine_grid, boundary).sum(
+            axis=0, dtype=np.int16)
 
     def __repr__(self) -> str:
         return (f"Board(n={self.n}, boundary={self.boundary.value}, "
@@ -148,24 +144,20 @@ def generate_board(n: int, rho: float, seed, boundary: Boundary = Boundary.TORUS
     total = n * n
     m = int(np.floor(total * rho))
     rng = np.random.default_rng(seed)
-    attempts = MAX_ATTEMPTS if require_zero else 1
-    for _ in range(attempts):
+    for _ in range(MAX_ATTEMPTS):
         # One vector draw: the same stream as m draws integers(k, total).
         idx = list(range(total))
         for k, j in enumerate(rng.integers(np.arange(m), total).tolist()):
             idx[k], idx[j] = idx[j], idx[k]
-        mine_flat = idx[:m]
-        start = None
-        if require_zero:
-            grid = np.bincount(mine_flat, minlength=total).reshape(n, n)
-            zeros = np.flatnonzero((_neighbor_sum(grid, boundary) == 0)
-                                   & (grid == 0))
-            if not zeros.size:
-                continue
-            start = divmod(int(zeros[int(rng.integers(zeros.size))]), n)
-        return Board(n, boundary, map(divmod, mine_flat, repeat(n)), start)
-    raise GenerationExhausted(f"no zero-labeled empty site after {attempts} "
-                              f"boards (n={n}, rho={rho})")
+        board = Board(n, boundary, map(divmod, idx[:m], repeat(n)))
+        if not require_zero:
+            return board
+        zeros = np.flatnonzero((board.labels == 0) & ~board.mine_grid)
+        if zeros.size:
+            board.start = divmod(int(zeros[int(rng.integers(zeros.size))]), n)
+            return board
+    raise GenerationExhausted(f"no zero-labeled empty site after "
+                              f"{MAX_ATTEMPTS} boards (n={n}, rho={rho})")
 
 
 @dataclass(frozen=True)
@@ -225,22 +217,22 @@ def _edge_table(n: int, boundary: Boundary) -> Dict[int, Tuple[int, ...]]:
                                     nb.tolist())}
 
 
-def reveal(state: GameState, *sites: Site) -> FrozenSet[Site]:
+def reveal(state: GameState, *sites: Site) -> None:
     """Reveal covered sites as one move; zero labels flood-fill their
     neighborhoods.
 
     The result is that of revealing the sites one by one, in order, each
     only if it is still covered: a flood's closure does not depend on the
     order its seeds are opened in. Flagged sites are never opened by the
-    flood (flags are the player's bookkeeping and stay put). Returns every
-    site opened by this move. A mined site opens none and makes the state
-    terminal (state.exploded): the sites before the first mined one are
+    flood (flags are the player's bookkeeping and stay put); the opened
+    sites show in the status grid only. A mined site opens none and makes
+    the state terminal (state.exploded): the sites before the first mined one are
     opened, the ones after it are not. A move the rules forbid (a site off
     the board, already revealed or flagged, or a game already over) raises
     ValueError and changes nothing.
 
-    The flood runs on flat row-major indices over a byte view of the
-    status grid; the opened sites' view labels are written in one batch.
+    The flood runs on flat row-major indices over memoryviews of the status
+    grid and labels; the opened sites' view labels are written in one batch.
     """
     if state.exploded:
         raise ValueError("game is over")
@@ -262,8 +254,8 @@ def reveal(state: GameState, *sites: Site) -> FrozenSet[Site]:
     for i in seeds:
         status[i] = REVEALED
     # Zero labels certify a mine-free neighborhood, so the flood is safe.
-    zero = board._zero_bytes
-    stack = [i for i in seeds if zero[i]]
+    label = memoryview(board.labels).cast("B").cast("h")
+    stack = [i for i in seeds if not label[i]]
     opened = seeds
     up, down = n + 1, n - 1
     while stack:
@@ -276,11 +268,10 @@ def reveal(state: GameState, *sites: Site) -> FrozenSet[Site]:
             if status[t] == COVERED:
                 status[t] = REVEALED
                 opened.append(t)
-                if zero[t]:
+                if not label[t]:
                     stack.append(t)
     flat = np.array(opened, dtype=np.intp)
     state.view_labels.put(flat, board.labels.take(flat))
-    return frozenset(map(divmod, opened, repeat(n)))
 
 
 def flag(state: GameState, site: Site) -> None:
@@ -302,9 +293,7 @@ def frontiers(state: GameState) -> Frontiers:
     status = state.status
     # planes[k] holds the status of every cell's k-th neighbor; -1 past an
     # open edge matches no status.
-    padded = _padded(status, boundary, fill=-1)
-    planes = np.stack([padded[1 + dr:1 + dr + n, 1 + dc:1 + dc + n]
-                       for dr, dc in _OFFSETS])
+    planes = _neighbor_planes(status, boundary, fill=-1)
     inner_mask = (status == REVEALED) & (planes == COVERED).any(axis=0)
     outer_mask = (status == COVERED) & (planes == REVEALED).any(axis=0)
     rows, cols = np.nonzero(inner_mask)

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence
 from .board import Boundary, check_board_shape
 from .cnf import parse_dimacs, parse_gcnf
 from .gmus import NotUnsat, extract_gmus
-from .harness import (GAMES_COLUMNS, game_seed, parse_grid,
+from .harness import (GAMES_COLUMNS, check_seed, parse_grid,
                       parse_sweep_config, play_seeded_game, record_cells,
                       run_sweep, validate_config)
 from .percolation import Connectivity, PercolationConfig, percolation_sweep
@@ -62,7 +62,8 @@ def _cmd_play(args: argparse.Namespace) -> int:
     try:
         policy = Policy.parse(args.policy)
         check_board_shape(args.n, args.rho, boundary)
-        game_seed(args.master, args.rho, args.seed)  # a bad seed fails here
+        check_seed("--master", args.master)
+        check_seed("--seed", args.seed)
         check_budgets(args.time_budget, args.conflict_budget)
     except ValueError as exc:
         return _input_error("play", exc)
@@ -99,7 +100,7 @@ def _cmd_kset(args: argparse.Namespace) -> int:
         if args.seeds < 1:
             raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
         check_board_shape(args.n, args.rho, boundary)
-        game_seed(args.master, args.rho, 0)     # a bad master fails here
+        check_seed("--master", args.master)
         check_budgets(args.time_budget)
     except ValueError as exc:
         return _input_error("kset", exc)
@@ -142,6 +143,9 @@ def _cmd_core(args: argparse.Namespace) -> int:
         result = extract_gmus(Solver(formula), args.pivot)
     except NotUnsat:
         print("not unsat under the pivot", file=sys.stderr)
+        return 1
+    except ResourceLimit as exc:
+        print(f"minelab core: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:
         return _input_error("core", exc)

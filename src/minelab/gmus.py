@@ -67,10 +67,12 @@ class NotUnsat(Exception):
 
 @dataclass(frozen=True)
 class GmusResult:
-    """A minimal unsatisfiable core: group ids, the pivot literal, and C."""
+    """A minimal unsatisfiable core: its group ids, and C, their number."""
     core: FrozenSet[int]
-    pivot: int
-    size: int
+
+    @property
+    def size(self) -> int:
+        return len(self.core)
 
 
 def _violated(clauses: Sequence[Clause], lits: Set[int]) -> bool:
@@ -141,7 +143,7 @@ def extract_gmus(solver: Solver, pivot: int, *,
     if labels is not None:
         for h in var_groups[pv]:
             if _refutes(labels[h], len(group_vars[h]), pivot):
-                return GmusResult(core=frozenset([h]), pivot=pivot, size=1)
+                return GmusResult(core=frozenset([h]))
     if initial_core is None:
         res = solver.solve(solver.group_ids, [pivot])
         if res.sat:
@@ -209,6 +211,5 @@ def extract_gmus(solver: Solver, pivot: int, *,
             if h == only:
                 break
             if not solver.solve([h], [pivot]).sat:
-                return GmusResult(core=frozenset([h]), pivot=pivot, size=1)
-    return GmusResult(core=frozenset(candidate), pivot=pivot,
-                      size=len(candidate))
+                return GmusResult(core=frozenset([h]))
+    return GmusResult(core=frozenset(candidate))

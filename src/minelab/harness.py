@@ -139,6 +139,12 @@ def game_seed(master: int, rho: float, index: int) -> np.random.SeedSequence:
                                   spawn_key=(rho_key(rho), index))
 
 
+def check_seed(name: str, seed: int) -> None:
+    """Raise ValueError naming a negative seed, which SeedSequence rejects."""
+    if seed < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {seed}")
+
+
 def play_seeded_game(n: int, rho: float, policy: Union[str, Policy],
                      master: int, idx: int,
                      boundary: Boundary = Boundary.TORUS,
@@ -323,6 +329,7 @@ def validate_config(config: SweepConfig) -> None:
             check_board_shape(n, rho, config.boundary)
     if config.games < 1:
         raise ValueError("games must be at least 1")
+    check_seed("seed", config.seed)
     if config.workers < 1:
         raise ValueError("workers must be at least 1")
     if not config.policies:

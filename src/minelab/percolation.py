@@ -22,8 +22,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .board import Board, Boundary, check_board_shape, generate_board
-from .harness import mean_se, reject_repeats, rho_key
+from .board import _OFFSETS, Board, Boundary, check_board_shape, generate_board
+from .harness import check_seed, mean_se, reject_repeats, rho_key
 
 
 class Connectivity(enum.Enum):
@@ -32,8 +32,7 @@ class Connectivity(enum.Enum):
 
 
 _STEPS = {Connectivity.NEAREST4: ((-1, 0), (0, -1), (0, 1), (1, 0)),
-          Connectivity.MOORE8: tuple((dr, dc) for dr in (-1, 0, 1)
-                                     for dc in (-1, 0, 1) if dr or dc)}
+          Connectivity.MOORE8: _OFFSETS}
 
 
 def _minesweeper_occupancy(board: Board) -> np.ndarray:
@@ -100,9 +99,9 @@ def _avg_cluster_size(sizes: List[int], spanning: List[int]
 @dataclass
 class PercolationConfig:
     """One sweep: a parameter grid for one occupancy mode. An unknown mode,
-    n or samples below 1, an empty grid, a parameter no sample can be drawn
-    at, or two parameters that round to the same micro-unit raise
-    ValueError when the config is built. A boundary left None resolves to
+    n or samples below 1, a negative seed, an empty grid, a parameter no
+    sample can be drawn at, or two parameters that round to the same
+    micro-unit raise ValueError when the config is built. A boundary left None resolves to
     open for independent occupation and to the board's torus otherwise."""
     mode: str                      # "independent" or "minesweeper"
     params: Sequence[float]
@@ -119,6 +118,7 @@ class PercolationConfig:
             raise ValueError(f"n must be at least 1, got {self.n}")
         if self.samples < 1:
             raise ValueError(f"samples must be at least 1, got {self.samples}")
+        check_seed("seed", self.seed)
         if self.boundary is None:
             self.boundary = (Boundary.OPEN if self.mode == "independent"
                              else Boundary.TORUS)

@@ -211,7 +211,7 @@ class _Rows:
     (mined), 0 (safe) or -1 (undecided), and rows_of[j] the rows holding
     column j. Every column set goes on trail, so undo takes back all that
     was set after a mark. shown[j] has bit b set once a model gave column
-    j the value b, and phase[j] is the value a decision on j tries first.
+    j the value b.
     """
 
     def __init__(self, supports: Sequence[Sequence[int]],
@@ -226,7 +226,6 @@ class _Rows:
                 self.rows_of[j].append(i)
         self.trail: List[int] = []
         self.shown = bytearray(columns)
-        self.phase = bytearray(columns)
         # Visit stamps of the breadth-first orders, one per order.
         self._stamp = 0
         self._row_seen = [0] * len(supports)
@@ -318,15 +317,15 @@ def _search(rows: _Rows, j: int, b: int, order: List[int],
     """Whether column j can take the value b, by depth-first search.
 
     Decisions take the first undecided column of order and try the value
-    in rows.phase; counting propagation follows each. An empty order is
-    filled at the first decision: j and the columns its value set, then
-    the columns joined to them, nearest first. Columns that no path of
-    rows through columns undecided at the start joins to j are left out,
-    since they cannot change the answer. On True the model is left in
-    rows.value for the caller to undo; on False, or when the conflicts
-    pass budget (ResourceLimit), every value is as before.
+    no model has shown it, else 0; counting propagation follows each. An
+    empty order is filled at the first decision: j and the columns its
+    value set, then the columns joined to them, nearest first. Columns that
+    no path of rows through columns undecided at the start joins to j are
+    left out, since they cannot change the answer. On True the model is
+    left in rows.value for the caller to undo; on False, or when the
+    conflicts pass budget (ResourceLimit), every value is as before.
     """
-    value, trail, phase = rows.value, rows.trail, rows.phase
+    value, trail, shown = rows.value, rows.trail, rows.shown
     start = len(trail)
     ok = rows.propagate([], (j,), b)
     decisions: List[Tuple[int, int, bool]] = []   # (mark, head, flipped)
@@ -342,7 +341,7 @@ def _search(rows: _Rows, j: int, b: int, order: List[int],
                 return True
             decisions.append((len(trail), head, False))
             k = order[head]
-            ok = rows.propagate([], (k,), phase[k])
+            ok = rows.propagate([], (k,), 1 if shown[k] == 1 else 0)
             continue
         conflicts += 1
         if conflicts > budget:
@@ -377,7 +376,7 @@ def _backbone(rows: _Rows, part: _Part,
     a contradiction near it is met before a far column is decided. The
     result is the backbone, which no search order changes.
     """
-    value, shown, phase = rows.value, rows.shown, rows.phase
+    value, shown = rows.value, rows.shown
     found = []
     for j in sorted({j for _, _, cols in part for j in cols}):
         if value[j] >= 0:
@@ -396,9 +395,7 @@ def _backbone(rows: _Rows, part: _Part,
                 failed = b
                 continue
             for k in rows.trail[mark:]:
-                v = value[k]
-                shown[k] |= 1 << v
-                phase[k] = 1 - v
+                shown[k] |= 1 << value[k]
             rows.undo(mark)
         if failed >= 0:
             found.append((j, 1 - failed))

@@ -16,7 +16,8 @@ from __future__ import annotations
 import csv
 import itertools
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import (Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
+                    Union)
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from minelab.board import (Board, Boundary, COVERED, FLAGGED, REVEALED,
                            generate_board, reveal)
 from minelab.cnf import GroupedCnf, InfeasibleLabel, build_formula
 from minelab.cnf import _encode_exact_count as encode_exact_count
+from minelab.player import Inference, Verdict
 from minelab.sat import Solver
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -251,6 +253,23 @@ def naive_reveal(state: GameState, *sites: Site) -> FrozenSet[Site]:
             if int(board.labels[s]) == 0:
                 queue.extend(naive_neighbors(s, state.n, state.boundary))
     return frozenset(opened)
+
+
+def reveal_opened(state: GameState, *sites: Site) -> FrozenSet[Site]:
+    """reveal(state, *sites), which returns None, then the sites it opened:
+    those whose status it turned from covered to revealed."""
+    before = state.status.copy()
+    assert reveal(state, *sites) is None
+    rows, cols = np.nonzero((before == COVERED) & (state.status == REVEALED))
+    return frozenset(zip(rows.tolist(), cols.tolist()))
+
+
+def inference_pivot(outer: Sequence[Site], inf: Inference) -> int:
+    """The literal an inference's core refutes with the frontier formula:
+    its site's variable (outer index + 1), true for a safe verdict and
+    false for a mine."""
+    var = outer.index(inf.site) + 1
+    return var if inf.verdict is Verdict.SAFE else -var
 
 
 def naive_effective_label(state: GameState, site: Site) -> int:

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from minelab.board import Boundary, Site, generate_board
+from minelab.board import Boundary, Site, frontiers, generate_board
 from minelab.cnf import GroupedCnf
 from minelab.harness import (DESK_RHOS, GAMES_COLUMNS, SweepConfig,
                              SweepRecord, float_range, run_sweep)
@@ -31,8 +31,9 @@ from minelab.kset import build_constraints, kset_infer
 from minelab.percolation import PercolationConfig, percolation_sweep
 from minelab.percolation import _minesweeper_occupancy as minesweeper_occupancy
 from minelab.player import Verdict, infer_step
-from conftest import (consistency_check, load_state, random_reachable_state,
-                      read_games_csv, solve, state_formula)
+from conftest import (consistency_check, inference_pivot, load_state,
+                      random_reachable_state, read_games_csv, solve,
+                      state_formula)
 
 EXPECTED = Path(__file__).parent / "acceptance_expected"
 SWEEPS = ("sat_sweep", "kset_sweep", "stratification")
@@ -308,9 +309,10 @@ def test_08_core_invariants():
         if state is None or not consistency_check(state):
             continue
         formula = state_formula(state)
+        outer = frontiers(state).outer
         for inf in infer_step(state, extract_cores=True):
             core = sorted(inf.core.core)
-            pivot = inf.core.pivot
+            pivot = inference_pivot(outer, inf)
             if solve(formula, core, [pivot]).sat:
                 failures += 1
             for g in core:

@@ -13,14 +13,15 @@ from hypothesis import strategies as st
 from minelab.board import (Board, Boundary, COVERED, FLAGGED, REVEALED,
                            GameState, GenerationExhausted, flag, frontiers,
                            generate_board, reveal)
+import minelab.board
 from minelab.board import _edge_table
 
 from conftest import (ParseError, budget_board, mine_sites, naive_frontiers,
                       naive_labels, naive_neighbors, naive_reveal,
                       overlay_state, parse_board,
                       parse_overlay, random_reachable_state,
-                      random_status_state, serialize_board, serialize_overlay,
-                      state_formula)
+                      random_status_state, reveal_opened, serialize_board,
+                      serialize_overlay, state_formula)
 
 
 def twin(state: GameState) -> GameState:
@@ -139,6 +140,25 @@ class TestBoardAndLabels:
             tracemalloc.stop()
         assert per_board < 16_000
 
+    def test_one_labelling_per_board(self, monkeypatch):
+        # A drawn board is labelled once, by Board itself: generate_board
+        # reads its zero start from that board's labels and mine grid. At
+        # n=40, rho=0.2 the first draw of each seed has a zero start.
+        padded = minelab.board._padded
+        grids = []
+
+        def counted(grid, *args, **kwargs):
+            grids.append(grid.shape)
+            return padded(grid, *args, **kwargs)
+
+        monkeypatch.setattr("minelab.board._padded", counted)
+        for seed in range(5):
+            board = generate_board(40, 0.2, seed)
+            assert grids == [(40, 40)]
+            assert int(board.labels[board.start]) == 0
+            assert board.labels.dtype == np.int16
+            grids.clear()
+
     def test_determinism_and_seed_sensitivity(self):
         a = generate_board(10, 0.2, 42)
         b = generate_board(10, 0.2, 42)
@@ -207,10 +227,17 @@ class TestBoardAndLabels:
 
 
 class TestMoves:
+    def test_reveal_returns_nothing(self):
+        # The move's effect is the state: no set of opened sites is built.
+        board = Board(4, Boundary.OPEN, [(0, 0)])
+        state = GameState(board)
+        assert reveal(state, (3, 3)) is None
+        assert reveal(state, (0, 0)) is None and state.exploded
+
     def test_zero_flood_fills_everything(self):
         board = Board(3, Boundary.OPEN, [])
         state = GameState(board)
-        out = reveal(state, (1, 1))
+        out = reveal_opened(state, (1, 1))
         assert not state.exploded
         assert len(out) == 9
         assert (state.status == REVEALED).all()
@@ -218,14 +245,14 @@ class TestMoves:
     def test_nonzero_label_reveals_single_site(self):
         board = Board(4, Boundary.OPEN, [(0, 0)])
         state = GameState(board)
-        out = reveal(state, (1, 1))
+        out = reveal_opened(state, (1, 1))
         assert out == frozenset({(1, 1)})
         assert int(state.view_labels[1, 1]) == 1
 
     def test_boom(self):
         board = Board(4, Boundary.OPEN, [(0, 0)])
         state = GameState(board)
-        out = reveal(state, (0, 0))
+        out = reveal_opened(state, (0, 0))
         assert out == frozenset()
         assert state.exploded
         with pytest.raises(ValueError, match="game is over"):
@@ -245,7 +272,7 @@ class TestMoves:
         board = Board(3, Boundary.OPEN, [])
         state = GameState(board)
         flag(state, (0, 0))
-        out = reveal(state, (2, 2))
+        out = reveal_opened(state, (2, 2))
         assert (0, 0) not in out
         assert len(out) == 8
         assert int(state.status[0, 0]) == FLAGGED
@@ -256,7 +283,7 @@ class TestMoves:
             for site in flags:
                 flag(state, site)
             reference = twin(state)
-            out = reveal(state, (5, 0))
+            out = reveal_opened(state, (5, 0))
             assert out == naive_reveal(reference, (5, 0))
             assert len(out) == 32 and not set(flags) & out
             assert_same_state(state, reference)
@@ -334,11 +361,11 @@ class TestMoves:
             picks = [pool[i] for i in
                      rng.integers(len(pool), size=int(rng.integers(1, 9)))]
             single, reference = twin(batch), twin(batch)
-            opened = reveal(batch, *picks)
+            opened = reveal_opened(batch, *picks)
             one_by_one = set()
             for site in picks:
                 if not single.exploded and int(single.status[site]) == COVERED:
-                    one_by_one |= reveal(single, site)
+                    one_by_one |= reveal_opened(single, site)
             assert opened == one_by_one == naive_reveal(reference, *picks)
             assert_same_state(batch, single)
             assert_same_state(batch, reference)
@@ -352,9 +379,9 @@ class TestMoves:
         # The sites before the mine open, the ones after it do not.
         board = Board(5, Boundary.OPEN, [(0, 0)])
         batch, single = GameState(board), GameState(board)
-        out = reveal(batch, (1, 1), (0, 0), (4, 4))
-        assert out == reveal(single, (1, 1)) == frozenset({(1, 1)})
-        assert reveal(single, (0, 0)) == frozenset()
+        out = reveal_opened(batch, (1, 1), (0, 0), (4, 4))
+        assert out == reveal_opened(single, (1, 1)) == frozenset({(1, 1)})
+        assert reveal_opened(single, (0, 0)) == frozenset()
         assert batch.exploded
         assert (batch.status == single.status).all()
         with pytest.raises(ValueError, match="game is over"):
@@ -395,7 +422,7 @@ class TestMoves:
                 for site in flagged:
                     flag(state, site)
                 reference = twin(state)
-                opened = reveal(state, seed)
+                opened = reveal_opened(state, seed)
                 assert opened == naive_reveal(reference, seed), seed
                 assert_same_state(state, reference)
                 flooded += len(opened) > 1

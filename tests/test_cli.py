@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -14,6 +15,7 @@ from minelab.cli import main
 from minelab.cnf import export_gcnf
 from minelab.harness import GAMES_COLUMNS, game_seed, parse_sweep_config
 from minelab.player import play_game
+from minelab.sat import Solver
 
 from conftest import load_state, state_formula
 
@@ -112,6 +114,12 @@ class TestPlay:
         assert_input_error(run_cli(capsys, "play", "--n", "10", "--rho",
                                    "0.1", flag, "-1"), "play", message)
 
+    @pytest.mark.parametrize("flag", ["--seed", "--master"])
+    def test_negative_seed_is_named(self, capsys, flag):
+        assert_input_error(run_cli(capsys, "play", "--n", "10", "--rho",
+                                   "0.1", flag, "-2"), "play",
+                           f"{flag} must be a non-negative integer, got -2")
+
     def test_small_torus_fails_before_output(self, capsys):
         assert_input_error(run_cli(capsys, "play", "--n", "2", "--rho", "0.1"),
                            "play", "n >= 3")
@@ -179,6 +187,12 @@ class TestKsetBatch:
     def test_bad_board_fails_before_output(self, capsys, args, message):
         assert_input_error(run_cli(capsys, "kset", "--k", "1", "--seeds", "1",
                                    *args), "kset", message)
+
+    def test_negative_master_is_named(self, capsys):
+        assert_input_error(
+            run_cli(capsys, "kset", "--k", "1", "--n", "6", "--rho", "0.1",
+                    "--seeds", "1", "--master", "-1"),
+            "kset", "--master must be a non-negative integer, got -1")
 
 
 class TestSolve:
@@ -293,6 +307,25 @@ class TestCore:
         assert out == ""
         assert "not unsat" in err
 
+    def test_exceeded_conflict_budget_fails(self, capsys, tmp_path,
+                                            monkeypatch):
+        # Pigeonhole 6 -> 5, one group per pigeon and one per hole: no
+        # query settles it within 5 conflicts.
+        var = lambda p, h: p * 5 + h + 1
+        groups = [[[var(p, h) for h in range(5)]] for p in range(6)]
+        groups += [[[-var(p, h), -var(q, h)] for p in range(6)
+                    for q in range(p + 1, 6)] for h in range(5)]
+        lines = [f"{{{g}}} " + " ".join(map(str, c)) + " 0"
+                 for g, clauses in enumerate(groups, 1) for c in clauses]
+        path = tmp_path / "php.gcnf"
+        path.write_text(f"p gcnf 30 {len(lines)} {len(groups)}\n"
+                        + "\n".join(lines) + "\n")
+        monkeypatch.setattr("minelab.cli.Solver",
+                            functools.partial(Solver, conflict_budget=5))
+        code, out, err = run_cli(capsys, "core", str(path), "1")
+        assert (code, out) == (1, "")
+        assert err == "minelab core: conflict budget 5 exceeded\n"
+
 
 class TestPercolation:
     def test_csv_matches_library(self, capsys):
@@ -353,6 +386,15 @@ class TestPercolation:
             run_cli(capsys, "percolation", "--mode", "independent",
                     "--param-grid", "0.1", *args),
             "percolation", message)
+
+    @pytest.mark.parametrize("mode", ["independent", "minesweeper"])
+    def test_negative_seed_fails_before_output(self, capsys, tmp_path, mode):
+        svg = tmp_path / "out" / "p.svg"
+        assert_input_error(
+            run_cli(capsys, "percolation", "--mode", mode, "--param-grid",
+                    "0.1", "--seed", "-1", "--svg", str(svg)),
+            "percolation", "seed must be a non-negative integer, got -1")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("svg", ["afile/p.svg", "afile/sub/p.svg"])
     def test_unusable_svg_path_fails_before_any_sample(self, capsys, tmp_path,
@@ -485,6 +527,15 @@ class TestSweep:
         assert_input_error(run_cli(capsys, "sweep", "--config", str(config)),
                            "sweep", str(tmp_path / "out" / "points"))
         assert games == []
+
+    def test_negative_seed_fails_before_any_game(self, capsys, tmp_path):
+        config = tmp_path / "sweep.cfg"
+        config.write_text("n = 5\nrho = 0.1\ngames = 1\nseed = -1\n"
+                          f"outdir = {tmp_path / 'out'}\n")
+        assert_input_error(run_cli(capsys, "sweep", "--config", str(config)),
+                           "sweep", "seed must be a non-negative integer, "
+                           "got -1")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_outdir_fails(self, capsys, tmp_path):
         config = tmp_path / "sweep.cfg"

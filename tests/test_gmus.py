@@ -16,18 +16,20 @@ from minelab.harness import game_seed
 from minelab.player import Verdict, infer_step
 from minelab.sat import Solver
 
-from conftest import (load_state, parse_overlay, random_reachable_state, solve,
-                      state_formula)
+from conftest import (inference_pivot, load_state, parse_overlay,
+                      random_reachable_state, solve, state_formula)
 
 
-def assert_core_invariants(formula: GroupedCnf, result: GmusResult) -> None:
-    """Re-check both invariants with fresh direct solve calls."""
+def assert_core_invariants(formula: GroupedCnf, result: GmusResult,
+                           pivot: int) -> None:
+    """Re-check both invariants under the pivot with fresh direct solve
+    calls."""
     assert result.size == len(result.core) >= 1
     core = sorted(result.core)
-    assert not solve(formula, core, [result.pivot]).sat
+    assert not solve(formula, core, [pivot]).sat
     for g in core:
         rest = [h for h in core if h != g]
-        assert solve(formula, rest, [result.pivot]).sat, (
+        assert solve(formula, rest, [pivot]).sat, (
             f"group {g} is removable, core not minimal")
 
 
@@ -38,8 +40,7 @@ class TestKnownCases:
         result = extract_gmus(Solver(formula), 1)
         assert result.core == frozenset({1})
         assert result.size == 1
-        assert result.pivot == 1
-        assert_core_invariants(formula, result)
+        assert_core_invariants(formula, result, 1)
 
     def test_mine_row_pivot_negated(self):
         # Every inner site forces the lone covered centre to be a mine, so
@@ -52,12 +53,12 @@ class TestKnownCases:
         result = extract_gmus(Solver(formula), -centre_var)
         assert result.size == 1
         assert result.core == frozenset({0})
-        assert_core_invariants(formula, result)
+        assert_core_invariants(formula, result, -centre_var)
         # Exhaustive subset re-check: the core with the pivot is Unsat and
         # every proper subset of it is Sat.
         for r in range(result.size):
             for sub in itertools.combinations(sorted(result.core), r):
-                assert solve(formula, list(sub), [result.pivot]).sat
+                assert solve(formula, list(sub), [-centre_var]).sat
 
     def test_effective_label_zero_neighbor(self):
         # A revealed 1 with its mine flagged: effective label 0, so
@@ -67,7 +68,7 @@ class TestKnownCases:
         assert formula.num_vars == 1
         result = extract_gmus(Solver(formula), 1)
         assert result.size == 1
-        assert_core_invariants(formula, result)
+        assert_core_invariants(formula, result, 1)
 
     def test_not_unsat_on_satisfiable_pivot(self):
         formula = GroupedCnf(num_vars=2, groups={1: [(1, 2)]})
@@ -91,7 +92,7 @@ class TestKnownCases:
         result = extract_gmus(Solver(formula), 1)
         assert result.core == frozenset({1, 2})
         assert result.size == 2
-        assert_core_invariants(formula, result)
+        assert_core_invariants(formula, result, 1)
 
 
 class TestOptions:
@@ -106,7 +107,7 @@ class TestOptions:
         assert unseeded.core == frozenset({1, 2})
         seeded = extract_gmus(Solver(formula), 1, initial_core=[4, 5])
         assert seeded.core == frozenset({4, 5})
-        assert_core_invariants(formula, seeded)
+        assert_core_invariants(formula, seeded, 1)
 
     def test_out_of_range_pivot_rejected(self):
         formula = GroupedCnf(num_vars=2,
@@ -123,7 +124,7 @@ class TestOptions:
         a = extract_gmus(solver, 1)
         b = extract_gmus(solver, 1)
         assert a == b
-        assert_core_invariants(formula, a)
+        assert_core_invariants(formula, a, 1)
 
 
 class CountingSolver(Solver):
@@ -153,7 +154,7 @@ class TestModelRotation:
         result = extract_gmus(solver, 1, initial_core=range(k))
         assert result.core == frozenset(range(k))
         assert solver.queries == [list(range(1, k)), [0]]
-        assert_core_invariants(formula, result)
+        assert_core_invariants(formula, result, 1)
 
     def test_size_one_initial_core_scans_only_below_it(self):
         # Groups 1, 2 and 3 each contradict the pivot x1 alone; group 0
@@ -215,7 +216,7 @@ class TestRandomGroupedFormulas:
                     for result in (extract_gmus(Solver(formula), pivot),
                                    extract_gmus(solver, pivot,
                                                 initial_core=seed)):
-                        assert_core_invariants(formula, result)
+                        assert_core_invariants(formula, result, pivot)
                         single = first_singleton_core(formula, pivot)
                         if single is not None:
                             assert result.core == frozenset({single})
@@ -246,7 +247,7 @@ class TestRandomExtraction:
                 if pivot is None:
                     continue
                 result = extract_gmus(solver, pivot)
-                assert_core_invariants(formula, result)
+                assert_core_invariants(formula, result, pivot)
                 extracted += 1
         assert extracted >= 60
 
@@ -263,8 +264,9 @@ def first_singleton_core(formula: GroupedCnf, pivot: int):
 
 
 def played_passes(master: int):
-    """(formula, inferences) for every pass of two n=16 cores-on games at
-    each of rho 0.15, 0.2 and 0.225, played from the given master seed."""
+    """(formula, pivot of each inference, inferences) for every pass of two
+    n=16 cores-on games at each of rho 0.15, 0.2 and 0.225, played from the
+    given master seed."""
     for rho in (0.15, 0.2, 0.225):
         for i in range(2):
             board = generate_board(16, rho, game_seed(master, rho, i),
@@ -275,7 +277,10 @@ def played_passes(master: int):
                 inferences = infer_step(state)
                 if not inferences:
                     break
-                yield state_formula(state), inferences
+                outer = frontiers(state).outer
+                yield (state_formula(state),
+                       [inference_pivot(outer, inf) for inf in inferences],
+                       inferences)
                 for inf in inferences:
                     if inf.verdict is Verdict.MINE:
                         flag(state, inf.site)
@@ -290,10 +295,10 @@ class TestGameCores:
         # Every pass of a few n=16 games: each core is minimal, and a
         # size-1 core is exactly what the scan over all groups finds first.
         cores = multi = 0
-        for formula, inferences in played_passes(7):
-            for inf in inferences:
-                assert_core_invariants(formula, inf.core)
-                single = first_singleton_core(formula, inf.core.pivot)
+        for formula, pivots, inferences in played_passes(7):
+            for pivot, inf in zip(pivots, inferences):
+                assert_core_invariants(formula, inf.core, pivot)
+                single = first_singleton_core(formula, pivot)
                 if single is None:
                     multi += 1
                 else:
@@ -306,7 +311,7 @@ class TestGameCores:
         # contradict this literal" for every literal of its variables
         # exactly as a fresh query on that group alone does.
         refuted = kept = 0
-        for formula, _ in played_passes(3):
+        for formula, _, _ in played_passes(3):
             for g, clauses in formula.groups.items():
                 vs = sorted({abs(l) for clause in clauses for l in clause})
                 for lit in (*vs, *(-v for v in vs)):
@@ -338,12 +343,12 @@ class TestGameCores:
         monkeypatch.setattr(minelab.player, "extract_gmus",
                             recording_extract)
         cores = multi = 0
-        for formula, inferences in played_passes(11):
-            for inf in inferences:
-                assert_core_invariants(formula, inf.core)
+        for formula, pivots, inferences in played_passes(11):
+            for pivot, inf in zip(pivots, inferences):
+                assert_core_invariants(formula, inf.core, pivot)
                 if inf.core.size == 1:
                     assert inf.core.core == frozenset(
-                        {first_singleton_core(formula, inf.core.pivot)})
+                        {first_singleton_core(formula, pivot)})
                 else:
                     multi += 1
                 cores += 1

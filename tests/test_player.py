@@ -29,8 +29,9 @@ from minelab.player import (Inference, Outcome, Policy, Verdict, _backbone,
 from minelab.sat import Solver
 
 from conftest import (budget_board, consistency_check, forced_verdicts,
-                      formula_parts, load_state, mine_sites, parse_overlay,
-                      random_reachable_state, solve, state_formula)
+                      formula_parts, inference_pivot, load_state, mine_sites,
+                      parse_overlay, random_reachable_state, solve,
+                      state_formula)
 
 
 def reference_infer_step(state: GameState, *,
@@ -243,15 +244,13 @@ class TestInferStep:
             for inf in infer_step(state):
                 assert inf.core is not None
                 assert inf.core.size == len(inf.core.core) >= 1
-                var = outer.index(inf.site) + 1
-                expected_pivot = var if inf.verdict is Verdict.SAFE else -var
-                assert inf.core.pivot == expected_pivot
+                pivot = inference_pivot(outer, inf)
                 core = sorted(inf.core.core)
-                assert set(core) <= set(part_of[var])
-                assert not solve(formula, core, [inf.core.pivot]).sat
+                assert set(core) <= set(part_of[abs(pivot)])
+                assert not solve(formula, core, [pivot]).sat
                 for g in core:
                     assert solve(formula, [h for h in core if h != g],
-                                 [inf.core.pivot]).sat
+                                 [pivot]).sat
                 checked += 1
             if checked >= 25 and multi_part >= 10:
                 break
