@@ -179,17 +179,14 @@ class Frontiers:
 class GameState:
     """Player-facing view of a game in progress on a ground-truth board.
 
-    Holds the per-site status grid, every site covered at the start, the
-    labels revealed so far (-1 where covered), and whether a mine went off.
+    Holds the per-site status grid, every site covered at the start, and
+    whether a mine went off. A revealed site shows its board label, and the
+    side and boundary are the board's.
     """
 
     def __init__(self, board: Board):
-        n = board.n
         self.board = board
-        self.n = n
-        self.boundary = board.boundary
-        self.status = np.full((n, n), COVERED, dtype=np.int8)
-        self.view_labels = np.full((n, n), -1, dtype=np.int16)
+        self.status = np.full((board.n, board.n), COVERED, dtype=np.int8)
         self.exploded = False
 
 
@@ -232,12 +229,13 @@ def reveal(state: GameState, *sites: Site) -> None:
     ValueError and changes nothing.
 
     The flood runs on flat row-major indices over memoryviews of the status
-    grid and labels; the opened sites' view labels are written in one batch.
+    grid and labels.
     """
     if state.exploded:
         raise ValueError("game is over")
-    board, n = state.board, state.n
-    edge = _edge_table(n, state.boundary)
+    board = state.board
+    n = board.n
+    edge = _edge_table(n, board.boundary)
     status = memoryview(state.status).cast("B")
     seeds = [_flat_index(site, n) for site in sites]
     for site, i in zip(sites, seeds):
@@ -256,7 +254,6 @@ def reveal(state: GameState, *sites: Site) -> None:
     # Zero labels certify a mine-free neighborhood, so the flood is safe.
     label = memoryview(board.labels).cast("B").cast("h")
     stack = [i for i in seeds if not label[i]]
-    opened = seeds
     up, down = n + 1, n - 1
     while stack:
         i = stack.pop()
@@ -267,11 +264,8 @@ def reveal(state: GameState, *sites: Site) -> None:
         for t in around:
             if status[t] == COVERED:
                 status[t] = REVEALED
-                opened.append(t)
                 if not label[t]:
                     stack.append(t)
-    flat = np.array(opened, dtype=np.intp)
-    state.view_labels.put(flat, board.labels.take(flat))
 
 
 def flag(state: GameState, site: Site) -> None:
@@ -280,7 +274,7 @@ def flag(state: GameState, site: Site) -> None:
     nothing."""
     if state.exploded:
         raise ValueError("game is over")
-    i = _flat_index(site, state.n)
+    i = _flat_index(site, state.board.n)
     status = memoryview(state.status).cast("B")
     if status[i] != COVERED:
         raise ValueError(f"site {site} is not covered")
@@ -289,8 +283,8 @@ def flag(state: GameState, site: Site) -> None:
 
 def frontiers(state: GameState) -> Frontiers:
     """The frontier system of the state: sites, supports and labels."""
-    n, boundary = state.n, state.boundary
-    status = state.status
+    board, status = state.board, state.status
+    n, boundary = board.n, board.boundary
     # planes[k] holds the status of every cell's k-th neighbor; -1 past an
     # open edge matches no status.
     planes = _neighbor_planes(status, boundary, fill=-1)
@@ -308,6 +302,7 @@ def frontiers(state: GameState) -> Frontiers:
     skip = (nb < 0).sum(axis=1).tolist()
     supports = tuple(tuple(row[k:]) for row, k in zip(nb.tolist(), skip))
     flags = (planes[:, rows, cols] == FLAGGED).sum(axis=0)
-    labels = state.view_labels[rows, cols] - flags
+    # Inner sites are revealed, so their labels are the board's.
+    labels = board.labels[rows, cols] - flags
     return Frontiers(inner=inner, outer=outer, supports=supports,
                      labels=tuple(labels.tolist()))

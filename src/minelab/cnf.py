@@ -90,38 +90,36 @@ def export_gcnf(cnf: GroupedCnf) -> str:
 
 def parse_dimacs(text: str) -> GroupedCnf:
     """Parse DIMACS CNF into a single-group formula (group 0)."""
-    num_vars, clauses = _parse_clause_lines(text, expect="cnf")
-    return GroupedCnf(num_vars=num_vars, groups={0: [c for _, c in clauses]})
+    return _parse(text, expect="cnf")
 
 
 def parse_gcnf(text: str) -> GroupedCnf:
     """Parse GCNF; group tags `{g}` become GroupIds g - 1."""
-    num_vars, clauses = _parse_clause_lines(text, expect="gcnf")
-    groups: Dict[int, List[Clause]] = {}
-    for g, clause in clauses:
-        groups.setdefault(g - 1, []).append(clause)
-    return GroupedCnf(num_vars=num_vars, groups=groups)
+    return _parse(text, expect="gcnf")
 
 
-def _parse_clause_lines(text: str, expect: str):
-    header = None
-    clauses = []
-    declared_groups = 0
+def _parse(text: str, expect: str) -> GroupedCnf:
+    """The formula of a DIMACS ("cnf") or GCNF ("gcnf") text. A DIMACS
+    clause ends at its 0 and may span lines or share one; a GCNF clause is
+    one tagged line. Errors name the line they are found on."""
+    header: Optional[List[int]] = None
+    groups: Dict[int, List[Clause]] = {0: []} if expect == "cnf" else {}
+    lits: List[int] = []    # the clause read so far
+    opened = 0              # the line it began on
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if header is not None:
+                raise ValueError(f"line {lineno}: second problem header")
             parts = line.split()
             want = 4 if expect == "cnf" else 5
             if len(parts) != want or parts[1] != expect:
                 raise ValueError(f"line {lineno}: bad {expect} header {line!r}")
-            counts = _ints(parts[2:], lineno)
-            if min(counts) < 0:
+            header = _ints(parts[2:], lineno)
+            if min(header) < 0:
                 raise ValueError(f"line {lineno}: negative count in {line!r}")
-            header = (counts[0], counts[1])
-            if expect == "gcnf":
-                declared_groups = counts[2]
             continue
         if header is None:
             raise ValueError(f"line {lineno}: clause before header")
@@ -129,25 +127,35 @@ def _parse_clause_lines(text: str, expect: str):
         if expect == "gcnf":
             if not line.startswith("{"):
                 raise ValueError(f"line {lineno}: missing group tag")
-            tag, _, rest = line.partition("}")
+            tag, _, line = line.partition("}")
             g = _ints([tag[1:]], lineno)[0]
-            if not 1 <= g <= declared_groups:
+            if not 1 <= g <= header[2]:
                 raise ValueError(f"line {lineno}: group {g} out of range")
-            line = rest.strip()
-        lits = _ints(line.split(), lineno)
-        if not lits or lits[-1] != 0:
-            raise ValueError(f"line {lineno}: clause not zero-terminated")
-        clause = tuple(lits[:-1])
-        if not clause:
-            raise ValueError(f"line {lineno}: empty clause")
-        if any(abs(l) > header[0] or l == 0 for l in clause):
-            raise ValueError(f"line {lineno}: literal out of range")
-        clauses.append((g, clause))
+        tokens = _ints(line.split(), lineno)
+        if expect == "gcnf" and (tokens[-1:] != [0] or 0 in tokens[:-1]):
+            raise ValueError(f"line {lineno}: a tagged line must hold one "
+                             "zero-terminated clause")
+        for lit in tokens:
+            if abs(lit) > header[0]:
+                raise ValueError(f"line {lineno}: literal out of range")
+            if lit:
+                if not lits:
+                    opened = lineno
+                lits.append(lit)
+            elif lits:
+                groups.setdefault(g - 1, []).append(tuple(lits))
+                lits = []
+            else:
+                raise ValueError(f"line {lineno}: empty clause")
+    if lits:
+        raise ValueError(f"line {opened}: clause not zero-terminated")
     if header is None:
         raise ValueError("no problem header found")
-    if len(clauses) != header[1]:
-        raise ValueError(f"declared {header[1]} clauses, found {len(clauses)}")
-    return header[0], clauses
+    cnf = GroupedCnf(num_vars=header[0], groups=groups)
+    if cnf.num_clauses() != header[1]:
+        raise ValueError(f"declared {header[1]} clauses, "
+                         f"found {cnf.num_clauses()}")
+    return cnf
 
 
 def _ints(tokens: List[str], lineno: int) -> List[int]:

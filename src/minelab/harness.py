@@ -4,7 +4,8 @@ Every grid point (n, rho, policy) is played as an independent batch of
 games and written to its own CSV under <outdir>/points/. Every sweep has an
 outdir, created before the first game. A finished point file doubles as
 its completion marker: reruns load it instead of replaying, as long as
-its header names the same configuration and the same engine source.
+its header names the same configuration and engine source and holds a
+sha256 digest that its rows still match.
 A worker pool gets the games of all missing points at once, so no worker
 waits at a point boundary; point files are still written in grid order as
 each point completes, so an interrupted sweep resumes from the points
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import math
 import multiprocessing
 import os
@@ -229,51 +231,39 @@ def _point_path(outdir: Path, n: int, rho: float, policy: str) -> Path:
     return outdir / "points" / f"point_n{n}_r{rho_key(rho)}_{safe_policy}.csv"
 
 
-def _load_point(path: Path, token: str, config: SweepConfig, n: int,
-                rho: float, policy: str) -> Optional[List[GameRecord]]:
+def _header(token: str, body: bytes) -> bytes:
+    """A point file's first line, without its newline: the sha256 of the
+    body, then the token."""
+    return f"# sha256={hashlib.sha256(body).hexdigest()} {token}".encode()
+
+
+def _load_point(path: Path, token: str, n: int, rho: float, policy: str,
+                games: int) -> Optional[List[GameRecord]]:
     """The stored records of point (n, rho, policy), or None when the file
-    is missing or stale: another token than this run's (another config or
-    another engine), a line that does not parse, records that are not this
-    point's seeds 0..games-1 in order, or a record this config could not
-    have played. An exhausted board has alpha NaN, no max_core, no turns
-    and no wall_ms. Any other game has alpha in [0, 1], equal to 1 exactly
-    when all mines were flagged, turns >= 0, and max_core exactly with
-    cores on and the sat policy; wall_ms is 0.0 unless timing is
-    recorded."""
+    is missing or stale: its header holds another token (another config or
+    engine) or another digest than its body's, as any byte changed since
+    _store_point wrote it gives, or its rows are not this point's seeds
+    0..games-1, as in a file copied from another point's path. A body that
+    matches its digest is what _write_records wrote, so its rows parse."""
     if not path.exists():
         return None
-    with open(path, newline="") as fh:
-        if fh.readline().rstrip("\n") != f"# {token}":
-            return None
-        reader = csv.reader(fh)
-        if next(reader, None) != list(GAMES_COLUMNS):
-            return None
-        try:
-            records = [_parse_record(cells) for cells in reader]
-        except ValueError:
-            return None
-    if ([(r.n, r.rho, r.policy, r.seed) for r in records]
-            != [(n, rho, policy, idx) for idx in range(config.games)]):
+    head, _, body = path.read_bytes().partition(b"\n")
+    if head != _header(token, body):
         return None
-    cores = config.track_cores and Policy.parse(policy).kind == "sat"
-    for r in records:
-        if r.outcome is Outcome.GENERATION_EXHAUSTED:
-            written = (math.isnan(r.alpha) and r.max_core is None
-                       and r.turns == 0 and r.wall_ms == 0.0)
-        else:
-            flagged = r.outcome is Outcome.ALL_MINES_FLAGGED
-            written = (0.0 <= r.alpha <= 1.0 and (r.alpha == 1.0) == flagged
-                       and r.turns >= 0 and (r.max_core is not None) == cores)
-        if not written or (r.wall_ms != 0.0 and not config.record_timing):
-            return None
+    rows = body.decode().splitlines()[1:]      # past the column row
+    records = [_parse_record(cells) for cells in csv.reader(rows)]
+    if ([(r.n, r.rho, r.policy, r.seed) for r in records]
+            != [(n, rho, policy, idx) for idx in range(games)]):
+        return None
     return records
 
 
 def _store_point(path: Path, token: str, records: List[GameRecord]) -> None:
+    buf = io.StringIO()
+    _write_records(buf, records)
+    body = buf.getvalue().encode()
     tmp = path.with_suffix(".tmp")
-    with open(tmp, "w", newline="") as fh:
-        fh.write(f"# {token}\n")
-        _write_records(fh, records)
+    tmp.write_bytes(_header(token, body) + b"\n" + body)
     os.replace(tmp, path)
 
 
@@ -359,9 +349,9 @@ def run_sweep(config: SweepConfig) -> List[SweepRecord]:
 
     Writes <outdir>/games.csv and <outdir>/summary.csv and keeps per-point
     files under <outdir>/points/ for resumption; the directories are made
-    before the first game. Point files carry the configuration in a header
-    comment, with a hash of the engine's source; a stale or malformed point
-    file forces a replay of that point.
+    before the first game. A point file's header comment carries the rows'
+    digest, the configuration and a hash of the engine's source; a stale,
+    changed or misplaced point file forces a replay of that point.
 
     With workers > 1, the games of every missing point are queued on one
     pool before the first result is read, so no worker waits at a point
@@ -379,7 +369,7 @@ def run_sweep(config: SweepConfig) -> List[SweepRecord]:
               for n in config.ns for rho in config.rhos
               for p in config.policies]
     paths = [_point_path(outdir, *point) for point in points]
-    stored = [_load_point(path, token, config, *point)
+    stored = [_load_point(path, token, *point, config.games)
               for point, path in zip(points, paths)]
     missing = [i for i, recs in enumerate(stored) if recs is None]
 

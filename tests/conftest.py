@@ -134,16 +134,18 @@ def parse_overlay(text: str, boundary: Boundary,
     return overlay_state(status, view, boundary, board)
 
 
-def overlay_state(status, view_labels, boundary: Boundary,
+def overlay_state(status, labels, boundary: Boundary,
                   board: Optional[Board] = None) -> GameState:
-    """A state with the given status grid and revealed labels, laid over
-    the fixture's board or, when none is given, a mine-free board of the
-    grid's side."""
+    """A state with the given status grid, laid over the fixture's board
+    or, when none is given, a mine-free board of the grid's side. The
+    labels given on revealed sites are written into the board's labels,
+    where the state reads them."""
     if board is None:
         board = Board(len(status), boundary, ())
     state = GameState(board)
     state.status = np.array(status, dtype=np.int8)
-    state.view_labels = np.array(view_labels, dtype=np.int16)
+    revealed = state.status == REVEALED
+    board.labels[revealed] = np.asarray(labels, dtype=np.int16)[revealed]
     return state
 
 
@@ -176,9 +178,9 @@ def serialize_overlay(state: GameState) -> str:
     marks = {COVERED: "#", FLAGGED: "F"}
     return "".join(
         "".join(marks.get(int(state.status[i, j]),
-                          str(int(state.view_labels[i, j])))
-                for j in range(state.n)) + "\n"
-        for i in range(state.n))
+                          str(int(state.board.labels[i, j])))
+                for j in range(state.board.n)) + "\n"
+        for i in range(state.board.n))
 
 
 def load_state(state_name: str, boundary: Boundary = Boundary.OPEN,
@@ -248,10 +250,9 @@ def naive_reveal(state: GameState, *sites: Site) -> FrozenSet[Site]:
             if int(state.status[s]) != COVERED:
                 continue
             state.status[s] = REVEALED
-            state.view_labels[s] = board.labels[s]
             opened.add(s)
             if int(board.labels[s]) == 0:
-                queue.extend(naive_neighbors(s, state.n, state.boundary))
+                queue.extend(naive_neighbors(s, board.n, board.boundary))
     return frozenset(opened)
 
 
@@ -274,19 +275,20 @@ def inference_pivot(outer: Sequence[Site], inf: Inference) -> int:
 
 def naive_effective_label(state: GameState, site: Site) -> int:
     """Revealed label minus the flagged neighbors, counted one by one."""
-    flags = sum(1 for t in naive_neighbors(site, state.n, state.boundary)
+    board = state.board
+    flags = sum(1 for t in naive_neighbors(site, board.n, board.boundary)
                 if int(state.status[t]) == FLAGGED)
-    return int(state.view_labels[site]) - flags
+    return int(board.labels[site]) - flags
 
 
 def naive_frontiers(state: GameState) -> Frontiers:
     """The frontier system recounted site by site from neighbors, status
-    and view_labels."""
-    n = state.n
+    and the board's labels."""
+    n, boundary = state.board.n, state.board.boundary
 
     def has_neighbor(site, status):
         return any(int(state.status[t]) == status
-                   for t in naive_neighbors(site, n, state.boundary))
+                   for t in naive_neighbors(site, n, boundary))
 
     sites = [(r, c) for r in range(n) for c in range(n)]
     inner = tuple(s for s in sites if int(state.status[s]) == REVEALED
@@ -295,7 +297,7 @@ def naive_frontiers(state: GameState) -> Frontiers:
                   and has_neighbor(s, REVEALED))
     col = {s: j for j, s in enumerate(outer)}
     supports = tuple(
-        tuple(sorted(col[t] for t in naive_neighbors(s, n, state.boundary)
+        tuple(sorted(col[t] for t in naive_neighbors(s, n, boundary)
                      if int(state.status[t]) == COVERED))
         for s in inner)
     labels = tuple(naive_effective_label(state, s) for s in inner)
@@ -416,8 +418,8 @@ def consistent_placements(state: GameState) -> List[FrozenSet[Site]]:
         ok = True
         for inner in fr.inner:
             need = naive_effective_label(state, inner)
-            have = sum(1 for nb in naive_neighbors(inner, state.n,
-                                                   state.boundary)
+            have = sum(1 for nb in naive_neighbors(inner, state.board.n,
+                                                   state.board.boundary)
                        if nb in mines)
             if need != have:
                 ok = False

@@ -25,17 +25,16 @@ from conftest import (ParseError, budget_board, mine_sites, naive_frontiers,
 
 
 def twin(state: GameState) -> GameState:
-    """A separate state with the same board, grids and exploded flag."""
+    """A separate state with the same board, status grid and exploded
+    flag."""
     out = GameState(state.board)
     out.status = state.status.copy()
-    out.view_labels = state.view_labels.copy()
     out.exploded = state.exploded
     return out
 
 
 def assert_same_state(a: GameState, b: GameState) -> None:
     assert a.status.tolist() == b.status.tolist()
-    assert a.view_labels.tolist() == b.view_labels.tolist()
     assert a.exploded == b.exploded
 
 
@@ -247,7 +246,7 @@ class TestMoves:
         state = GameState(board)
         out = reveal_opened(state, (1, 1))
         assert out == frozenset({(1, 1)})
-        assert int(state.view_labels[1, 1]) == 1
+        assert int(state.board.labels[1, 1]) == 1
 
     def test_boom(self):
         board = Board(4, Boundary.OPEN, [(0, 0)])
@@ -287,7 +286,7 @@ class TestMoves:
             assert out == naive_reveal(reference, (5, 0))
             assert len(out) == 32 and not set(flags) & out
             assert_same_state(state, reference)
-            assert all(int(state.view_labels[s]) == -1 for s in flags)
+            assert all(int(state.status[s]) == FLAGGED for s in flags)
 
     def test_flag_semantics(self):
         board = Board(4, Boundary.OPEN, [(0, 0)])
@@ -305,7 +304,7 @@ class TestMoves:
         board = Board(5, Boundary.OPEN, [(1, 1), (1, 3), (3, 2)])
         state = GameState(board)
         reveal(state, (2, 2))
-        assert int(state.view_labels[2, 2]) == 3
+        assert int(state.board.labels[2, 2]) == 3
         fr = frontiers(state)
         assert fr.inner == ((2, 2),) and fr.labels == (3,)
         assert fr.supports == (tuple(range(8)),)
@@ -322,7 +321,7 @@ class TestMoves:
         board = Board(3, Boundary.OPEN, [])
         state = GameState(board)
         reveal(state, (1, 1))
-        assert int(state.view_labels[1, 1]) == 0
+        assert int(state.board.labels[1, 1]) == 0
         fr = frontiers(state)
         assert fr.inner == () and fr.supports == () and fr.labels == ()
 
@@ -444,14 +443,13 @@ class TestMoves:
                     f"site {site} outside an 5x5 board")):
                 flag(state, site)
         assert (state.status == COVERED).all()
-        assert (state.view_labels == -1).all()
         assert not state.exploded
 
     def test_small_torus_changes_nothing(self):
         # No 2x2 torus board can be built, since a site's 8 neighbors are
         # not distinct; a state that claims one fails at its first move.
         state = GameState(Board(2, Boundary.OPEN, []))
-        state.boundary = Boundary.TORUS
+        state.board.boundary = Boundary.TORUS
         with pytest.raises(ValueError, match="n >= 3"):
             reveal(state, (0, 0))
         assert (state.status == COVERED).all()
@@ -489,7 +487,7 @@ class TestFrontiers:
                 continue
             fr = frontiers(state)
             assert fr == naive_frontiers(state)
-            flag_lowered += any(e != int(state.view_labels[s])
+            flag_lowered += any(e != int(state.board.labels[s])
                                 for s, e in zip(fr.inner, fr.labels))
             checked += 1
         assert flag_lowered >= 10
@@ -503,7 +501,7 @@ class TestFrontiers:
             fr, want = frontiers(state), naive_frontiers(state)
             for field in ("inner", "outer", "supports", "labels"):
                 assert getattr(fr, field) == getattr(want, field), field
-            lowered += any(e != int(state.view_labels[s])
+            lowered += any(e != int(state.board.labels[s])
                            for s, e in zip(fr.inner, fr.labels))
         assert lowered >= 100
 
@@ -515,7 +513,7 @@ class TestFrontiers:
         with pytest.raises(ValueError, match="n >= 3"):
             overlay_state(status, labels, Boundary.TORUS)
         state = overlay_state(status, labels, Boundary.OPEN)
-        state.boundary = Boundary.TORUS
+        state.board.boundary = Boundary.TORUS
         with pytest.raises(ValueError, match="n >= 3"):
             frontiers(state)
         with pytest.raises(ValueError, match="n >= 3"):
@@ -584,14 +582,14 @@ class TestOverlayFormat:
         text = serialize_overlay(state)
         back = parse_overlay(text, board.boundary, board)
         assert (back.status == state.status).all()
-        assert (back.view_labels == state.view_labels).all()
+        assert serialize_overlay(back) == text
         assert back.board is board
 
     def test_no_board_needed(self):
         state = parse_overlay("#1\n1F\n", Boundary.OPEN)
         assert state.board.n == 2 and not mine_sites(state.board)
         assert int(state.status[1, 1]) == FLAGGED
-        assert int(state.view_labels[0, 1]) == 1
+        assert int(state.board.labels[0, 1]) == 1
 
     def test_label_mismatch_rejected(self):
         board = Board(2, Boundary.OPEN, [])

@@ -219,6 +219,18 @@ class TestSolve:
         assert code == 0
         assert out.splitlines() == ["SAT", model]
 
+    @pytest.mark.parametrize("text", [
+        "p cnf 3 2\n1 2\n3 0\n-1 0\n",   # a clause over two lines
+        "p cnf 3 2\n1 2 3 0 -1 0\n",     # two clauses on one line
+    ])
+    def test_dimacs_clause_ends_at_its_zero(self, capsys, tmp_path, text):
+        path = tmp_path / "f.cnf"
+        path.write_text("p cnf 3 2\n1 2 3 0\n-1 0\n")
+        one_per_line = run_cli(capsys, "solve", str(path))
+        path.write_text(text)
+        assert run_cli(capsys, "solve", str(path)) == one_per_line
+        assert one_per_line[:2] == (0, "SAT\nv -1 -2 3 0\n")
+
     def test_unsat(self, capsys, tmp_path):
         path = tmp_path / "f.cnf"
         path.write_text("p cnf 1 2\n1 0\n-1 0\n")
@@ -267,6 +279,7 @@ class TestSolve:
         ("p gcnf 2 1 1\n{x} 1 0\n", "line 2: expected an integer, got 'x'"),
         ("p cnf -2 0\n", "line 1: negative count"),
         ("p gcnf 2 1 -1\n", "line 1: negative count"),
+        ("p cnf 1 1\np cnf 2 1\n2 0\n", "line 2: second problem header"),
         (None, "No such file"),
     ])
     def test_rejects_malformed_input(self, capsys, tmp_path, command, text,

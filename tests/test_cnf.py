@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 from math import comb
 
 import pytest
@@ -192,6 +193,36 @@ class TestFormats:
         back = parse_dimacs(export_dimacs(formula))
         assert back.num_vars == 3
         assert back.groups == formula.groups
+
+    def test_dimacs_clause_ends_at_its_zero(self):
+        want = {0: [(1, 2, 3), (-1,)]}
+        for text in ("p cnf 3 2\n1 2\n3 0\n-1 0\n",
+                     "p cnf 3 2\n1 2 3 0 -1 0\n",
+                     "p cnf 3 2\n1\nc between\n2 3 0 -1\n0\n"):
+            assert parse_dimacs(text).groups == want, text
+
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_dimacs, "p cnf 1 1\np cnf 2 1\n2 0\n",
+         "line 2: second problem header"),
+        (parse_dimacs, "p cnf 1 1\n1 0\np cnf 1 1\n",
+         "line 3: second problem header"),
+        (parse_dimacs, "p cnf 2 1\n1 0 0\n", "line 2: empty clause"),
+        (parse_dimacs, "p cnf 2 1\n\n0\n", "line 3: empty clause"),
+        (parse_dimacs, "p cnf 2 1\n1 2 0\n2\n1\n",
+         "line 3: clause not zero-terminated"),
+        (parse_dimacs, "p cnf 2 1\n1\n2 -3 0\n",
+         "line 3: literal out of range"),
+        (parse_gcnf, "p gcnf 2 2 1\n{1} 1 0 2 0\n",
+         "line 2: a tagged line must hold one zero-terminated clause"),
+        (parse_gcnf, "p gcnf 2 1 1\n{1} 1\n2 0\n",
+         "line 2: a tagged line must hold one zero-terminated clause"),
+        (parse_gcnf, "p gcnf 2 1 1\n{1} 0\n", "line 2: empty clause"),
+        (parse_gcnf, "p gcnf 2 1 1\np gcnf 2 1 1\n{1} 1 0\n",
+         "line 2: second problem header"),
+    ])
+    def test_parse_errors_name_their_line(self, parse, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse(text)
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):

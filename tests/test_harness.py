@@ -51,6 +51,12 @@ STALE_EDITS = [
     ("sat", {**EXHAUSTED, "turns": "0"}, True),     # wall_ms stays timed
 ]
 
+# Edits of the first stored game, stuck with alpha 1/3 under the sat policy
+# with cores on, that leave a row this config could have written; the
+# second changes one byte, the last digit of alpha.
+PLAUSIBLE_EDITS = [("alpha", "0.9"), ("alpha", "0.3333333333333334"),
+                   ("max_core", "7"), ("turns", "9")]
+
 
 def _edit_id(policy, cells, timing):
     return "-".join([policy, *chain(*cells.items())] + ["timed"] * timing)
@@ -353,6 +359,20 @@ class TestRunSweep:
             assert ((tmp_path / "out" / name).read_bytes()
                     == (clean / name).read_bytes()), name
 
+    @pytest.mark.parametrize("column, cell", PLAUSIBLE_EDITS)
+    def test_plausible_row_edit_replayed(self, tmp_path, column, cell):
+        # The digest, not the row's values, tells an edited point file.
+        _assert_damage_replayed(
+            tmp_path, lambda data: _set_cell(data, column, cell))
+
+    def test_changed_digest_replayed(self, tmp_path):
+        def change(data):   # the digest's first hex digit
+            at = len(b"# sha256=")
+            return data[:at] + (b"1" if data[at:at + 1] == b"0" else b"0") \
+                + data[at + 1:]
+
+        _assert_damage_replayed(tmp_path, change)
+
     def test_raising_game_stops_pooled_sweep(self, tmp_path, monkeypatch):
         play = minelab.harness.play_game
         finished = tmp_path / "finished"
@@ -542,6 +562,26 @@ class TestRunSweep:
         validate_config(small_config(tmp_path, ns=(6, 8),
                                      rhos=(0.1, 0.100001),
                                      policies=("kset:1", "kset:2", "sat")))
+
+
+def _assert_damage_replayed(tmp_path, damage) -> None:
+    """A sat point of two games, stored with damage(bytes) over its file,
+    is replayed: the file and both CSVs come out as a clean run's."""
+    config = small_config(tmp_path, rhos=(0.1,), policies=("sat",), games=2)
+    run_sweep(replace(config, outdir=tmp_path / "clean"))
+    clean = tmp_path / "clean"
+    (stored,) = (clean / "points").glob("*.csv")
+    first = read_games_csv(clean / "games.csv")[0]
+    assert (first["outcome"], first["alpha"]) == ("stuck", 1 / 3)
+    damaged = tmp_path / "out" / "points" / stored.name
+    damaged.parent.mkdir(parents=True)
+    damaged.write_bytes(damage(stored.read_bytes()))
+    assert damaged.read_bytes() != stored.read_bytes()
+    run_sweep(config)
+    assert damaged.read_bytes() == stored.read_bytes()
+    for name in ("games.csv", "summary.csv"):
+        assert ((tmp_path / "out" / name).read_bytes()
+                == (clean / name).read_bytes()), name
 
 
 def _cut_last_row(data: bytes) -> bytes:
