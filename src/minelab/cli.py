@@ -12,43 +12,33 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
 from .board import Boundary, check_board_shape
-from .cnf import parse_dimacs, parse_gcnf
+from .cnf import parse_formula
 from .gmus import NotUnsat, extract_gmus
 from .harness import (GAMES_COLUMNS, check_seed, parse_grid,
                       parse_sweep_config, play_seeded_game, record_cells,
                       run_sweep, validate_config)
 from .percolation import Connectivity, PercolationConfig, percolation_sweep
-from .player import GameRecord, Inference, Policy, Verdict, check_budgets
+from .player import Inference, Policy, Verdict, check_budgets
 from .plots import EmptyInput, render_plots
 from .sat import ResourceLimit, Solver
 
 
 def _read_formula(path: str):
     """The DIMACS or GCNF formula in a file, or on stdin for -."""
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("c"):
-            continue
-        if stripped.startswith("p gcnf"):
-            return parse_gcnf(text)
-        if stripped.startswith("p cnf"):
-            return parse_dimacs(text)
-        break
-    raise ValueError("input is neither DIMACS (p cnf) nor GCNF (p gcnf)")
+    return parse_formula(sys.stdin.read() if path == "-"
+                         else Path(path).read_text())
 
 
-def _row_line(record: GameRecord) -> str:
-    buf = io.StringIO()
-    csv.writer(buf).writerow(record_cells(record))
-    return buf.getvalue().rstrip("\r\n")
+def _stdout_csv():
+    """A CSV writer on stdout. Its rows end in a bare newline, like every
+    other line the CLI prints. Files keep the csv module's CRLF."""
+    return csv.writer(sys.stdout, lineterminator="\n")
 
 
 def _input_error(command: str, exc: Exception) -> int:
@@ -89,7 +79,7 @@ def _cmd_play(args: argparse.Namespace) -> int:
                               time_budget_s=args.time_budget,
                               conflict_budget=args.conflict_budget,
                               trace_fn=trace_fn)
-    print(_row_line(record))
+    _stdout_csv().writerow(record_cells(record))
     return 0
 
 
@@ -104,7 +94,7 @@ def _cmd_kset(args: argparse.Namespace) -> int:
         check_budgets(args.time_budget)
     except ValueError as exc:
         return _input_error("kset", exc)
-    writer = csv.writer(sys.stdout)
+    writer = _stdout_csv()
     writer.writerow(GAMES_COLUMNS)
     for idx in range(args.seeds):
         writer.writerow(record_cells(play_seeded_game(
@@ -167,7 +157,7 @@ def _cmd_percolation(args: argparse.Namespace) -> int:
         records = percolation_sweep(config)
     except (OSError, ValueError) as exc:
         return _input_error("percolation", exc)
-    writer = csv.writer(sys.stdout)
+    writer = _stdout_csv()
     writer.writerow(["mode", "param", "n", "s_avg_mean", "s_avg_se",
                      "samples"])
     for r in records:

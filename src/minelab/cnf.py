@@ -88,43 +88,37 @@ def export_gcnf(cnf: GroupedCnf) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_dimacs(text: str) -> GroupedCnf:
-    """Parse DIMACS CNF into a single-group formula (group 0)."""
-    return _parse(text, expect="cnf")
-
-
-def parse_gcnf(text: str) -> GroupedCnf:
-    """Parse GCNF; group tags `{g}` become GroupIds g - 1."""
-    return _parse(text, expect="gcnf")
-
-
-def _parse(text: str, expect: str) -> GroupedCnf:
-    """The formula of a DIMACS ("cnf") or GCNF ("gcnf") text. A DIMACS
-    clause ends at its 0 and may span lines or share one; a GCNF clause is
-    one tagged line. Errors name the line they are found on."""
+def parse_formula(text: str) -> GroupedCnf:
+    """The formula of a DIMACS or GCNF text, in the format its problem line
+    names: DIMACS CNF (`p cnf V C`) is one group, 0; GCNF (`p gcnf V C G`)
+    tags each clause `{g}`, GroupId g - 1. A DIMACS clause ends at its 0
+    and may span lines or share one; a GCNF clause is one tagged line.
+    Errors name the line they are found on."""
     header: Optional[List[int]] = None
-    groups: Dict[int, List[Clause]] = {0: []} if expect == "cnf" else {}
     lits: List[int] = []    # the clause read so far
     opened = 0              # the line it began on
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
-        if line.startswith("p"):
-            if header is not None:
-                raise ValueError(f"line {lineno}: second problem header")
+        if header is None:
             parts = line.split()
-            want = 4 if expect == "cnf" else 5
-            if len(parts) != want or parts[1] != expect:
-                raise ValueError(f"line {lineno}: bad {expect} header {line!r}")
+            if line[0] != "p" or parts[1:2] not in (["cnf"], ["gcnf"]):
+                raise ValueError(f"line {lineno}: input is neither DIMACS "
+                                 "(p cnf) nor GCNF (p gcnf)")
+            gcnf = parts[1] == "gcnf"
+            if len(parts) != 4 + gcnf:
+                raise ValueError(f"line {lineno}: bad {parts[1]} header "
+                                 f"{line!r}")
             header = _ints(parts[2:], lineno)
             if min(header) < 0:
                 raise ValueError(f"line {lineno}: negative count in {line!r}")
+            groups: Dict[int, List[Clause]] = {} if gcnf else {0: []}
             continue
-        if header is None:
-            raise ValueError(f"line {lineno}: clause before header")
+        if line.startswith("p"):
+            raise ValueError(f"line {lineno}: second problem header")
         g = 1
-        if expect == "gcnf":
+        if gcnf:
             if not line.startswith("{"):
                 raise ValueError(f"line {lineno}: missing group tag")
             tag, _, line = line.partition("}")
@@ -132,7 +126,7 @@ def _parse(text: str, expect: str) -> GroupedCnf:
             if not 1 <= g <= header[2]:
                 raise ValueError(f"line {lineno}: group {g} out of range")
         tokens = _ints(line.split(), lineno)
-        if expect == "gcnf" and (tokens[-1:] != [0] or 0 in tokens[:-1]):
+        if gcnf and (tokens[-1:] != [0] or 0 in tokens[:-1]):
             raise ValueError(f"line {lineno}: a tagged line must hold one "
                              "zero-terminated clause")
         for lit in tokens:

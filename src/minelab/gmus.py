@@ -124,9 +124,11 @@ def extract_gmus(solver: Solver, pivot: int, *,
         are read from it, and its learned clauses are shared with every
         other query on it.
       pivot: the tentative assumption literal (x or -x).
-      initial_core: group ids already known to be unsatisfiable with the
-        pivot (for example from the query that confirmed the inference);
-        skips the initial query over all groups.
+      initial_core: the core literals (_SolveResult.core) of an
+        unsatisfiable query of the pivot on this solver, such as the query
+        that confirmed the inference; skips the initial query over all
+        groups. Its selectors are mapped to groups only when counting
+        finds no singleton core.
 
     Raises:
       ValueError: the pivot names no variable of the formula.
@@ -148,9 +150,8 @@ def extract_gmus(solver: Solver, pivot: int, *,
         res = solver.solve(solver.group_ids, [pivot])
         if res.sat:
             raise NotUnsat(f"formula is satisfiable with pivot {pivot}")
-        start = solver.core_groups(res.core)
-    else:
-        start = sorted(set(initial_core))
+        initial_core = res.core
+    start = solver.core_groups(initial_core)
     # A candidate this small is minimal: one group is, and with labels so
     # are two, since neither contradicts the pivot alone.
     settled = 1 if labels is None else 2

@@ -446,9 +446,10 @@ def parse_sweep_config(text: str) -> SweepConfig:
     Keys: n, rho, policies, games, seed, boundary, outdir, track_cores,
     time_budget_s, conflict_budget, record_timing, workers. Lists are
     comma-separated; rho entries may be start:stop:step ranges. Keys left
-    out keep their SweepConfig defaults.
+    out keep their SweepConfig defaults; a key given twice is an error.
     """
     config = SweepConfig()
+    set_on = {}                         # key -> the line that set it
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -458,6 +459,10 @@ def parse_sweep_config(text: str) -> SweepConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in set_on:
+            raise ValueError(f"line {ln}: {key} is already set on line "
+                             f"{set_on[key]}")
+        set_on[key] = ln
         try:
             if key == "n":
                 config.ns = tuple(int(v) for v in value.split(","))

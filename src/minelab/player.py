@@ -21,8 +21,8 @@ A pass is one pipeline (infer_step):
     forced by the part holding its variable, since the other parts share
     no variable with it;
  4. the parts that yielded nothing on the last pass, dropped;
- 5. each other part's verdicts by a counting search on its own rows
-    (_backbone): no formula and no solver;
+ 5. each other part's verdicts, set in the row system by a counting
+    search on its own rows (_backbone): no formula and no solver;
  6. with cores on, and only when the pass inferred something, the SAT
     reduction: cnf.build_formula over the whole frontier system (VarId =
     outer index + 1) for one selector solver, which asks every
@@ -141,11 +141,12 @@ def infer_step(state: GameState, *, extract_cores: bool = True,
     would force, and these become inferences without a search. The rows
     left undecided are split into parts, rows joined through their
     undecided columns, and each part's verdicts come from a counting
-    search on its rows. quiet, when given, holds the signatures of the
-    parts that yielded nothing on the last pass: such a part is passed
-    over, and on return the set holds the signatures of this pass's parts
-    that yielded nothing. A search past conflict_budget conflicts raises
-    ResourceLimit.
+    search on its rows, which sets them in the row system; the pass reads
+    its verdicts from there once. quiet, when given, holds the signatures
+    of the parts that yielded nothing on the last pass: such a part is
+    passed over, and on return the set holds the signatures of this pass's
+    parts that yielded nothing. A search past conflict_budget conflicts
+    raises ResourceLimit.
 
     With extract_cores, a pass that inferred something encodes the whole
     frontier system by build_formula for one selector solver. Every
@@ -160,46 +161,34 @@ def infer_step(state: GameState, *, extract_cores: bool = True,
     """
     fr = frontiers(state)
     rows, parts = _settle(fr)
-    inner, outer = fr.inner, fr.outer
-    found = [(j, b) for j, b in enumerate(rows.value) if b >= 0]
-    # A part's signature fixes its constraints, and so its backbone.
     last_quiet = quiet if quiet is not None else ()
     now_quiet = set()
-    for part in parts:
-        sig = frozenset((inner[i], e, *[outer[j] for j in cols])
-                        for i, e, cols in part)
-        if sig not in last_quiet:
-            part_found = _backbone(rows, part, conflict_budget)
-            if part_found:
-                found.extend(part_found)
-                continue
-        now_quiet.add(sig)
+    for sig, cols in parts:
+        if sig in last_quiet or not _backbone(rows, cols, conflict_budget):
+            now_quiet.add(sig)
     if quiet is not None:
         quiet.clear()
         quiet.update(now_quiet)
-    found.sort()
+    found = [(j, b) for j, b in enumerate(rows.value) if b >= 0]
+    outer = fr.outer
     cores: List[Optional[GmusResult]] = [None] * len(found)
     if extract_cores and found:
         formula = build_formula(fr)
         solver = Solver(formula, conflict_budget=conflict_budget)
         # The pivot assumes the verdict's opposite: mined for a safe site.
         pivots = [j + 1 if b == 0 else -(j + 1) for j, b in found]
-        starts = []
+        pivot_cores = []
         for pivot in pivots:
             res = solver.solve(solver.group_ids, [pivot])
             if res.sat:
                 raise ValueError(f"pivot {pivot} is satisfiable: the "
                                  f"verdict at {outer[abs(pivot) - 1]} is "
                                  f"not forced")
-            starts.append(solver.core_groups(res.core))
-        cores = [extract_gmus(solver, pivot, initial_core=start)
-                 for pivot, start in zip(pivots, starts)]
+            pivot_cores.append(res.core)
+        cores = [extract_gmus(solver, pivot, initial_core=core)
+                 for pivot, core in zip(pivots, pivot_cores)]
     return [Inference(outer[j], Verdict.MINE if b else Verdict.SAFE, core)
             for (j, b), core in zip(found, cores)]
-
-
-# A part of the residual rows: (row, residual label, undecided columns).
-_Part = List[Tuple[int, int, List[int]]]
 
 
 class _Rows:
@@ -360,27 +349,25 @@ def _search(rows: _Rows, j: int, b: int, order: List[int],
         ok = rows.propagate([], (k,), flip)
 
 
-def _backbone(rows: _Rows, part: _Part,
-              conflict_budget: int) -> List[Tuple[int, int]]:
-    """The forced (column, value) pairs of a part's undecided columns,
-    ascending, by counting search on rows.
+def _backbone(rows: _Rows, cols: Sequence[int], conflict_budget: int) -> bool:
+    """Settle a part's undecided columns, ascending, to its backbone by
+    counting search on rows; whether some column was set.
 
     Each column is asked, by a search under it, for each value that no
     model has shown it, mined first. A failed search, with a model of the
-    other value seen, is an inference; it is then kept, with its
-    propagation, for the searches after it. If both values fail the rows
-    have no model, and ValueError is raised; a search past
-    conflict_budget conflicts raises ResourceLimit. Each model steers the
-    decisions after it toward the values its columns have not shown, and
-    a search under a column decides the columns nearest it first, so that
-    a contradiction near it is met before a far column is decided. The
-    result is the backbone, which no search order changes.
+    other value seen, is an inference: the column is set in rows.value,
+    with its propagation, and kept for the searches after it. If both
+    values fail the rows have no model, and ValueError is raised; a search
+    past conflict_budget conflicts raises ResourceLimit. Each model steers
+    the decisions after it toward the values its columns have not shown,
+    and a search under a column decides the columns nearest it first, so
+    that a contradiction near it is met before a far column is decided.
+    The columns set are the backbone, which no search order changes.
     """
     value, shown = rows.value, rows.shown
-    found = []
-    for j in sorted({j for _, _, cols in part for j in cols}):
+    inferred = False
+    for j in cols:
         if value[j] >= 0:
-            found.append((j, value[j]))
             continue
         order: List[int] = []
         failed = -1
@@ -398,12 +385,12 @@ def _backbone(rows: _Rows, part: _Part,
                 shown[k] |= 1 << value[k]
             rows.undo(mark)
         if failed >= 0:
-            found.append((j, 1 - failed))
+            inferred = True
             rows.propagate([], (j,), 1 - failed)
-    return found
+    return inferred
 
 
-def _settle(fr: Frontiers) -> Tuple[_Rows, List[_Part]]:
+def _settle(fr: Frontiers) -> Tuple[_Rows, List[Tuple[FrozenSet, List[int]]]]:
     """Counting propagation on the frontier system, then its parts.
 
     Every label is checked first: one outside [0, support size] raises
@@ -416,9 +403,11 @@ def _settle(fr: Frontiers) -> Tuple[_Rows, List[_Part]]:
 
     Returns (rows, parts): rows the system, whose value[j] is 1 (mined),
     0 (safe) or -1 (undecided) per column, and parts the parts of the rows
-    left undecided, rows joined through their undecided columns, each a
-    list of (row, residual label, ascending undecided columns) in row
-    order, in the order of their first row. After propagation a residual
+    left undecided, rows joined through their undecided columns, in the
+    order of their first row. A part is (signature, its ascending
+    undecided columns), its signature the set of its rows' (inner site,
+    residual label, undecided outer sites). The signature fixes the
+    part's constraints, and so its backbone. After propagation a residual
     row has 0 < residual label < undecided count.
     """
     supports = fr.supports
@@ -429,6 +418,7 @@ def _settle(fr: Frontiers) -> Tuple[_Rows, List[_Part]]:
     rows = _Rows(supports, fr.labels, len(fr.outer))
     if not rows.propagate(rows.forced()):
         raise ValueError("state is inconsistent, no inference is meaningful")
+    inner, outer = fr.inner, fr.outer
     need, free, value, rows_of = rows.need, rows.free, rows.value, rows.rows_of
     # Every row holding an undecided column is in a part.
     parts = []
@@ -438,18 +428,19 @@ def _settle(fr: Frontiers) -> Tuple[_Rows, List[_Part]]:
             continue
         done[first] = 1
         stack = [first]
-        part = []
+        sig = []
+        cols: Set[int] = set()
         while stack:
             i = stack.pop()
-            cols = [j for j in supports[i] if value[j] < 0]
-            part.append((i, need[i], cols))
-            for j in cols:
+            row = [j for j in supports[i] if value[j] < 0]
+            sig.append((inner[i], need[i], *[outer[j] for j in row]))
+            cols.update(row)
+            for j in row:
                 for r in rows_of[j]:
                     if not done[r]:
                         done[r] = 1
                         stack.append(r)
-        part.sort()
-        parts.append(part)
+        parts.append((frozenset(sig), sorted(cols)))
     return rows, parts
 
 

@@ -67,10 +67,8 @@ def _series(records: Sequence[object], kind: str) -> Dict[str, List[Point]]:
 
 
 def _ticks(lo: float, hi: float, target: int = 6) -> List[float]:
-    span = hi - lo
-    if span <= 0:
-        return [lo]
-    raw = span / target
+    """Round ticks across [lo, hi]; render_plots pads it, so hi > lo."""
+    raw = (hi - lo) / target
     mag = 10.0 ** math.floor(math.log10(raw))
     step = 10 * mag
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):

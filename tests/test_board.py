@@ -214,6 +214,11 @@ class TestBoardAndLabels:
         with pytest.raises(ValueError):
             generate_board(5, 1.5, 0)
 
+    def test_side_must_be_positive(self):
+        for boundary in Boundary:
+            with pytest.raises(ValueError, match="board side must be positive"):
+                Board(0, boundary, [])
+
     def test_small_torus_rejected(self):
         # A 2x2 torus would count a mine up to four times in one label.
         for n in (1, 2):
@@ -256,6 +261,8 @@ class TestMoves:
         assert state.exploded
         with pytest.raises(ValueError, match="game is over"):
             reveal(state, (2, 2))
+        with pytest.raises(ValueError, match="game is over"):
+            flag(state, (2, 2))
 
     def test_reveal_preconditions(self):
         board = Board(4, Boundary.OPEN, [(0, 0)])

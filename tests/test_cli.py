@@ -231,6 +231,11 @@ class TestSolve:
         assert run_cli(capsys, "solve", str(path)) == one_per_line
         assert one_per_line[:2] == (0, "SAT\nv -1 -2 3 0\n")
 
+    def test_formula_on_stdin(self, capsys, monkeypatch):
+        # Two blanks after the p still make a DIMACS problem line.
+        monkeypatch.setattr("sys.stdin", io.StringIO("p  cnf 1 1\n1 0\n"))
+        assert run_cli(capsys, "solve", "-") == (0, "SAT\nv 1 0\n", "")
+
     def test_unsat(self, capsys, tmp_path):
         path = tmp_path / "f.cnf"
         path.write_text("p cnf 1 2\n1 0\n-1 0\n")
@@ -370,6 +375,18 @@ class TestPercolation:
         assert svg.exists()
         assert "<svg" in svg.read_text()
 
+    def test_svg_skipped_without_plottable_points(self, capsys, tmp_path):
+        # At p = 0 no sample keeps a cluster: the row is printed, the chart
+        # is not.
+        svg = tmp_path / "p.svg"
+        code, out, err = run_cli(capsys, "percolation", "--mode",
+                                 "independent", "--param-grid", "0", "--n",
+                                 "6", "--samples", "2", "--svg", str(svg))
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out)))[1][5] == "0"
+        assert err == "no plottable points, svg skipped\n"
+        assert not svg.exists()
+
     def test_bad_grid_fails_before_output(self, capsys):
         assert_input_error(
             run_cli(capsys, "percolation", "--mode", "independent",
@@ -499,6 +516,8 @@ class TestSweep:
          "rho lists 0.1 and 0.1000000001"),
         ("n = 8\nrho = 0.1\npolicies = kset:1, kset:01\n",
          "policies lists 'kset:1' and 'kset:01'"),
+        ("games = 5\nn = 6\ngames = 7\n",
+         "line 3: games is already set on line 1"),
         (None, "No such file"),
     ])
     def test_bad_config_fails_before_output(self, capsys, tmp_path, text,
@@ -575,6 +594,20 @@ def random_formula_text(rng: random.Random, index: int) -> str:
         tags.extend([g] * rng.randint(1, 3))
     lines = [f"{{{t}}} {c}" for t, c in zip(tags, clauses)]
     return (f"p gcnf {nv} {len(clauses)} {g}\n" + "\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("play", "--n", "6", "--rho", "0.1"),
+    ("kset", "--k", "1", "--n", "6", "--rho", "0.1", "--seeds", "2"),
+    ("percolation", "--mode", "independent", "--param-grid", "0.4,0.5",
+     "--n", "6", "--samples", "2"),
+])
+def test_stdout_rows_end_in_a_bare_newline(capsys, argv):
+    # CSV rows on stdout end like every other printed line; files written
+    # by the harness keep the csv module's CRLF.
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out.endswith("\n")
+    assert "\r" not in out
 
 
 class TestPinnedOutput:

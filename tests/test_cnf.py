@@ -11,11 +11,24 @@ from hypothesis import strategies as st
 
 from minelab.board import Board, Boundary, GameState, flag, frontiers, reveal
 from minelab.cnf import (GroupedCnf, InfeasibleLabel, build_formula,
-                         export_dimacs, export_gcnf, parse_dimacs, parse_gcnf)
+                         export_dimacs, export_gcnf, parse_formula)
 from minelab.cnf import _encode_exact_count as encode_exact_count
 
 from conftest import (budget_board, consistent_placements, eval_clause,
                       parse_overlay, state_formula, truth_table_models)
+
+
+def parse_dimacs(text: str) -> GroupedCnf:
+    """parse_formula on a DIMACS text: every clause lands in group 0."""
+    formula = parse_formula(text)
+    assert list(formula.groups) == [0]
+    return formula
+
+
+def parse_gcnf(text: str) -> GroupedCnf:
+    """parse_formula on a text whose problem line says GCNF."""
+    assert text.split()[:2] == ["p", "gcnf"]
+    return parse_formula(text)
 
 
 class TestEncodeExactCount:
@@ -219,6 +232,11 @@ class TestFormats:
         (parse_gcnf, "p gcnf 2 1 1\n{1} 0\n", "line 2: empty clause"),
         (parse_gcnf, "p gcnf 2 1 1\np gcnf 2 1 1\n{1} 1 0\n",
          "line 2: second problem header"),
+        (parse_gcnf, "p gcnf 2 1 1\n{2} 1 0\n", "line 2: group 2 out of range"),
+        (parse_formula, "c a comment\n1 0\n",
+         "line 2: input is neither DIMACS (p cnf) nor GCNF (p gcnf)"),
+        (parse_formula, "p sat 1 1\n1 0\n",
+         "line 1: input is neither DIMACS (p cnf) nor GCNF (p gcnf)"),
     ])
     def test_parse_errors_name_their_line(self, parse, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -233,3 +251,13 @@ class TestFormats:
             parse_dimacs("p cnf 1 2\n1 0\n")
         with pytest.raises(ValueError):
             parse_gcnf("p gcnf 1 1 1\n1 0\n")
+        with pytest.raises(ValueError, match="no problem header found"):
+            parse_formula("c only a comment\n")
+
+    def test_format_is_the_problem_lines(self):
+        # Any run of blanks separates the problem line's fields.
+        for text in ("p cnf 2 1\n2 0\n", "p  cnf 2 1\n2 0\n",
+                     "p\tcnf 2 1\n2 0\n", "  p cnf  2 1 \n2 0\n"):
+            assert parse_formula(text).groups == {0: [(2,)]}, text
+        for text in ("p gcnf 2 1 3\n{3} 2 0\n", "p\tgcnf 2 1 3\n{3} 2 0\n"):
+            assert parse_formula(text).groups == {2: [(2,)]}, text

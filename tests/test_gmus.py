@@ -95,6 +95,12 @@ class TestKnownCases:
         assert_core_invariants(formula, result, 1)
 
 
+def selectors(solver: Solver, groups) -> list:
+    """The core literals of a query that used exactly these groups: their
+    selectors on solver."""
+    return [solver.selector_of[g] for g in groups]
+
+
 class TestOptions:
     def test_initial_core_seeds_the_deletion(self):
         # Two disjoint two-group cores exist and no single group conflicts,
@@ -105,7 +111,9 @@ class TestOptions:
                                      4: [(3,)], 5: [(-3, -1)]})
         unseeded = extract_gmus(Solver(formula), 1)
         assert unseeded.core == frozenset({1, 2})
-        seeded = extract_gmus(Solver(formula), 1, initial_core=[4, 5])
+        solver = Solver(formula)
+        seeded = extract_gmus(solver, 1,
+                              initial_core=selectors(solver, [4, 5]))
         assert seeded.core == frozenset({4, 5})
         assert_core_invariants(formula, seeded, 1)
 
@@ -113,9 +121,10 @@ class TestOptions:
         formula = GroupedCnf(num_vars=2,
                              groups={1: [(2,)], 2: [(-2, -1)], 3: [(1, 2)]})
         for pivot in (0, 3, -3, 99):
-            for seed in (None, [1, 2]):
+            solver = Solver(formula)
+            for seed in (None, selectors(solver, [1, 2])):
                 with pytest.raises(ValueError, match=f"pivot {pivot} "):
-                    extract_gmus(Solver(formula), pivot, initial_core=seed)
+                    extract_gmus(solver, pivot, initial_core=seed)
 
     def test_shared_solver_reuse(self):
         formula = GroupedCnf(num_vars=2,
@@ -151,7 +160,8 @@ class TestModelRotation:
         groups[k - 1] = [(-k,)]
         formula = GroupedCnf(num_vars=k, groups=groups)
         solver = CountingSolver(formula)
-        result = extract_gmus(solver, 1, initial_core=range(k))
+        result = extract_gmus(solver, 1,
+                              initial_core=selectors(solver, range(k)))
         assert result.core == frozenset(range(k))
         assert solver.queries == [list(range(1, k)), [0]]
         assert_core_invariants(formula, result, 1)
@@ -164,12 +174,12 @@ class TestModelRotation:
                              groups={0: [(1, 2)], 1: [(-1, 2), (-1, -2)],
                                      2: [(-1,)], 3: [(-1,)], 4: [(1, -2)]})
         solver = CountingSolver(formula)
-        result = extract_gmus(solver, 1, initial_core=[2])
+        result = extract_gmus(solver, 1, initial_core=selectors(solver, [2]))
         assert result.core == frozenset({1})
         assert all(max(q) < 2 for q in solver.queries), solver.queries
         # Seeded with the lowest singleton itself, only group 0 is queried.
         solver = CountingSolver(formula)
-        result = extract_gmus(solver, 1, initial_core=[1])
+        result = extract_gmus(solver, 1, initial_core=selectors(solver, [1]))
         assert result.core == frozenset({1})
         assert solver.queries == [[0]]
 
@@ -212,10 +222,9 @@ class TestRandomGroupedFormulas:
                     res = solver.solve(solver.group_ids, [pivot])
                     if res.sat:
                         continue
-                    seed = solver.core_groups(res.core)
                     for result in (extract_gmus(Solver(formula), pivot),
                                    extract_gmus(solver, pivot,
-                                                initial_core=seed)):
+                                                initial_core=res.core)):
                         assert_core_invariants(formula, result, pivot)
                         single = first_singleton_core(formula, pivot)
                         if single is not None:

@@ -536,6 +536,8 @@ class TestRunSweep:
             run_sweep(small_config(tmp_path, games=0))
         with pytest.raises(ValueError):
             run_sweep(small_config(tmp_path, policies=("magic",)))
+        with pytest.raises(ValueError, match="policies must be nonempty"):
+            run_sweep(small_config(tmp_path, policies=()))
         with pytest.raises(ValueError, match="n >= 3"):
             run_sweep(small_config(tmp_path, ns=(5, 2)))
         for budget in (-2.0, 0.0, float("nan")):
@@ -648,6 +650,9 @@ class TestParseSweepConfig:
             parse_sweep_config("\n\ntrack_cores = maybe\n")
         with pytest.raises(ValueError, match="line 2"):
             parse_sweep_config("n = 5\ngames = x\n")
+        with pytest.raises(ValueError,
+                           match="line 3: games is already set on line 1"):
+            parse_sweep_config("games = 5\nn = 6\n games=7 # again\n")
         for rho in ("0.1:inf:0.1", "0.1:0.3:inf", "nan:0.3:0.1"):
             with pytest.raises(ValueError,
                                match="line 2: range bounds and step must "

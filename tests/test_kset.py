@@ -358,7 +358,7 @@ class TestAgainstReference:
     def test_random_systems(self, rng):
         for _ in range(400):
             fr = random_system(rng)
-            for k in (1, 2, 3, 4):
+            for k in (1, 2, 3, 4, 5):
                 assert_matches_reference(fr, k)
 
     def test_gaps_wider_than_a_byte(self):

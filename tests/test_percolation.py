@@ -277,6 +277,10 @@ class TestSweep:
         with pytest.raises(ValueError):
             percolation_sweep(PercolationConfig(mode="random", params=[0.1]))
 
+    def test_empty_params_rejected(self):
+        with pytest.raises(ValueError, match="params must be a nonempty list"):
+            PercolationConfig(mode="independent", params=[])
+
     def test_boundary_defaults(self):
         assert (PercolationConfig(mode="independent", params=[0.5])
                 .boundary is Boundary.OPEN)

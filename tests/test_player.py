@@ -77,13 +77,13 @@ def reference_infer_step(state: GameState, *,
     if extract_cores and found:
         solver = Solver(formula)
         pivots = [v if verdict is Verdict.SAFE else -v for v, verdict in found]
-        starts = []
+        pivot_cores = []
         for pivot in pivots:
             res = solver.solve(solver.group_ids, [pivot])
             assert not res.sat
-            starts.append(solver.core_groups(res.core))
-        cores = [extract_gmus(solver, pivot, initial_core=start)
-                 for pivot, start in zip(pivots, starts)]
+            pivot_cores.append(res.core)
+        cores = [extract_gmus(solver, pivot, initial_core=core)
+                 for pivot, core in zip(pivots, pivot_cores)]
     outer = frontiers(state).outer
     return [Inference(outer[v - 1], verdict, core)
             for (v, verdict), core in zip(found, cores)]
@@ -291,16 +291,15 @@ class TestInferStep:
     def test_wrong_verdict_fails_its_pivot_query(self, monkeypatch):
         # With cores on, every counting verdict is confirmed by an
         # unsatisfiable pivot query before any core is extracted: a
-        # backbone that reports a site it did not force is caught there.
+        # backbone that sets a site it did not force is caught there.
         backbone = minelab.player._backbone
         extracted = []
 
-        def wrong(rows, part, budget):
-            found = backbone(rows, part, budget)
-            forced = {j for j, _ in found}
-            free = [j for _, _, cols in part for j in cols
-                    if j not in forced]
-            return sorted(found + [(free[0], 1)])
+        def wrong(rows, cols, budget):
+            backbone(rows, cols, budget)
+            free = [j for j in cols if rows.value[j] < 0]
+            rows.value[free[0]] = 1
+            return True
 
         monkeypatch.setattr(minelab.player, "_backbone", wrong)
         monkeypatch.setattr(minelab.player, "extract_gmus",
@@ -451,12 +450,12 @@ class TestCountingSearch:
         rows = _Rows(supports, labels, columns)
         if propagate and not rows.propagate(rows.forced()):
             raise ValueError("conflict in propagation")
-        settled = {j: b for j, b in enumerate(rows.value) if b >= 0}
-        part = [(i, rows.need[i], [j for j in s if rows.value[j] < 0])
-                for i, s in enumerate(supports)]
-        found = dict(_backbone(rows, part, 1_000_000))
-        assert not settled.keys() & found.keys()
-        return sorted({**settled, **found}.items())
+        settled = sum(b >= 0 for b in rows.value)
+        cols = sorted({j for s in supports for j in s if rows.value[j] < 0})
+        inferred = _backbone(rows, cols, 1_000_000)
+        got = [(j, b) for j, b in enumerate(rows.value) if b >= 0]
+        assert inferred == (len(got) > settled)
+        return got
 
     @pytest.mark.parametrize("propagate", [False, True])
     def test_matches_truth_table(self, propagate):
@@ -484,11 +483,12 @@ class TestCountingSearch:
             if system_backbone(supports, labels, columns) is None:
                 continue
             rows = _Rows(supports, labels, columns)
-            part = [(i, e, s) for i, (s, e) in enumerate(zip(supports, labels))]
-            found = _backbone(rows, part, 1_000_000)
+            cols = sorted({j for s in supports for j in s})
+            _backbone(rows, cols, 1_000_000)
             fresh = _Rows(supports, labels, columns)
-            for j, b in found:
-                assert fresh.propagate([], (j,), b)
+            for j, b in enumerate(rows.value):
+                if b >= 0:
+                    assert fresh.propagate([], (j,), b)
             assert fresh.value == rows.value
             assert fresh.need == rows.need and fresh.free == rows.free
 

@@ -457,9 +457,22 @@ class TestParts:
             rows, parts = _settle(fr)
             if not parts:
                 continue
-            formula = rows_formula((row for part in parts for row in part),
-                                   len(fr.outer))
-            groups_of = [[i for i, _, _ in part] for part in parts]
+            # Each part's rows, with their residual labels and undecided
+            # columns, as its signature names them.
+            rows_of_part = []
+            for sig, cols in parts:
+                part = [(i, rows.need[i],
+                         [j for j in fr.supports[i] if rows.value[j] < 0])
+                        for i in sorted({i for j in cols
+                                         for i in rows.rows_of[j]})]
+                assert cols == sorted({j for _, _, row in part for j in row})
+                assert sig == frozenset(
+                    (fr.inner[i], e, *[fr.outer[j] for j in row])
+                    for i, e, row in part)
+                rows_of_part.append(part)
+            formula = rows_formula((row for part in rows_of_part
+                                    for row in part), len(fr.outer))
+            groups_of = [[i for i, _, _ in part] for part in rows_of_part]
             assert (sorted((groups, sorted(group_vars(formula, groups)))
                            for groups in groups_of)
                     == sorted(formula_parts(formula)))
