@@ -34,7 +34,9 @@ How that group is found depends on the formula:
    -pivot: e = 0 against a true pivot, e = m against a false one. The
    lowest such group is returned before any query. Without one, no group
    alone contradicts the pivot, so a candidate of two groups is minimal and
-   the deletion loop stops there;
+   the deletion loop stops there. This one rule, counted_singleton, has two
+   callers: extract_gmus, and the player, which reads it off the frontier
+   system and so asks no solver query at all for a verdict it settles;
  * queries, for a formula without labels (a parsed DIMACS or GCNF file).
    After the deletion loop, the groups that mention the pivot variable are
    queried alone, ascending, and the first that contradicts the pivot is
@@ -94,12 +96,18 @@ def _flip(lits: Set[int], v: int) -> None:
     lits.add(-l)
 
 
-def _refutes(label: int, size: int, lit: int) -> bool:
-    """Does a group saying "exactly label of its size variables are true"
-    contradict lit, a literal of one of those variables, on its own? Only
-    through the unit clause -lit: label 0 against a true lit, label size
-    against a false one."""
-    return label == (0 if lit > 0 else size)
+def counted_singleton(pivot: int, groups: Iterable[int], labels,
+                      group_vars) -> Optional[GmusResult]:
+    """The singleton rule by counting: the first of groups (the ascending
+    ids of the groups that mention the pivot variable) that contradicts
+    pivot on its own, as a core, or None. labels and group_vars map a group
+    id to its label and to its variables. A group saying "exactly e of its
+    m variables are true" does so only through the unit clause -pivot: e = 0
+    against a true pivot, e = m against a false one."""
+    for h in groups:
+        if labels[h] == (0 if pivot > 0 else len(group_vars[h])):
+            return GmusResult(core=frozenset([h]))
+    return None
 
 
 def extract_gmus(solver: Solver, pivot: int, *,
@@ -143,9 +151,9 @@ def extract_gmus(solver: Solver, pivot: int, *,
     labels = solver.labels
     pv = abs(pivot)
     if labels is not None:
-        for h in var_groups[pv]:
-            if _refutes(labels[h], len(group_vars[h]), pivot):
-                return GmusResult(core=frozenset([h]))
+        single = counted_singleton(pivot, var_groups[pv], labels, group_vars)
+        if single is not None:
+            return single
     if initial_core is None:
         res = solver.solve(solver.group_ids, [pivot])
         if res.sat:

@@ -23,13 +23,17 @@ A pass is one pipeline (infer_step):
  4. the parts that yielded nothing on the last pass, dropped;
  5. each other part's verdicts, set in the row system by a counting
     search on its own rows (_backbone): no formula and no solver;
- 6. with cores on, and only when the pass inferred something, the SAT
-    reduction: cnf.build_formula over the whole frontier system (VarId =
-    outer index + 1) for one selector solver, which asks every
-    inference's pivot with all groups active, in ascending site order, and
-    then extracts the minimal cores in the same order. Every verdict is so
-    confirmed by an unsatisfiable query before any extraction, and
-    consecutive pivot queries share every selector level.
+ 6. with cores on, the SAT reduction, in ascending site order. A verdict
+    whose pivot one frontier row refutes by counting (label 0 against a
+    mined pivot, label equal to its size against a safe one) asks no
+    query: the lowest such row is its core (gmus.counted_singleton), and
+    its certificate. At the first other verdict, cnf.build_formula over
+    the whole frontier system (VarId = outer index + 1) makes one selector
+    solver, which asks each other verdict's pivot with all groups active
+    and then extracts their minimal cores in the same order. Every such
+    verdict is so confirmed by an unsatisfiable query before any
+    extraction, and consecutive pivot queries share every selector level.
+    A pass of counted singletons only builds neither formula nor solver.
 
 A part's verdicts are its backbone, which does not depend on how it is
 found. The counting search asks each site, mined first, for each value no
@@ -59,7 +63,7 @@ from typing import (Callable, FrozenSet, List, Optional, Sequence, Set,
 from .board import (Board, Frontiers, GameState, Site, flag,
                     frontiers, reveal)
 from .cnf import InfeasibleLabel, build_formula
-from .gmus import GmusResult, extract_gmus
+from .gmus import GmusResult, counted_singleton, extract_gmus
 from .kset import build_constraints, kset_infer
 from .sat import ResourceLimit, Solver
 
@@ -148,13 +152,15 @@ def infer_step(state: GameState, *, extract_cores: bool = True,
     parts that yielded nothing. A search past conflict_budget conflicts
     raises ResourceLimit.
 
-    With extract_cores, a pass that inferred something encodes the whole
-    frontier system by build_formula for one selector solver. Every
-    inference's pivot is asked with all groups active, in ascending site
-    order, and a satisfiable answer raises ValueError; then a minimal core
-    is attached to each inference, in the same order, found from the core
-    of its pivot query. A query past conflict_budget conflicts raises
-    ResourceLimit.
+    With extract_cores, each inference gets a minimal core, in ascending
+    site order. When a frontier row refutes its pivot by counting, the
+    lowest such row is the core, with no query: it is the verdict's
+    certificate. The first other inference encodes the whole frontier
+    system by build_formula for one selector solver; its pivot and every
+    later one is asked with all groups active, and a satisfiable answer
+    raises ValueError; then their cores are extracted, in the same order,
+    each from the core of its pivot query. A query past conflict_budget
+    conflicts raises ResourceLimit.
 
     An effective label outside [0, support size] raises InfeasibleLabel;
     any other inconsistency raises ValueError.
@@ -173,20 +179,28 @@ def infer_step(state: GameState, *, extract_cores: bool = True,
     outer = fr.outer
     cores: List[Optional[GmusResult]] = [None] * len(found)
     if extract_cores and found:
-        formula = build_formula(fr)
-        solver = Solver(formula, conflict_budget=conflict_budget)
-        # The pivot assumes the verdict's opposite: mined for a safe site.
-        pivots = [j + 1 if b == 0 else -(j + 1) for j, b in found]
-        pivot_cores = []
-        for pivot in pivots:
+        solver = None
+        queried = []        # (index, pivot, core literals of its query)
+        for i, (j, b) in enumerate(found):
+            # The pivot assumes the verdict's opposite: mined for a safe site.
+            pivot = j + 1 if b == 0 else -(j + 1)
+            # A counted singleton's pivot query would find the pivot false
+            # at the selector levels and change nothing in the solver, so
+            # skipping it leaves every later query as it was.
+            cores[i] = counted_singleton(pivot, rows.rows_of[j], fr.labels,
+                                         fr.supports)
+            if cores[i] is not None:
+                continue
+            if solver is None:
+                solver = Solver(build_formula(fr),
+                                conflict_budget=conflict_budget)
             res = solver.solve(solver.group_ids, [pivot])
             if res.sat:
                 raise ValueError(f"pivot {pivot} is satisfiable: the "
-                                 f"verdict at {outer[abs(pivot) - 1]} is "
-                                 f"not forced")
-            pivot_cores.append(res.core)
-        cores = [extract_gmus(solver, pivot, initial_core=core)
-                 for pivot, core in zip(pivots, pivot_cores)]
+                                 f"verdict at {outer[j]} is not forced")
+            queried.append((i, pivot, res.core))
+        for i, pivot, core in queried:
+            cores[i] = extract_gmus(solver, pivot, initial_core=core)
     return [Inference(outer[j], Verdict.MINE if b else Verdict.SAFE, core)
             for (j, b), core in zip(found, cores)]
 

@@ -21,7 +21,15 @@ levels of the longest common prefix of its assumption list and the previous
 one, and only backtracks and re-assumes past it. The selectors come first,
 in ascending group order, so queries over the same active groups share
 every selector level. A query whose assumption is already false at a kept
-level is answered Unsat there, without a search.
+level is answered Unsat there, without a search; when the trail holds
+exactly the selector levels of the same active set, that answer comes first,
+before the assumption list is built or compared. The final core of an Unsat
+answer is found by walking reasons back from the failed literal to the
+assumptions that imply it.
+
+Values are kept per literal: assigns[l] is 1 (true), -1 (false) or 0
+(unassigned), a negative literal counting from the end of the list, as the
+watch lists do, so a literal's value is one index.
 
 Branching picks the unassigned problem variable with the highest occurrence
 count in the original formula, ties broken by lowest variable id, and tries
@@ -37,7 +45,6 @@ and the model leaves them out.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -48,7 +55,6 @@ class ResourceLimit(Exception):
     """The per-call conflict budget was exceeded."""
 
 
-@dataclass(frozen=True)
 class _SolveResult:
     """Sat with a model over the variables the query decided, or Unsat with
     the subset of assumption literals (selectors included) that clash.
@@ -58,9 +64,13 @@ class _SolveResult:
     absent variables take, it satisfies every active group and the
     assumptions; the inactive groups may be violated.
     """
-    sat: bool
-    model: Optional[Dict[int, bool]] = None
-    core: Optional[FrozenSet[int]] = None
+    __slots__ = ("sat", "model", "core")
+
+    def __init__(self, sat: bool, model: Optional[Dict[int, bool]] = None,
+                 core: Optional[FrozenSet[int]] = None):
+        self.sat = sat
+        self.model = model
+        self.core = core
 
 
 class Solver:
@@ -86,7 +96,9 @@ class Solver:
         self.selector_of = {g: self.num_vars + 1 + i
                             for i, g in enumerate(self.group_ids)}
         nv = self.num_vars + len(self.selector_of)
-        self.assigns = [0] * (nv + 1)      # 0 unassigned, 1 true, -1 false
+        # Literal l -> 1 true, -1 false, 0 unassigned, at index l: a
+        # negative literal counts from the end of the list.
+        self.assigns = [0] * (2 * nv + 1)
         self.level = [0] * (nv + 1)
         self.reason: List[Optional[list]] = [None] * (nv + 1)
         self.seen = bytearray(nv + 1)
@@ -123,8 +135,10 @@ class Solver:
                 if len(cl) > 1:
                     watches[cl[0]].append(cl)
                     watches[cl[1]].append(cl)
-                elif self._value(guard) == 0:
-                    self._enqueue(guard, None)
+                elif self.assigns[guard] == 0:
+                    self.assigns[guard] = 1
+                    self.assigns[-guard] = -1
+                    self.trail.append(guard)
             vs = list(map(abs, chain.from_iterable(clauses)))
             for v in vs:
                 occ[v] += 1
@@ -140,99 +154,23 @@ class Solver:
             rank[v] = i
         self.rank = rank
 
-    # -- clause plumbing ---------------------------------------------------
-
-    def _attach(self, cl: list) -> None:
-        # Callers only attach clauses with >= 2 literals.
-        self.watches[cl[0]].append(cl)
-        self.watches[cl[1]].append(cl)
-
-    def _value(self, l: int) -> int:
-        return self.assigns[l] if l > 0 else -self.assigns[-l]
-
-    def _enqueue(self, l: int, reason: Optional[list]) -> None:
-        v = l if l > 0 else -l
-        self.assigns[v] = 1 if l > 0 else -1
-        self.level[v] = len(self.trail_lim)
-        self.reason[v] = reason
-        self.trail.append(l)
-
-    def _new_level(self) -> None:
-        self.trail_lim.append(len(self.trail))
-        self.head_stack.append(self.order_head)
+    # -- backtracking -----------------------------------------------------------
 
     def _cancel_until(self, lvl: int) -> None:
-        if len(self.trail_lim) <= lvl:
+        trail_lim = self.trail_lim
+        if len(trail_lim) <= lvl:
             return
         assigns = self.assigns
-        reason = self.reason
-        bound = self.trail_lim[lvl]
-        for i in range(len(self.trail) - 1, bound - 1, -1):
-            v = abs(self.trail[i])
-            assigns[v] = 0
-            reason[v] = None
-        del self.trail[bound:]
-        del self.trail_lim[lvl:]
+        trail = self.trail
+        bound = trail_lim[lvl]
+        for l in trail[bound:]:
+            assigns[l] = 0
+            assigns[-l] = 0
+        del trail[bound:]
+        del trail_lim[lvl:]
         self.order_head = self.head_stack[lvl]
         del self.head_stack[lvl:]
         self.qhead = bound
-
-    # -- propagation -------------------------------------------------------
-
-    def _propagate(self) -> Optional[list]:
-        trail = self.trail
-        assigns = self.assigns
-        watches = self.watches
-        reason = self.reason
-        level = self.level
-        qhead = self.qhead
-        cur_level = len(self.trail_lim)
-        while qhead < len(trail):
-            p = trail[qhead]
-            qhead += 1
-            fal = -p
-            ws = watches[fal]
-            i = j = 0
-            end = len(ws)
-            while i < end:
-                cl = ws[i]
-                i += 1
-                if cl[0] == fal:
-                    cl[0] = cl[1]
-                    cl[1] = fal
-                other = cl[0]
-                ov = assigns[other] if other > 0 else -assigns[-other]
-                if ov == 1:
-                    ws[j] = cl
-                    j += 1
-                    continue
-                for k in range(2, len(cl)):
-                    q = cl[k]
-                    if (assigns[q] if q > 0 else -assigns[-q]) != -1:
-                        cl[1] = q
-                        cl[k] = fal
-                        watches[q].append(cl)
-                        break
-                else:
-                    # No new watch: cl is unit or falsified.
-                    ws[j] = cl
-                    j += 1
-                    if ov == -1:
-                        while i < end:
-                            ws[j] = ws[i]
-                            j += 1
-                            i += 1
-                        del ws[j:]
-                        self.qhead = len(trail)
-                        return cl
-                    v = other if other > 0 else -other
-                    assigns[v] = 1 if other > 0 else -1
-                    level[v] = cur_level
-                    reason[v] = cl
-                    trail.append(other)
-            del ws[j:]
-        self.qhead = qhead
-        return None
 
     # -- conflict analysis ---------------------------------------------------
 
@@ -288,34 +226,28 @@ class Solver:
 
     def _analyze_final(self, failed: int) -> FrozenSet[int]:
         """The core of a literal that is false on the trail: failed and the
-        assumption literals whose propagation falsified it."""
+        assumption literals whose propagation falsified it, found by
+        walking reasons back from it."""
         core = {failed}
         level = self.level
-        if level[abs(failed)] == 0:
+        v = abs(failed)
+        if level[v] == 0:
             return frozenset(core)
-        seen = self.seen
         reason = self.reason
-        trail = self.trail
-        seen[abs(failed)] = 1
-        pending = 1      # marked variables not yet reached by the walk
-        i = len(trail) - 1
-        while pending:
-            lit = trail[i]
-            i -= 1
-            v = abs(lit)
-            if not seen[v]:
-                continue
-            seen[v] = 0
-            pending -= 1
+        assigns = self.assigns
+        seen = {v}
+        stack = [v]
+        while stack:
+            v = stack.pop()
             r = reason[v]
             if r is None:
-                core.add(lit)
+                core.add(v if assigns[v] == 1 else -v)
                 continue
             for q in r[1:]:
-                u = abs(q)
-                if not seen[u] and level[u] > 0:
-                    seen[u] = 1
-                    pending += 1
+                u = q if q > 0 else -q
+                if u not in seen and level[u] > 0:
+                    seen.add(u)
+                    stack.append(u)
         return frozenset(core)
 
     # -- main search -----------------------------------------------------------
@@ -344,12 +276,22 @@ class Solver:
             order = sorted(branch, key=self.rank.__getitem__)
             sel = [self.selector_of[g] for g in actives]
             self._last_active = (key, order, sel)
+        elif (extra and self.assigns[extra[0]] == -1
+              and len(self.trail_lim) == len(sel)
+              and self.qhead == len(self.trail)):
+            # The trail holds exactly this active set's selector levels,
+            # propagated, and they falsify the first own assumption: the
+            # search would stop there at once. last_assumptions keeps the
+            # selectors, the only entries the next query compares.
+            return _SolveResult(False, None, self._analyze_final(extra[0]))
         assump = sel + extra
         last = self.last_assumptions
-        limit = min(len(last), len(assump), len(self.trail_lim))
-        keep = 0
-        while keep < limit and last[keep] == assump[keep]:
-            keep += 1
+        keep = min(len(last), len(assump), len(self.trail_lim))
+        if last[:keep] != assump[:keep]:
+            i = 0
+            while last[i] == assump[i]:
+                i += 1
+            keep = i
         self._cancel_until(keep)
         self.last_assumptions = assump
         # Kept levels are assumption levels, opened before any branching, so
@@ -370,43 +312,116 @@ class Solver:
         conflicts = 0
         budget = self.conflict_budget
         assigns = self.assigns
+        level = self.level
+        reason = self.reason
+        watches = self.watches
+        trail = self.trail
+        trail_lim = self.trail_lim
+        head_stack = self.head_stack
         nassump = len(assumptions)
+        n_order = len(order)
+        qhead = self.qhead
         while True:
-            confl = self._propagate()
+            # Propagate the trail from qhead; confl is a falsified clause.
+            confl = None
+            lvl = len(trail_lim)
+            while qhead < len(trail):
+                fal = -trail[qhead]
+                qhead += 1
+                ws = watches[fal]
+                j = 0
+                # ws gains no clause during its own scan: a new watch is
+                # never false.
+                for i, cl in enumerate(ws):
+                    if cl[0] == fal:
+                        cl[0] = cl[1]
+                        cl[1] = fal
+                    other = cl[0]
+                    ov = assigns[other]
+                    if ov == 1:
+                        ws[j] = cl
+                        j += 1
+                        continue
+                    for k in range(2, len(cl)):
+                        q = cl[k]
+                        if assigns[q] != -1:
+                            cl[1] = q
+                            cl[k] = fal
+                            watches[q].append(cl)
+                            break
+                    else:
+                        # No new watch: cl is unit or falsified.
+                        ws[j] = cl
+                        j += 1
+                        if ov == -1:
+                            confl = cl
+                            del ws[j:i + 1]
+                            break
+                        assigns[other] = 1
+                        assigns[-other] = -1
+                        v = other if other > 0 else -other
+                        level[v] = lvl
+                        reason[v] = cl
+                        trail.append(other)
+                else:
+                    # The clauses that moved their watch leave ws.
+                    del ws[j:]
+                    continue
+                break       # a conflict ends propagation
             if confl is not None:
                 conflicts += 1
                 if conflicts > budget:
+                    self.qhead = len(trail)
                     raise ResourceLimit(
                         f"conflict budget {budget} exceeded")
                 learnt, bt = self._analyze(confl)
                 self._cancel_until(bt)
+                qhead = len(trail)
+                p = learnt[0]
                 if len(learnt) == 1:
-                    self._enqueue(learnt[0], None)      # a level-0 fact
+                    r = None                    # a level-0 fact
                 else:
-                    self._attach(learnt)
-                    self._enqueue(learnt[0], learnt)
+                    watches[p].append(learnt)
+                    watches[learnt[1]].append(learnt)
+                    r = learnt
+                assigns[p] = 1
+                assigns[-p] = -1
+                v = p if p > 0 else -p
+                level[v] = bt
+                reason[v] = r
+                trail.append(p)
                 continue
-            lvl = len(self.trail_lim)
+            self.qhead = qhead
             if lvl < nassump:
                 p = assumptions[lvl]
-                v = self._value(p)
-                if v == -1:
-                    return _SolveResult(sat=False, core=self._analyze_final(p))
-                self._new_level()     # a placeholder level if p is true
-                if v == 0:
-                    self._enqueue(p, None)
+                value = assigns[p]
+                if value == -1:
+                    return _SolveResult(False, None, self._analyze_final(p))
+                # A placeholder level if p is already true.
+                trail_lim.append(len(trail))
+                head_stack.append(self.order_head)
+                if value == 0:
+                    assigns[p] = 1
+                    assigns[-p] = -1
+                    v = p if p > 0 else -p
+                    level[v] = lvl + 1
+                    reason[v] = None
+                    trail.append(p)
                 continue
             head = self.order_head
-            n_order = len(order)
             while head < n_order and assigns[order[head]] != 0:
                 head += 1
             self.order_head = head
             if head == n_order:
-                model = {v: assigns[v] == 1 for v in order}
-                return _SolveResult(sat=True, model=model)
+                return _SolveResult(True, {v: assigns[v] == 1 for v in order})
             var = order[head]
-            self._new_level()
-            self._enqueue(-var, None)
+            trail_lim.append(len(trail))
+            head_stack.append(head)
+            assigns[var] = -1
+            assigns[-var] = 1
+            level[var] = lvl + 1
+            reason[var] = None
+            trail.append(-var)
 
     def core_groups(self, core_lits: Iterable[int]) -> List[int]:
         """Group ids, ascending, of the selector literals in an Unsat core."""

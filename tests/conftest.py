@@ -193,6 +193,34 @@ def load_state(state_name: str, boundary: Boundary = Boundary.OPEN,
     return parse_overlay((FIXTURES / state_name).read_text(), boundary, board)
 
 
+def dihedral_site(site: Site, k: int, n: int,
+                  shift: Tuple[int, int] = (0, 0)) -> Site:
+    """Site under the k-th of the 8 symmetries of the n x n square (k in
+    0..7: bit 2 transposes, then bit 0 flips the rows and bit 1 the
+    columns), then translated by shift, wrapping around."""
+    r, c = site
+    if k & 4:
+        r, c = c, r
+    if k & 1:
+        r = n - 1 - r
+    if k & 2:
+        c = n - 1 - c
+    return (r + shift[0]) % n, (c + shift[1]) % n
+
+
+def dihedral_board(board: Board, k: int,
+                   shift: Tuple[int, int] = (0, 0)) -> Board:
+    """The board, its mines and its start under dihedral_site: a board with
+    the same labels, site for site, on the mapped sites. Only a torus may be
+    translated."""
+    assert shift == (0, 0) or board.boundary is Boundary.TORUS
+    image = Board(board.n, board.boundary,
+                  [dihedral_site(s, k, board.n, shift)
+                   for s in sorted(mine_sites(board))])
+    image.start = dihedral_site(board.start, k, board.n, shift)
+    return image
+
+
 def naive_labels(n: int, mines, boundary: Boundary) -> List[List[int]]:
     """Mine-adjacency recount with explicit loops."""
     mset = set(mines)

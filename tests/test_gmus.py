@@ -11,7 +11,8 @@ import minelab.player
 from minelab.board import (Boundary, COVERED, GameState, flag, frontiers,
                            generate_board, reveal)
 from minelab.cnf import GroupedCnf
-from minelab.gmus import GmusResult, NotUnsat, _refutes, extract_gmus
+from minelab.gmus import (GmusResult, NotUnsat, counted_singleton,
+                          extract_gmus)
 from minelab.harness import game_seed
 from minelab.player import Verdict, infer_step
 from minelab.sat import Solver
@@ -324,7 +325,8 @@ class TestGameCores:
             for g, clauses in formula.groups.items():
                 vs = sorted({abs(l) for clause in clauses for l in clause})
                 for lit in (*vs, *(-v for v in vs)):
-                    counted = _refutes(formula.labels[g], len(vs), lit)
+                    counted = counted_singleton(
+                        lit, [g], formula.labels, {g: vs}) is not None
                     assert counted == (not solve(formula, [g], [lit]).sat)
                     refuted += counted
                     kept += not counted

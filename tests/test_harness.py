@@ -634,6 +634,16 @@ class TestParseSweepConfig:
         assert config.record_timing is True
         assert config.workers == 3
 
+    def test_committed_configs_are_valid(self):
+        # Every probe in configs/ parses, is playable, and writes under
+        # runs/, which the repository ignores.
+        paths = sorted((Path(__file__).parent.parent / "configs").glob("*"))
+        assert len(paths) >= 2
+        for path in paths:
+            config = parse_sweep_config(path.read_text())
+            validate_config(config)
+            assert config.outdir.parts[0] == "runs", path.name
+
     def test_defaults_preserved(self):
         config = parse_sweep_config("games = 3\n")
         assert config.games == 3

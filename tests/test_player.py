@@ -28,10 +28,10 @@ from minelab.player import (Inference, Outcome, Policy, Verdict, _backbone,
                             _Rows, _settle, infer_step, play_game)
 from minelab.sat import Solver
 
-from conftest import (budget_board, consistency_check, forced_verdicts,
-                      formula_parts, inference_pivot, load_state, mine_sites,
-                      parse_overlay, random_reachable_state, solve,
-                      state_formula)
+from conftest import (budget_board, consistency_check, dihedral_board,
+                      dihedral_site, forced_verdicts, formula_parts,
+                      inference_pivot, load_state, mine_sites, parse_overlay,
+                      random_reachable_state, solve, state_formula)
 
 
 def reference_infer_step(state: GameState, *,
@@ -257,8 +257,11 @@ class TestInferStep:
         assert checked >= 25 and multi_part >= 10
 
     def test_one_solver_per_pass(self, monkeypatch):
-        # One solver for a pass with an inference, none without one, even
-        # with undecided rows left.
+        # One solver for a pass with an inference whose core has two groups
+        # or more. None for a pass without one, even with undecided rows
+        # left: a one-group core on a frontier formula is a group that
+        # refutes its pivot by counting, so a pass of such inferences only
+        # asks no query.
         built = []
 
         class CountingSolver(Solver):
@@ -267,15 +270,17 @@ class TestInferStep:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(minelab.player, "Solver", CountingSolver)
-        inferred = stuck = 0
+        queried = singles = stuck = 0
         for board in seeded_boards(24):
             for state in pass_states(board):
                 del built[:]
                 got = infer_step(state)
-                assert len(built) == (1 if got else 0)
-                inferred += bool(got)
+                query = any(inf.core.size > 1 for inf in got)
+                assert len(built) == (1 if query else 0)
+                queried += query
+                singles += bool(got) and not query
                 stuck += not got and bool(_settle(frontiers(state))[1])
-        assert inferred >= 100 and stuck >= 5
+        assert queried >= 50 and singles >= 5 and stuck >= 5
 
     def test_core_extraction_off_keeps_verdicts(self, rng):
         for _ in range(30):
@@ -312,10 +317,12 @@ class TestInferStep:
 
     def test_matches_the_pass_that_queries_every_literal(self, monkeypatch):
         # Same inferences, order and cores. With cores on, a pass asks its
-        # one solver exactly the queries that the reference asks of its
-        # core solver: the pivot queries and the extractions. With cores
-        # off, counting propagation and the counting search leave no
-        # solver query at all.
+        # one solver the queries that the reference asks of its core
+        # solver, the pivot queries and the extractions, but for the pivot
+        # query of each inference whose core is one group: that group
+        # refutes the pivot by counting, and the pass builds no solver when
+        # every core is such a group. With cores off, counting propagation
+        # and the counting search leave no solver query at all.
         solve = Solver.solve
 
         def counted(infer, state, cores):
@@ -331,7 +338,7 @@ class TestInferStep:
             finally:
                 monkeypatch.setattr(Solver, "solve", solve)
 
-        passes = with_cores = 0
+        passes = with_cores = skipped = 0
         cores_off = {infer_step: 0, reference_infer_step: 0}
         for board in seeded_boards(24):
             for state in pass_states(board):
@@ -343,13 +350,17 @@ class TestInferStep:
                     assert [i.core for i in got] == [i.core for i in want]
                     if cores:
                         # The reference's first solver decides verdicts.
-                        assert got_calls == want_calls[1:]
-                        with_cores += len(got) > 0
+                        singles = sum(i.core.size == 1 for i in got)
+                        assert len(got_calls) == (len(got) > singles)
+                        assert (sum(got_calls)
+                                == sum(want_calls[1:]) - singles)
+                        with_cores += len(got) > singles
+                        skipped += singles
                     else:
                         cores_off[infer_step] += sum(got_calls)
                         cores_off[reference_infer_step] += sum(want_calls)
                 passes += 1
-        assert passes >= 100 and with_cores >= 50
+        assert passes >= 100 and with_cores >= 50 and skipped >= 100
         assert cores_off[infer_step] == 0 < cores_off[reference_infer_step]
 
     def test_quiet_part_memory_keeps_every_pass_with_cores(self):
@@ -701,6 +712,42 @@ class TestPlayGame:
         assert record.turns == nonempty
         if record.outcome is Outcome.STUCK:
             assert traces[-1][1] == 0
+
+
+def traced_game(board: Board, policy: str):
+    """(alpha, turns, outcome) of a game on board with cores off, and the
+    set of (site, verdict) inferences of each of its passes."""
+    passes = []
+    rec = play_game(board, policy, track_cores=False,
+                    trace_fn=lambda turn, inferences: passes.append(
+                        {(inf.site, inf.verdict) for inf in inferences}))
+    return (rec.alpha, rec.turns, rec.outcome), passes
+
+
+class TestMetamorphic:
+    @pytest.mark.parametrize("boundary, shift", [
+        (Boundary.TORUS, (3, 7)), (Boundary.OPEN, (0, 0))])
+    def test_symmetric_boards_play_the_same_game(self, boundary, shift):
+        # A game is a property of the board, not of where its sites sit:
+        # under each of the 8 symmetries of the square, translated on a
+        # torus, the image board gives the same (alpha, turns, outcome),
+        # and each of its passes infers the images of the original's.
+        games = turns = 0
+        for i in range(10):
+            board = generate_board(20, (0.15, 0.2, 0.225)[i % 3], i, boundary)
+            for policy in ("sat", "kset:2"):
+                want, want_passes = traced_game(board, policy)
+                for k in range(8):
+                    got, got_passes = traced_game(
+                        dihedral_board(board, k, shift), policy)
+                    assert got == want, (i, policy, k)
+                    assert got_passes == [
+                        {(dihedral_site(site, k, 20, shift), verdict)
+                         for site, verdict in inferences}
+                        for inferences in want_passes], (i, policy, k)
+                    games += 1
+                turns += want[1]
+        assert games == 160 and turns >= 100
 
 
 class TestPolicy:

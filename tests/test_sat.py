@@ -276,6 +276,30 @@ def check_answer(solver, formula, active, assumptions, res) -> None:
     assert not Solver(formula).solve(solver.core_groups(res.core), lits).sat
 
 
+def trail_scan_core(solver: Solver, failed: int) -> frozenset:
+    """The final-conflict core of failed, a literal false on the solver's
+    trail, by a scan of the trail from its top: failed, and the decision
+    literals met while marking the reasons of the variables marked so far,
+    from failed's variable on, down to the last marked one."""
+    core = {failed}
+    level, reason = solver.level, solver.reason
+    if level[abs(failed)] == 0:
+        return frozenset(core)
+    marked = {abs(failed)}
+    for lit in reversed(solver.trail):
+        if not marked:
+            break
+        v = abs(lit)
+        if v not in marked:
+            continue
+        marked.remove(v)
+        if reason[v] is None:
+            core.add(lit)
+            continue
+        marked.update(abs(q) for q in reason[v][1:] if level[abs(q)] > 0)
+    return frozenset(core)
+
+
 def query_sequence(rng: random.Random, formula: GroupedCnf, count: int):
     """(active, assumptions) pairs interleaved as inference passes and core
     extraction interleave them: all-groups queries on one literal, singleton
@@ -326,13 +350,39 @@ class TestQuerySequences:
                 kept += levels > 0
         assert kept > 500   # most queries start from a kept trail
 
+    def test_final_cores_match_the_trail_scan(self):
+        # Every Unsat answer's core, whether found by a search or at the
+        # kept selector levels, is the one the trail scan finds from the
+        # assumption that failed: the first own assumption at the level
+        # the answer left the trail.
+        rng = random.Random(1203)
+        unsat = early = 0
+        for formula in self.formulas():
+            solver = Solver(formula)
+            for active, assumptions in query_sequence(rng, formula, 25):
+                levels = len(solver.trail_lim)
+                res = solver.solve(active, assumptions)
+                if res.sat:
+                    continue
+                assumed = [solver.selector_of[g]
+                           for g in sorted(set(active))] + assumptions
+                failed = assumed[len(solver.trail_lim)]
+                assert res.core == trail_scan_core(solver, failed)
+                unsat += 1
+                early += len(solver.trail_lim) == levels
+        assert unsat >= 500 and early >= 100
+
     def test_repeated_query_reassumes_nothing(self):
         formula = frontier_formulas(88, 1, max_outer=20)[0]
         solver = Solver(formula)
         opened = []     # the decision level below each new level
-        new_level = solver._new_level
-        solver._new_level = lambda: (opened.append(len(solver.trail_lim)),
-                                     new_level())
+
+        class OpenedLevels(list):
+            def append(self, start):
+                opened.append(len(self))
+                super().append(start)
+
+        solver.trail_lim = OpenedLevels()
         first = solver.solve(solver.group_ids, [1])
         n_first = len(opened)
         second = solver.solve(solver.group_ids, [1])
