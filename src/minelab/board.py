@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
+from math import floor
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
@@ -104,16 +106,23 @@ class Board:
                 f"mines={np.count_nonzero(self.mine_grid)})")
 
 
+def _mine_count(n: int, rho: float) -> int:
+    """floor(n*n*rho) with rho read as the decimal it prints as, so that
+    rho = 0.29 on n = 20 lays 116 mines, not the 115 of the binary product
+    115.99999999999999."""
+    return floor(Fraction(str(rho)) * n * n)
+
+
 def check_board_shape(n: int, rho: float, boundary: Boundary) -> None:
-    """Raise ValueError unless generate_board can lay floor(n*n*rho) mines
-    on an n x n board with this boundary: n >= 1, rho in [0, 1], one site
-    left empty, and n >= 3 on a torus, where a smaller side would count a
-    mine more than once in a neighbor's label."""
+    """Raise ValueError unless generate_board can lay _mine_count(n, rho)
+    mines on an n x n board with this boundary: n >= 1, rho in [0, 1], one
+    site left empty, and n >= 3 on a torus, where a smaller side would
+    count a mine more than once in a neighbor's label."""
     if n < 1:
         raise ValueError("board side must be positive")
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
-    if int(np.floor(n * n * rho)) >= n * n:
+    if _mine_count(n, rho) >= n * n:
         raise ValueError("board must keep at least one empty site")
     if boundary is Boundary.TORUS and n < 3:
         raise ValueError("torus boundary requires n >= 3")
@@ -121,7 +130,8 @@ def check_board_shape(n: int, rho: float, boundary: Boundary) -> None:
 
 def generate_board(n: int, rho: float, seed, boundary: Boundary = Boundary.TORUS,
                    require_zero: bool = True) -> Board:
-    """Place floor(n*n*rho) mines uniformly at random.
+    """Place _mine_count(n, rho) mines, floor(n*n*rho) with rho read as a
+    decimal, uniformly at random.
 
     Mine sites are drawn by a partial Fisher-Yates shuffle of the flattened
     lattice, so the mine count is exact. With require_zero, whole boards are
@@ -142,7 +152,7 @@ def generate_board(n: int, rho: float, seed, boundary: Boundary = Boundary.TORUS
     """
     check_board_shape(n, rho, boundary)
     total = n * n
-    m = int(np.floor(total * rho))
+    m = _mine_count(n, rho)
     rng = np.random.default_rng(seed)
     for _ in range(MAX_ATTEMPTS):
         # One vector draw: the same stream as m draws integers(k, total).

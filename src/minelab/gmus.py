@@ -51,8 +51,6 @@ variables: a scan query decides at most the eight variables of one group.
 Its model holds only the variables it decided; rotation reads the
 variables of the start core's groups, and a variable the model leaves out
 reads False.
-Consecutive deletion trials share the selector levels before the deleted
-group (see minelab.sat).
 """
 from __future__ import annotations
 

@@ -184,9 +184,10 @@ def infer_step(state: GameState, *, extract_cores: bool = True,
         for i, (j, b) in enumerate(found):
             # The pivot assumes the verdict's opposite: mined for a safe site.
             pivot = j + 1 if b == 0 else -(j + 1)
-            # A counted singleton's pivot query would find the pivot false
-            # at the selector levels and change nothing in the solver, so
-            # skipping it leaves every later query as it was.
+            # A counted singleton's pivot query would only cancel back to
+            # the selector levels, as the next query does, and find the
+            # pivot false there, so skipping it leaves every later query as
+            # it was.
             cores[i] = counted_singleton(pivot, rows.rows_of[j], fr.labels,
                                          fr.supports)
             if cores[i] is not None:

@@ -15,17 +15,13 @@ Selectors are numbered num_vars+1, num_vars+2, ... in ascending group id
 order, so a core maps back to group ids by position (core_groups). Every
 stored clause holds a selector, so no conflict ever reaches level 0.
 
-Consecutive queries share their assumption trail (Hickey & Bacchus,
-"Speeding Up Assumption-Based SAT", SAT 2019): a query keeps the decision
-levels of the longest common prefix of its assumption list and the previous
-one, and only backtracks and re-assumes past it. The selectors come first,
-in ascending group order, so queries over the same active groups share
-every selector level. A query whose assumption is already false at a kept
-level is answered Unsat there, without a search; when the trail holds
-exactly the selector levels of the same active set, that answer comes first,
-before the assumption list is built or compared. The final core of an Unsat
-answer is found by walking reasons back from the failed literal to the
-assumptions that imply it.
+A query's assumption list is its selectors, in ascending group order, then
+its own assumptions. A query over the same active groups as the last one
+keeps their selector levels and re-assumes only its own assumptions; any
+other query starts from level 0. A kept level that already falsifies an own
+assumption ends the search at its first step, with an Unsat answer. The
+final core of an Unsat answer is found by walking reasons back from the
+failed literal to the assumptions that imply it.
 
 Values are kept per literal: assigns[l] is 1 (true), -1 (false) or 0
 (unassigned), a negative literal counting from the end of the list, as the
@@ -83,10 +79,10 @@ class Solver:
     var_groups (variable -> the ascending ids of the groups that mention it)
     and num_vars are what callers such as core extraction read.
     Queries with different active groups and assumptions share learned
-    clauses, and consecutive queries share the decision levels of their
-    common assumption prefix: solve leaves the trail of the last query in
-    place and backtracks only as far as the next one needs. Instances are
-    single-threaded; build one per formula.
+    clauses. solve leaves the trail of the last query in place, and the
+    next query keeps its selector levels if it names the same active
+    groups, and no level otherwise. Instances are single-threaded; build
+    one per formula.
     """
 
     def __init__(self, formula: GroupedCnf, *, conflict_budget: int = 1_000_000):
@@ -110,7 +106,6 @@ class Solver:
         self.head_stack: List[int] = []
         self.qhead = 0
         self.order_head = 0
-        self.last_assumptions: List[int] = []
         # The last active set: (argument, branching order, selector
         # assumptions in ascending group order).
         self._last_active: Tuple[tuple, List[int], List[int]] = ((), [], [])
@@ -257,9 +252,9 @@ class Solver:
         """Decide the conjunction of the active groups plus assumptions.
 
         Assumption literals must reference problem variables. The trail
-        stays in place afterwards; the next query keeps the levels of the
-        assumption prefix it shares with this one. An active set equal to
-        the last one reuses its branching order and selector assumptions.
+        stays in place afterwards. An active set equal to the last one
+        keeps its selector levels and reuses its branching order and
+        selector assumptions; any other starts from level 0.
         """
         key = tuple(active_groups)
         extra = list(assumptions)
@@ -276,29 +271,12 @@ class Solver:
             order = sorted(branch, key=self.rank.__getitem__)
             sel = [self.selector_of[g] for g in actives]
             self._last_active = (key, order, sel)
-        elif (extra and self.assigns[extra[0]] == -1
-              and len(self.trail_lim) == len(sel)
-              and self.qhead == len(self.trail)):
-            # The trail holds exactly this active set's selector levels,
-            # propagated, and they falsify the first own assumption: the
-            # search would stop there at once. last_assumptions keeps the
-            # selectors, the only entries the next query compares.
-            return _SolveResult(False, None, self._analyze_final(extra[0]))
-        assump = sel + extra
-        last = self.last_assumptions
-        keep = min(len(last), len(assump), len(self.trail_lim))
-        if last[:keep] != assump[:keep]:
-            i = 0
-            while last[i] == assump[i]:
-                i += 1
-            keep = i
-        self._cancel_until(keep)
-        self.last_assumptions = assump
-        # Kept levels are assumption levels, opened before any branching, so
+        self._cancel_until(len(sel) if key == last_key else 0)
+        # Kept levels are selector levels, opened before any branching, so
         # the branching scan restarts at the head of this query's order.
         self.order_head = 0
         try:
-            res = self._search(assump, order)
+            res = self._search(sel + extra, order)
         except ResourceLimit:
             self._cancel_until(0)
             raise

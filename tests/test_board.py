@@ -92,6 +92,15 @@ class TestBoardAndLabels:
         assert len(empty) == 1
         assert int(board.labels[empty[0]]) == 8
 
+    @pytest.mark.parametrize("n, rho, count", [
+        (20, 0.29, 116), (10, 0.57, 57), (20, 0.58, 232), (40, 0.2875, 460),
+        (150, 0.35, 7875)])
+    def test_mine_count_floors_the_decimal_density(self, n, rho, count):
+        # n*n*rho in binary falls just below the integer here (0.29 * 400
+        # is 115.99999999999999); the count is floor of the decimal product.
+        board = generate_board(n, rho, 3, require_zero=False)
+        assert len(mine_sites(board)) == count
+
     def test_labels_match_naive_recount(self):
         board = generate_board(20, 0.2, 1, require_zero=False)
         mines = mine_sites(board)

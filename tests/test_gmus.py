@@ -3,14 +3,17 @@ solver calls, exhaustive subset minimality on small cases, and the
 single-group guarantee."""
 from __future__ import annotations
 
+import hashlib
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 import minelab.player
 from minelab.board import (Boundary, COVERED, GameState, flag, frontiers,
                            generate_board, reveal)
-from minelab.cnf import GroupedCnf
+from minelab.cnf import GroupedCnf, export_gcnf, parse_formula
 from minelab.gmus import (GmusResult, NotUnsat, counted_singleton,
                           extract_gmus)
 from minelab.harness import game_seed
@@ -366,3 +369,51 @@ class TestGameCores:
         assert cores >= 500 and multi >= 300 and len(asked) >= 300
         assert all(len(active) > 1 for active in asked), [
             active for active in asked if len(active) == 1]
+
+
+def random_gcnf_text(rng: random.Random) -> str:
+    """A seeded random 3-SAT GCNF text near the threshold, with groups of
+    one to three consecutive clauses."""
+    nv = rng.randint(5, 16)
+    clauses = [[v if rng.random() < 0.5 else -v
+                for v in rng.sample(range(1, nv + 1), 3)]
+               for _ in range(round(nv * rng.uniform(3.6, 5.0)))]
+    tags = []
+    while len(tags) < len(clauses):
+        tags.extend([len(set(tags)) + 1] * rng.randint(1, 3))
+    lines = ["{%d} %s 0" % (t, " ".join(map(str, c)))
+             for t, c in zip(tags, clauses)]
+    return (f"p gcnf {nv} {len(clauses)} {tags[-1]}\n"
+            + "\n".join(lines) + "\n")
+
+
+class TestPinnedParsedCores:
+    # sha256 of the core (or "sat") of every pivot, both signs of every
+    # variable in turn, of the formulas below, each read by parse_formula
+    # and so without labels, with one solver per formula.
+    DIGEST = "5cf1120b2c75fdaf2c0475a649420f629963616f47c82b6028865b86ac5494c5"
+
+    def test_parsed_formula_cores_digest(self):
+        rng = random.Random(3719)
+        np_rng = np.random.default_rng(3719)
+        texts = [random_gcnf_text(rng) for _ in range(140)]
+        while len(texts) < 200:
+            state = random_reachable_state(np_rng, max_outer=14)
+            if state is not None:
+                texts.append(export_gcnf(state_formula(state)))
+        digest = hashlib.sha256()
+        cores = 0
+        for index, text in enumerate(texts):
+            formula = parse_formula(text)
+            assert formula.labels is None
+            solver = Solver(formula)
+            for v in range(1, formula.num_vars + 1):
+                for pivot in (v, -v):
+                    try:
+                        core = sorted(extract_gmus(solver, pivot).core)
+                        cores += 1
+                    except NotUnsat:
+                        core = "sat"
+                    digest.update(f"{index} {pivot} {core}\n".encode())
+        assert cores >= 1000
+        assert digest.hexdigest() == self.DIGEST

@@ -15,7 +15,7 @@ from minelab.percolation import (_avg_cluster_size as avg_cluster_size,
                                  _cluster_sizes as cluster_sizes,
                                  _minesweeper_occupancy as minesweeper_occupancy)
 
-from conftest import dfs_cluster_oracle, mine_sites
+from conftest import dfs_cluster_oracle, dihedral_site, mine_sites
 
 _STEPS = {Connectivity.NEAREST4: ((-1, 0), (0, -1), (1, 0), (0, 1)),
           Connectivity.MOORE8: tuple((dr, dc) for dr in (-1, 0, 1)
@@ -42,6 +42,16 @@ def grid_from_rows(rows) -> np.ndarray:
 def independent_occupancy(n: int, p: float, seed) -> np.ndarray:
     """I.i.d. occupation as percolation_sweep draws it."""
     return np.random.default_rng(seed).random((n, n)) < p
+
+
+def dihedral_grid(occ: np.ndarray, k: int, shift=(0, 0)) -> np.ndarray:
+    """The grid under the k-th symmetry of the square, then translated by
+    shift, as conftest.dihedral_site maps sites."""
+    n = occ.shape[0]
+    image = np.zeros_like(occ)
+    for r, c in np.argwhere(occ).tolist():
+        image[dihedral_site((r, c), k, n, shift)] = True
+    return image
 
 
 def sorted_clusters(occ: np.ndarray, boundary: Boundary = Boundary.OPEN,
@@ -193,6 +203,26 @@ class TestClusterSizes:
             rolled = np.roll(occ, (dr, dc), axis=(0, 1))
             assert (sorted_clusters(occ, Boundary.TORUS)
                     == sorted_clusters(rolled, Boundary.TORUS))
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_dihedral_images_keep_the_clusters(self, rng, boundary):
+        # Cluster sizes and spanning are properties of the grid, not of how
+        # it is oriented: each of the 8 symmetries of the square (on a
+        # torus also translated) keeps the sorted cluster and spanning
+        # sizes, under both connectivities.
+        shift = (3, 7) if boundary is Boundary.TORUS else (0, 0)
+        for i in range(10):
+            if i % 2:
+                occ = independent_occupancy(16, 0.59, rng)
+            else:
+                occ = minesweeper_occupancy(generate_board(
+                    16, 0.1, rng, boundary, require_zero=False))
+            for conn in Connectivity:
+                expected = sorted_clusters(occ, boundary, conn)
+                for k in range(8):
+                    assert sorted_clusters(dihedral_grid(occ, k, shift),
+                                           boundary, conn) == expected, (
+                        i, conn, k)
 
 
 class TestAvgClusterSize:

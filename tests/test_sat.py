@@ -1,7 +1,7 @@
 """Solver tests: differential checks against truth tables, assumption and
 core semantics, group activation, core-to-group mapping, query sequences on
-one instance (kept assumption prefixes, dropping the learned clauses and
-budget exhaustion between queries) and connected parts."""
+one instance (kept selector levels, learned clauses shared between queries,
+final cores and budget exhaustion) and connected parts."""
 from __future__ import annotations
 
 import random
@@ -352,9 +352,9 @@ class TestQuerySequences:
 
     def test_final_cores_match_the_trail_scan(self):
         # Every Unsat answer's core, whether found by a search or at the
-        # kept selector levels, is the one the trail scan finds from the
-        # assumption that failed: the first own assumption at the level
-        # the answer left the trail.
+        # first step at the kept selector levels, is the one the trail
+        # scan finds from the assumption that failed: the first own
+        # assumption at the level the answer left the trail.
         rng = random.Random(1203)
         unsat = early = 0
         for formula in self.formulas():
@@ -390,6 +390,15 @@ class TestQuerySequences:
         assert min(opened[:n_first]) == 0
         assert min(opened[n_first:], default=len(solver.group_ids)) >= len(
             solver.group_ids)   # no selector level opened again
+        # Another active set keeps no level, not even the selector levels
+        # it shares with the last query; its repeat keeps all of its own.
+        fewer = solver.group_ids[:-1]
+        n_second = len(opened)
+        solver.solve(fewer, [1])
+        n_third = len(opened)
+        solver.solve(fewer, [1])
+        assert opened[n_second] == 0
+        assert min(opened[n_third:], default=len(fewer)) >= len(fewer)
 
     def test_resource_limit_mid_sequence(self):
         rng = random.Random(4242)
