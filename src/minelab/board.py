@@ -107,10 +107,12 @@ class Board:
 
 
 def _mine_count(n: int, rho: float) -> int:
-    """floor(n*n*rho) with rho read as the decimal it prints as, so that
-    rho = 0.29 on n = 20 lays 116 mines, not the 115 of the binary product
-    115.99999999999999."""
-    return floor(Fraction(str(rho)) * n * n)
+    """floor(n*n*rho) with rho read as the nearest fraction whose
+    denominator is at most 10**6. That fraction is exact for a decimal of
+    up to six places and for a simple fraction such as 1/3, so rho = 0.29
+    on n = 20 lays 116 mines, not the 115 of the binary product
+    115.99999999999999, and rho = 1/3 on n = 3 lays 3."""
+    return floor(Fraction(rho).limit_denominator(10 ** 6) * n * n)
 
 
 def check_board_shape(n: int, rho: float, boundary: Boundary) -> None:
@@ -131,7 +133,7 @@ def check_board_shape(n: int, rho: float, boundary: Boundary) -> None:
 def generate_board(n: int, rho: float, seed, boundary: Boundary = Boundary.TORUS,
                    require_zero: bool = True) -> Board:
     """Place _mine_count(n, rho) mines, floor(n*n*rho) with rho read as a
-    decimal, uniformly at random.
+    fraction of denominator at most 10**6, uniformly at random.
 
     Mine sites are drawn by a partial Fisher-Yates shuffle of the flattened
     lattice, so the mine count is exact. With require_zero, whole boards are

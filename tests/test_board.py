@@ -4,6 +4,8 @@ from __future__ import annotations
 import hashlib
 import re
 import tracemalloc
+from fractions import Fraction
+from math import floor
 
 import numpy as np
 import pytest
@@ -94,10 +96,12 @@ class TestBoardAndLabels:
 
     @pytest.mark.parametrize("n, rho, count", [
         (20, 0.29, 116), (10, 0.57, 57), (20, 0.58, 232), (40, 0.2875, 460),
-        (150, 0.35, 7875)])
-    def test_mine_count_floors_the_decimal_density(self, n, rho, count):
-        # n*n*rho in binary falls just below the integer here (0.29 * 400
-        # is 115.99999999999999); the count is floor of the decimal product.
+        (150, 0.35, 7875), (3, 1 / 3, 3), (9, 1 / 3, 27)])
+    def test_mine_count_floors_the_exact_density(self, n, rho, count):
+        # The binary product (0.29 * 400 is 115.99999999999999) or the
+        # printed decimal's (9 * 0.3333333333333333 is 2.9999999999999997)
+        # falls just below the integer here; the count floors the product
+        # with the density the float stands for, 29/100 or 1/3.
         board = generate_board(n, rho, 3, require_zero=False)
         assert len(mine_sites(board)) == count
 
@@ -114,7 +118,10 @@ class TestBoardAndLabels:
     def test_labels_property(self, n, rho, seed, boundary):
         board = generate_board(n, rho, seed, boundary, require_zero=False)
         mines = mine_sites(board)
-        assert len(mines) == int(np.floor(n * n * rho))
+        # The count is floor(n*n*rho) with rho read as the nearest fraction
+        # of denominator at most 10**6, so a drawn 1/3 gives n*n/3 mines.
+        assert len(mines) == floor(Fraction(rho).limit_denominator(10 ** 6)
+                                   * n * n)
         assert board.labels.tolist() == naive_labels(n, mines, boundary)
 
     def test_mine_grid_matches_mines(self, rng):

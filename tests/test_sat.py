@@ -339,16 +339,33 @@ class TestQuerySequences:
                 + frontier_formulas(5521, 30))
 
     def test_one_solver_agrees_with_fresh_solvers(self):
+        # Every answer is a fresh solver's. A query over the last query's
+        # active set enters the search with as many of that set's selector
+        # levels as the trail held; any other query enters at level 0.
         rng = random.Random(1203)
         kept = 0
         for formula in self.formulas():
             solver = Solver(formula)
+            entered = []
+            search = solver._search
+
+            def counted_search(assumptions, order, solver=solver,
+                               search=search, entered=entered):
+                entered.append(len(solver.trail_lim))
+                return search(assumptions, order)
+
+            solver._search = counted_search
+            last = None
             for active, assumptions in query_sequence(rng, formula, 25):
                 levels = len(solver.trail_lim)
                 res = solver.solve(active, assumptions)
                 check_answer(solver, formula, active, assumptions, res)
-                kept += levels > 0
-        assert kept > 500   # most queries start from a kept trail
+                same = tuple(active) == last
+                assert entered[-1] == (min(levels, len(set(active)))
+                                       if same else 0)
+                kept += same and entered[-1] > 0
+                last = tuple(active)
+        assert kept > 500   # repeats that start from kept selector levels
 
     def test_final_cores_match_the_trail_scan(self):
         # Every Unsat answer's core, whether found by a search or at the
